@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BasisMatchError, BuildError, PrecisionError
+from .ffield import is_probable_prime
 from .qseries import PowerSeries, eisenstein_series, eta_squared_product, \
     j_series, sigma1_series
 from .symbolic import MultiPoly
@@ -23,17 +24,6 @@ from .trivariate import ClassicalModularPoly, TrivariatePoly, X_WEIGHT
 _FORM_VARS = ("E4", "E6")
 
 PHI_ELLS = (2, 3, 5, 7, 11, 13)
-
-
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def conjugate_series(kind: str, ell: int, n_q: int):
@@ -116,8 +106,10 @@ def _gauss_solve(rows: list, rhs: list, m: int) -> list:
 
 def match_to_form_basis(s: PowerSeries, w: int) -> dict:
     """Write the q-series s exactly as sum of c_{a,b} E4^a E6^b over
-    2a + 3b = w; every trustworthy coefficient beyond the solve rows is
-    verified.  {} for the zero series."""
+    2a + 3b = w; every known coefficient beyond the solve rows is
+    verified.  {} for the zero series.  Raises PrecisionError when s is
+    known to fewer than the w//6 + 1 coefficients of Sturm's bound for
+    weight 2w."""
     exps = form_basis_exponents(w)
     end = s.lead + len(s.coeffs)
     if not exps:
@@ -125,8 +117,10 @@ def match_to_form_basis(s: PowerSeries, w: int) -> dict:
             raise BasisMatchError(f"nonzero series but empty weight-{w} basis")
         return {}
     m = len(exps)
-    if end < m + 3:
-        raise PrecisionError(f"need {m + 3} coefficients, have {end}")
+    sturm = w // 6 + 1
+    # s and its fit are weight-2w forms: by Sturm, exact rows prove s == fit
+    if end < sturm:
+        raise PrecisionError(f"need {sturm} coefficients, have {end}")
     e4 = eisenstein_series(4, end)
     e6 = eisenstein_series(6, end)
     pa = {0: None}
@@ -206,24 +200,23 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
 
 def build(kind: str, ell: int) -> TrivariatePoly:
     """Monic degree-(ell+1) polynomial in the E4E6 basis, validated for
-    homogeneity and integrality.  One doubled-precision retry on a
-    matching failure, then abort."""
+    homogeneity and integrality.
+
+    s_k is a level-1 form of weight 2wk (w the X-weight), so Sturm's bound
+    fixes it by floor(wk/6) + 1 coefficients; the window covers k = ell+1
+    with three rows to spare.  The coefficients are exact, so a matching
+    failure is a fault, not a precision shortfall, and is not retried."""
     if kind not in X_WEIGHT:
         raise ValueError(f"unknown kind {kind!r}")
-    if not _is_odd_prime(ell) or ell == 3:
+    if not (is_probable_prime(ell) and ell > 3):
         raise ValueError(f"ell must be an odd prime > 3, got {ell}")
     if kind == "Ua" and ell % 12 != 11:
         raise ValueError(f"eta-product kind needs ell = 11 mod 12, got {ell}")
-    n_q = ell + 12
+    n_q = X_WEIGHT[kind] * (ell + 1) // 6 + 4
     try:
         return _build_at(kind, ell, n_q)
-    except (BasisMatchError, PrecisionError):
-        pass
-    try:
-        return _build_at(kind, ell, 2 * n_q)
     except (BasisMatchError, PrecisionError) as exc:
-        raise BuildError(
-            f"{kind}_{ell}: matching failed at doubled precision") from exc
+        raise BuildError(f"{kind}_{ell}: matching failed") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +239,16 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     tail = 4                       # checked surplus coefficients past q^0
     end_s = tail + ell + 2         # power-sum window end
     end_e = tail + ell * n         # re-expanded window end
-    jq = j_series(end_e + ell + 4)
+    # expand j once at the longest window; j_series(P) is known below
+    # q^(P-2), so each shorter window is a truncation of this one
+    j_long = j_series(ell * end_s + ell + 3)
+    jq = j_long.truncate(end_e + ell + 2)
     jpow = [None, jq]
     for m in range(2, n + 1):
         jpow.append(jpow[-1] * jq)
 
-    r = j_series(n + 2 - (-end_s // ell)).substitute_q_power(ell)
-    big_r = j_series(ell * end_s + ell + 3).reinterpret(ell)
+    r = j_long.truncate(n - (-end_s // ell)).substitute_q_power(ell)
+    big_r = j_long.reinterpret(ell)
     sums = []
     rp = bp = None
     for k in range(1, n + 1):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from ccrpoly.builder import (atkin_lehner_check, build, build_classical_phi,
-                             conjugate_series, form_basis_exponents,
-                             match_to_form_basis, power_sums)
-from ccrpoly.errors import BasisMatchError, BuildError
+from ccrpoly import builder
+from ccrpoly.builder import (_build_at, atkin_lehner_check, build,
+                             build_classical_phi, conjugate_series,
+                             form_basis_exponents, match_to_form_basis,
+                             power_sums)
+from ccrpoly.errors import BasisMatchError, BuildError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 
@@ -91,6 +93,21 @@ class TestBasisMatch:
         with pytest.raises(BasisMatchError):
             match_to_form_basis(s, 1)
 
+    @pytest.mark.parametrize("w", [6, 7, 12, 14, 29])
+    def test_sturm_bound_is_the_precision_floor(self, w):
+        # a weight-2w form known to its first w//6 + 1 coefficients matches;
+        # one coefficient fewer is a PrecisionError, not a guess
+        sturm = w // 6 + 1
+        e4, e6 = eisenstein_series(4, sturm), eisenstein_series(6, sturm)
+        exps = form_basis_exponents(w)
+        f = PowerSeries([0] * sturm)
+        for k, (a, b) in enumerate(exps, 1):
+            f = f + (e4 ** a) * (e6 ** b) * k
+        assert match_to_form_basis(f, w) == {ab: k for k, ab
+                                             in enumerate(exps, 1)}
+        with pytest.raises(PrecisionError):
+            match_to_form_basis(f.truncate(sturm - 1), w)
+
 
 class TestBuild:
     def test_u5_equals_printed_polynomial(self, u5):
@@ -116,6 +133,29 @@ class TestBuild:
             build("Ua", 13)
         with pytest.raises(ValueError):
             build("X", 5)
+
+    @pytest.mark.parametrize("kind, ell", [
+        (kind, ell) for kind in ("U", "V", "W") for ell in (5, 7, 11, 13)
+    ] + [("Ua", 11)])
+    def test_sturm_window_matches_old_window(self, kind, ell):
+        assert build(kind, ell) == _build_at(kind, ell, ell + 12)
+
+    def test_match_failure_is_not_retried(self, monkeypatch):
+        calls = []
+        real_build_at = builder._build_at
+
+        def counting_build_at(*args):
+            calls.append(args)
+            return real_build_at(*args)
+
+        def failing_match(s, w):
+            raise BasisMatchError("forced")
+
+        monkeypatch.setattr(builder, "_build_at", counting_build_at)
+        monkeypatch.setattr(builder, "match_to_form_basis", failing_match)
+        with pytest.raises(BuildError):
+            build("U", 5)
+        assert len(calls) == 1
 
     def test_root_identity_u(self, u5):
         prec = 29
