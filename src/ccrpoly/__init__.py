@@ -17,7 +17,7 @@ from .errors import (BasisMatchError, BuildError, CCRError,
                      VerificationError)
 from .ffield import (CurveParams, DerivativeBundle, PrimeField, UniPoly,
                      derivative_bundle, division_poly, is_probable_prime,
-                     poly_arith, roots, specialize)
+                     roots, specialize)
 from .isogeny import (AtkinStepResult, IsogenyStepResult, ValidationFlags,
                       atkin_b_star, atkin_e4_tilde, atkin_sigma, atkin_step,
                       e4_tilde, e6_tilde, elkies_power_sums, elkies_step)
@@ -39,8 +39,8 @@ __all__ = [
     "DegeneratePoint", "GcdDegreeTwo", "NotDivisibleError", "PrecisionError",
     "SingularCurve", "VerificationError",
     "CurveParams", "DerivativeBundle", "PrimeField", "UniPoly",
-    "derivative_bundle", "division_poly", "is_probable_prime", "poly_arith",
-    "roots", "specialize",
+    "derivative_bundle", "division_poly", "is_probable_prime", "roots",
+    "specialize",
     "AtkinStepResult", "IsogenyStepResult", "ValidationFlags", "atkin_b_star",
     "atkin_e4_tilde", "atkin_sigma", "atkin_step", "e4_tilde", "e6_tilde",
     "elkies_power_sums", "elkies_step",

@@ -61,15 +61,30 @@ def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
                 raise BuildError(f"rebuild of {kind}_{ell} does not match "
                                  f"the cached file {path}")
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_atomic(path, text)
     return poly_from_text(text)
+
+
+def _write_atomic(path: str, text: str):
+    """Write through a temp file in the same directory and rename it into
+    place, so a reader finds the old file or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _parse_curve(args):
     """PrimeField + CurveParams from --p/--a/--b, or (None, message)."""
     if args.p <= 3 or not is_probable_prime(args.p):
         return None, "p not prime or too small"
+    if args.p in (5, 7):
+        return None, ("p must exceed 7: p in {5, 7} breaks the power-sum "
+                      "denominators")
     field = PrimeField(args.p)
     try:
         return CurveParams(field, args.a, args.b), None
@@ -95,8 +110,7 @@ def cmd_build(args) -> int:
     basis = None if args.kind == "Phi" else args.basis
     text = poly_to_text(poly, basis)
     out = args.out or f"{args.kind}_{args.ell}_{basis or 'j'}.txt"
-    with open(out, "w") as fh:
-        fh.write(text)
+    _write_atomic(out, text)
     print(f"wrote {out}")
     return 0
 

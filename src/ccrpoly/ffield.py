@@ -9,8 +9,16 @@ root, and the division polynomials f_n.
 Field elements are canonical ints in [0, p).  The PrimeField object
 owns the modulus and counts modular multiplications and inversions,
 including those performed inside polynomial arithmetic; the complexity
-checks read these counters.  Polynomials are dense coefficient lists,
-lowest degree first, trailing zeros stripped.
+checks read these counters.  Polynomial arithmetic is counted in
+schoolbook units, whatever algorithm does the work: a product of
+polynomials of lengths m and n adds m*n, and reducing a length-n
+polynomial by a degree-d modulus adds (n - d)*d.  Polynomials are dense
+coefficient lists, lowest degree first, trailing zeros stripped.
+
+Products of polynomials go through Kronecker substitution: the
+coefficients are packed into one integer, one slot each, the integers
+are multiplied, and the slots of the product are the coefficients of
+the polynomial product, reduced mod p.
 """
 
 import random
@@ -57,7 +65,15 @@ def is_probable_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic mod a prime p > 3, with operation counting."""
+    """Arithmetic mod a prime p > 3, with operation counting.
+
+    mul_count counts modular multiplications.  Polynomial arithmetic
+    adds in schoolbook units, independent of the algorithm used: a
+    product of polynomials of lengths m and n adds m*n, and reducing a
+    length-n polynomial by a degree-d modulus adds (n - d)*d, plus n - d
+    for the quotient digits when the modulus is not monic.  inv_count
+    counts inversions.
+    """
 
     __slots__ = ("p", "mul_count", "inv_count")
 
@@ -82,7 +98,7 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero mod p")
         self.inv_count += 1
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def powers(self, x: int, n: int) -> list:
         """[1, x, ..., x^n] with counted multiplications."""
@@ -99,6 +115,25 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def _slot_bytes(p: int, terms: int) -> int:
+    """Bytes per slot that hold a sum of `terms` products of residues."""
+    return ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def _pack(coeffs, width: int) -> int:
+    """Kronecker substitution: coefficient i goes in bytes
+    [i*width, (i+1)*width) of one little-endian integer."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little")
+                                    for c in coeffs]), "little")
+
+
+def _unpack(v: int, width: int, n: int) -> list:
+    """The first n slots of a packed integer, unreduced."""
+    raw = v.to_bytes(n * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, n * width, width)]
 
 
 class UniPoly:
@@ -182,14 +217,12 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly(fld, [])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-            fld.mul_count += len(b)
-        return UniPoly(fld, out)
+        fld.mul_count += len(a) * len(b)
+        width = _slot_bytes(fld.p, min(len(a), len(b)))
+        pa = _pack(a, width)
+        # the same object on both sides lets the int product square
+        pb = pa if b is a else _pack(b, width)
+        return UniPoly(fld, _unpack(pa * pb, width, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -220,18 +253,16 @@ class UniPoly:
         if len(r) <= db:
             return UniPoly(fld, []), UniPoly(fld, r)
         inv_lead = 1 if b[-1] == 1 else fld.inv(b[-1])
-        q = [0] * (len(r) - db)
-        for k in range(len(r) - db - 1, -1, -1):
-            c = r[k + db] % p
-            if inv_lead != 1 and c:
-                c = fld.mul(c, inv_lead)
+        steps = len(r) - db
+        fld.mul_count += steps * db + (steps if inv_lead != 1 else 0)
+        q = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c = r[k + db] * inv_lead % p
             if c == 0:
                 continue
             q[k] = c
             for i in range(db):
                 r[k + i] = (r[k + i] - c * b[i]) % p
-            r[k + db] = 0
-            fld.mul_count += db
         return UniPoly(fld, q), UniPoly(fld, r[:db])
 
     def __floordiv__(self, other):
@@ -253,17 +284,83 @@ class UniPoly:
         return a.monic()
 
     def powmod(self, e: int, modulus: "UniPoly") -> "UniPoly":
+        """self^e mod modulus by left-to-right square-and-multiply.
+
+        Each step squares a packed integer and folds the high half back
+        with a table of the packed rows X^(d+k) mod f, k = 0..d-2, built
+        once per call for the monic modulus f of degree d.  The slots of
+        the running value stay unreduced until one pass of % p at the
+        end of the step, so a step costs O(d) Python operations.  When
+        the base is X the multiply is a one-slot shift plus one row.
+        """
         if e < 0:
             raise ValueError("negative exponent")
-        result = UniPoly(self.field, [1])
-        if e == 0:
-            return result % modulus
-        base = self % modulus
+        fld = self.field
+        p = fld.p
+        f = modulus.monic()
+        d = f.degree
+        if e == 0 or d <= 0:
+            return UniPoly(fld, [1]) % f
+        base = (self % f).coeffs
+        # a slot holds at most d products, and a fold adds at most d more
+        width = _slot_bytes(p, 2 * d)
+        bits = 8 * width
+        low_mask = (1 << (d * bits)) - 1
+        top_mask = (1 << ((d - 1) * bits)) - 1
+        # rows[k] = X^(d+k) mod f, each from the last by X*r = shift + one row
+        row = row0 = [-c % p for c in f.coeffs[:d]]
+        rows = [_pack(row, width)]
+        for _ in range(d - 2):
+            lead = row[-1]
+            row = [(a + lead * b) % p for a, b in zip([0] + row[:-1], row0)]
+            rows.append(_pack(row, width))
+        units = 0
+
+        def fold(v: int, n: int) -> int:
+            """Reduce the n packed slots of v to d unreduced slots."""
+            nonlocal units
+            if n <= d:
+                return v
+            units += (n - d) * d
+            low = v & low_mask
+            high = _unpack(v >> (d * bits), width, n - d)
+            for c, r in zip(high, rows):
+                c %= p
+                if c:
+                    low += c * r
+            return low
+
+        def canonical(v: int) -> list:
+            out = [c % p for c in _unpack(v, width, d)]
+            while out and out[-1] == 0:
+                out.pop()
+            return out
+
+        x_base = base == [0, 1]
+        pbase = _pack(base, width)
+        result = [1]
         for bit in bin(e)[2:]:
-            result = result * result % modulus
+            m = len(result)
+            units += m * m
+            pr = _pack(result, width)
+            v = fold(pr * pr, 2 * m - 1)
+            if bit == "1" and x_base:
+                # X*r for the remainder r of the square: slot d-1 holds
+                # r's X^(d-1) coefficient t, which moves up to X^d and
+                # folds with rows[0]; r has length d exactly when t != 0
+                t = (v >> ((d - 1) * bits)) % p
+                result = canonical(((v & top_mask) << bits) + t * rows[0])
+                m = d if t else max(len(result) - 1, 0)
+                units += 2 * m + (d if t else 0)
+                continue
+            result = canonical(v)
             if bit == "1":
-                result = result * base % modulus
-        return result
+                m = len(result)
+                units += m * len(base)
+                pr = _pack(result, width)
+                result = canonical(fold(pr * pbase, m + len(base) - 1))
+        fld.mul_count += units
+        return UniPoly(fld, result)
 
     def derivative(self) -> "UniPoly":
         fld = self.field
@@ -281,23 +378,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly(p={self.field.p}, coeffs={self.coeffs})"
-
-
-def poly_arith(a: UniPoly, b: UniPoly, op: str, exponent: int = None):
-    """Named dispatch over the polynomial ring operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divmod":
-        return divmod(a, b)
-    if op == "gcd":
-        return a.gcd(b)
-    if op == "powmod":
-        if exponent is None:
-            raise ValueError("powmod needs an exponent")
-        return a.powmod(exponent, b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def roots(f: UniPoly, seed) -> list:

@@ -85,8 +85,9 @@ class TestElkies:
                         "--ell", "5"]) == 2
 
     def test_p_equal_ell_rejected(self, cache, capsys):
-        assert cli.main(["elkies", "--p", "5", "--a", "1", "--b", "1",
-                        "--ell", "5"]) == 2
+        assert cli.main(["elkies", "--p", "11", "--a", "1", "--b", "1",
+                        "--ell", "11"]) == 2
+        assert "distinct from p" in capsys.readouterr().out
 
     def test_all_roots_degenerate_exit_four(self, cache, capsys):
         # j = 0 curve: every sigma root hits a vanishing derivative
@@ -126,6 +127,50 @@ class TestElkies:
         assert (alt / "U_5_E4E6.txt").exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize("p", ["5", "7"])
+    def test_p_five_or_seven_rejected_before_output(self, cache, capsys, p):
+        rc = cli.main(["elkies", "--p", p, "--a", "1", "--b", "1",
+                       "--ell", "5" if p == "7" else "7"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.startswith("usage error: p must exceed 7")
+        assert f"p={p} " not in out
+        assert not cache.exists()
+
+
+class TestStoreWrite:
+    def test_failed_write_keeps_old_file_and_no_temp(self, cache, capsys,
+                                                     monkeypatch):
+        cli.load_or_build("U", 5, str(cache))
+        path = cache / "U_5_E4E6.txt"
+        before = path.read_text()
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                raise OSError(28, "No space left on device")
+
+        def failing_open(name, mode="r", *args, **kwargs):
+            fh = real_open(name, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        for kind in ("U", "V"):
+            with pytest.raises(OSError):
+                cli.load_or_build(kind, 5, str(cache), rebuild=True)
+        assert path.read_text() == before
+        assert sorted(os.listdir(cache)) == ["U_5_E4E6.txt"]
+
 
 class TestAtkin:
     def test_worked_example(self, cache, capsys):
@@ -144,6 +189,16 @@ class TestAtkin:
                        "--ell", "11"])
         assert rc == 2
         assert "p not prime" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", ["5", "7"])
+    def test_p_five_or_seven_rejected_before_output(self, cache, capsys, p):
+        rc = cli.main(["atkin", "--p", p, "--a", "1", "--b", "1",
+                       "--ell", "11"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.startswith("usage error: p must exceed 7")
+        assert f"p={p} " not in out
+        assert not cache.exists()
 
 
 class TestVerifySymbolic:

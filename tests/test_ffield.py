@@ -4,6 +4,8 @@ derivative bundles, division polynomials."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ccrpoly.errors import SingularCurve
 from ccrpoly.ffield import (
@@ -14,7 +16,6 @@ from ccrpoly.ffield import (
     derivative_bundle,
     division_poly,
     is_probable_prime,
-    poly_arith,
     roots,
     specialize,
 )
@@ -114,18 +115,125 @@ class TestUniPoly:
         assert f.evaluate(10) == 1025 % P
         assert f.derivative() == 3 * x * x + 2
 
-    def test_dispatcher(self, fld):
+
+def _strip(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _schoolbook_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _strip(out)
+
+
+def _schoolbook_powmod(base, e, mod, p):
+    """(coefficients, schoolbook units) of base^e mod mod: the reference
+    for UniPoly.powmod, counting a product of lengths m and n as m*n and
+    a reduction of length n by degree d as (n - d)*d."""
+    units = 0
+
+    def mul(a, b):
+        nonlocal units
+        units += len(a) * len(b)
+        return _schoolbook_mul(a, b, p)
+
+    def rem(a):
+        nonlocal units
+        d = len(mod) - 1
+        a = list(a)
+        if len(a) > d:
+            units += (len(a) - d) * d
+            for k in range(len(a) - 1, d - 1, -1):
+                c = a[k]
+                for i in range(d + 1):
+                    a[k - d + i] = (a[k - d + i] - c * mod[i]) % p
+        return _strip(a[:d])
+
+    if mod[-1] != 1:
+        mod = mul([pow(mod[-1], -1, p)], mod)
+    if e == 0:
+        return rem([1]), units
+    base = rem(base)
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = rem(mul(result, result))
+        if bit == "1":
+            result = rem(mul(result, base))
+    return result, units
+
+
+_PRIMES = (101, 10007, 2**256 - 189)
+
+
+@st.composite
+def _powmod_cases(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    d = draw(st.integers(1, 40))
+    residue = st.integers(0, p - 1)
+    lead = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+    mod = draw(st.lists(residue, min_size=d, max_size=d)) + [lead]
+    shape = draw(st.sampled_from(("zero", "x", "short", "long")))
+    if shape == "zero":
+        base = []
+    elif shape == "x":
+        base = [0, 1]
+    else:
+        n = draw(st.integers(1, d) if shape == "short"
+                 else st.integers(d + 1, 2 * d + 3))
+        base = draw(st.lists(residue, min_size=n, max_size=n))
+    e = draw(st.sampled_from((0, 1, 2, p, (p - 1) // 2))
+             | st.integers(0, 2**64))
+    return p, mod, base, e
+
+
+class TestPackedArithmetic:
+    """The packed product and powmod against test-local schoolbook
+    references, values and mul_count alike."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_powmod_cases())
+    def test_powmod_matches_schoolbook(self, case):
+        p, mod, base, e = case
+        fld = PrimeField(p)
+        want, units = _schoolbook_powmod(base, e, mod, p)
+        got = UniPoly(fld, base).powmod(e, UniPoly(fld, mod))
+        assert got.coeffs == want
+        assert fld.mul_count == units
+        # one inversion per call, and only to make the modulus monic
+        assert fld.inv_count == (mod[-1] != 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_PRIMES).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.integers(0, p - 1), max_size=40),
+        st.lists(st.integers(0, p - 1), max_size=40))))
+    def test_product_matches_schoolbook(self, case):
+        p, a, b = case
+        fld = PrimeField(p)
+        a, b = UniPoly(fld, a), UniPoly(fld, b)
+        for u, v in ((a, b), (a, a)):
+            fld.reset_counts()
+            assert (u * v).coeffs == _schoolbook_mul(u.coeffs, v.coeffs, p)
+            assert fld.mul_count == len(u.coeffs) * len(v.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 100), min_size=1, max_size=12),
+           st.lists(st.integers(0, 100), max_size=6),
+           st.integers(1, 100), st.integers(0, 2**32))
+    def test_roots_match_brute_force(self, factors, cofactor, lead, seed):
+        fld = PrimeField(101)
         x = UniPoly.x(fld)
-        assert poly_arith(x, x, "add") == 2 * x
-        assert poly_arith(x, x, "mul") == x * x
-        q, r = poly_arith(x ** 3, x, "divmod")
-        assert q == x * x and r.is_zero()
-        assert poly_arith(x * x - 1, x - 1, "gcd") == x - 1
-        assert poly_arith(x, x * x + 1, "powmod", exponent=P) is not None
-        with pytest.raises(ValueError):
-            poly_arith(x, x, "compose")
-        with pytest.raises(ValueError):
-            poly_arith(x, x, "powmod")
+        f = UniPoly(fld, [lead])
+        for r in factors:
+            f = f * (x - r)
+        f = f * UniPoly(fld, cofactor + [1])
+        want = [r for r in range(101) if f.evaluate(r) == 0]
+        assert roots(f, seed) == want
 
 
 class TestRoots:
