@@ -6,8 +6,8 @@ verify-symbolic (replay the formula derivations), series (dump a named
 q-expansion), selftest (fast end-to-end sanity run).
 
 Exit codes are a stable contract: 0 success, 1 no result (Atkin
-prime), 2 usage error, 3 verification or builder failure, 4 degenerate
-computation.  Reports are line-oriented key=value text.
+prime), 2 usage error, 3 verification, builder or store failure, 4
+degenerate computation.  Reports are line-oriented key=value text.
 """
 
 import argparse
@@ -15,16 +15,16 @@ import os
 import sys
 
 from .builder import PHI_ELLS, build, build_classical_phi
-from .errors import (BuildError, CCRError, SingularCurve, VerificationError)
+from .errors import (BuildError, CCRError, SingularCurve, StoreError,
+                     VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import atkin_step, elkies_step
 from .qseries import _FORM_NAMES, expand
-from .symbolic import (derive_atkin_e4t, derive_atkin_sigma, derive_e4t,
-                       derive_e6t)
-from .trivariate import poly_from_text, poly_to_text
+from .symbolic import DERIVATIONS
+from .trivariate import KINDS as POLY_KINDS, poly_from_text, poly_to_text
 
 CACHE_ENV = "CCR_CACHE_DIR"
-KINDS = ("U", "V", "W", "Ua", "Phi")
+KINDS = POLY_KINDS + ("Phi",)
 BASES = ("E4E6", "AB", "Delta")
 
 
@@ -50,17 +50,24 @@ def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
     if kind == "Phi":
         basis = "j"
     path = _store_path(directory, kind, ell, basis)
-    if os.path.exists(path) and not rebuild:
-        with open(path) as fh:
-            return poly_from_text(fh.read())
+    cached = None
+    try:
+        if os.path.exists(path):
+            with open(path) as fh:
+                cached = fh.read()
+    except OSError as exc:
+        raise StoreError(f"cannot read {path}: {exc}") from exc
+    if cached is not None and not rebuild:
+        return poly_from_text(cached)
     poly = _build_poly(kind, ell)
     text = poly_to_text(poly, None if kind == "Phi" else basis)
-    if os.path.exists(path) and rebuild:
-        with open(path) as fh:
-            if fh.read() != text:
-                raise BuildError(f"rebuild of {kind}_{ell} does not match "
-                                 f"the cached file {path}")
-    os.makedirs(directory, exist_ok=True)
+    if cached is not None and cached != text:
+        raise BuildError(f"rebuild of {kind}_{ell} does not match "
+                         f"the cached file {path}")
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise StoreError(f"cannot create {directory}: {exc}") from exc
     _write_atomic(path, text)
     return poly_from_text(text)
 
@@ -73,6 +80,8 @@ def _write_atomic(path: str, text: str):
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise StoreError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -205,12 +214,8 @@ def cmd_atkin(args) -> int:
     return 0
 
 
-_DERIVATIONS = (("e4t", derive_e4t), ("e6t", derive_e6t),
-                ("a-sigma", derive_atkin_sigma), ("a-e4t", derive_atkin_e4t))
-
-
 def cmd_verify_symbolic(args) -> int:
-    for name, fn in _DERIVATIONS:
+    for name, fn in DERIVATIONS.items():
         if args.case not in ("all", name):
             continue
         try:
@@ -302,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-symbolic", help="replay formula derivations")
     v.add_argument("--case", default="all",
-                   choices=("all",) + tuple(n for n, _ in _DERIVATIONS))
+                   choices=("all",) + tuple(DERIVATIONS))
     v.set_defaults(fn=cmd_verify_symbolic)
 
     s = sub.add_parser("series", help="dump a named q-expansion")
@@ -323,6 +328,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
+    except StoreError as exc:
+        print(f"store error: {exc}")
+        return 3
     except CCRError as exc:
         print(f"error: {exc}")
         return 4

@@ -41,5 +41,10 @@ class GcdDegreeTwo(CCRError):
     """The two-polynomial gcd had degree 2; the target lives in GF(p^2)."""
 
 
+class StoreError(CCRError, OSError):
+    """A polynomial store file could not be read or written.  It is also
+    an OSError, so callers that catch the underlying I/O error see it."""
+
+
 class SingularCurve(CCRError):
     """Curve parameters with vanishing discriminant."""

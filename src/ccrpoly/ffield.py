@@ -6,14 +6,20 @@ a trivariate polynomial at a curve (A, B) to a univariate in X, finding
 its roots in F_p, evaluating the partial-derivative bundle at a chosen
 root, and the division polynomials f_n.
 
+fp_table reduces a polynomial's exact coefficients into F_p once per
+prime and keeps the table on the polynomial; every evaluation at a
+curve or a root reads that table and runs over plain ints.
+
 Field elements are canonical ints in [0, p).  The PrimeField object
 owns the modulus and counts modular multiplications and inversions,
 including those performed inside polynomial arithmetic; the complexity
 checks read these counters.  Polynomial arithmetic is counted in
 schoolbook units, whatever algorithm does the work: a product of
 polynomials of lengths m and n adds m*n, and reducing a length-n
-polynomial by a degree-d modulus adds (n - d)*d.  Polynomials are dense
-coefficient lists, lowest degree first, trailing zeros stripped.
+polynomial by a degree-d modulus adds (n - d)*d.  The evaluators that
+read a compiled table count per table term and per power they take, as
+the PrimeField docstring lists.  Polynomials are dense coefficient
+lists, lowest degree first, trailing zeros stripped.
 
 Products of polynomials go through Kronecker substitution: the
 coefficients are packed into one integer, one slot each, the integers
@@ -21,11 +27,13 @@ are multiplied, and the slots of the product are the coefficients of
 the polynomial product, reduced mod p.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 
 from .errors import SingularCurve
 from .symbolic import MultiPoly
+from .trivariate import TrivariatePoly
 
 # a field element is a reduced residue; the alias is documentation only
 FieldElement = int
@@ -71,8 +79,11 @@ class PrimeField:
     adds in schoolbook units, independent of the algorithm used: a
     product of polynomials of lengths m and n adds m*n, and reducing a
     length-n polynomial by a degree-d modulus adds (n - d)*d, plus n - d
-    for the quotient digits when the modulus is not monic.  inv_count
-    counts inversions.
+    for the quotient digits when the modulus is not monic.  The
+    evaluators over a compiled table of T terms add one per power they
+    take; specialize adds 2T, derivative_bundle one per slope k*v^(k-1)
+    plus 6T plus 7 per power of X.  inv_count counts inversions, one per
+    coefficient denominator when a table is compiled.
     """
 
     __slots__ = ("p", "mul_count", "inv_count")
@@ -102,9 +113,11 @@ class PrimeField:
 
     def powers(self, x: int, n: int) -> list:
         """[1, x, ..., x^n] with counted multiplications."""
+        p = self.p
         out = [1]
         for _ in range(n):
-            out.append(self.mul(out[-1], x))
+            out.append(out[-1] * x % p)
+        self.mul_count += n
         return out
 
     def __eq__(self, other):
@@ -464,83 +477,96 @@ class DerivativeBundle:
     du_46: FieldElement
 
 
-def _coeff_mod(fld: PrimeField, c, inv_cache: dict) -> int:
-    """Reduce an int or Fraction coefficient into F_p."""
-    if isinstance(c, int):
-        return c % fld.p
-    den = c.denominator
-    if den not in inv_cache:
-        inv_cache[den] = fld.inv(den % fld.p)
-    return c.numerator * inv_cache[den] % fld.p
+def fp_table(P, fld: PrimeField) -> tuple:
+    """P's terms reduced into F_p, compiled once per (P, p) and kept on P.
 
-
-def _eval_terms(fld: PrimeField, terms: dict, xs, ys, zs, inv_cache) -> int:
-    acc = 0
+    The table is (terms, tops): one (i, a, b, c) per nonzero coefficient
+    c of X^i E4^a E6^b mod p, in the E4E6 basis whatever basis P is
+    stored in, or (i, k, c) for X^i j^k of Phi; tops holds each
+    variable's maximal exponent.  This is the package's one reduction of
+    a Fraction into F_p.
+    """
     p = fld.p
-    for (i, a, b), c in terms.items():
-        cc = _coeff_mod(fld, c, inv_cache)
-        acc += cc * xs[i] % p * ys[a] % p * zs[b]
-        fld.mul_count += 3
-    return acc % p
+    table = P._fp.get(p)
+    if table is None:
+        if p == P.ell:
+            raise ValueError("p equals the level ell")
+        src = P
+        if isinstance(P, TrivariatePoly) and P.basis != "E4E6":
+            src = P.to_basis("E4E6")
+        inv = {1: 1}
+        terms = []
+        for key, c in src.terms.items():
+            if c.denominator not in inv:
+                inv[c.denominator] = fld.inv(c.denominator)
+            c = c.numerator * inv[c.denominator] % p
+            if c:
+                terms.append((*key, c))
+        tops = tuple(map(max, zip(*terms)))[:-1]
+        table = P._fp[p] = (tuple(terms), tops)
+    return table
 
 
 def specialize(P, curve: CurveParams) -> UniPoly:
     """Reduce a trivariate polynomial at a curve to a univariate in X.
 
-    Either stored basis works: the AB basis substitutes (A, B), the
-    E4E6 basis substitutes (-A/3, -B/2).
+    Either stored basis gives the same result: the table is in the E4E6
+    basis, read at (-A/3, -B/2), which is the AB basis read at (A, B).
     """
     fld = curve.field
-    if fld.p == P.ell:
-        raise ValueError("p equals the level ell")
-    if P.basis == "AB":
-        y0, z0 = curve.A, curve.B
-    else:
-        y0, z0 = curve.e4, curve.e6
-    deg = max(i for (i, _, _) in P.terms)
-    ys = fld.powers(y0, max(a for (_, a, _) in P.terms))
-    zs = fld.powers(z0, max(b for (_, _, b) in P.terms))
-    inv_cache = {}
-    out = [0] * (deg + 1)
-    p = fld.p
-    for (i, a, b), c in P.terms.items():
-        cc = _coeff_mod(fld, c, inv_cache)
-        out[i] = (out[i] + cc * ys[a] % p * zs[b]) % p
-        fld.mul_count += 2
+    terms, (dx, dy, dz) = fp_table(P, fld)
+    ys = fld.powers(curve.e4, dy)
+    zs = fld.powers(curve.e6, dz)
+    out = [0] * (dx + 1)
+    for i, a, b, c in terms:
+        out[i] += c * ys[a] * zs[b]
+    fld.mul_count += 2 * len(terms)
     return UniPoly(fld, out)
 
 
 def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
     """First and mixed-second partials of P at (root, -A/3, -B/2).
 
+    One pass over P's table sums, per power X^i, its (E4, E6) coefficient
+    and that coefficient's E4, E6 and E4E6 partials; the root's power and
+    slope tables then give all seven entries.
+
     Raises ValueError when the given point is not actually a root;
     that always signals a caller logic error, not bad input data.
     """
     fld = curve.field
-    if fld.p == P.ell:
-        raise ValueError("p equals the level ell")
-    base = P if P.basis == "E4E6" else P.to_basis("E4E6")
-    xs = fld.powers(root % fld.p, max(i for (i, _, _) in base.terms))
-    ys = fld.powers(curve.e4, max(a for (_, a, _) in base.terms))
-    zs = fld.powers(curve.e6, max(b for (_, _, b) in base.terms))
-    inv_cache = {}
+    p = fld.p
+    terms, (dx, dy, dz) = fp_table(P, fld)
+    xs = fld.powers(root % p, dx)
+    ys = fld.powers(curve.e4, dy)
+    zs = fld.powers(curve.e6, dz)
+    # slopes: entry k is k * v^(k-1), the derivative of v^k
+    dxs, dys, dzs = ([0] + [k * v % p for k, v in enumerate(vs[:-1], 1)]
+                     for vs in (xs, ys, zs))
+    g, g4, g6, g46 = ([0] * (dx + 1) for _ in range(4))
+    for i, a, b, c in terms:
+        cz = c * zs[b]
+        cdz = c * dzs[b]
+        g[i] += cz * ys[a]
+        g4[i] += cz * dys[a]
+        g6[i] += cdz * ys[a]
+        g46[i] += cdz * dys[a]
+    fld.mul_count += dx + dy + dz + 6 * len(terms) + 7 * (dx + 1)
 
-    def ev(poly) -> int:
-        return _eval_terms(fld, poly.terms, xs, ys, zs, inv_cache)
+    def dot(coeffs, powers) -> int:
+        return sum(map(operator.mul, coeffs, powers)) % p
 
-    u = ev(base)
+    u = dot(g, xs)
     if u != 0:
         raise ValueError(f"{root} is not a root of the specialized polynomial")
-    px = base.partial(0)
-    p4 = base.partial(1)
     return DerivativeBundle(
         u=u,
-        du_s=ev(px),
-        du_4=ev(p4),
-        du_6=ev(base.partial(2)),
-        du_s4=ev(px.partial(1)),
-        du_s6=ev(px.partial(2)),
-        du_46=ev(p4.partial(2)),
+        du_s=dot(g, dxs),
+        du_4=dot(g4, xs),
+        du_6=dot(g6, xs),
+        du_s4=dot(g4, dxs),
+        du_s6=dot(g6, dxs),
+        du_46=dot(g46, xs),
     )
 
 

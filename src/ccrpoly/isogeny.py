@@ -18,8 +18,8 @@ from typing import Optional
 
 from . import formulas
 from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo)
-from .ffield import (CurveParams, UniPoly, derivative_bundle, is_probable_prime,
-                     roots, specialize)
+from .ffield import (CurveParams, UniPoly, derivative_bundle, fp_table,
+                     is_probable_prime, roots, specialize)
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,10 @@ def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
 
 
 def _phi_match(phi, field, j: int, j_star: int) -> bool:
-    p = field.p
-    xs = field.powers(j, phi.degree_x())
-    ys = field.powers(j_star, max(k for _, k in phi.terms))
-    acc = 0
-    for (i, k), c in phi.terms.items():
-        acc += c % p * xs[i] % p * ys[k]
-    return acc % p == 0
+    terms, (dx, dk) = fp_table(phi, field)
+    xs = field.powers(j, dx)
+    ys = field.powers(j_star, dk)
+    return sum(c * xs[i] * ys[k] for i, k, c in terms) % field.p == 0
 
 
 def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
@@ -260,23 +257,20 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
 
 
 def _ua_b_slot_poly(field, ua, x_val: int, a_val: int) -> UniPoly:
-    """The eta-variant polynomial as a univariate in its B slot."""
+    """The eta-variant polynomial as a univariate in its B slot.
+
+    The E4E6 table is read at E4 = -A/3, so the coefficient of B^b is
+    the sum of c x^i (-A/3)^a times (-1/2)^b from E6 = -B/2.
+    """
     p = field.p
-    ab = ua.to_basis("AB")
-    xs = field.powers(x_val, max(i for (i, _, _) in ab.terms))
-    ys = field.powers(a_val, max(a for (_, a, _) in ab.terms))
-    inv_cache = {}
-    out = [0] * (max(b for (_, _, b) in ab.terms) + 1)
-    for (i, a, b), c in ab.terms.items():
-        if isinstance(c, int):
-            cc = c % p
-        else:
-            den = c.denominator
-            if den not in inv_cache:
-                inv_cache[den] = field.inv(den % p)
-            cc = c.numerator * inv_cache[den] % p
-        out[b] = (out[b] + cc * xs[i] % p * ys[a]) % p
-    return UniPoly(field, out)
+    terms, (dx, dy, dz) = fp_table(ua, field)
+    xs = field.powers(x_val, dx)
+    ys = field.powers(-a_val * field.inv(3) % p, dy)
+    out = [0] * (dz + 1)
+    for i, a, b, c in terms:
+        out[b] += c * xs[i] * ys[a]
+    halves = field.powers(-field.inv(2) % p, dz)
+    return UniPoly(field, [c * h for c, h in zip(out, halves)])
 
 
 def atkin_step(curve: CurveParams, ell: int, ua, seed=0,

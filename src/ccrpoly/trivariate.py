@@ -36,7 +36,10 @@ def _convert_coeff(c: Fraction, a: int, b: int, to_ab: bool) -> Fraction:
 
 
 class TrivariatePoly:
-    __slots__ = ("kind", "ell", "basis", "terms")
+    """Terms (i, a, b) -> Fraction in one basis, never changed after
+    construction, so ``_fp`` can cache ffield's table of them per p."""
+
+    __slots__ = ("kind", "ell", "basis", "terms", "_fp")
 
     def __init__(self, kind: str, ell: int, basis: str, terms: dict):
         if kind not in KINDS:
@@ -47,6 +50,7 @@ class TrivariatePoly:
         self.ell = ell
         self.basis = basis
         self.terms = {k: Fraction(v) for k, v in terms.items() if v}
+        self._fp = {}
 
     # -- structure --------------------------------------------------------
 
@@ -161,13 +165,15 @@ def _power_cache(value, top: int) -> list:
 
 class ClassicalModularPoly:
     """The symmetric modular polynomial relating j-invariants of
-    ell-isogenous curves; terms (i, k) -> integer coefficient of X^i j^k."""
+    ell-isogenous curves; terms (i, k) -> integer coefficient of X^i j^k.
+    As for TrivariatePoly, ``_fp`` caches the terms mod p per prime."""
 
-    __slots__ = ("ell", "terms")
+    __slots__ = ("ell", "terms", "_fp")
 
     def __init__(self, ell: int, terms: dict):
         self.ell = ell
         self.terms = {k: v for k, v in terms.items() if v}
+        self._fp = {}
 
     def degree_x(self) -> int:
         return max((i for i, _ in self.terms), default=-1)

@@ -1,6 +1,9 @@
 """Exit codes and report text of the command-line front end."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +173,36 @@ class TestStoreWrite:
                 cli.load_or_build(kind, 5, str(cache), rebuild=True)
         assert path.read_text() == before
         assert sorted(os.listdir(cache)) == ["U_5_E4E6.txt"]
+
+
+class TestStoreErrors:
+    """An I/O failure of the store is a typed StoreError: one line and
+    exit 3, never a traceback or the "Atkin prime" exit 1."""
+
+    def test_cache_path_is_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{cli.CACHE_ENV: str(blocker)})
+        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
+                               *ELKIES_ARGS], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("store error: cannot create ")
+        assert proc.stdout.count("\n") == 1
+
+    def test_unwritable_out(self, cache, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        out = blocker / "U_5_E4E6.txt"
+        assert cli.main(["build", "--ell", "5", "--kind", "U",
+                         "--out", str(out)]) == 3
+        text = capsys.readouterr().out
+        assert text.startswith(f"store error: cannot write {out}: ")
+        assert text.count("\n") == 1
+        assert os.listdir(tmp_path) == ["plain-file"]
 
 
 class TestAtkin:

@@ -2,12 +2,14 @@
 derivative bundles, division polynomials."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ccrpoly.errors import SingularCurve
+from ccrpoly import isogeny
+from ccrpoly.errors import GcdDegreeTwo, SingularCurve
 from ccrpoly.ffield import (
     CurveParams,
     DerivativeBundle,
@@ -20,6 +22,7 @@ from ccrpoly.ffield import (
     specialize,
 )
 from ccrpoly.symbolic import MultiPoly
+from ccrpoly.trivariate import TrivariatePoly
 
 P = 1009
 
@@ -133,7 +136,8 @@ def _schoolbook_mul(a, b, p):
 def _schoolbook_powmod(base, e, mod, p):
     """(coefficients, schoolbook units) of base^e mod mod: the reference
     for UniPoly.powmod, counting a product of lengths m and n as m*n and
-    a reduction of length n by degree d as (n - d)*d."""
+    a reduction of length n by degree d as (n - d)*d.  Lengths are those
+    of UniPoly, whose coefficient lists carry no trailing zeros."""
     units = 0
 
     def mul(a, b):
@@ -157,7 +161,7 @@ def _schoolbook_powmod(base, e, mod, p):
         mod = mul([pow(mod[-1], -1, p)], mod)
     if e == 0:
         return rem([1]), units
-    base = rem(base)
+    base = rem(_strip(list(base)))
     result = [1]
     for bit in bin(e)[2:]:
         result = rem(mul(result, result))
@@ -461,3 +465,144 @@ class TestRootCountProperty:
         # frozen Atkin instance reused by the command-line tests
         c = CurveParams(fld, 1, 2)
         assert roots(specialize(u5, c), seed=3) == []
+
+
+# ---------------------------------------------------------------------------
+# The compiled F_p tables behind specialize, derivative_bundle and the
+# B*-slot polynomial, against exact evaluation over Fractions that is
+# reduced mod p only at the end.
+
+_TABLE_PRIMES = (10007, 2**256 - 189)
+_TABLE_POLYS = ("u5", "u11", "ua11", "v7")
+
+
+def _fraction_mod(v, p: int) -> int:
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+def _curve_values(P, curve) -> tuple:
+    """The pair P's basis is evaluated at: (E4, E6) or (A, B)."""
+    return (curve.e4, curve.e6) if P.basis == "E4E6" else (curve.A, curve.B)
+
+
+def _oracle_bundle(P, curve, root: int) -> DerivativeBundle:
+    """The bundle from TrivariatePoly.partial and evaluate.  An AB-basis
+    P is differentiated in A and B, and the chain rule A = -3 E4,
+    B = -2 E6 turns those into E4 and E6 partials."""
+    s4, s6 = (1, 1) if P.basis == "E4E6" else (-3, -2)
+    px, p4 = P.partial(0), P.partial(1)
+    entries = ((P, 1), (px, 1), (p4, s4), (P.partial(2), s6),
+               (px.partial(1), s4), (px.partial(2), s6),
+               (p4.partial(2), s4 * s6))
+    vals = _curve_values(P, curve)
+    return DerivativeBundle(*(
+        _fraction_mod(scale * q.evaluate(root, *vals), curve.field.p)
+        if q.terms else 0 for q, scale in entries))
+
+
+def _check_specialize(P, curve):
+    """specialize(P, curve) agrees with P at ell + 2 points, which fixes
+    a polynomial of degree ell + 1."""
+    spec = specialize(P, curve)
+    assert spec.degree == P.ell + 1
+    vals = _curve_values(P, curve)
+    for x in range(P.ell + 2):
+        assert spec.evaluate(x) == _fraction_mod(P.evaluate(x, *vals),
+                                                 curve.field.p)
+    return spec
+
+
+@st.composite
+def _table_curves(draw):
+    p = draw(st.sampled_from(_TABLE_PRIMES))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a ** 3 + 27 * b * b) % p)
+    return CurveParams(PrimeField(p), a, b)
+
+
+def _ab_slot_poly(field, ua, x_val: int, a_val: int) -> UniPoly:
+    """The B-slot polynomial read off the AB basis over Fractions."""
+    ab = ua.to_basis("AB")
+    out = [Fraction(0)] * (max(b for _, _, b in ab.terms) + 1)
+    for (i, a, b), c in ab.terms.items():
+        out[b] += c * x_val ** i * a_val ** a
+    return UniPoly(field, [_fraction_mod(c, field.p) for c in out])
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("basis", ("E4E6", "AB"))
+    @pytest.mark.parametrize("name", _TABLE_POLYS)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(curve=_table_curves(), seed=st.integers(0, 2**32))
+    def test_specialize_and_bundle_match_exact_partials(
+            self, request, name, basis, curve, seed):
+        P = request.getfixturevalue(name).to_basis(basis)
+        spec = _check_specialize(P, curve)
+        for root in roots(spec, seed):
+            assert derivative_bundle(P, curve, root) == \
+                _oracle_bundle(P, curve, root)
+
+    def test_second_call_compiles_nothing(self, u5, monkeypatch):
+        P = u5.to_basis("AB")
+        curve = CurveParams(PrimeField(10007), 1, 1)
+        calls = []
+
+        def counted(name):
+            real = getattr(TrivariatePoly, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return real(self, *args)
+            return wrapper
+
+        for name in ("to_basis", "partial"):
+            monkeypatch.setattr(TrivariatePoly, name, counted(name))
+        spec = specialize(P, curve)
+        assert calls == ["to_basis"]
+        rs = roots(spec, 0)
+        assert rs
+        for _ in range(2):
+            specialize(P, curve)
+            for root in rs:
+                derivative_bundle(P, curve, root)
+        assert calls == ["to_basis"]
+
+    def test_one_polynomial_two_primes(self, u11):
+        P = TrivariatePoly("U", 11, "E4E6", u11.terms)
+        curves = [CurveParams(PrimeField(p), 3, 5) for p in _TABLE_PRIMES]
+        for curve in curves + curves:
+            _check_specialize(P, curve)
+        assert sorted(P._fp) == sorted(_TABLE_PRIMES)
+        small, big = (P._fp[p] for p in _TABLE_PRIMES)
+        assert small != big
+
+    @pytest.mark.parametrize("basis", ("E4E6", "AB"))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(curve=_table_curves(), x=st.integers(0, 2**256),
+           a_val=st.integers(0, 2**256))
+    def test_b_star_matches_ab_slot_polynomial(self, ua11, basis, curve,
+                                               x, a_val):
+        ua = ua11.to_basis(basis)
+        fld = curve.field
+        x, a_val = x % fld.p, a_val % fld.p
+        assert isogeny._ua_b_slot_poly(fld, ua, x, a_val) == \
+            _ab_slot_poly(fld, ua, x, a_val)
+
+        def b_stars():
+            out = []
+            for f in roots(specialize(ua, curve), 0):
+                try:
+                    out.append(isogeny.atkin_b_star(11, f, a_val, curve, ua))
+                except (GcdDegreeTwo, ValueError) as exc:
+                    out.append(type(exc))
+            for r in isogeny.atkin_step(curve, 11, ua):
+                out.append(r.b_star)
+            return out
+
+        got = b_stars()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(isogeny, "_ua_b_slot_poly", _ab_slot_poly)
+            assert b_stars() == got
