@@ -9,8 +9,7 @@ tilde-E6 formulas recovers the isogenous curve; the same formulas are
 re-derived symbolically as a verification suite.
 """
 
-from .builder import (PHI_ELLS, atkin_lehner_check, build,
-                      build_classical_phi, conjugate_series)
+from .builder import PHI_ELLS, build, build_classical_phi, conjugate_series
 from .errors import (BasisMatchError, BuildError, CCRError,
                      DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                      NotDivisibleError, PrecisionError, SingularCurve,
@@ -33,8 +32,7 @@ from .trivariate import (ClassicalModularPoly, TrivariatePoly,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PHI_ELLS", "atkin_lehner_check", "build", "build_classical_phi",
-    "conjugate_series",
+    "PHI_ELLS", "build", "build_classical_phi", "conjugate_series",
     "BasisMatchError", "BuildError", "CCRError", "DegenerateDerivative",
     "DegeneratePoint", "GcdDegreeTwo", "NotDivisibleError", "PrecisionError",
     "SingularCurve", "VerificationError",

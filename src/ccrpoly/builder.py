@@ -76,31 +76,37 @@ def form_basis_exponents(w: int) -> list:
 
 
 def _gauss_solve(rows: list, rhs: list, m: int) -> list:
-    """Exact solve of an overdetermined consistent system; raises
-    BasisMatchError when rank-deficient or inconsistent."""
+    """Exact solve of an overdetermined integer system by fraction-free
+    (Bareiss) elimination; raises BasisMatchError when rank-deficient or
+    inconsistent.
+
+    After step k every entry below the pivots is a (k+1)-minor of the
+    augmented matrix, so each division by the previous pivot is exact, and
+    a row past the m pivots ends with a zero right-hand side exactly when
+    it agrees with the solution."""
     aug = [list(row) + [r] for row, r in zip(rows, rhs)]
     n = len(aug)
-    rank = 0
-    piv_cols = []
-    for col in range(m):
-        pr = next((i for i in range(rank, n) if aug[i][col]), None)
+    prev = 1
+    for k in range(m):
+        pr = next((i for i in range(k, n) if aug[i][k]), None)
         if pr is None:
             raise BasisMatchError("rank-deficient basis system")
-        aug[rank], aug[pr] = aug[pr], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[rank])]
-        piv_cols.append(col)
-        rank += 1
-    for i in range(rank, n):
-        if aug[i][m]:
-            raise BasisMatchError("inconsistent basis system")
+        aug[k], aug[pr] = aug[pr], aug[k]
+        piv = aug[k]
+        p = piv[k]
+        tail = piv[k + 1:]
+        for row in aug[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * v - f * t) // prev
+                           for v, t in zip(row[k + 1:], tail)]
+        prev = p
+    if any(row[m] for row in aug[m:]):
+        raise BasisMatchError("inconsistent basis system")
     sol = [Fraction(0)] * m
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][m]
+    for k in range(m - 1, -1, -1):
+        row = aug[k]
+        acc = Fraction(row[m]) - sum(row[j] * sol[j] for j in range(k + 1, m))
+        sol[k] = acc / row[k]
     return sol
 
 
@@ -109,9 +115,13 @@ def match_to_form_basis(s: PowerSeries, w: int) -> dict:
     2a + 3b = w; every known coefficient beyond the solve rows is
     verified.  {} for the zero series.  Raises PrecisionError when s is
     known to fewer than the w//6 + 1 coefficients of Sturm's bound for
-    weight 2w."""
+    weight 2w.
+
+    E4^a E6^b have integer coefficients, so the system's rows are the
+    basis numerators and its right-hand side is s.nums, solved over the
+    integers and divided by s.den at the end."""
     exps = form_basis_exponents(w)
-    end = s.lead + len(s.coeffs)
+    end = s.end
     if not exps:
         if not s.is_zero():
             raise BasisMatchError(f"nonzero series but empty weight-{w} basis")
@@ -140,17 +150,12 @@ def match_to_form_basis(s: PowerSeries, w: int) -> dict:
                 if t not in pb:
                     pb[t] = pb[t - 1] * e6
             cur = pb[b] if cur is None else cur * pb[b]
-        basis_series.append(cur)
-    rows = []
-    rhs = []
-    for nn in range(end):
-        rows.append([Fraction(1) if bs is None and nn == 0
-                     else (bs.coefficient(nn) if bs is not None
-                           else Fraction(0))
-                     for bs in basis_series])
-        rhs.append(s.coefficient(nn))
+        basis_series.append(cur if cur is not None
+                            else PowerSeries.constant(1, end))
+    rows = [[bs.nums[nn] for bs in basis_series] for nn in range(end)]
+    rhs = [s.nums[nn - s.lead] if nn >= s.lead else 0 for nn in range(end)]
     sol = _gauss_solve(rows, rhs, m)
-    return {exps[k]: sol[k] for k in range(m) if sol[k]}
+    return {exps[k]: sol[k] / s.den for k in range(m) if sol[k]}
 
 
 def _newton_elementary(s_polys: list) -> list:
@@ -312,20 +317,3 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
         raise BuildError(f"Phi_{ell}: not symmetric in (X, j)")
     return phi
 
-
-def atkin_lehner_check(ua: TrivariatePoly, n_prec: int) -> bool:
-    """Series verification of the involution relation on the eta variant:
-    the polynomial annihilates (-ell*f, A*, B*) where f is its own
-    distinguished root series, A* = -3 ell^4 E4(q^ell) and
-    B* = -2 ell^6 E6(q^ell).  Evaluation happens in the AB basis."""
-    ell = ua.ell
-    prec = n_prec + ell + 4
-    f_root, _ = conjugate_series("Ua", ell, prec)
-    sub_prec = -(-prec // ell) + 1
-    x = f_root * (-ell)
-    y = eisenstein_series(4, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * (-3 * ell ** 4)
-    z = eisenstein_series(6, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * (-2 * ell ** 6)
-    val = ua.to_basis("AB").evaluate(x, y, z)
-    return val.is_zero(through=n_prec)

@@ -21,7 +21,8 @@ from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import atkin_step, elkies_step
 from .qseries import _FORM_NAMES, expand
 from .symbolic import DERIVATIONS
-from .trivariate import KINDS as POLY_KINDS, poly_from_text, poly_to_text
+from .trivariate import KINDS as POLY_KINDS, poly_from_text, \
+    poly_to_text, store_header
 
 CACHE_ENV = "CCR_CACHE_DIR"
 KINDS = POLY_KINDS + ("Phi",)
@@ -58,7 +59,15 @@ def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
     except OSError as exc:
         raise StoreError(f"cannot read {path}: {exc}") from exc
     if cached is not None and not rebuild:
-        return poly_from_text(cached)
+        try:
+            found = store_header(cached)
+            if found != (kind, ell, basis):
+                raise StoreError("holds kind={} ell={} basis={}, not the "
+                                 "requested kind={} ell={} basis={}".format(
+                                     *found, kind, ell, basis))
+            return poly_from_text(cached)
+        except StoreError as exc:
+            raise StoreError(f"{path}: {exc}") from None
     poly = _build_poly(kind, ell)
     text = poly_to_text(poly, None if kind == "Phi" else basis)
     if cached is not None and cached != text:

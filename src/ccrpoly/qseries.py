@@ -1,24 +1,29 @@
 """Exact truncated power series in a fractional power of q.
 
-A series is a dense window of exact rational coefficients: ``coeffs[k]`` is
-the coefficient of x**(lead+k) where x = q**(1/step).  Exponents below the
-window are exact zeros; exponents at or past ``end = lead + len(coeffs)`` are
-unknown and reading one raises PrecisionError.  Negative leads are allowed
-(the j-function needs them).  Instances are treated as immutable; every
-operation returns a fresh series whose window is the largest one justified by
-its operands, so precision bookkeeping never has to be done by callers.
+A series is a dense window of exact rational coefficients, held as one
+list of integer numerators ``nums`` over one positive integer denominator
+``den``: the coefficient of x**(lead+k) is nums[k]/den, where
+x = q**(1/step).  Exponents below the window are exact zeros; exponents at
+or past ``end = lead + len(nums)`` are unknown and reading one raises
+PrecisionError.  Negative leads are allowed (the j-function needs them).
 
-Multiplication clears denominators once per operand and convolves integer
-numerators, which keeps the large expansions used by the polynomial builder
-fast without leaving exact arithmetic.
+Every series is kept in canonical form: den > 0 and
+gcd(den, *nums) == 1, so the zero series has den == 1.  Two series with
+the same rational coefficients therefore have the same ``nums`` and
+``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
+the integers; Fractions appear only at the edges: the constructor,
+``coefficient()`` and the ``coeffs`` view.
+
+Instances are treated as immutable; every operation returns a fresh
+series whose window is the largest one justified by its operands, so
+precision bookkeeping never has to be done by callers.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PrecisionError
-
-_ZERO = Fraction(0)
 
 
 def _as_fraction(value):
@@ -29,43 +34,68 @@ def _as_fraction(value):
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
-class PowerSeries:
-    """Truncated series sum(coeffs[k] * x**(lead+k)) + O(x**end)."""
+def _series(nums, den, lead, step):
+    """The series nums/den, brought into canonical form."""
+    if den != 1:
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+    out = PowerSeries.__new__(PowerSeries)
+    out.step, out.lead, out.nums, out.den = step, lead, nums, den
+    return out
 
-    __slots__ = ("step", "lead", "coeffs")
+
+def _scaled(nums, f):
+    return nums if f == 1 else [v * f for v in nums]
+
+
+class PowerSeries:
+    """Truncated series sum(nums[k]/den * x**(lead+k)) + O(x**end)."""
+
+    __slots__ = ("step", "lead", "nums", "den")
 
     def __init__(self, coeffs, lead=0, step=1):
         if step < 1:
             raise ValueError("step must be a positive integer")
-        self.step = step
-        self.lead = lead
-        self.coeffs = [_as_fraction(c) for c in coeffs]
+        fracs = [_as_fraction(c) for c in coeffs]
+        # the lcm of reduced denominators is already coprime to the nums
+        den = lcm(*(c.denominator for c in fracs))
+        self.step, self.lead, self.den = step, lead, den
+        self.nums = [c.numerator * (den // c.denominator) for c in fracs]
 
     @property
     def end(self):
-        return self.lead + len(self.coeffs)
+        return self.lead + len(self.nums)
 
     @property
     def precision(self):
-        return len(self.coeffs)
+        return len(self.nums)
+
+    @property
+    def coeffs(self):
+        """The window's coefficients as Fractions."""
+        return [Fraction(v, self.den) for v in self.nums]
 
     @classmethod
     def constant(cls, value, precision, step=1):
-        coeffs = [_as_fraction(value)] + [_ZERO] * (precision - 1)
-        return cls(coeffs, lead=0, step=step)
+        c = _as_fraction(value)
+        return _series([c.numerator] + [0] * (precision - 1), c.denominator,
+                       0, step)
 
     def coefficient(self, n):
         """Exact coefficient of x**n; zero below the window, error past it."""
         if n >= self.end:
             raise PrecisionError(f"coefficient of x^{n} unknown (end={self.end})")
         if n < self.lead:
-            return _ZERO
-        return self.coeffs[n - self.lead]
+            return Fraction(0)
+        return Fraction(self.nums[n - self.lead], self.den)
 
     def effective_lead(self):
         """Exponent of the first nonzero known coefficient, or None."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, v in enumerate(self.nums):
+            if v:
                 return self.lead + k
         return None
 
@@ -79,19 +109,21 @@ class PowerSeries:
             if self.end < through:
                 raise PrecisionError(
                     f"window ends at x^{self.end}, below requested x^{through}")
-            return all(not c for c in self.coeffs[:through - self.lead])
-        return all(not c for c in self.coeffs)
+            return not any(self.nums[:through - self.lead])
+        return not any(self.nums)
 
     def reinterpret(self, step):
         """Same coefficients read against a new fractional power of q."""
-        return PowerSeries(self.coeffs, lead=self.lead, step=step)
+        if step < 1:
+            raise ValueError("step must be a positive integer")
+        return _series(self.nums, self.den, self.lead, step)
 
     def truncate(self, end):
         """Forget coefficients at or past exponent ``end``."""
         if end <= self.lead:
             raise PrecisionError("truncation would leave an empty window")
-        return PowerSeries(self.coeffs[:end - self.lead], lead=self.lead,
-                           step=self.step)
+        return _series(self.nums[:end - self.lead], self.den, self.lead,
+                       self.step)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -104,13 +136,10 @@ class PowerSeries:
     def _rescale(self, m, step):
         if m == 1:
             return self
-        coeffs = [_ZERO] * (m * len(self.coeffs))
-        for k, c in enumerate(self.coeffs):
-            coeffs[m * k] = c
+        nums = [0] * (m * len(self.nums))
+        nums[::m] = self.nums
         # known mod x^end in the old variable means mod x^(m*end) in the new
-        out = PowerSeries.__new__(PowerSeries)
-        out.step, out.lead, out.coeffs = step, m * self.lead, coeffs
-        return out
+        return _series(nums, self.den, m * self.lead, step)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -122,22 +151,27 @@ class PowerSeries:
         end = min(a.end, b.end)
         if end <= lead:
             raise PrecisionError("empty window in series addition")
-        coeffs = [a.coefficient(n) + b.coefficient(n) for n in range(lead, end)]
-        return PowerSeries(coeffs, lead=lead, step=a.step)
+        den = lcm(a.den, b.den)
+        # both padded windows reach end; zip stops there
+        pa, pb = ([0] * (s.lead - lead)
+                  + _scaled(s.nums[:max(end - s.lead, 0)], den // s.den)
+                  for s in (a, b))
+        return _series([u + v for u, v in zip(pa, pb)], den, lead, a.step)
 
     def _add_scalar(self, c):
         if self.end <= 0:
             raise PrecisionError("constant term lies outside the window")
         lead = min(self.lead, 0)
-        coeffs = [self.coefficient(n) for n in range(lead, self.end)]
-        coeffs[0 - lead] += c
-        return PowerSeries(coeffs, lead=lead, step=self.step)
+        den = lcm(self.den, c.denominator)
+        nums = [0] * (self.lead - lead) + _scaled(self.nums, den // self.den)
+        nums[-lead] += c.numerator * (den // c.denominator)
+        return _series(nums, den, lead, self.step)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], lead=self.lead,
-                           step=self.step)
+        return _series([-v for v in self.nums], self.den, self.lead,
+                       self.step)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PowerSeries)
@@ -149,54 +183,53 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return PowerSeries([c * v for v in self.coeffs], lead=self.lead,
-                               step=self.step)
+            return _series(_scaled(self.nums, c.numerator),
+                           self.den * c.denominator, self.lead, self.step)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         a, b = self._aligned(other)
         lead = a.lead + b.lead
-        end = min(a.end + b.lead, b.end + a.lead)
-        if end <= lead:
+        size = min(len(a.nums), len(b.nums))
+        if size <= 0:
             raise PrecisionError("empty window in series multiplication")
-        na, da = _integerize(a.coeffs)
-        nb, db = _integerize(b.coeffs)
-        size = end - lead
+        # truncated schoolbook: a's slot i feeds out[i:] from b's head
+        nb = b.nums
         out = [0] * size
-        la, lb = a.lead, b.lead
-        len_b = len(nb)
-        for i, va in enumerate(na):
-            if not va:
-                continue
-            base = la + i + lb - lead
-            j0 = max(0, -base)
-            j1 = min(len_b, size - base)
-            if j0 >= j1:
-                continue
-            for j in range(j0, j1):
-                out[base + j] += va * nb[j]
-        den = da * db
-        return PowerSeries([Fraction(v, den) for v in out], lead=lead,
-                           step=a.step)
+        for i, va in enumerate(a.nums[:size]):
+            if va:
+                out[i:] = [o + va * v for o, v in zip(out[i:], nb)]
+        return _series(out, a.den * b.den, lead, a.step)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, window matched to the known coefficients."""
+        """Multiplicative inverse, window matched to the known coefficients.
+
+        With u the integer numerators from the first nonzero one on, the
+        inverse of u is d_k = t_k / u0**(k+1), where t_0 = 1 and
+        t_k = -sum_{i=1..k} u_i u0**(i-1) t_(k-i): integers throughout,
+        one division at the end."""
         first = self.effective_lead()
         if first is None:
             raise ZeroDivisionError("inverse of a zero series")
-        u = self.coeffs[first - self.lead:]
-        n = len(u)
-        c0 = u[0]
-        inv0 = 1 / c0
-        d = [inv0]
-        for k in range(1, n):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                if u[i]:
-                    acc += u[i] * d[k - i]
-            d.append(-acc * inv0)
-        return PowerSeries(d, lead=-first, step=self.step)
+        u = self.nums[first - self.lead:]
+        u0 = u[0]
+        scaled = []
+        p = 1
+        for ui in u[1:]:
+            scaled.append(ui * p)
+            p *= u0
+        t = [1]
+        for k in range(1, len(u)):
+            t.append(-sum(map(mul, scaled[:k], reversed(t))))
+        nums = []
+        p = self.den
+        for tk in reversed(t):
+            nums.append(tk * p)
+            p *= u0
+        # p is now den * u0**len(u); nums[k] carries den * u0**(len-1-k)
+        nums.reverse()
+        return _series(nums, p // self.den, -first, self.step)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -217,7 +250,7 @@ class PowerSeries:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return PowerSeries.constant(1, len(self.coeffs), step=self.step)
+            return PowerSeries.constant(1, len(self.nums), step=self.step)
         result = None
         base = self
         while True:
@@ -232,14 +265,14 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         return (self.step == other.step and self.lead == other.lead
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.step, self.lead, tuple(self.coeffs)))
+        return hash((self.step, self.lead, self.den, tuple(self.nums)))
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:6])
-        if len(self.coeffs) > 6:
+        shown = ", ".join(str(Fraction(v, self.den)) for v in self.nums[:6])
+        if len(self.nums) > 6:
             shown += ", ..."
         return (f"PowerSeries(step={self.step}, x^{self.lead}..x^{self.end}:"
                 f" [{shown}])")
@@ -248,10 +281,8 @@ class PowerSeries:
 
     def qdiff(self):
         """Apply q*d/dq: the coefficient of x**n picks up a factor n/step."""
-        s = self.step
-        coeffs = [c * Fraction(self.lead + k, s)
-                  for k, c in enumerate(self.coeffs)]
-        return PowerSeries(coeffs, lead=self.lead, step=self.step)
+        nums = [v * (self.lead + k) for k, v in enumerate(self.nums)]
+        return _series(nums, self.den * self.step, self.lead, self.step)
 
     def substitute_q_power(self, m):
         """Replace q by q**m, i.e. multiply every exponent by m."""
@@ -271,22 +302,8 @@ class PowerSeries:
         if self.step != ell:
             raise ValueError("extraction requires a series in x = q^(1/ell)")
         qlead = -((-self.lead) // ell)
-        qend = -((-self.end) // ell)
-        coeffs = []
-        for n in range(qlead, qend):
-            xe = n * ell
-            coeffs.append(ell * self.coefficient(xe) if xe < self.end else _ZERO)
-        return PowerSeries(coeffs, lead=qlead, step=1)
-
-
-def _integerize(coeffs):
-    """Common-denominator view: list of int numerators and one denominator."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den // gcd(den, d) * d
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+        kept = self.nums[qlead * ell - self.lead::ell]
+        return _series([ell * v for v in kept], self.den, qlead, 1)
 
 
 # -- named expansions -----------------------------------------------------
@@ -308,8 +325,8 @@ def eisenstein_series(weight, precision):
     except KeyError:
         raise ValueError("weight must be 2, 4 or 6") from None
     sums = _divisor_power_sums(r, precision)
-    coeffs = [Fraction(mult * s) for s in sums]
-    coeffs[0] = Fraction(1)
+    coeffs = [mult * s for s in sums]
+    coeffs[0] = 1
     return PowerSeries(coeffs)
 
 
@@ -360,7 +377,7 @@ def eta_squared_product(ell, precision):
                 if i >= 2 * m:
                     v += prod[i - 2 * m]
                 prod[i] = v
-    return PowerSeries([Fraction(v) for v in prod], lead=shift)
+    return PowerSeries(prod, lead=shift)
 
 
 _FORM_NAMES = ("E2", "E4", "E6", "Delta", "j", "F", "sigma1", "f")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BuildError, NotDivisibleError
+from .errors import BuildError, NotDivisibleError, StoreError
 from .symbolic import MultiPoly
 
 KINDS = ("U", "V", "W", "Ua")
@@ -281,28 +281,45 @@ def poly_to_text(obj, basis: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def store_header(text: str) -> tuple:
+    """(kind, ell, basis) named by the first non-blank line of store text;
+    StoreError when that line is not a well-formed header."""
+    line = next((ln for ln in text.splitlines() if ln.strip()), "")
+    try:
+        if not line.startswith("CCR "):
+            raise ValueError
+        fields = dict(part.split("=", 1) for part in line.split()[1:])
+        kind, ell, basis = fields["kind"], int(fields["ell"]), fields["basis"]
+    except (KeyError, ValueError):
+        raise StoreError(f"malformed store header {line!r}") from None
+    allowed = ("j",) if kind == "Phi" else BASES + ("Delta",)
+    if kind not in KINDS + ("Phi",) or basis not in allowed:
+        raise StoreError(f"unknown kind or basis in store header {line!r}")
+    return kind, ell, basis
+
+
 def poly_from_text(text: str):
+    """Parse store text; a malformed header field or term line raises
+    StoreError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("CCR "):
         raise ValueError("missing CCR header line")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    kind = fields["kind"]
-    ell = int(fields["ell"])
-    basis = fields["basis"]
-    if kind == "Phi":
-        terms = {}
-        for ln in lines[1:]:
-            i, k, _zero, c = ln.split()
-            terms[(int(i), int(k))] = int(c)
-        return ClassicalModularPoly(ell, terms)
-    if basis == "Delta":
-        terms4 = {}
-        for ln in lines[1:]:
-            i, a, b, m, c = ln.split()
-            terms4[(int(i), int(a), int(b), int(m))] = Fraction(c)
-        return expand_delta_display(kind, ell, terms4)
+    kind, ell, basis = store_header(lines[0])
+    # Phi lines are "i k 0 c", Delta lines "i a b m c", the rest "i a b c"
+    width, parse = ((3, int) if kind == "Phi" else
+                    (4, Fraction) if basis == "Delta" else (3, Fraction))
     terms = {}
     for ln in lines[1:]:
-        i, a, b, c = ln.split()
-        terms[(int(i), int(a), int(b))] = Fraction(c)
+        parts = ln.split()
+        try:
+            if len(parts) != width + 1:
+                raise ValueError
+            key = tuple(map(int, parts[:width]))
+            terms[key[:2] if kind == "Phi" else key] = parse(parts[width])
+        except (ValueError, ZeroDivisionError):
+            raise StoreError(f"malformed store line {ln!r}") from None
+    if kind == "Phi":
+        return ClassicalModularPoly(ell, terms)
+    if basis == "Delta":
+        return expand_delta_display(kind, ell, terms)
     return TrivariatePoly(kind, ell, basis, terms)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ccrpoly import builder
-from ccrpoly.builder import (_build_at, atkin_lehner_check, build,
-                             build_classical_phi, conjugate_series,
-                             form_basis_exponents, match_to_form_basis,
-                             power_sums)
+from ccrpoly.builder import (_build_at, build, build_classical_phi,
+                             conjugate_series, form_basis_exponents,
+                             match_to_form_basis, power_sums)
 from ccrpoly.errors import BasisMatchError, BuildError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
+from ccrpoly.trivariate import poly_to_text
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
          (1, 1, 1): -128, (0, 0, 2): -80}
@@ -220,13 +224,48 @@ class TestClassicalPhi:
             build_classical_phi(17)
 
 
+def atkin_lehner_holds(ua, n_prec):
+    """Series check of the involution relation on the eta variant: the
+    polynomial annihilates (-ell*f, A*, B*) where f is its own
+    distinguished root series, A* = -3 ell^4 E4(q^ell) and
+    B* = -2 ell^6 E6(q^ell).  Evaluation happens in the AB basis.  It
+    costs about ten times the build it checks, so it is a test, not a
+    build gate."""
+    ell = ua.ell
+    prec = n_prec + ell + 4
+    f_root, _ = conjugate_series("Ua", ell, prec)
+    sub_prec = -(-prec // ell) + 1
+    x = f_root * (-ell)
+    y = eisenstein_series(4, sub_prec).substitute_q_power(ell) \
+        .truncate(prec) * (-3 * ell ** 4)
+    z = eisenstein_series(6, sub_prec).substitute_q_power(ell) \
+        .truncate(prec) * (-2 * ell ** 6)
+    val = ua.to_basis("AB").evaluate(x, y, z)
+    return val.is_zero(through=n_prec)
+
+
 class TestInvolution:
     def test_holds_for_built_polynomial(self, ua11):
-        assert atkin_lehner_check(ua11, 20)
+        assert atkin_lehner_holds(ua11, 20)
 
     def test_perturbed_polynomial_fails(self, ua11):
         from ccrpoly.trivariate import TrivariatePoly
         bad = dict(ua11.terms)
         bad[(6, 0, 3)] = bad.get((6, 0, 3), Fraction(0)) + 1
         wrong = TrivariatePoly("Ua", 11, "E4E6", bad)
-        assert not atkin_lehner_check(wrong, 20)
+        assert not atkin_lehner_holds(wrong, 20)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_store_text_matches_reference():
+    # every polynomial the benchmark checks, byte for byte
+    digests = json.loads(REFERENCE.read_text())["store_sha256"]
+    assert digests
+    for name, digest in digests.items():
+        kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
+        poly = (build_classical_phi(int(ell)) if kind == "Phi"
+                else build(kind, int(ell)))
+        text = poly_to_text(poly)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name

@@ -176,8 +176,9 @@ class TestStoreWrite:
 
 
 class TestStoreErrors:
-    """An I/O failure of the store is a typed StoreError: one line and
-    exit 3, never a traceback or the "Atkin prime" exit 1."""
+    """An I/O failure of the store, or a store file that is malformed or
+    holds another polynomial, is a typed StoreError: one line and exit 3,
+    never a traceback, the "Atkin prime" exit 1 or the usage exit 2."""
 
     def test_cache_path_is_a_regular_file(self, tmp_path):
         blocker = tmp_path / "cache"
@@ -191,6 +192,38 @@ class TestStoreErrors:
         assert proc.returncode == 3
         assert proc.stderr == ""
         assert proc.stdout.startswith("store error: cannot create ")
+        assert proc.stdout.count("\n") == 1
+
+    CORRUPTED = {
+        "header_without_kind": "malformed store header 'CCR ell=5 ",
+        "truncated_last_line": "malformed store line '0 0 2'",
+        "v_file_at_u_path": "holds kind=V ell=5 basis=E4E6, not the "
+                            "requested kind=U ell=5 basis=E4E6",
+    }
+
+    @pytest.mark.parametrize("defect", sorted(CORRUPTED))
+    def test_corrupted_cache_file(self, cache, tmp_path, capsys, defect):
+        assert cli.main(ELKIES_ARGS) == 0
+        capsys.readouterr()
+        path = cache / "U_5_E4E6.txt"
+        text = path.read_text()
+        if defect == "header_without_kind":
+            text = text.replace("kind=U ", "", 1)
+        elif defect == "truncated_last_line":
+            text = text.rstrip("\n").rsplit(" ", 1)[0]
+        else:
+            text = (cache / "V_5_E4E6.txt").read_text()
+        path.write_text(text)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{cli.CACHE_ENV: str(cache)})
+        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
+                               *ELKIES_ARGS], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(
+            f"store error: {path}: {self.CORRUPTED[defect]}")
         assert proc.stdout.count("\n") == 1
 
     def test_unwritable_out(self, cache, tmp_path, capsys):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccrpoly import qseries
-from ccrpoly.errors import PrecisionError
+from ccrpoly import builder, cli, qseries
+from ccrpoly.errors import BasisMatchError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              eta_squared_product, expand, fn_series, j_series,
                              sigma1_series)
@@ -220,3 +223,258 @@ def test_expand_dispatcher_and_determinism():
         expand("nope", 5)
     with pytest.raises(ValueError):
         expand("F", 5)
+
+
+# -- the integer core against a plain list of Fractions ----------------------
+
+class Ref:
+    """Reference series: the window as a plain list of Fractions."""
+
+    def __init__(self, coeffs, lead=0, step=1):
+        self.coeffs = [Fraction(c) for c in coeffs]
+        self.lead, self.step = lead, step
+
+    @property
+    def end(self):
+        return self.lead + len(self.coeffs)
+
+    def at(self, n):
+        return self.coeffs[n - self.lead] if n >= self.lead else Fraction(0)
+
+    def rescale(self, m, step):
+        coeffs = [Fraction(0)] * (m * len(self.coeffs))
+        coeffs[::m] = self.coeffs
+        return Ref(coeffs, m * self.lead, step)
+
+
+def ref_aligned(a, b):
+    s = lcm(a.step, b.step)
+    return a.rescale(s // a.step, s), b.rescale(s // b.step, s)
+
+
+def ref_add(a, b):
+    a, b = ref_aligned(a, b)
+    lead, end = min(a.lead, b.lead), min(a.end, b.end)
+    if end <= lead:
+        raise PrecisionError("empty window")
+    return Ref([a.at(n) + b.at(n) for n in range(lead, end)], lead, a.step)
+
+
+def ref_add_scalar(a, c):
+    if a.end <= 0:
+        raise PrecisionError("constant term outside the window")
+    lead = min(a.lead, 0)
+    return Ref([a.at(n) + (c if n == 0 else 0) for n in range(lead, a.end)],
+               lead, a.step)
+
+
+def ref_scale(a, c):
+    return Ref([c * v for v in a.coeffs], a.lead, a.step)
+
+
+def ref_mul(a, b):
+    a, b = ref_aligned(a, b)
+    size = min(len(a.coeffs), len(b.coeffs))
+    out = [sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
+               Fraction(0)) for k in range(size)]
+    return Ref(out, a.lead + b.lead, a.step)
+
+
+def ref_inverse(a):
+    first = next((a.lead + k for k, c in enumerate(a.coeffs) if c), None)
+    if first is None:
+        raise ZeroDivisionError("zero series")
+    u = a.coeffs[first - a.lead:]
+    d = [1 / u[0]]
+    for k in range(1, len(u)):
+        d.append(-sum(u[i] * d[k - i] for i in range(1, k + 1)) / u[0])
+    return Ref(d, -first, a.step)
+
+
+def ref_pow(a, k):
+    if k < 0:
+        return ref_pow(ref_inverse(a), -k)
+    out = Ref([1] + [0] * (len(a.coeffs) - 1), 0, a.step)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_truncate(a, end):
+    if end <= a.lead:
+        raise PrecisionError("empty window")
+    return Ref(a.coeffs[:end - a.lead], a.lead, a.step)
+
+
+def ref_qdiff(a):
+    return Ref([c * Fraction(a.lead + k, a.step)
+                for k, c in enumerate(a.coeffs)], a.lead, a.step)
+
+
+def ref_extract(a, ell):
+    qlead, qend = -(-a.lead // ell), -(-a.end // ell)
+    return Ref([ell * a.at(n * ell) for n in range(qlead, qend)], qlead, 1)
+
+
+def assert_matches(s, ref):
+    """s has ref's window and coefficients, and is in canonical form."""
+    assert (s.step, s.lead) == (ref.step, ref.lead)
+    assert s.coeffs == ref.coeffs
+    assert all(type(v) is int for v in s.nums) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    twin = PowerSeries(ref.coeffs, lead=ref.lead, step=ref.step)
+    assert s == twin and hash(s) == hash(twin)
+
+
+def agree(run, reference):
+    """run() and reference() give the same series or the same error."""
+    try:
+        expected = reference()
+    except (PrecisionError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            run()
+        return
+    assert_matches(run(), expected)
+
+
+coefficients = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36))
+scalars = st.one_of(st.integers(-30, 30),
+                    st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=24))
+
+
+@st.composite
+def series_pairs(draw, steps=st.integers(1, 3)):
+    """(PowerSeries, Ref) with a negative, zero or positive lead."""
+    coeffs = draw(st.lists(st.one_of(st.just(0), coefficients),
+                           min_size=1, max_size=9))
+    lead, step = draw(st.integers(-4, 4)), draw(steps)
+    return PowerSeries(coeffs, lead=lead, step=step), Ref(coeffs, lead, step)
+
+
+class TestIntegerCore:
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs(), series_pairs())
+    def test_binary_ops(self, x, y):
+        (a, ra), (b, rb) = x, y
+        assert_matches(a, ra)
+        agree(lambda: a + b, lambda: ref_add(ra, rb))
+        agree(lambda: a - b, lambda: ref_add(ra, ref_scale(rb, -1)))
+        agree(lambda: a * b, lambda: ref_mul(ra, rb))
+        agree(lambda: a / b, lambda: ref_mul(ra, ref_inverse(rb)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs(), scalars)
+    def test_scalar_ops(self, x, c):
+        a, ra = x
+        agree(lambda: a * c, lambda: ref_scale(ra, Fraction(c)))
+        agree(lambda: c * a, lambda: ref_scale(ra, Fraction(c)))
+        agree(lambda: a + c, lambda: ref_add_scalar(ra, Fraction(c)))
+        agree(lambda: c - a, lambda: ref_add_scalar(ref_scale(ra, -1),
+                                                    Fraction(c)))
+        agree(lambda: a / c, lambda: ref_scale(ra, 1 / Fraction(c)))
+        agree(lambda: -a, lambda: ref_scale(ra, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs(), st.integers(-3, 4), st.integers(-5, 12),
+           st.integers(1, 3))
+    def test_unary_ops(self, x, k, end, m):
+        a, ra = x
+        agree(a.inverse, lambda: ref_inverse(ra))
+        agree(lambda: a ** k, lambda: ref_pow(ra, k))
+        agree(lambda: a.truncate(end), lambda: ref_truncate(ra, end))
+        agree(a.qdiff, lambda: ref_qdiff(ra))
+        agree(lambda: a.substitute_q_power(m),
+              lambda: ra.rescale(m, ra.step))
+        agree(lambda: a.extract_progression(a.step),
+              lambda: ref_extract(ra, ra.step))
+
+
+def reference_gauss_jordan(rows, rhs, m):
+    """Fraction Gauss-Jordan over an overdetermined system."""
+    aug = [[Fraction(v) for v in row] + [Fraction(r)]
+           for row, r in zip(rows, rhs)]
+    for col in range(m):
+        pr = next((i for i in range(col, len(aug)) if aug[i][col]), None)
+        if pr is None:
+            raise BasisMatchError("rank-deficient")
+        aug[col], aug[pr] = aug[pr], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(len(aug)):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    if any(row[m] for row in aug[m:]):
+        raise BasisMatchError("inconsistent")
+    return [aug[k][m] for k in range(m)]
+
+
+@st.composite
+def integer_systems(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, m + 4))
+    entries = st.integers(-4, 4)
+    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    shape = draw(st.sampled_from(["consistent", "dependent", "perturbed"]))
+    if shape == "dependent" and m > 1:
+        # last column a combination of the others: rank < m
+        f = draw(st.lists(entries, min_size=m - 1, max_size=m - 1))
+        for row in rows:
+            row[-1] = sum(a * b for a, b in zip(row, f))
+    x = draw(st.lists(st.integers(-50, 50), min_size=m, max_size=m))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if shape == "perturbed":
+        rhs[draw(st.integers(0, n - 1))] += draw(st.integers(1, 5))
+    return rows, rhs, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_gauss_solve_matches_fraction_gauss_jordan(system):
+    rows, rhs, m = system
+    try:
+        expected = reference_gauss_jordan(rows, rhs, m)
+    except BasisMatchError:
+        with pytest.raises(BasisMatchError):
+            builder._gauss_solve(rows, rhs, m)
+        return
+    assert builder._gauss_solve(rows, rhs, m) == expected
+
+
+def ref_expand(name, prec, ell):
+    """The named expansions built from the reference operations."""
+    def eisenstein(weight, n):
+        mult, r = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
+        return Ref([1] + [mult * sum(d ** r for d in range(1, k + 1)
+                                     if k % d == 0) for k in range(1, n)])
+
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    delta = ref_scale(ref_add(ref_pow(e4, 3), ref_scale(ref_pow(e6, 2), -1)),
+                      Fraction(1, 1728))
+    e2 = eisenstein(2, prec)
+    fn = ref_truncate(ref_add(e2, ref_scale(e2.rescale(ell, 1), -ell)), prec)
+    if name == "f":
+        prod = Ref([1] + [0] * (prec - 1))
+        for n in range(1, prec):
+            for mm in (n, ell * n):
+                if mm < prec:
+                    factor = Ref([1] + [0] * (prec - 1))
+                    factor.coeffs[mm] = Fraction(-1)
+                    prod = ref_mul(ref_mul(prod, factor), factor)
+        return Ref(prod.coeffs, (ell + 1) // 12)
+    return {"E2": e2, "E4": e4, "E6": e6, "Delta": delta,
+            "j": ref_mul(ref_pow(e4, 3), ref_inverse(delta)),
+            "F": fn, "sigma1": ref_scale(fn, Fraction(-ell, 2))}[name]
+
+
+@pytest.mark.parametrize("prec", [10, 40])
+@pytest.mark.parametrize("name", qseries._FORM_NAMES)
+def test_series_command_matches_fraction_reference(name, prec, capsys):
+    ell = 11
+    assert cli.main(["series", "--name", name, "--prec", str(prec),
+                     "--ell", str(ell)]) == 0
+    ref = ref_expand(name, prec, ell)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{n} {c}" for n, c in zip(range(ref.lead, ref.end), ref.coeffs)]

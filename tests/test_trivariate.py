@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccrpoly.errors import BuildError
+from ccrpoly.errors import BuildError, StoreError
 from ccrpoly.trivariate import (ClassicalModularPoly, TrivariatePoly, X_WEIGHT,
                                 delta_display_terms, expand_delta_display,
                                 poly_from_text, poly_to_text)
@@ -153,6 +155,39 @@ class TestStoreFormat:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             poly_from_text("6 0 0 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "CCR ell=5 basis=E4E6\n6 0 0 1\n",
+        "CCR kind=U ell=five basis=E4E6\n6 0 0 1\n",
+        "CCR kind=U ell=5\n6 0 0 1\n",
+        "CCR kind=U ell=5 basis\n6 0 0 1\n",
+        "CCR kind=Z ell=5 basis=E4E6\n6 0 0 1\n",
+        "CCR kind=U ell=5 basis=j\n6 0 0 1\n",
+        "CCR kind=Phi ell=5 basis=E4E6\n6 0 0 1\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1 1\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1/0\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 x 1\n",
+        "CCR kind=Phi ell=5 basis=j\n6 0 0 3/2\n",
+        "CCR kind=Ua ell=11 basis=Delta\n12 0 0 1\n",
+    ])
+    def test_malformed_store_text_is_a_store_error(self, text):
+        with pytest.raises(StoreError):
+            poly_from_text(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["E4E6", "AB", "Delta"]), st.data())
+    def test_truncated_store_text_parses_or_raises_typed(self, basis, data):
+        # a torn write: any prefix either parses or raises a typed error
+        ua = expand_delta_display("Ua", 11, UA11_DELTA)
+        text = poly_to_text(ua, basis=basis)
+        cut = data.draw(st.integers(0, len(text)))
+        try:
+            poly_from_text(text[:cut])
+        except StoreError:
+            pass
+        except ValueError as exc:
+            assert str(exc) == "missing CCR header line"
 
 
 class TestClassicalPoly:
