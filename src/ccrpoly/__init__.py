@@ -9,43 +9,39 @@ tilde-E6 formulas recovers the isogenous curve; the same formulas are
 re-derived symbolically as a verification suite.
 """
 
-from .builder import PHI_ELLS, build, build_classical_phi, conjugate_series
-from .errors import (BasisMatchError, BuildError, CCRError,
-                     DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
-                     NotDivisibleError, PrecisionError, SingularCurve,
-                     VerificationError)
-from .ffield import (CurveParams, DerivativeBundle, PrimeField, UniPoly,
-                     derivative_bundle, division_poly, is_probable_prime,
-                     roots, specialize)
-from .isogeny import (AtkinStepResult, IsogenyStepResult, ValidationFlags,
-                      atkin_b_star, atkin_e4_tilde, atkin_sigma, atkin_step,
-                      e4_tilde, e6_tilde, elkies_power_sums, elkies_step)
-from .qseries import (PowerSeries, delta_series, eisenstein_series,
-                      eta_squared_product, expand, fn_series, j_series,
-                      sigma1_series)
-from .symbolic import (DerivationReport, MultiPoly, RationalExpression,
-                       derive_atkin_e4t, derive_atkin_sigma, derive_e4t,
-                       derive_e6t)
-from .trivariate import (ClassicalModularPoly, TrivariatePoly,
-                         delta_display_terms, poly_from_text, poly_to_text)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PHI_ELLS", "build", "build_classical_phi", "conjugate_series",
-    "BasisMatchError", "BuildError", "CCRError", "DegenerateDerivative",
-    "DegeneratePoint", "GcdDegreeTwo", "NotDivisibleError", "PrecisionError",
-    "SingularCurve", "VerificationError",
-    "CurveParams", "DerivativeBundle", "PrimeField", "UniPoly",
-    "derivative_bundle", "division_poly", "is_probable_prime", "roots",
-    "specialize",
-    "AtkinStepResult", "IsogenyStepResult", "ValidationFlags", "atkin_b_star",
-    "atkin_e4_tilde", "atkin_sigma", "atkin_step", "e4_tilde", "e6_tilde",
-    "elkies_power_sums", "elkies_step",
-    "PowerSeries", "delta_series", "eisenstein_series", "eta_squared_product",
-    "expand", "fn_series", "j_series", "sigma1_series",
-    "DerivationReport", "MultiPoly", "RationalExpression", "derive_atkin_e4t",
-    "derive_atkin_sigma", "derive_e4t", "derive_e6t",
-    "ClassicalModularPoly", "TrivariatePoly", "delta_display_terms",
-    "poly_from_text", "poly_to_text",
-]
+# Each export is imported from its module on first access (PEP 562), so a
+# step on stored polynomials never loads builder, qseries or symbolic.
+_EXPORTS = {
+    "builder": "build build_classical_phi conjugate_series",
+    "errors": "BasisMatchError BuildError CCRError DegenerateDerivative "
+              "DegeneratePoint GcdDegreeTwo NotDivisibleError PrecisionError "
+              "SingularCurve VerificationError",
+    "ffield": "CurveParams DerivativeBundle PrimeField UniPoly "
+              "derivative_bundle division_poly is_probable_prime roots "
+              "specialize",
+    "isogeny": "AtkinStepResult IsogenyStepResult ValidationFlags "
+               "atkin_b_star atkin_e4_tilde atkin_sigma atkin_step e4_tilde "
+               "e6_tilde elkies_power_sums elkies_step",
+    "qseries": "PowerSeries delta_series eisenstein_series "
+               "eta_squared_product expand fn_series j_series sigma1_series",
+    "symbolic": "DerivationReport MultiPoly RationalExpression "
+                "derive_atkin_e4t derive_atkin_sigma derive_e4t derive_e6t",
+    "trivariate": "PHI_ELLS ClassicalModularPoly TrivariatePoly "
+                  "delta_display_terms poly_from_text poly_to_text",
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

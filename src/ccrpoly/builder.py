@@ -19,11 +19,10 @@ from .ffield import is_probable_prime
 from .qseries import PowerSeries, eisenstein_series, eta_squared_product, \
     j_series, sigma1_series
 from .symbolic import MultiPoly
-from .trivariate import ClassicalModularPoly, TrivariatePoly, X_WEIGHT
+from .trivariate import PHI_ELLS, ClassicalModularPoly, TrivariatePoly, \
+    X_WEIGHT
 
 _FORM_VARS = ("E4", "E6")
-
-PHI_ELLS = (2, 3, 5, 7, 11, 13)
 
 
 def conjugate_series(kind: str, ell: int, n_q: int):
@@ -110,7 +109,15 @@ def _gauss_solve(rows: list, rhs: list, m: int) -> list:
     return sol
 
 
-def match_to_form_basis(s: PowerSeries, w: int) -> dict:
+def _form_powers(end: int) -> tuple:
+    """([1, E4], [1, E6]) on the q-window [0, end).  match_to_form_basis
+    appends higher powers to the lists as the weights it is asked for
+    grow, so one pair serves every match of a build."""
+    one = PowerSeries.constant(1, end)
+    return [one, eisenstein_series(4, end)], [one, eisenstein_series(6, end)]
+
+
+def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     """Write the q-series s exactly as sum of c_{a,b} E4^a E6^b over
     2a + 3b = w; every known coefficient beyond the solve rows is
     verified.  {} for the zero series.  Raises PrecisionError when s is
@@ -119,7 +126,9 @@ def match_to_form_basis(s: PowerSeries, w: int) -> dict:
 
     E4^a E6^b have integer coefficients, so the system's rows are the
     basis numerators and its right-hand side is s.nums, solved over the
-    integers and divided by s.den at the end."""
+    integers and divided by s.den at the end.  The powers of E4 and E6
+    come from ``powers`` (see _form_powers), whose window must cover s's,
+    or from a fresh pair."""
     exps = form_basis_exponents(w)
     end = s.end
     if not exps:
@@ -131,27 +140,14 @@ def match_to_form_basis(s: PowerSeries, w: int) -> dict:
     # s and its fit are weight-2w forms: by Sturm, exact rows prove s == fit
     if end < sturm:
         raise PrecisionError(f"need {sturm} coefficients, have {end}")
-    e4 = eisenstein_series(4, end)
-    e6 = eisenstein_series(6, end)
-    pa = {0: None}
-    pb = {0: None}
+    p4, p6 = powers or _form_powers(end)
     basis_series = []
     for (a, b) in exps:
-        cur = None
-        if a:
-            pa.setdefault(1, e4)
-            for t in range(2, a + 1):
-                if t not in pa:
-                    pa[t] = pa[t - 1] * e4
-            cur = pa[a]
-        if b:
-            pb.setdefault(1, e6)
-            for t in range(2, b + 1):
-                if t not in pb:
-                    pb[t] = pb[t - 1] * e6
-            cur = pb[b] if cur is None else cur * pb[b]
-        basis_series.append(cur if cur is not None
-                            else PowerSeries.constant(1, end))
+        for pw, t in ((p4, a), (p6, b)):
+            while len(pw) <= t:
+                pw.append(pw[-1] * pw[1])
+        basis_series.append(p4[a] * p6[b] if a and b else
+                            p4[a] if a else p6[b])
     rows = [[bs.nums[nn] for bs in basis_series] for nn in range(end)]
     rhs = [s.nums[nn - s.lead] if nn >= s.lead else 0 for nn in range(end)]
     sol = _gauss_solve(rows, rhs, m)
@@ -184,9 +180,10 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     n = ell + 1
     w_x = X_WEIGHT[kind]
     sums = power_sums(kind, ell, n, n_q)
+    powers = _form_powers(max(s.end for s in sums))
     s_polys = []
     for k, s_k in enumerate(sums, 1):
-        matched = match_to_form_basis(s_k, w_x * k)
+        matched = match_to_form_basis(s_k, w_x * k, powers)
         s_polys.append(MultiPoly(_FORM_VARS, matched))
     elem = _newton_elementary(s_polys)
     terms = {(n, 0, 0): Fraction(1)}

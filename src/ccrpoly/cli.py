@@ -14,14 +14,11 @@ import argparse
 import os
 import sys
 
-from .builder import PHI_ELLS, build, build_classical_phi
 from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import atkin_step, elkies_step
-from .qseries import _FORM_NAMES, expand
-from .symbolic import DERIVATIONS
-from .trivariate import KINDS as POLY_KINDS, poly_from_text, \
+from .trivariate import KINDS as POLY_KINDS, PHI_ELLS, poly_from_text, \
     poly_to_text, store_header
 
 CACHE_ENV = "CCR_CACHE_DIR"
@@ -37,10 +34,19 @@ def _store_path(directory: str, kind: str, ell: int, basis: str) -> str:
     return os.path.join(directory, f"{kind}_{ell}_{basis}.txt")
 
 
+def __getattr__(name):
+    # the builder is imported by the commands and store misses that run it
+    if name in ("build", "build_classical_phi"):
+        from . import builder
+        return getattr(builder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _build_poly(kind: str, ell: int):
+    from . import builder
     if kind == "Phi":
-        return build_classical_phi(ell)
-    return build(kind, ell)
+        return builder.build_classical_phi(ell)
+    return builder.build(kind, ell)
 
 
 def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
@@ -224,6 +230,7 @@ def cmd_atkin(args) -> int:
 
 
 def cmd_verify_symbolic(args) -> int:
+    from .symbolic import DERIVATIONS
     for name, fn in DERIVATIONS.items():
         if args.case not in ("all", name):
             continue
@@ -237,6 +244,7 @@ def cmd_verify_symbolic(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .qseries import expand
     try:
         series = expand(args.name, args.prec, ell=args.ell)
     except ValueError as exc:
@@ -252,6 +260,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .qseries import expand
     failures = []
 
     def check(label, cond):
@@ -259,19 +268,19 @@ def cmd_selftest(args) -> int:
         if not cond:
             failures.append(label)
 
-    u5 = build("U", 5)
+    u5 = _build_poly("U", 5)
     ab = u5.to_basis("AB")
     check("U5 printed form", ab.terms.get((4, 1, 0)) == 20
           and ab.terms.get((0, 0, 2)) == -80)
     field = PrimeField(1009)
     curve = CurveParams(field, 1, 3)
-    res = elkies_step(curve, 5, u5, v=build("V", 5), w=build("W", 5),
-                      phi=build_classical_phi(5), seed=0)
+    res = elkies_step(curve, 5, u5, v=_build_poly("V", 5),
+                      w=_build_poly("W", 5), phi=_build_poly("Phi", 5), seed=0)
     ok = any(r.sigma == 584 and r.a_star == 441 and r.b_star == 997
              and r.validated.v_root and r.validated.w_root
              and r.validated.phi_match for r in res)
     check("elkies worked example", ok)
-    ares = atkin_step(curve, 11, build("Ua", 11), seed=0)
+    ares = atkin_step(curve, 11, _build_poly("Ua", 11), seed=0)
     ok = any(r.f == 65 and r.sigma == 75 and r.e4t == 532 and r.b_star == 460
              for r in ares)
     check("atkin worked example", ok)
@@ -284,11 +293,25 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """Runs ``setup`` on itself at its first parse, so a command's choices
+    are imported only when that command runs."""
+
+    setup = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        setup, self.setup = self.setup, None
+        if setup:
+            setup(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ccrpoly",
         description="Modular polynomials for elliptic-curve isogenies")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_Subcommand)
 
     b = sub.add_parser("build", help="build one polynomial store file")
     b.add_argument("--ell", type=int, required=True)
@@ -314,15 +337,23 @@ def _parser() -> argparse.ArgumentParser:
     curve_flags(a)
     a.set_defaults(fn=cmd_atkin)
 
+    def verify_symbolic_args(v):
+        from .symbolic import DERIVATIONS
+        v.add_argument("--case", default="all",
+                       choices=("all",) + tuple(DERIVATIONS))
+
     v = sub.add_parser("verify-symbolic", help="replay formula derivations")
-    v.add_argument("--case", default="all",
-                   choices=("all",) + tuple(DERIVATIONS))
+    v.setup = verify_symbolic_args
     v.set_defaults(fn=cmd_verify_symbolic)
 
+    def series_args(s):
+        from .qseries import _FORM_NAMES
+        s.add_argument("--name", required=True, choices=_FORM_NAMES)
+        s.add_argument("--prec", type=int, default=10)
+        s.add_argument("--ell", type=int, default=None)
+
     s = sub.add_parser("series", help="dump a named q-expansion")
-    s.add_argument("--name", required=True, choices=_FORM_NAMES)
-    s.add_argument("--prec", type=int, default=10)
-    s.add_argument("--ell", type=int, default=None)
+    s.setup = series_args
     s.set_defaults(fn=cmd_series)
 
     t = sub.add_parser("selftest", help="fast end-to-end sanity run")
@@ -339,6 +370,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except StoreError as exc:
         print(f"store error: {exc}")
+        return 3
+    except VerificationError as exc:
+        print(f"verification failure: {exc}")
         return 3
     except CCRError as exc:
         print(f"error: {exc}")

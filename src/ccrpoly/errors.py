@@ -26,7 +26,8 @@ class BuildError(CCRError):
 
 
 class VerificationError(CCRError):
-    """A symbolic derivation assertion failed; the message names the step."""
+    """A symbolic derivation assertion or a cross-check between computed
+    values failed; the message names the step."""
 
 
 class DegenerateDerivative(CCRError):

@@ -29,14 +29,10 @@ the polynomial product, reduced mod p.
 
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SingularCurve
-from .symbolic import MultiPoly
 from .trivariate import TrivariatePoly
-
-# a field element is a reduced residue; the alias is documentation only
-FieldElement = int
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -82,8 +78,12 @@ class PrimeField:
     for the quotient digits when the modulus is not monic.  The
     evaluators over a compiled table of T terms add one per power they
     take; specialize adds 2T, derivative_bundle one per slope k*v^(k-1)
-    plus 6T plus 7 per power of X.  inv_count counts inversions, one per
-    coefficient denominator when a table is compiled.
+    plus 6T plus 7 per power of X.  An exponentiation x^e adds
+    e.bit_length() + popcount(e) - 2, its square-and-multiply steps;
+    sqrt adds its exponentiations plus one per further squaring or
+    product, and roots adds 3 more per degree-2 factor it solves.
+    inv_count counts inversions, one per coefficient denominator when a
+    table is compiled.
     """
 
     __slots__ = ("p", "mul_count", "inv_count")
@@ -110,6 +110,47 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero mod p")
         self.inv_count += 1
         return pow(a, -1, self.p)
+
+    def pow(self, x: int, e: int) -> int:
+        """x^e for e >= 1, counted as square and multiply."""
+        self.mul_count += e.bit_length() + bin(e).count("1") - 2
+        return pow(x, e, self.p)
+
+    def sqrt(self, a: int) -> int:
+        """A square root of a: a^((p+1)/4) when p = 3 (mod 4), Tonelli-Shanks
+        with the least non-residue otherwise.  ValueError when a is not a
+        square."""
+        p = self.p
+        a %= p
+        if p % 4 == 3 or a == 0:
+            r = self.pow(a, (p + 1) // 4)
+            self.mul_count += 1
+            if r * r % p != a:
+                raise ValueError(f"{a} is not a square mod {p}")
+            return r
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while self.pow(z, (p - 1) // 2) != p - 1:
+            z += 1
+        c, t, r = self.pow(z, q), self.pow(a, q), self.pow(a, (q + 1) // 2)
+        # invariants: c has order 2^s, t has order 2^i with i < s, r^2 = a*t
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            if i == s:
+                raise ValueError(f"{a} is not a square mod {p}")
+            b = c
+            for _ in range(s - i - 1):
+                b = b * b % p
+            self.mul_count += s + 2
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return r
 
     def powers(self, x: int, n: int) -> list:
         """[1, x, ..., x^n] with counted multiplications."""
@@ -396,9 +437,10 @@ class UniPoly:
 def roots(f: UniPoly, seed) -> list:
     """All distinct roots of f in F_p, sorted ascending.
 
-    gcd(X^p - X, f) isolates the product of distinct linear factors,
-    then seeded equal-degree splitting peels off individual roots.  The
-    result does not depend on the seed; only the internal path does.
+    gcd(X^p - X, f) isolates the product of distinct linear factors.
+    A factor of degree 2 is solved by the quadratic formula; larger
+    ones go through seeded equal-degree splitting.  The result does not
+    depend on the seed; only the internal path does.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -420,6 +462,14 @@ def roots(f: UniPoly, seed) -> list:
         if d == 1:
             # h is monic X + c, root is -c
             found.append((p - h.coeffs[0]) % p)
+            continue
+        if d == 2:
+            # h = X^2 + bX + c splits, so its discriminant is a nonzero square
+            c, b = h.coeffs[:2]
+            s = fld.sqrt((b * b - 4 * c) % p)
+            half = (p + 1) // 2
+            found += [(s - b) * half % p, (-s - b) * half % p]
+            fld.mul_count += 3
             continue
         while True:
             shift = UniPoly(fld, [rng.randrange(p), 1])
@@ -459,22 +509,15 @@ class CurveParams:
         return f"CurveParams(p={self.field.p}, A={self.A}, B={self.B})"
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Value and partials of a trivariate polynomial at (root, E4, E6).
+DerivativeBundle = namedtuple("DerivativeBundle",
+                              "u du_s du_4 du_6 du_s4 du_s6 du_46")
+DerivativeBundle.__doc__ = """Value and partials of a trivariate polynomial
+at (root, E4, E6), each a residue in [0, p).
 
-    du_s is the partial in the X slot (the sigma or f direction), du_4
-    and du_6 the E4 and E6 partials, du_s4/du_s6/du_46 the mixed
-    seconds.  u is the value itself and must be zero.
-    """
-
-    u: FieldElement
-    du_s: FieldElement
-    du_4: FieldElement
-    du_6: FieldElement
-    du_s4: FieldElement
-    du_s6: FieldElement
-    du_46: FieldElement
+du_s is the partial in the X slot (the sigma or f direction), du_4 and
+du_6 the E4 and E6 partials, du_s4/du_s6/du_46 the mixed seconds.  u is
+the value itself and must be zero.
+"""
 
 
 def fp_table(P, fld: PrimeField) -> tuple:
@@ -586,6 +629,7 @@ def division_poly(n: int, curve: CurveParams = None):
     if n > 30:
         raise ValueError("n beyond supported range")
     if curve is None:
+        from .symbolic import MultiPoly
         x = MultiPoly.gen(_DPOLY_VARS, "X")
         a = MultiPoly.gen(_DPOLY_VARS, "A")
         b = MultiPoly.gen(_DPOLY_VARS, "B")

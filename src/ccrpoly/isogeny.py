@@ -13,53 +13,28 @@ verifier; this module only evaluates them on field elements and guards
 every division with a typed error.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import formulas
-from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo)
+from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
+                     VerificationError)
 from .ffield import (CurveParams, UniPoly, derivative_bundle, fp_table,
                      is_probable_prime, roots, specialize)
 
 
-@dataclass(frozen=True)
-class ValidationFlags:
-    """Cross-checks of one isogeny result; None means the check was not
-    run because the corresponding polynomial was not supplied."""
+ValidationFlags = namedtuple("ValidationFlags", "v_root w_root phi_match")
+ValidationFlags.__doc__ = """Cross-checks of one isogeny result; None means
+the check was not run because its polynomial was not supplied."""
 
-    v_root: Optional[bool]
-    w_root: Optional[bool]
-    phi_match: Optional[bool]
+IsogenyStepResult = namedtuple("IsogenyStepResult", "ell sigma e4t e6t "
+                               "a_star b_star sigma0 sigma2 sigma3 validated")
+IsogenyStepResult.__doc__ = "An Elkies root worked out to the isogenous curve."
 
-
-@dataclass(frozen=True)
-class IsogenyStepResult:
-    """One Elkies root worked out to the isogenous curve."""
-
-    ell: int
-    sigma: int
-    e4t: int
-    e6t: int
-    a_star: int
-    b_star: int
-    sigma0: int
-    sigma2: int
-    sigma3: int
-    validated: ValidationFlags
-
-
-@dataclass(frozen=True)
-class AtkinStepResult:
-    """One root of the eta-variant polynomial worked out as far as the
-    two-polynomial gcd allows; error is set when B* is out of reach."""
-
-    ell: int
-    f: int
-    sigma: int
-    e4t: int
-    a_star: int
-    b_star: Optional[int]
-    error: Optional[str] = None
+AtkinStepResult = namedtuple("AtkinStepResult", "ell f sigma e4t a_star "
+                             "b_star error", defaults=(None,))
+AtkinStepResult.__doc__ = """One root of the eta-variant polynomial worked
+out as far as the two-polynomial gcd allows; b_star is None and error is
+set when B* is out of reach."""
 
 
 def _check_level(field, ell: int):
@@ -233,7 +208,8 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
     Delta_tilde = f^12/Delta scaled to the root chart, and P2 is the
     eta-variant polynomial at X = -ell*f with the A slot filled by A*.
     A degree-2 gcd means B* lives in a quadratic extension; that case
-    is reported, never guessed around.
+    is reported, never guessed around.  No common root means A* or the
+    polynomial is wrong, a VerificationError.
     """
     field = curve.field
     _check_level(field, ell)
@@ -251,8 +227,8 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
     if g.degree == 2:
         raise GcdDegreeTwo("B* is not rational from this root")
     if g.degree != 1:
-        raise ValueError("constraint polynomials share no root; "
-                         "A* is inconsistent with the f root")
+        raise VerificationError("constraint polynomials share no root; "
+                                "A* is inconsistent with the f root")
     return (p - g.coeffs[0]) % p
 
 

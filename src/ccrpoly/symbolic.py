@@ -13,7 +13,7 @@ raises :class:`VerificationError` naming the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -473,14 +473,12 @@ def h_f() -> MultiPoly:
     return g["f"] * g["df"] + 2 * g["E4"] * g["d4"] + 3 * g["E6"] * g["d6"]
 
 
-@dataclass
-class DerivationReport:
-    """Outcome of one derivation: the derived expression plus the ordered
-    list of (label, detail) assertions, all of which passed."""
+class DerivationReport(namedtuple("DerivationReport",
+                                  "name derived assertions")):
+    """Outcome of one derivation: the derived RationalExpression plus the
+    ordered list of (label, detail) assertions, all of which passed."""
 
-    name: str
-    derived: RationalExpression
-    assertions: list
+    __slots__ = ()
 
     def lines(self) -> list:
         out = [f"derivation {self.name}"]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BuildError, NotDivisibleError, StoreError
-from .symbolic import MultiPoly
 
 KINDS = ("U", "V", "W", "Ua")
 BASES = ("E4E6", "AB")
@@ -143,6 +142,7 @@ class TrivariatePoly:
     def to_multipoly(self, names=("X", "E4", "E6")) -> MultiPoly:
         """The same polynomial as an exact multivariate object, for
         identity checking."""
+        from .symbolic import MultiPoly
         return MultiPoly(names, dict(self.terms))
 
     def __eq__(self, other):
@@ -161,6 +161,10 @@ def _power_cache(value, top: int) -> list:
     for _ in range(top - 1):
         powers.append(powers[-1] * value)
     return powers
+
+
+# levels whose Phi_ell the builder makes and the Elkies step checks against
+PHI_ELLS = (2, 3, 5, 7, 11, 13)
 
 
 class ClassicalModularPoly:
@@ -211,17 +215,18 @@ class ClassicalModularPoly:
 _DELTA_VARS = ("E4", "E6")
 
 
-def _delta_poly() -> MultiPoly:
-    e4 = MultiPoly.gen(_DELTA_VARS, "E4")
-    e6 = MultiPoly.gen(_DELTA_VARS, "E6")
-    return (e4 ** 3 - e6 ** 2) / 1728
+def _delta_ring() -> tuple:
+    """(MultiPoly, Delta as a MultiPoly in E4, E6), imported on use."""
+    from .symbolic import MultiPoly
+    e4, e6 = (MultiPoly.gen(_DELTA_VARS, v) for v in _DELTA_VARS)
+    return MultiPoly, (e4 ** 3 - e6 ** 2) / 1728
 
 
 def delta_display_terms(poly: TrivariatePoly) -> dict:
     """Rewrite an E4E6-basis polynomial as (i, a, b, m) -> coeff of
     X^i E4^a E6^b Delta^m, with m maximal per X-coefficient."""
     src = poly.to_basis("E4E6")
-    delta = _delta_poly()
+    MultiPoly, delta = _delta_ring()
     out: dict = {}
     for i, coeffs in src.x_coefficients().items():
         mp = MultiPoly(_DELTA_VARS, {(a, b): c for (a, b), c in coeffs.items()})
@@ -239,7 +244,7 @@ def delta_display_terms(poly: TrivariatePoly) -> dict:
 
 def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
     """Inverse of delta_display_terms: multiply the Delta powers back out."""
-    delta = _delta_poly()
+    MultiPoly, delta = _delta_ring()
     acc: dict = {}
     for (i, a, b, m), c in terms.items():
         mono = MultiPoly(_DELTA_VARS, {(a, b): Fraction(c)})

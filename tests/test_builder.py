@@ -152,7 +152,7 @@ class TestBuild:
             calls.append(args)
             return real_build_at(*args)
 
-        def failing_match(s, w):
+        def failing_match(*args):
             raise BasisMatchError("forced")
 
         monkeypatch.setattr(builder, "_build_at", counting_build_at)

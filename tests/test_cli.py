@@ -71,6 +71,12 @@ class TestElkies:
         assert "v_root=True w_root=True phi_match=True" in out
         assert "sigma=664" in out
 
+    def test_phi_check_runs_at_ell_13(self, cache, capsys):
+        assert cli.main(["elkies", "--p", "1009", "--a", "331", "--b", "970",
+                         "--ell", "13"]) == 0
+        assert "phi_match=True" in capsys.readouterr().out
+        assert (cache / "Phi_13_j.txt").exists()
+
     def test_atkin_prime_exit_one(self, cache, capsys):
         rc = cli.main(["elkies", "--p", "1009", "--a", "1", "--b", "2",
                        "--ell", "5"])
@@ -245,6 +251,30 @@ class TestAtkin:
         assert "f=65 sigma=75 E4t=532 Bstar=460" in out
         assert "Astar=395" in out and "gcd_degree=1" in out
         assert "f=333 sigma=681 E4t=430 Bstar=584" in out
+
+    @pytest.mark.parametrize("line", [5, 6, 8])
+    def test_store_missing_a_term_is_a_verification_failure(
+            self, cache, tmp_path, capsys, line):
+        """A Ua store with one term line dropped still parses, but its f
+        roots give an A* that no B* fits: exit 3, not a usage error."""
+        assert cli.main(ATKIN_ARGS) == 0
+        capsys.readouterr()
+        path = cache / "Ua_11_E4E6.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:line - 1] + lines[line:]))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{cli.CACHE_ENV: str(cache)})
+        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
+                               *ATKIN_ARGS], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert "usage error" not in proc.stdout
+        assert [ln for ln in proc.stdout.splitlines()
+                if ln.startswith("verification failure: ")] == [
+            "verification failure: constraint polynomials share no root; "
+            "A* is inconsistent with the f root"]
 
     def test_wrong_residue_class_rejected(self, cache, capsys):
         assert cli.main(["atkin", "--p", "1009", "--a", "1", "--b", "3",

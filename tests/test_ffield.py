@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ccrpoly import isogeny
-from ccrpoly.errors import GcdDegreeTwo, SingularCurve
+from ccrpoly.errors import GcdDegreeTwo, SingularCurve, VerificationError
 from ccrpoly.ffield import (
     CurveParams,
     DerivativeBundle,
@@ -35,6 +35,15 @@ def fld():
 @pytest.fixture(scope="module")
 def curve13(fld):
     return CurveParams(fld, 1, 3)
+
+
+# p - 1 has 2-adic valuation 5, 2, 1, 1 and 4: Tonelli-Shanks at several
+# depths and the (p+1)/4 power
+_SQRT_PRIMES = (97, 101, 103, 2**256 - 189, 2**256 - 2063)
+
+
+def _non_residue(p: int) -> int:
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
 
 
 class TestPrimeField:
@@ -69,6 +78,24 @@ class TestPrimeField:
     def test_zero_inverse(self, fld):
         with pytest.raises(ZeroDivisionError):
             fld.inv(0)
+
+    @pytest.mark.parametrize("p", _SQRT_PRIMES)
+    def test_sqrt(self, p):
+        fld = PrimeField(p)
+        rng = random.Random(p)
+        for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
+            r = fld.sqrt(x * x)
+            assert r * r % p == x * x % p
+        with pytest.raises(ValueError, match="not a square"):
+            fld.sqrt(_non_residue(p))
+
+    def test_sqrt_count(self):
+        # p = 3 (mod 4): one exponentiation by e = (p+1)/4 and the check
+        p = 2**256 - 189
+        fld = PrimeField(p)
+        e = (p + 1) // 4
+        fld.sqrt(4)
+        assert fld.mul_count == e.bit_length() + bin(e).count("1") - 1
 
 
 class TestUniPoly:
@@ -226,18 +253,43 @@ class TestPackedArithmetic:
             assert fld.mul_count == len(u.coeffs) * len(v.coeffs)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=12),
-           st.lists(st.integers(0, 100), max_size=6),
-           st.integers(1, 100), st.integers(0, 2**32))
-    def test_roots_match_brute_force(self, factors, cofactor, lead, seed):
-        fld = PrimeField(101)
+    @given(st.sampled_from((97, 101, 103)).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=12),
+        st.lists(st.integers(0, p - 1), max_size=6),
+        st.integers(1, p - 1))), st.integers(0, 2**32))
+    def test_roots_match_brute_force(self, case, seed):
+        p, factors, cofactor, lead = case
+        fld = PrimeField(p)
         x = UniPoly.x(fld)
         f = UniPoly(fld, [lead])
         for r in factors:
             f = f * (x - r)
         f = f * UniPoly(fld, cofactor + [1])
-        want = [r for r in range(101) if f.evaluate(r) == 0]
+        want = [r for r in range(p) if f.evaluate(r) == 0]
         assert roots(f, seed) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((97, 101, 103, 2**256 - 2063)).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.integers(0, p - 1), unique=True, max_size=10),
+            st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, p - 1)),
+                     max_size=3))), st.integers(0, 2**32))
+    def test_roots_of_linear_and_irreducible_quadratic_factors(self, case,
+                                                              seed):
+        """Distinct linear factors times quadratics (X + u)^2 - n v^2 with
+        n a non-residue, which have no root in F_p."""
+        p, linear, quadratics = case
+        fld = PrimeField(p)
+        n = _non_residue(p)
+        x = UniPoly.x(fld)
+        f = UniPoly(fld, [1])
+        for r in linear:
+            f = f * (x - r)
+        for u, v in quadratics:
+            f = f * ((x + u) * (x + u) - n * v * v)
+        assert roots(f, seed) == sorted(linear)
 
 
 class TestRoots:
@@ -596,7 +648,7 @@ class TestCompiledTables:
             for f in roots(specialize(ua, curve), 0):
                 try:
                     out.append(isogeny.atkin_b_star(11, f, a_val, curve, ua))
-                except (GcdDegreeTwo, ValueError) as exc:
+                except (GcdDegreeTwo, VerificationError) as exc:
                     out.append(type(exc))
             for r in isogeny.atkin_step(curve, 11, ua):
                 out.append(r.b_star)

@@ -2,10 +2,12 @@
 symbolic cross-checks."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from ccrpoly.errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo)
+from ccrpoly.errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
+                            VerificationError)
 from ccrpoly.ffield import (CurveParams, DerivativeBundle, PrimeField,
                             derivative_bundle, roots, specialize)
 from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
@@ -238,7 +240,7 @@ class TestAtkinBStar:
         assert atkin_b_star(11, 333, 581, curve13, ua11) == 584
 
     def test_inconsistent_a_star(self, curve13, ua11):
-        with pytest.raises(ValueError, match="share no root"):
+        with pytest.raises(VerificationError, match="share no root"):
             atkin_b_star(11, 65, 123, curve13, ua11)
 
     def test_gcd_degree_two(self, fld, curve13):
@@ -263,6 +265,16 @@ class TestAtkinStep:
         ]
         assert all(r.error is None for r in res)
 
+    def test_result_record(self):
+        r = AtkinStepResult(11, 65, 75, 532, 395, 460)
+        assert r.error is None
+        assert repr(r) == ("AtkinStepResult(ell=11, f=65, sigma=75, e4t=532, "
+                           "a_star=395, b_star=460, error=None)")
+        with pytest.raises(TypeError):
+            AtkinStepResult(11, 65, 75, 532, 395)
+        with pytest.raises(AttributeError):
+            r.error = "changed"
+
     def test_determinism(self, curve13, ua11):
         assert atkin_step(curve13, 11, ua11, seed=1) == \
             atkin_step(curve13, 11, ua11, seed=2)
@@ -270,6 +282,31 @@ class TestAtkinStep:
     def test_level_gate(self, curve13, ua11):
         with pytest.raises(ValueError, match="11 mod 12"):
             atkin_step(curve13, 13, ua11, seed=1)
+
+
+# One line per call: "E" (elkies_step with V, W and Phi) or "A"
+# (atkin_step), then p, A, B, ell and the repr of the result list, recorded
+# when the results were frozen dataclasses.
+_RECORDED = (Path(__file__).parent / "data" / "step_reprs.txt") \
+    .read_text().splitlines()
+
+
+def _recording_id(line: str) -> str:
+    step, p, a, b, ell = line.split()[:5]
+    return f"{step}{ell}-{int(p).bit_length()}bit-{a[:8]}-{b[:8]}"
+
+
+@pytest.mark.parametrize("line", _RECORDED, ids=map(_recording_id, _RECORDED))
+def test_step_repr_matches_recording(request, line):
+    step, p, a, b, ell, want = line.split(" ", 5)
+    curve = CurveParams(PrimeField(int(p)), int(a), int(b))
+    if step == "A":
+        res = atkin_step(curve, 11, request.getfixturevalue("ua11"), seed=0)
+    else:
+        u, v, w, phi = (request.getfixturevalue(f"{kind}{ell}")
+                        for kind in ("u", "v", "w", "phi"))
+        res = elkies_step(curve, int(ell), u, v=v, w=w, phi=phi, seed=0)
+    assert repr(res) == want
 
 
 class TestFormulaSymbolicAgreement:
