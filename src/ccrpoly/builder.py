@@ -307,10 +307,5 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
         sign = -1 if k % 2 else 1
         for m, c in e_poly[k].items():
             terms[(n - k, m)] = sign * int(c)
-    phi = ClassicalModularPoly(ell, terms)
-    if phi.degree_x() != n:
-        raise BuildError(f"Phi_{ell}: X-degree {phi.degree_x()} != {n}")
-    if not phi.is_symmetric():
-        raise BuildError(f"Phi_{ell}: not symmetric in (X, j)")
-    return phi
+    return ClassicalModularPoly(ell, terms).validate()
 

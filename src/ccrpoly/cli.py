@@ -7,7 +7,9 @@ q-expansion), selftest (fast end-to-end sanity run).
 
 Exit codes are a stable contract: 0 success, 1 no result (Atkin
 prime), 2 usage error, 3 verification, builder or store failure, 4
-degenerate computation.  Reports are line-oriented key=value text.
+degenerate computation.  A command returns 0, 1 or 4 itself and raises
+for the rest; ``EXITS`` maps the error to its line and code.  Reports are
+line-oriented key=value text.
 """
 
 import argparse
@@ -24,6 +26,16 @@ from .trivariate import KINDS as POLY_KINDS, PHI_ELLS, poly_from_text, \
 CACHE_ENV = "CCR_CACHE_DIR"
 KINDS = POLY_KINDS + ("Phi",)
 BASES = ("E4E6", "AB", "Delta")
+
+# error class -> (report prefix, exit code); a command raises, main prints
+# one line and returns the code
+EXITS = {
+    StoreError: ("store error", 3),
+    VerificationError: ("verification failure", 3),
+    BuildError: ("builder failure", 3),
+    CCRError: ("error", 4),
+    ValueError: ("usage error", 2),
+}
 
 
 def _cache_dir() -> str:
@@ -71,8 +83,8 @@ def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
                 raise StoreError("holds kind={} ell={} basis={}, not the "
                                  "requested kind={} ell={} basis={}".format(
                                      *found, kind, ell, basis))
-            return poly_from_text(cached)
-        except StoreError as exc:
+            return poly_from_text(cached).validate()
+        except (StoreError, BuildError) as exc:
             raise StoreError(f"{path}: {exc}") from None
     poly = _build_poly(kind, ell)
     text = poly_to_text(poly, None if kind == "Phi" else basis)
@@ -102,35 +114,26 @@ def _write_atomic(path: str, text: str):
             os.remove(tmp)
 
 
-def _parse_curve(args):
-    """PrimeField + CurveParams from --p/--a/--b, or (None, message)."""
+def _parse_curve(args) -> CurveParams:
+    """CurveParams over PrimeField(p) from --p/--a/--b; ValueError when
+    they do not make a usable curve."""
     if args.p <= 3 or not is_probable_prime(args.p):
-        return None, "p not prime or too small"
+        raise ValueError("p not prime or too small")
     if args.p in (5, 7):
-        return None, ("p must exceed 7: p in {5, 7} breaks the power-sum "
-                      "denominators")
-    field = PrimeField(args.p)
+        raise ValueError("p must exceed 7: p in {5, 7} breaks the power-sum "
+                         "denominators")
     try:
-        return CurveParams(field, args.a, args.b), None
+        return CurveParams(PrimeField(args.p), args.a, args.b)
     except SingularCurve as exc:
-        return None, f"singular curve: {exc}"
+        raise ValueError(f"singular curve: {exc}") from None
 
 
 def cmd_build(args) -> int:
     if args.kind not in KINDS:
-        print(f"usage error: unknown kind {args.kind}")
-        return 2
+        raise ValueError(f"unknown kind {args.kind}")
     if args.basis == "Delta" and args.kind != "Ua":
-        print("usage error: Delta display only applies to kind Ua")
-        return 2
-    try:
-        poly = _build_poly(args.kind, args.ell)
-    except ValueError as exc:
-        print(f"usage error: {exc}")
-        return 2
-    except BuildError as exc:
-        print(f"builder failure: {exc}")
-        return 3
+        raise ValueError("Delta display only applies to kind Ua")
+    poly = _build_poly(args.kind, args.ell)
     basis = None if args.kind == "Phi" else args.basis
     text = poly_to_text(poly, basis)
     out = args.out or f"{args.kind}_{args.ell}_{basis or 'j'}.txt"
@@ -140,25 +143,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_elkies(args) -> int:
-    curve, err = _parse_curve(args)
-    if curve is None:
-        print(f"usage error: {err}")
-        return 2
+    curve = _parse_curve(args)
     ell = args.ell
     if ell < 5 or not is_probable_prime(ell) or curve.field.p == ell:
-        print(f"usage error: ell={ell} is not an odd prime level "
-              f"distinct from p")
-        return 2
+        raise ValueError(f"ell={ell} is not an odd prime level distinct "
+                         f"from p")
     directory = args.poly_dir or _cache_dir()
-    try:
-        u = load_or_build("U", ell, directory, rebuild=args.rebuild)
-        v = load_or_build("V", ell, directory, rebuild=args.rebuild)
-        w = load_or_build("W", ell, directory, rebuild=args.rebuild)
-        phi = (load_or_build("Phi", ell, directory, rebuild=args.rebuild)
-               if ell in PHI_ELLS else None)
-    except BuildError as exc:
-        print(f"builder failure: {exc}")
-        return 3
+    u = load_or_build("U", ell, directory, rebuild=args.rebuild)
+    v = load_or_build("V", ell, directory, rebuild=args.rebuild)
+    w = load_or_build("W", ell, directory, rebuild=args.rebuild)
+    phi = (load_or_build("Phi", ell, directory, rebuild=args.rebuild)
+           if ell in PHI_ELLS else None)
     print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={ell} "
           f"j={curve.j_invariant()}")
     diagnostics = []
@@ -184,28 +179,18 @@ def cmd_elkies(args) -> int:
                                                r.validated.w_root,
                                                r.validated.phi_match))]
     if not good:
-        print("verification failure: no validated result")
-        return 3
+        raise VerificationError("no validated result")
     return 0
 
 
 def cmd_atkin(args) -> int:
     if args.ell % 12 != 11:
-        print(f"usage error: ell={args.ell} is not 11 mod 12")
-        return 2
-    curve, err = _parse_curve(args)
-    if curve is None:
-        print(f"usage error: {err}")
-        return 2
+        raise ValueError(f"ell={args.ell} is not 11 mod 12")
+    curve = _parse_curve(args)
     if curve.field.p == args.ell:
-        print("usage error: p equals ell")
-        return 2
+        raise ValueError("p equals ell")
     directory = args.poly_dir or _cache_dir()
-    try:
-        ua = load_or_build("Ua", args.ell, directory, rebuild=args.rebuild)
-    except BuildError as exc:
-        print(f"builder failure: {exc}")
-        return 3
+    ua = load_or_build("Ua", args.ell, directory, rebuild=args.rebuild)
     print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={args.ell} "
           f"j={curve.j_invariant()}")
     diagnostics = []
@@ -232,24 +217,14 @@ def cmd_atkin(args) -> int:
 def cmd_verify_symbolic(args) -> int:
     from .symbolic import DERIVATIONS
     for name, fn in DERIVATIONS.items():
-        if args.case not in ("all", name):
-            continue
-        try:
-            report = fn()
-        except VerificationError as exc:
-            print(f"FAIL {name}: {exc}")
-            return 3
-        print(report.text())
+        if args.case in ("all", name):
+            print(fn().text())
     return 0
 
 
 def cmd_series(args) -> int:
     from .qseries import expand
-    try:
-        series = expand(args.name, args.prec, ell=args.ell)
-    except ValueError as exc:
-        print(f"usage error: {exc}")
-        return 2
+    series = expand(args.name, args.prec, ell=args.ell)
     for n in range(series.lead, series.end):
         c = series.coefficient(n)
         if c.denominator == 1:
@@ -368,18 +343,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except StoreError as exc:
-        print(f"store error: {exc}")
-        return 3
-    except VerificationError as exc:
-        print(f"verification failure: {exc}")
-        return 3
-    except CCRError as exc:
-        print(f"error: {exc}")
-        return 4
-    except ValueError as exc:
-        print(f"usage error: {exc}")
-        return 2
+    except tuple(EXITS) as exc:
+        # the most derived class of the error that has a row decides
+        prefix, code = next(EXITS[cls] for cls in type(exc).__mro__
+                            if cls in EXITS)
+        print(f"{prefix}: {exc}")
+        return code
 
 
 def run():

@@ -97,14 +97,6 @@ class PrimeField:
         self.mul_count = 0
         self.inv_count = 0
 
-    def reset_counts(self):
-        self.mul_count = 0
-        self.inv_count = 0
-
-    def mul(self, a: int, b: int) -> int:
-        self.mul_count += 1
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero mod p")
@@ -415,12 +407,6 @@ class UniPoly:
                 result = canonical(fold(pr * pbase, m + len(base) - 1))
         fld.mul_count += units
         return UniPoly(fld, result)
-
-    def derivative(self) -> "UniPoly":
-        fld = self.field
-        out = [i * c for i, c in enumerate(self.coeffs)][1:]
-        fld.mul_count += max(0, len(self.coeffs) - 1)
-        return UniPoly(fld, out)
 
     def evaluate(self, x: int) -> int:
         fld = self.field

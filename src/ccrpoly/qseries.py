@@ -70,10 +70,6 @@ class PowerSeries:
         return self.lead + len(self.nums)
 
     @property
-    def precision(self):
-        return len(self.nums)
-
-    @property
     def coeffs(self):
         """The window's coefficients as Fractions."""
         return [Fraction(v, self.den) for v in self.nums]
@@ -99,17 +95,8 @@ class PowerSeries:
                 return self.lead + k
         return None
 
-    def is_zero(self, through=None):
-        """True when all known coefficients vanish.
-
-        With ``through`` set, additionally require the window to reach that
-        exponent, so the answer is meaningful at the requested precision.
-        """
-        if through is not None:
-            if self.end < through:
-                raise PrecisionError(
-                    f"window ends at x^{self.end}, below requested x^{through}")
-            return not any(self.nums[:through - self.lead])
+    def is_zero(self):
+        """True when all known coefficients vanish."""
         return not any(self.nums)
 
     def reinterpret(self, step):
@@ -279,11 +266,6 @@ class PowerSeries:
 
     # -- q-operators ------------------------------------------------------
 
-    def qdiff(self):
-        """Apply q*d/dq: the coefficient of x**n picks up a factor n/step."""
-        nums = [v * (self.lead + k) for k, v in enumerate(self.nums)]
-        return _series(nums, self.den * self.step, self.lead, self.step)
-
     def substitute_q_power(self, m):
         """Replace q by q**m, i.e. multiply every exponent by m."""
         if m < 1:
@@ -324,6 +306,8 @@ def eisenstein_series(weight, precision):
         mult, r = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
     except KeyError:
         raise ValueError("weight must be 2, 4 or 6") from None
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     sums = _divisor_power_sums(r, precision)
     coeffs = [mult * s for s in sums]
     coeffs[0] = 1
@@ -339,6 +323,8 @@ def delta_series(precision):
 
 def j_series(precision):
     """j = E4^3/Delta = q^-1 + 744 + ...; window reaches x^(precision-3)."""
+    if precision < 2:
+        raise ValueError("j needs precision at least 2")
     e4 = eisenstein_series(4, precision)
     return e4 ** 3 / delta_series(precision)
 
@@ -365,6 +351,9 @@ def eta_squared_product(ell, precision):
     """
     if ell % 12 != 11:
         raise ValueError("eta-square product needs ell = 11 (mod 12)")
+    if ell < 11 or precision < 1:
+        raise ValueError("eta-square product needs ell >= 11 and "
+                         "precision at least 1")
     shift = (ell + 1) // 12
     prod = [1] + [0] * (precision - 1)
     for n in range(1, precision):

@@ -260,19 +260,6 @@ class MultiPoly:
                     used.add(name)
         return used
 
-    def eval_mod(self, values: dict, p: int) -> int:
-        """Evaluate at integer assignments modulo an odd prime p."""
-        total = 0
-        for e, c in self.terms.items():
-            t = c.numerator % p
-            if c.denominator != 1:
-                t = t * pow(c.denominator, p - 2, p) % p
-            for name, exp in zip(self.vars, e):
-                if exp:
-                    t = t * pow(values[name] % p, exp, p) % p
-            total = (total + t) % p
-        return total
-
     # -- printing ---------------------------------------------------------
 
     def _monomial_str(self, e: tuple) -> str:
@@ -424,24 +411,8 @@ class RationalExpression:
 
     # -- structure --------------------------------------------------------
 
-    def numerator(self) -> MultiPoly:
-        return self.num
-
-    def denominator(self) -> MultiPoly:
-        return self.den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def variables_used(self) -> set:
         return self.num.variables_used() | self.den.variables_used()
-
-    def eval_mod(self, values: dict, p: int) -> int:
-        d = self.den.eval_mod(values, p)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at this point")
-        return self.num.eval_mod(values, p) * pow(d, p - 2, p) % p
 
     def __str__(self) -> str:
         if self.den.is_constant:
@@ -525,7 +496,7 @@ def derive_e4t() -> DerivationReport:
     sigp = ell / 24 * (4 * sigma ** 2 / ell ** 2 + 4 * sigma / ell * E2
                        - (ell ** 2 * E4t - E4))
     tmp = sigp * ds + E4p * d4 + E6p * d6
-    num = tmp.numerator()
+    num = tmp.num
 
     _check(num.degree_in("E2") == 1, "e4t: cleared expression linear in E2")
     checks.append(("degree in E2", "1"))
@@ -582,7 +553,7 @@ def derive_e6t() -> DerivationReport:
     tmp = sigpp * ds + sigp * (sigp * dss + E4p * ds4 + E6p * ds6)
     tmp = tmp + E4pp * d4 + E4p * (sigp * ds4 + E4p * d44 + E6p * d46)
     tmp = tmp + E6pp * d6 + E6p * (sigp * ds6 + E4p * d46 + E6p * d66)
-    num = tmp.numerator()
+    num = tmp.num
 
     _check(num.degree_in("E2") == 2, "e6t: cleared expression quadratic in E2")
     checks.append(("degree in E2", "2"))
@@ -626,7 +597,7 @@ def derive_atkin_sigma() -> DerivationReport:
     E2t = (E2 + 2 * sigma / ell) / ell
     fp = f / 12 * (ell * E2t + E2)
     tmp = fp * df + E4p * d4 + E6p * d6
-    num = tmp.numerator()
+    num = tmp.num
 
     _check(num.degree_in("E2") == 1,
            "a-sigma: cleared expression linear in E2")
@@ -679,7 +650,7 @@ def derive_atkin_e4t() -> DerivationReport:
     tmp = fpp * df + fp * (fp * dff + E4p * df4 + E6p * df6)
     tmp = tmp + E4pp * d4 + E4p * (fp * df4 + E4p * d44 + E6p * d46)
     tmp = tmp + E6pp * d6 + E6p * (fp * df6 + E4p * d46 + E6p * d66)
-    num = tmp.numerator()
+    num = tmp.num
 
     _check(num.degree_in("E2") == 2,
            "a-e4t: cleared expression quadratic in E2")

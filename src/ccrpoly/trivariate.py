@@ -120,31 +120,6 @@ class TrivariatePoly:
             out[key] = out.get(key, Fraction(0)) + c * e
         return TrivariatePoly(self.kind, self.ell, self.basis, out)
 
-    def evaluate(self, x, y, z, coeff=lambda c: c):
-        """Evaluate at ring values supporting + and *; ``coeff`` maps each
-        Fraction into the target ring (identity works for series and exact
-        rings that absorb Fractions)."""
-        xs = _power_cache(x, max((i for i, _, _ in self.terms), default=0))
-        ys = _power_cache(y, max((a for _, a, _ in self.terms), default=0))
-        zs = _power_cache(z, max((b for _, _, b in self.terms), default=0))
-        total = None
-        for (i, a, b) in sorted(self.terms, reverse=True):
-            term = coeff(self.terms[(i, a, b)])
-            if i:
-                term = term * xs[i]
-            if a:
-                term = term * ys[a]
-            if b:
-                term = term * zs[b]
-            total = term if total is None else total + term
-        return total
-
-    def to_multipoly(self, names=("X", "E4", "E6")) -> MultiPoly:
-        """The same polynomial as an exact multivariate object, for
-        identity checking."""
-        from .symbolic import MultiPoly
-        return MultiPoly(names, dict(self.terms))
-
     def __eq__(self, other):
         if not isinstance(other, TrivariatePoly):
             return NotImplemented
@@ -154,13 +129,6 @@ class TrivariatePoly:
     def __repr__(self):
         return (f"TrivariatePoly(kind={self.kind}, ell={self.ell}, "
                 f"basis={self.basis}, {len(self.terms)} terms)")
-
-
-def _power_cache(value, top: int) -> list:
-    powers = [None, value]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * value)
-    return powers
 
 
 # levels whose Phi_ell the builder makes and the Elkies step checks against
@@ -186,18 +154,15 @@ class ClassicalModularPoly:
         return all(self.terms.get((k, i)) == c
                    for (i, k), c in self.terms.items())
 
-    def evaluate(self, x, y, coeff=lambda c: c):
-        xs = _power_cache(x, max((i for i, _ in self.terms), default=0))
-        ys = _power_cache(y, max((k for _, k in self.terms), default=0))
-        total = None
-        for (i, k) in sorted(self.terms, reverse=True):
-            term = coeff(self.terms[(i, k)])
-            if i:
-                term = term * xs[i]
-            if k:
-                term = term * ys[k]
-            total = term if total is None else total + term
-        return total
+    def validate(self) -> "ClassicalModularPoly":
+        """Check the X-degree ell+1 and the symmetry in (X, j)."""
+        n = self.ell + 1
+        if self.degree_x() != n:
+            raise BuildError(f"Phi_{self.ell}: X-degree {self.degree_x()} "
+                             f"!= {n}")
+        if not self.is_symmetric():
+            raise BuildError(f"Phi_{self.ell}: not symmetric in (X, j)")
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, ClassicalModularPoly):

@@ -1,16 +1,32 @@
 """Exit codes and report text of the command-line front end."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccrpoly import cli
+from ccrpoly import cli, symbolic
+from ccrpoly.errors import (BuildError, DegeneratePoint, StoreError,
+                            VerificationError)
+from ccrpoly.qseries import _FORM_NAMES
 
 ELKIES_ARGS = ["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell", "5"]
 ATKIN_ARGS = ["atkin", "--p", "1009", "--a", "1", "--b", "3", "--ell", "11"]
+
+
+def run_cli(argv, cache, cwd):
+    """The command in a fresh interpreter with the store at ``cache``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), **{cli.CACHE_ENV: str(cache)})
+    return subprocess.run([sys.executable, "-m", "ccrpoly.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.fixture
@@ -189,12 +205,7 @@ class TestStoreErrors:
     def test_cache_path_is_a_regular_file(self, tmp_path):
         blocker = tmp_path / "cache"
         blocker.write_text("not a directory\n")
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   **{cli.CACHE_ENV: str(blocker)})
-        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
-                               *ELKIES_ARGS], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_cli(ELKIES_ARGS, blocker, tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == ""
         assert proc.stdout.startswith("store error: cannot create ")
@@ -220,17 +231,43 @@ class TestStoreErrors:
         else:
             text = (cache / "V_5_E4E6.txt").read_text()
         path.write_text(text)
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   **{cli.CACHE_ENV: str(cache)})
-        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
-                               *ELKIES_ARGS], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_cli(ELKIES_ARGS, cache, tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == ""
         assert proc.stdout.startswith(
             f"store error: {path}: {self.CORRUPTED[defect]}")
         assert proc.stdout.count("\n") == 1
+
+    # store file, the command that reads it, the lines cut from it (line 0
+    # is the header, line 1 the monic term) and the validate() reason
+    INVALID = {
+        "U5_header_only": ("U_5_E4E6.txt", ELKIES_ARGS, slice(1, None),
+                           "X-degree -1 != 6"),
+        "Ua11_header_only": ("Ua_11_E4E6.txt", ATKIN_ARGS, slice(1, None),
+                             "X-degree -1 != 12"),
+        "Ua11_without_monic_term": ("Ua_11_E4E6.txt", ATKIN_ARGS,
+                                    slice(1, 2), "X-degree 6 != 12"),
+        "Phi5_one_term_dropped": ("Phi_5_j.txt", ELKIES_ARGS, slice(3, 4),
+                                  "not symmetric in (X, j)"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(INVALID))
+    def test_store_that_fails_validate(self, cache, tmp_path, capsys,
+                                       defect):
+        """A store file that parses but is not a valid polynomial of its
+        kind is refused on read, before the step uses it."""
+        name, argv, cut, reason = self.INVALID[defect]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        path = cache / name
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[cut]
+        path.write_text("".join(lines))
+        proc = run_cli(argv, cache, tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        kind_ell = name.rsplit("_", 1)[0]
+        assert proc.stdout == f"store error: {path}: {kind_ell}: {reason}\n"
 
     def test_unwritable_out(self, cache, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
@@ -262,12 +299,7 @@ class TestAtkin:
         path = cache / "Ua_11_E4E6.txt"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:line - 1] + lines[line:]))
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   **{cli.CACHE_ENV: str(cache)})
-        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli",
-                               *ATKIN_ARGS], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_cli(ATKIN_ARGS, cache, tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == ""
         assert "usage error" not in proc.stdout
@@ -347,6 +379,53 @@ class TestSeries:
 
     def test_unknown_name_rejected(self, capsys):
         assert cli.main(["series", "--name", "E8", "--prec", "5"]) == 2
+
+
+class TestSeriesWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_FORM_NAMES), st.integers(-3, 40),
+           st.one_of(st.none(), st.integers(-3, 50)))
+    def test_prints_the_window_or_one_usage_line(self, name, prec, ell):
+        argv = ["series", "--name", name, "--prec", str(prec)]
+        if ell is not None:
+            argv += ["--ell", str(ell)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        lines = out.getvalue().splitlines()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("usage error: ")
+            return
+        assert code == 0
+        # prec coefficients, one fewer for j, whose window opens at q^-1
+        assert len(lines) == prec - (name == "j")
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("exc, line, code", [
+        (StoreError("disk"), "store error: disk", 3),
+        (VerificationError("check"), "verification failure: check", 3),
+        (BuildError("gate"), "builder failure: gate", 3),
+        (DegeneratePoint("E4 = 0"), "error: E4 = 0", 4),
+        (ValueError("flag"), "usage error: flag", 2),
+    ])
+    def test_row(self, monkeypatch, capsys, exc, line, code):
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_selftest", raising)
+        assert cli.main(["selftest"]) == code
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_failed_derivation_is_a_verification_failure(self, monkeypatch,
+                                                          capsys):
+        def failing():
+            raise VerificationError("assertion failed at step: e4t: forced")
+
+        monkeypatch.setitem(symbolic.DERIVATIONS, "e4t", failing)
+        assert cli.main(["verify-symbolic", "--case", "e4t"]) == 3
+        assert capsys.readouterr().out == (
+            "verification failure: assertion failed at step: e4t: forced\n")
 
 
 class TestSelftest:

@@ -17,6 +17,7 @@ from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
 from ccrpoly.symbolic import (derive_atkin_e4t, derive_atkin_sigma,
                               derive_e4t, derive_e6t)
 from ccrpoly.trivariate import TrivariatePoly
+from oracles import eval_mod
 
 P = 1009
 
@@ -65,7 +66,7 @@ class TestE4Tilde:
     def test_symbolic_cross_check(self, fld, curve13, u5, reports):
         bundle = derivative_bundle(u5, curve13, 584)
         point = sigma_point(5, 584, curve13, bundle)
-        assert reports["e4t"].derived.eval_mod(point, P) == 497
+        assert eval_mod(reports["e4t"].derived, point, P) == 497
 
     def test_degenerate_derivative(self, fld, curve13):
         with pytest.raises(DegenerateDerivative):
@@ -91,7 +92,7 @@ class TestE6Tilde:
         bundle = derivative_bundle(u5, curve13, 584)
         point = sigma_point(5, 584, curve13, bundle)
         want = e6_tilde(fld, 5, 584, bundle, curve13.e4, curve13.e6)
-        assert reports["e6t"].derived.eval_mod(point, P) == want
+        assert eval_mod(reports["e6t"].derived, point, P) == want
 
     def test_degenerate_point(self, fld, curve13):
         with pytest.raises(DegeneratePoint):
@@ -200,7 +201,7 @@ class TestAtkinSigma:
     def test_symbolic_cross_check(self, fld, curve13, ua11, reports):
         bundle = derivative_bundle(ua11, curve13, 65)
         point = f_point(11, 65, curve13, bundle)
-        assert reports["a-sigma"].derived.eval_mod(point, P) == 75
+        assert eval_mod(reports["a-sigma"].derived, point, P) == 75
 
     def test_degenerate(self, fld, curve13):
         with pytest.raises(DegeneratePoint):
@@ -220,7 +221,7 @@ class TestAtkinE4Tilde:
     def test_symbolic_cross_check(self, fld, curve13, ua11, reports):
         bundle = derivative_bundle(ua11, curve13, 65)
         point = f_point(11, 65, curve13, bundle)
-        assert reports["a-e4t"].derived.eval_mod(point, P) == 532
+        assert eval_mod(reports["a-e4t"].derived, point, P) == 532
 
     def test_degenerate(self, fld, curve13):
         with pytest.raises(DegeneratePoint):
@@ -333,6 +334,6 @@ class TestFormulaSymbolicAgreement:
                 point = sigma_point(ell, sigma, curve, bundle)
                 e4t = e4_tilde(fld, ell, sigma, bundle, curve.e4, curve.e6)
                 e6t = e6_tilde(fld, ell, sigma, bundle, curve.e4, curve.e6)
-                assert reports["e4t"].derived.eval_mod(point, P) == e4t
-                assert reports["e6t"].derived.eval_mod(point, P) == e6t
+                assert eval_mod(reports["e4t"].derived, point, P) == e4t
+                assert eval_mod(reports["e6t"].derived, point, P) == e6t
                 checked += 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ccrpoly.errors import NotDivisibleError
+from oracles import eval_mod
 from ccrpoly.symbolic import (
     VARS,
     DERIVATIONS,
@@ -91,7 +92,7 @@ class TestMultiPoly:
     def test_eval_mod(self):
         p = g("x") ** 2 + g("y") / 2
         # 3^2 + 4/2 = 11
-        assert p.eval_mod({"x": 3, "y": 4, "z": 0}, 1009) == 11
+        assert eval_mod(p, {"x": 3, "y": 4, "z": 0}, 1009) == 11
 
     def test_str_is_stable_and_readable(self):
         p = g("y") - g("x") ** 2 + 1
@@ -123,7 +124,7 @@ class TestRationalExpression:
         x, y = g("x"), g("y")
         r = x / y + y / x
         assert r == (x ** 2 + y ** 2) / (x * y)
-        assert (r - r).is_zero
+        assert (r - r).num.is_zero
         assert (x / y) * (y / x) == 1
         assert 1 / (x / y) == y / x
         assert (x / y) ** 2 == x ** 2 / y ** 2
@@ -134,12 +135,12 @@ class TestRationalExpression:
 
     def test_eval_mod(self):
         r = (g("x") + 1) / g("y")
-        assert r.eval_mod({"x": 6, "y": 2, "z": 0}, 11) == 7 * pow(2, 9, 11) % 11
+        assert eval_mod(r, {"x": 6, "y": 2, "z": 0}, 11) == 7 * pow(2, 9, 11) % 11
 
     def test_eval_mod_vanishing_denominator(self):
         r = g("x") / g("y")
         with pytest.raises(ZeroDivisionError):
-            r.eval_mod({"x": 1, "y": 11, "z": 0}, 11)
+            eval_mod(r, {"x": 1, "y": 11, "z": 0}, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_h_combinations():
 
 def test_derive_e4t_matches_numeric_point():
     rep = derive_e4t()
-    assert rep.derived.eval_mod(ELL5_POINT, 1009) == 497
+    assert eval_mod(rep.derived, ELL5_POINT, 1009) == 497
 
 
 def test_derive_e4t_denominator_is_monomial():
@@ -176,7 +177,7 @@ def test_derive_e4t_denominator_is_monomial():
 
 def test_derive_e6t_matches_numeric_point():
     rep = derive_e6t()
-    e6t = rep.derived.eval_mod(ELL5_POINT, 1009)
+    e6t = eval_mod(rep.derived, ELL5_POINT, 1009)
     # B* = -2 l^6 E6t
     assert -2 * pow(5, 6, 1009) * e6t % 1009 == 997
 

@@ -12,6 +12,7 @@ from ccrpoly.errors import BuildError, StoreError
 from ccrpoly.trivariate import (ClassicalModularPoly, TrivariatePoly, X_WEIGHT,
                                 delta_display_terms, expand_delta_display,
                                 poly_from_text, poly_to_text)
+from oracles import evaluate
 
 # degree-6 polynomial for ell=5 in both bases, checked elsewhere against the
 # series builder; used here as a fixed fixture
@@ -106,12 +107,7 @@ class TestPartialAndEvaluate:
         x, y, z = 2, 3, 5
         direct = sum(c * x ** i * y ** a * z ** b
                      for (i, a, b), c in U5_E4E6.items())
-        assert p.evaluate(x, y, z) == direct
-
-    def test_evaluate_honors_coeff_map(self):
-        p = TrivariatePoly("U", 5, "E4E6", {(1, 0, 0): Fraction(1, 2)})
-        got = p.evaluate(10, 0, 0, coeff=lambda c: c.numerator)
-        assert got == 10
+        assert evaluate(p, x, y, z) == direct
 
 
 class TestDeltaDisplay:
@@ -199,9 +195,17 @@ class TestClassicalPoly:
         asym = ClassicalModularPoly(2, {(3, 0): 1, (0, 3): 2})
         assert not asym.is_symmetric()
 
+    def test_validate(self):
+        phi = ClassicalModularPoly(2, {(3, 0): 1, (0, 3): 1, (1, 1): 8})
+        assert phi.validate() is phi
+        with pytest.raises(BuildError, match="not symmetric"):
+            ClassicalModularPoly(2, {(3, 0): 1, (0, 3): 2}).validate()
+        with pytest.raises(BuildError, match="X-degree 2 != 3"):
+            ClassicalModularPoly(2, {(2, 0): 1, (0, 2): 1}).validate()
+
     def test_evaluate_and_store(self):
         phi = ClassicalModularPoly(2, {(1, 0): 1, (0, 1): -1})
-        assert phi.evaluate(7, 7) == 0
+        assert evaluate(phi, 7, 7) == 0
         txt = poly_to_text(phi)
         assert txt.splitlines()[0] == "CCR kind=Phi ell=2 basis=j"
         back = poly_from_text(txt)
