@@ -8,14 +8,21 @@ extraction (root-of-unity sums vanish off multiples of ell, so no
 cyclotomic arithmetic is needed); match each s_k to the level-1 form basis
 E4^a E6^b of the right weight; run Newton's identities on the matched
 polynomials; assemble the monic degree-(ell+1) result.
+
+The traces come from baby and giant steps (power_traces): with
+m = ceil(sqrt(k_max)), only R^1..R^m and R^m, R^2m, ... are formed in
+full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
+exponents ell divides, so the ell+1 traces cost about 2*sqrt(ell+1) full
+products.  build_classical_phi shares the same routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import BasisMatchError, BuildError, PrecisionError
-from .ffield import is_probable_prime
+from .ffield import check_level
 from .qseries import PowerSeries, eisenstein_series, eta_squared_product, \
     j_series, sigma1_series
 from .symbolic import MultiPoly
@@ -52,15 +59,43 @@ def conjugate_series(kind: str, ell: int, n_q: int):
     return r_inf, r_x.reinterpret(ell)
 
 
+def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
+    """[trace of R^k over the ell cosets for k = 1..k_max], from about
+    2*sqrt(k_max) full products (the baby-step/giant-step split of
+    Paterson and Stockmeyer, 1973).
+
+    With m = ceil(sqrt(k_max)), the baby steps R^1..R^m and the giant
+    steps R^m, R^2m, ... are formed in full; every other k = t*m + j is
+    traced from R^(tm) and R^j by PowerSeries.product_trace, which never
+    forms R^k.  All R^k share R's window length, so each trace is exactly
+    the one the full power would give."""
+    m = isqrt(k_max - 1) + 1
+    baby = [None, big_r]
+    while len(baby) <= m:
+        baby.append(baby[-1] * big_r)
+    giant = [None, baby[m]]
+    while len(giant) <= k_max // m:
+        giant.append(giant[-1] * baby[m])
+    out = []
+    for k in range(1, k_max + 1):
+        t, j = divmod(k, m)
+        if not j:
+            out.append(giant[t].extract_progression(ell))
+        elif not t:
+            out.append(baby[j].extract_progression(ell))
+        else:
+            out.append(giant[t].product_trace(baby[j], ell))
+    return out
+
+
 def power_sums(kind: str, ell: int, k_max: int, n_q: int) -> list:
     """s_k(q) = r_inf^k + trace of R^k over the ell cosets, k = 1..k_max."""
     r_inf, big_r = conjugate_series(kind, ell, n_q)
     out = []
-    rp = bp = None
-    for k in range(1, k_max + 1):
-        rp = r_inf if k == 1 else rp * r_inf
-        bp = big_r if k == 1 else bp * big_r
-        out.append(rp + bp.extract_progression(ell))
+    rp = None
+    for trace in power_traces(big_r, ell, k_max):
+        rp = r_inf if rp is None else rp * r_inf
+        out.append(rp + trace)
     return out
 
 
@@ -210,8 +245,7 @@ def build(kind: str, ell: int) -> TrivariatePoly:
     failure is a fault, not a precision shortfall, and is not retried."""
     if kind not in X_WEIGHT:
         raise ValueError(f"unknown kind {kind!r}")
-    if not (is_probable_prime(ell) and ell > 3):
-        raise ValueError(f"ell must be an odd prime > 3, got {ell}")
+    check_level(ell)
     if kind == "Ua" and ell % 12 != 11:
         raise ValueError(f"eta-product kind needs ell = 11 mod 12, got {ell}")
     n_q = X_WEIGHT[kind] * (ell + 1) // 6 + 4
@@ -249,14 +283,14 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     for m in range(2, n + 1):
         jpow.append(jpow[-1] * jq)
 
-    r = j_long.truncate(n - (-end_s // ell)).substitute_q_power(ell)
-    big_r = j_long.reinterpret(ell)
-    sums = []
-    rp = bp = None
-    for k in range(1, n + 1):
-        rp = r if k == 1 else rp * r
-        bp = big_r if k == 1 else bp * big_r
-        sums.append((rp + bp.extract_progression(ell)).truncate(end_s))
+    # the root j(q^ell) on the q-window [-ell, ell*r_end): its k-th power
+    # is the k-th power of j on [-1, r_end), i.e. a truncation of jpow[k],
+    # with q replaced by q^ell
+    r_end = n - (-end_s // ell)
+    sums = [(jpow[k].truncate(r_end + 1 - k).substitute_q_power(ell)
+             + trace).truncate(end_s)
+            for k, trace in enumerate(
+                power_traces(j_long.reinterpret(ell), ell, n), 1)]
 
     e_ser = [PowerSeries.constant(1, end_e)]
     e_poly = [{0: 1}]

@@ -30,18 +30,21 @@ the polynomial product, reduced mod p.
 import operator
 import random
 from collections import namedtuple
+from math import isqrt
 
 from .errors import SingularCurve
 from .trivariate import TrivariatePoly
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_BASES
+_PSI_13 = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set.
-
-    Deterministic below 3.3e24; for larger n the bases act as strong
-    probabilistic witnesses.
+    """Miller-Rabin to the first 13 prime bases, exact below psi_13 =
+    3317044064679887385961981.  From psi_13 on, a strong Lucas test is
+    added, making the test Baillie-PSW, which has no known
+    counterexample; fixed bases alone can be beaten (Arnault 1995).
     """
     if n < 2:
         return False
@@ -65,7 +68,70 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for
+    odd n free of prime factors up to 41: D is the first of 5, -7, 9,
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 =
+    k*2^s, k odd, n passes when U_k = 0 or V_(k*2^r) = 0 for some r < s
+    (Baillie and Wagstaff 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False            # no D would be found for a square
+    d = 5
+    while (jac := _jacobi(d, n)) == 1:
+        d = 2 - d if d < 0 else -d - 2
+    if jac == 0:
+        return False            # gcd(D, n) is a proper factor
+    q = (1 - d) // 4
+    k = (n + 1) >> 1
+    s = 1
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # left-to-right binary ladder on (U_i, V_i, Q^i), starting at i = 0
+    u, v, qk = 0, 2, 1
+    for bit in bin(k)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = half(u + v), half(d * u + v)
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def check_level(ell: int) -> None:
+    """ValueError unless ell is an odd prime > 3: the levels the builders
+    and the level-dependent q-expansions accept."""
+    if not (is_probable_prime(ell) and ell > 3):
+        raise ValueError(f"ell must be an odd prime > 3, got {ell}")
 
 
 class PrimeField:

@@ -12,7 +12,9 @@ gcd(den, *nums) == 1, so the zero series has den == 1.  Two series with
 the same rational coefficients therefore have the same ``nums`` and
 ``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
 the integers; Fractions appear only at the edges: the constructor,
-``coefficient()`` and the ``coeffs`` view.
+``coefficient()`` and the ``coeffs`` view.  Each coefficient of a
+product is one dot product of numerator lists, and ``product_trace``
+takes only the coefficients at the exponents a given ell divides.
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -24,6 +26,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import PrecisionError
+from .ffield import check_level
 
 
 def _as_fraction(value):
@@ -49,6 +52,15 @@ def _series(nums, den, lead, step):
 
 def _scaled(nums, f):
     return nums if f == 1 else [v * f for v in nums]
+
+
+def _convolve(a, b, size, slots):
+    """Slot n of the product of the numerator lists a and b truncated to
+    ``size``, for each n in ``slots``: sum(a[t] * b[n-t] for t <= n), one
+    C-level dot product against b's head reversed (map stops at the
+    shorter list)."""
+    rb = b[size - 1::-1]
+    return [sum(map(mul, a, rb[size - 1 - n:])) for n in slots]
 
 
 class PowerSeries:
@@ -174,20 +186,33 @@ class PowerSeries:
                            self.den * c.denominator, self.lead, self.step)
         if not isinstance(other, PowerSeries):
             return NotImplemented
+        a, b, size = self._product_window(other)
+        return _series(_convolve(a.nums, b.nums, size, range(size)),
+                       a.den * b.den, a.lead + b.lead, a.step)
+
+    __rmul__ = __mul__
+
+    def _product_window(self, other):
+        """Both factors on one step, and the length of their product's
+        window."""
         a, b = self._aligned(other)
-        lead = a.lead + b.lead
         size = min(len(a.nums), len(b.nums))
         if size <= 0:
             raise PrecisionError("empty window in series multiplication")
-        # truncated schoolbook: a's slot i feeds out[i:] from b's head
-        nb = b.nums
-        out = [0] * size
-        for i, va in enumerate(a.nums[:size]):
-            if va:
-                out[i:] = [o + va * v for o, v in zip(out[i:], nb)]
-        return _series(out, a.den * b.den, lead, a.step)
+        return a, b, size
 
-    __rmul__ = __mul__
+    def product_trace(self, other, ell):
+        """(self * other).extract_progression(ell) without forming the
+        product: only the slots whose exponent ell divides are convolved,
+        about 1/ell of the work of the full product."""
+        a, b, size = self._product_window(other)
+        if a.step != ell:
+            raise ValueError("extraction requires a series in x = q^(1/ell)")
+        lead = a.lead + b.lead
+        qlead = -((-lead) // ell)
+        kept = _convolve(a.nums, b.nums, size,
+                         range(qlead * ell - lead, size, ell))
+        return _series([ell * v for v in kept], a.den * b.den, qlead, 1)
 
     def inverse(self):
         """Multiplicative inverse, window matched to the known coefficients.
@@ -373,7 +398,8 @@ _FORM_NAMES = ("E2", "E4", "E6", "Delta", "j", "F", "sigma1", "f")
 
 
 def expand(name, precision, ell=None):
-    """Named expansion dispatcher used by the command line."""
+    """Named expansion dispatcher used by the command line.  F, sigma1
+    and f take the builder's levels: ell an odd prime > 3."""
     if name in ("E2", "E4", "E6"):
         return eisenstein_series(int(name[1]), precision)
     if name == "Delta":
@@ -383,6 +409,7 @@ def expand(name, precision, ell=None):
     if name in ("F", "sigma1", "f"):
         if ell is None:
             raise ValueError(f"expansion {name!r} needs ell")
+        check_level(ell)
         if name == "F":
             return fn_series(ell, precision)
         if name == "sigma1":

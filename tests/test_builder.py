@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrpoly import builder
 from ccrpoly.builder import (_build_at, build, build_classical_phi,
@@ -26,6 +28,48 @@ U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
 UA11_DELTA = {(12, 0, 0, 0): 1, (6, 0, 0, 1): -990, (4, 1, 0, 1): 440,
               (3, 0, 1, 1): -165, (2, 2, 0, 1): 22, (1, 1, 1, 1): -1,
               (0, 0, 0, 2): -11}
+
+
+def sequential_traces(big_r, ell, k_max):
+    """Traces of R, R^2, ..., R^k_max, each power one product after the
+    last."""
+    out, power = [], big_r
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = power * big_r
+        out.append(power.extract_progression(ell))
+    return out
+
+
+def assert_same_traces(got, expected):
+    assert [(t.step, t.lead, t.den, t.nums) for t in got] == \
+        [(t.step, t.lead, t.den, t.nums) for t in expected]
+
+
+class TestPowerTraces:
+    # every k_max in 1..40 passes each square m^2 and m^2 +- 1
+    K_MAX = 40
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4),
+                              st.fractions(min_value=-9, max_value=9,
+                                           max_denominator=12)),
+                    min_size=1, max_size=14),
+           st.integers(-4, 4))
+    def test_matches_sequential_powers(self, ell, coeffs, lead):
+        big_r = PowerSeries(coeffs, lead=lead, step=ell)
+        expected = sequential_traces(big_r, ell, self.K_MAX)
+        for k_max in range(1, self.K_MAX + 1):
+            assert_same_traces(builder.power_traces(big_r, ell, k_max),
+                               expected[:k_max])
+
+    def test_negative_lead_j_series_of_phi(self):
+        big_r = j_series(24).reinterpret(5)
+        expected = sequential_traces(big_r, 5, self.K_MAX)
+        for k_max in range(1, self.K_MAX + 1):
+            assert_same_traces(builder.power_traces(big_r, 5, k_max),
+                               expected[:k_max])
 
 
 class TestConjugateSeries:
@@ -258,11 +302,12 @@ class TestInvolution:
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+# U47 and Ua47 digests recorded from a builder that formed every R^k by
+# sequential products, a path independent of power_traces
+RECORDED = Path(__file__).resolve().parent / "data" / "store_sha256.json"
 
 
-def test_store_text_matches_reference():
-    # every polynomial the benchmark checks, byte for byte
-    digests = json.loads(REFERENCE.read_text())["store_sha256"]
+def assert_store_digests(digests):
     assert digests
     for name, digest in digests.items():
         kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
@@ -270,3 +315,13 @@ def test_store_text_matches_reference():
                 else build(kind, int(ell)))
         text = poly_to_text(poly)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_store_text_matches_reference():
+    # every polynomial the benchmark checks, byte for byte
+    assert_store_digests(json.loads(REFERENCE.read_text())["store_sha256"])
+
+
+def test_store_text_matches_recorded_sea_levels():
+    # past the benchmark's levels, which stop at ell = 31
+    assert_store_digests(json.loads(RECORDED.read_text()))

@@ -105,6 +105,18 @@ class TestElkies:
         assert rc == 2
         assert "p not prime" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p", ["318665857834031151167461",
+                                   "3317044064679887385961981"])
+    def test_strong_pseudoprime_p_rejected(self, cache, capsys, p):
+        # psi_12 and psi_13 pass Miller-Rabin to every base below 41 and
+        # to every base up to 41
+        rc = cli.main(["elkies", "--p", p, "--a", "1", "--b", "3",
+                       "--ell", "5"])
+        assert rc == 2
+        assert capsys.readouterr().out == \
+            "usage error: p not prime or too small\n"
+        assert not cache.exists()
+
     def test_singular_curve_rejected(self, cache, capsys):
         assert cli.main(["elkies", "--p", "1009", "--a", "0", "--b", "0",
                         "--ell", "5"]) == 2
@@ -373,6 +385,15 @@ class TestSeries:
     def test_eta_product_needs_matching_ell(self, capsys):
         assert cli.main(["series", "--name", "f", "--ell", "13",
                         "--prec", "5"]) == 2
+
+    @pytest.mark.parametrize("name, ell", [("sigma1", 1), ("F", 1),
+                                           ("F", 9), ("f", 35), ("f", 3)])
+    def test_level_not_an_odd_prime_above_3_rejected(self, capsys, name,
+                                                     ell):
+        assert cli.main(["series", "--name", name, "--ell", str(ell),
+                        "--prec", "3"]) == 2
+        assert capsys.readouterr().out == \
+            f"usage error: ell must be an odd prime > 3, got {ell}\n"
 
     def test_missing_ell_rejected(self, capsys):
         assert cli.main(["series", "--name", "F", "--prec", "5"]) == 2

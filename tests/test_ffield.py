@@ -15,6 +15,7 @@ from ccrpoly.ffield import (
     DerivativeBundle,
     PrimeField,
     UniPoly,
+    _strong_lucas,
     derivative_bundle,
     division_poly,
     is_probable_prime,
@@ -63,6 +64,35 @@ class TestPrimeField:
         assert not is_probable_prime(1) and not is_probable_prime(91)
         # Carmichael number
         assert not is_probable_prime(561)
+
+    def test_strong_pseudoprimes_to_the_fixed_bases_rejected(self):
+        # psi_12 fools the bases 2..37 and is caught by 41; psi_13 fools
+        # 2..41 and is caught by the strong Lucas test
+        psi_12 = 399165290221 * 798330580441
+        psi_13 = 3317044064679887385961981
+        assert psi_12 == 318665857834031151167461
+        assert not is_probable_prime(psi_12)
+        assert not is_probable_prime(psi_13)
+        assert is_probable_prime(2 ** 256 - 189)
+        assert is_probable_prime(10007)
+        assert is_probable_prime(2 ** 127 - 1)
+        assert not is_probable_prime((2 ** 89 - 1) ** 2)
+
+    def test_strong_lucas_matches_a_sieve(self):
+        # the odd composites below 10^5 that pass are exactly the strong
+        # Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
+        n_max = 10 ** 5
+        sieve = bytearray([1]) * n_max
+        sieve[:2] = b"\0\0"
+        for i in range(2, 317):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, n_max, i)))
+        passed = [n for n in range(43, n_max, 2)
+                  if _strong_lucas(n) and not sieve[n]]
+        assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                          25199, 40309, 58519, 75077, 97439]
+        assert all(_strong_lucas(n) for n in range(43, n_max, 2)
+                   if sieve[n])
 
     def test_counters(self):
         fld = PrimeField(101)

@@ -400,6 +400,33 @@ class TestIntegerCore:
               lambda: ref_extract(ra, ra.step))
 
 
+@st.composite
+def trace_factors(draw, ell):
+    """(PowerSeries, Ref) on step 1, ell or 2, possibly empty, with sparse
+    numerators from substituting q^m."""
+    coeffs = draw(st.lists(st.one_of(st.just(0), coefficients), max_size=24))
+    lead = draw(st.integers(-9, 9))
+    step, m = draw(st.sampled_from([1, ell, 2])), draw(st.integers(1, 3))
+    return (PowerSeries(coeffs, lead=lead, step=step).substitute_q_power(m),
+            Ref(coeffs, lead, step).rescale(m, step))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 7))
+def test_product_trace_is_the_progression_of_the_product(data, ell):
+    (a, ra), (b, rb) = (data.draw(trace_factors(ell)) for _ in range(2))
+    try:
+        expected = (a * b).extract_progression(ell)
+    except (PrecisionError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            a.product_trace(b, ell)
+        return
+    got = a.product_trace(b, ell)
+    assert (got.step, got.lead, got.den, got.nums) == \
+        (expected.step, expected.lead, expected.den, expected.nums)
+    assert_matches(got, ref_extract(ref_mul(ra, rb), ell))
+
+
 def reference_gauss_jordan(rows, rhs, m):
     """Fraction Gauss-Jordan over an overdetermined system."""
     aug = [[Fraction(v) for v in row] + [Fraction(r)]
