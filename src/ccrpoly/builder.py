@@ -5,15 +5,17 @@ The pipeline per kind: expand the distinguished root r_inf(q) and the
 conjugate-generating series R(x) with x = q^{1/ell}; form the power sums
 s_k = r_inf^k + trace(R^k) where the trace is arithmetic-progression
 extraction (root-of-unity sums vanish off multiples of ell, so no
-cyclotomic arithmetic is needed); match each s_k to the level-1 form basis
-E4^a E6^b of the right weight; run Newton's identities on the matched
-polynomials; assemble the monic degree-(ell+1) result.
+cyclotomic arithmetic is needed); run Newton's identities on the power-sum
+series; match each elementary symmetric function e_k to the level-1 form
+basis E4^a E6^b of the right weight; assemble the monic degree-(ell+1)
+result from the matches.  build_classical_phi runs the same Newton routine
+and matches each e_k against the powers of j instead.
 
 The traces come from baby and giant steps (power_traces): with
 m = ceil(sqrt(k_max)), only R^1..R^m and R^m, R^2m, ... are formed in
 full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
 exponents ell divides, so the ell+1 traces cost about 2*sqrt(ell+1) full
-products.  build_classical_phi shares the same routine.
+products.  build_classical_phi shares that routine too.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ from .errors import BasisMatchError, BuildError, PrecisionError
 from .ffield import check_level
 from .qseries import PowerSeries, eisenstein_series, eta_squared_product, \
     j_series, sigma1_series
-from .symbolic import MultiPoly
 from .trivariate import PHI_ELLS, ClassicalModularPoly, TrivariatePoly, \
     X_WEIGHT
-
-_FORM_VARS = ("E4", "E6")
 
 
 def conjugate_series(kind: str, ell: int, n_q: int):
@@ -189,17 +188,20 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     return {exps[k]: sol[k] / s.den for k in range(m) if sol[k]}
 
 
-def _newton_elementary(s_polys: list) -> list:
-    """e_1..e_n as MultiPoly from power-sum MultiPolys via Newton's
-    identities, all exact over Q."""
-    one = MultiPoly.const(_FORM_VARS, 1)
-    e = [one]
-    for k in range(1, len(s_polys) + 1):
-        acc = MultiPoly(_FORM_VARS, {})
-        for i in range(1, k + 1):
-            term = e[k - i] * s_polys[i - 1]
+def _newton_elementary(sums: list, e0: PowerSeries, step) -> list:
+    """e_1..e_n from the power-sum series s_1..s_n by Newton's identities,
+    k*e_k = sum over i = 1..k of (-1)^(i-1) * e_(k-i) * s_i, exact over Q.
+
+    e0 is the series of e_0 = 1.  After each level, step(k, e_k) does that
+    builder's work on e_k and returns the series that later levels read in
+    its place; the list of those series is returned."""
+    e = [e0]
+    for k in range(1, len(sums) + 1):
+        acc = e[k - 1] * sums[0]
+        for i in range(2, k + 1):
+            term = e[k - i] * sums[i - 1]
             acc = acc + term if i % 2 else acc - term
-        e.append(acc * Fraction(1, k))
+        e.append(step(k, acc * Fraction(1, k)))
     return e[1:]
 
 
@@ -214,18 +216,20 @@ def _denominator_is_smooth(c: Fraction) -> bool:
 def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     n = ell + 1
     w_x = X_WEIGHT[kind]
-    sums = power_sums(kind, ell, n, n_q)
-    powers = _form_powers(max(s.end for s in sums))
-    s_polys = []
-    for k, s_k in enumerate(sums, 1):
-        matched = match_to_form_basis(s_k, w_x * k, powers)
-        s_polys.append(MultiPoly(_FORM_VARS, matched))
-    elem = _newton_elementary(s_polys)
+    powers = _form_powers(n_q)
     terms = {(n, 0, 0): Fraction(1)}
-    for k, e_k in enumerate(elem, 1):
-        sign = -1 if k % 2 else 1
-        for (a, b), c in e_k.terms.items():
-            terms[(n - k, a, b)] = sign * c
+
+    def match(k, e_k):
+        # the coefficient of X^(n-k) is (-1)^k e_k.  With a positive lead
+        # (Ua) a product's window runs past n_q, beyond the cached powers
+        # of E4 and E6; the Sturm window is all the match needs.
+        e_k = e_k.truncate(n_q)
+        for (a, b), c in match_to_form_basis(e_k, w_x * k, powers).items():
+            terms[(n - k, a, b)] = -c if k % 2 else c
+        return e_k
+
+    _newton_elementary(power_sums(kind, ell, n, n_q),
+                       PowerSeries.constant(1, n_q), match)
     poly = TrivariatePoly(kind, ell, "E4E6", terms).validate()
     if kind == "Ua":
         if not all(_denominator_is_smooth(c) for c in poly.terms.values()):
@@ -239,10 +243,11 @@ def build(kind: str, ell: int) -> TrivariatePoly:
     """Monic degree-(ell+1) polynomial in the E4E6 basis, validated for
     homogeneity and integrality.
 
-    s_k is a level-1 form of weight 2wk (w the X-weight), so Sturm's bound
-    fixes it by floor(wk/6) + 1 coefficients; the window covers k = ell+1
-    with three rows to spare.  The coefficients are exact, so a matching
-    failure is a fault, not a precision shortfall, and is not retried."""
+    e_k is a polynomial in s_1..s_k over Q, so like s_k it is a level-1
+    form of weight 2wk (w the X-weight), and Sturm's bound fixes it by
+    floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
+    rows to spare.  The coefficients are exact, so a matching failure is a
+    fault, not a precision shortfall, and is not retried."""
     if kind not in X_WEIGHT:
         raise ValueError(f"unknown kind {kind!r}")
     check_level(ell)
@@ -292,54 +297,35 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
             for k, trace in enumerate(
                 power_traces(j_long.reinterpret(ell), ell, n), 1)]
 
-    e_ser = [PowerSeries.constant(1, end_e)]
-    e_poly = [{0: 1}]
-    for k in range(1, n + 1):
-        acc = None
-        for i in range(1, k + 1):
-            prod = e_ser[k - i] * sums[i - 1]
-            if i % 2 == 0:
-                prod = -prod
-            acc = prod if acc is None else acc + prod
-        raw = acc * Fraction(1, k)
-        lead = raw.effective_lead()
+    terms = {(n, 0): 1}
+
+    def match(k, e_k):
+        lead = e_k.effective_lead()
         if lead is not None and lead < -n:
             raise BuildError(f"Phi_{ell}: e_{k} pole below j-degree bound")
+        # peel the powers of j off from the deepest pole, summing the
+        # re-expansion on the long window as they go
         pk = {}
-        cur = raw
+        cur = e_k
+        rebuilt = None
         for m in range(n, 0, -1):
             c = cur.coefficient(-m)
             if c:
                 pk[m] = c
-                cur = cur - c * jpow[m]
-        c0 = cur.coefficient(0)
-        if c0:
-            pk[0] = c0
-            cur = cur - c0
-        if not cur.is_zero():
+                piece = c * jpow[m]
+                cur = cur - piece
+                rebuilt = piece if rebuilt is None else rebuilt + piece
+        pk[0] = c0 = cur.coefficient(0)
+        if not (cur - c0).is_zero():
             raise BuildError(f"Phi_{ell}: e_{k} is not a polynomial in j "
                              "at this precision")
         for m, c in pk.items():
             if c.denominator != 1:
                 raise BuildError(f"Phi_{ell}: non-integer coefficient at "
                                  f"e_{k}, j^{m}")
-        e_poly.append(pk)
-        rebuilt = None
-        for m, c in pk.items():
-            if m == 0:
-                continue
-            piece = c * jpow[m]
-            rebuilt = piece if rebuilt is None else rebuilt + piece
-        if rebuilt is None:
-            rebuilt = PowerSeries.constant(0, end_e)
-        if 0 in pk:
-            rebuilt = rebuilt + pk[0]
-        e_ser.append(rebuilt)
+            terms[(n - k, m)] = -int(c) if k % 2 else int(c)
+        return (PowerSeries.constant(c0, end_e) if rebuilt is None
+                else rebuilt + c0)
 
-    terms = {(n, 0): 1}
-    for k in range(1, n + 1):
-        sign = -1 if k % 2 else 1
-        for m, c in e_poly[k].items():
-            terms[(n - k, m)] = sign * int(c)
+    _newton_elementary(sums, PowerSeries.constant(1, end_e), match)
     return ClassicalModularPoly(ell, terms).validate()
-

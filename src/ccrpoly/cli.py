@@ -20,12 +20,10 @@ from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import atkin_step, elkies_step
-from .trivariate import KINDS as POLY_KINDS, PHI_ELLS, poly_from_text, \
-    poly_to_text, store_header
+from .trivariate import PHI_ELLS, STORE_BASES, STORE_KINDS, \
+    poly_from_text, poly_to_text, store_header
 
 CACHE_ENV = "CCR_CACHE_DIR"
-KINDS = POLY_KINDS + ("Phi",)
-BASES = ("E4E6", "AB", "Delta")
 
 # error class -> (report prefix, exit code); a command raises, main prints
 # one line and returns the code
@@ -87,7 +85,7 @@ def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
         except (StoreError, BuildError) as exc:
             raise StoreError(f"{path}: {exc}") from None
     poly = _build_poly(kind, ell)
-    text = poly_to_text(poly, None if kind == "Phi" else basis)
+    text = poly_to_text(poly, basis)
     if cached is not None and cached != text:
         raise BuildError(f"rebuild of {kind}_{ell} does not match "
                          f"the cached file {path}")
@@ -129,14 +127,13 @@ def _parse_curve(args) -> CurveParams:
 
 
 def cmd_build(args) -> int:
-    if args.kind not in KINDS:
+    if args.kind not in STORE_KINDS:
         raise ValueError(f"unknown kind {args.kind}")
     if args.basis == "Delta" and args.kind != "Ua":
         raise ValueError("Delta display only applies to kind Ua")
-    poly = _build_poly(args.kind, args.ell)
-    basis = None if args.kind == "Phi" else args.basis
-    text = poly_to_text(poly, basis)
-    out = args.out or f"{args.kind}_{args.ell}_{basis or 'j'}.txt"
+    basis = "j" if args.kind == "Phi" else args.basis
+    text = poly_to_text(_build_poly(args.kind, args.ell), basis)
+    out = args.out or _store_path("", args.kind, args.ell, basis)
     _write_atomic(out, text)
     print(f"wrote {out}")
     return 0
@@ -291,7 +288,7 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build one polynomial store file")
     b.add_argument("--ell", type=int, required=True)
     b.add_argument("--kind", required=True)
-    b.add_argument("--basis", choices=BASES, default="E4E6")
+    b.add_argument("--basis", choices=STORE_BASES, default="E4E6")
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_build)
 

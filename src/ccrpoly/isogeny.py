@@ -18,8 +18,8 @@ from collections import namedtuple
 from . import formulas
 from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                      VerificationError)
-from .ffield import (CurveParams, UniPoly, derivative_bundle, fp_table,
-                     is_probable_prime, roots, specialize)
+from .ffield import (CurveParams, UniPoly, check_level, derivative_bundle,
+                     fp_table, roots, specialize)
 
 
 ValidationFlags = namedtuple("ValidationFlags", "v_root w_root phi_match")
@@ -38,8 +38,7 @@ set when B* is out of reach."""
 
 
 def _check_level(field, ell: int):
-    if ell < 5 or not is_probable_prime(ell):
-        raise ValueError("ell must be an odd prime at least 5")
+    check_level(ell)
     if field.p == ell:
         raise ValueError("p equals the level ell")
 

@@ -7,8 +7,14 @@ gcd).  On top of the engine, ``derive_e4t`` / ``derive_e6t`` /
 ``derive_atkin_sigma`` / ``derive_atkin_e4t`` replay the differential
 derivations of the isogenous-curve formulas step by step and check the
 results against the transcriptions in :mod:`ccrpoly.formulas` by
-cross-multiplication.  Every check is an exact polynomial identity; a failure
-raises :class:`VerificationError` naming the step.
+cross-multiplication.  One first-order and one second-order routine serve
+both the sigma chart (U) and the f chart (Ua); a table gives each chart's
+symbols, the root's q-derivatives and the closed forms.  Every check is an
+exact polynomial identity; a failure raises :class:`VerificationError`
+naming the step.
+
+The builders do not use this module: it serves the verifier and the
+Delta display of the store format.
 """
 
 from __future__ import annotations
@@ -431,17 +437,118 @@ def ring_gens() -> dict:
     return {name: MultiPoly.gen(VARS, name) for name in VARS}
 
 
+def _at(g: dict, names: str) -> list:
+    return [g[name] for name in names.split()]
+
+
+def _ramanujan(E2, E4, E6) -> tuple:
+    """(E2', E4', E6') with ' = q d/dq, by Ramanujan's identities."""
+    return (E2 ** 2 - E4) / 12, (E2 * E4 - E6) / 3, (E2 * E6 - E4 ** 2) / 2
+
+
+def _e2t(g: dict, sigma):
+    """E2(q^ell), from sigma = (ell/2)*(ell*E2(q^ell) - E2)."""
+    return (g["E2"] + 2 * sigma / g["ell"]) / g["ell"]
+
+
+# The root's first and second q-derivatives in each chart, from
+# sigma = (ell/2)*(ell*E2(q^ell) - E2) and f'/f = (ell*E2(q^ell) + E2)/12.
+# u is the chart's first unknown (E4(q^ell) for sigma, sigma for f): its
+# symbol in a first-order derivation, its derived value in a second-order
+# one.
+
+def _sigma_p(g, u):
+    ell, sigma = g["ell"], g["sigma"]
+    return ell * (4 * sigma ** 2 / ell ** 2 + 4 * sigma / ell * g["E2"]
+                  - (ell ** 2 * u - g["E4"])) / 24
+
+
+def _sigma_pp(g, u, E2p, E4p):
+    ell, E2 = g["ell"], g["E2"]
+    E2t = _e2t(g, g["sigma"])
+    E2tp, E4tp, _ = _ramanujan(E2t, u, g["E6t"])
+    E2tpp = (2 * E2t * E2tp - E4tp) / 12
+    E2pp = (2 * E2 * E2p - E4p) / 12
+    return ell * (ell ** 3 * E2tpp - E2pp) / 2
+
+
+def _f_p(g, u):
+    return g["f"] / 12 * (g["ell"] * _e2t(g, u) + g["E2"])
+
+
+def _f_pp(g, u, E2p, E4p):
+    ell, E2 = g["ell"], g["E2"]
+    E2t = _e2t(g, u)
+    return g["f"] / 144 * ((ell * E2t + E2) ** 2
+                           + ell ** 2 * (E2t ** 2 - g["E4t"]) + 12 * E2p)
+
+
+# A derivation solves for ``unknown`` and checks the result against
+# ``reference(g, diagonals)``, the closed form the report names ``closed``
+# in its step label and ``shown`` in its line, and against the symbols
+# ``allowed`` in it.
+_Order = namedtuple("_Order", "name unknown reference closed shown allowed")
+
+# A chart names its root, the root's first partial, its mixed partials with
+# E4 and E6, and its H; root_p and root_pp are the root's q-derivatives,
+# first and second the derivations of each order.
+_Chart = namedtuple("_Chart",
+                    "root dr dr4 dr6 h root_p root_pp first second")
+
+_SIGMA_CHART = _Chart(
+    "sigma", "ds", "ds4", "ds6", "H_U", _sigma_p, _sigma_pp,
+    _Order("e4t", "E4t",
+           lambda g, diag: RationalExpression(*formulas.e4_tilde_parts(
+               *_at(g, "ell sigma E4 E6 ds d4 d6"))),
+           "closed form",
+           "-(4*ell*(3*E4^2*d6+2*E6*d4)-ds*(ell^2*E4+4*sigma^2))"
+           "/(ell^4*ds)",
+           {"ell", "E4", "E6", "sigma", "d4", "d6", "ds"}),
+    # the transcription keeps dss/d44/d66 as formal arguments; the derived
+    # result has them eliminated, so compare after the same elimination
+    _Order("e6t", "E6t",
+           lambda g, diag: -formulas.e6_tilde_numerator(
+               *_at(g, "ell sigma E4 E6 ds d4 d6 ds4 ds6 d46"), *diag)
+           / formulas.e6_tilde_denominator(g["ell"], g["ds"]),
+           "-N/(ell^6*ds^3)",
+           "-N/(ell^6*ds^3), N and c2 from the degree-3-in-ell display",
+           {"ell", "E4", "E6", "sigma", "d4", "d6", "ds", "ds4", "ds6",
+            "d46"}))
+
+_F_CHART = _Chart(
+    "f", "df", "df4", "df6", "H_f", _f_p, _f_pp,
+    _Order("a-sigma", "sigma",
+           lambda g, diag: RationalExpression(*formulas.atkin_sigma_parts(
+               *_at(g, "ell E4 E6 d4 d6 f df"))),
+           "closed form",
+           "ell*(3*d6*E4^2+2*d4*E6)/(f*df)",
+           {"ell", "E4", "E6", "d4", "d6", "f", "df"}),
+    _Order("a-e4t", "E4t",
+           lambda g, diag: -formulas.atkin_m_block(
+               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"))
+           / formulas.atkin_e4_tilde_denominator(
+               *_at(g, "ell E4 E6 f df")),
+           "-M/(ell^2*f^2*E4*E6*df^3)",
+           "-M/(ell^2*f^2*E4*E6*df^3), M from the E4-degree-6 display",
+           {"ell", "E4", "E6", "d4", "d6", "d46", "f", "df", "df4",
+            "df6"}))
+
+
+def _h(chart: _Chart) -> MultiPoly:
+    g = ring_gens()
+    return (g[chart.root] * g[chart.dr] + 2 * g["E4"] * g["d4"]
+            + 3 * g["E6"] * g["d6"])
+
+
 def h_u() -> MultiPoly:
     """sigma*ds + 2*E4*d4 + 3*E6*d6, the weighted-homogeneity combination
     annihilating the E2 coefficients in the sigma-root derivations."""
-    g = ring_gens()
-    return g["sigma"] * g["ds"] + 2 * g["E4"] * g["d4"] + 3 * g["E6"] * g["d6"]
+    return _h(_SIGMA_CHART)
 
 
 def h_f() -> MultiPoly:
     """f*df + 2*E4*d4 + 3*E6*d6, the analogue for the eta-variant root."""
-    g = ring_gens()
-    return g["f"] * g["df"] + 2 * g["E4"] * g["d4"] + 3 * g["E6"] * g["d6"]
+    return _h(_F_CHART)
 
 
 class DerivationReport(namedtuple("DerivationReport",
@@ -475,209 +582,100 @@ def _divide_by(poly: MultiPoly, h: MultiPoly, step: str) -> MultiPoly:
         raise VerificationError(f"assertion failed at step: {step}") from exc
 
 
-def _solve_linear(c0: MultiPoly, var: str, step: str) -> RationalExpression:
-    """Solve c0 == 0 for var, required to appear linearly."""
-    _check(c0.degree_in(var) == 1, f"{step}: expression linear in {var}")
-    lead = c0.coefficient_of(var, 1)
-    rest = c0.coefficient_of(var, 0)
-    return RationalExpression(-rest, lead)
+def _solved(order: _Order, num: MultiPoly, g: dict, diag: tuple,
+            checks: list) -> DerivationReport:
+    """Solve the E2-free coefficient of num, linear in the unknown, and
+    check the result against the closed form and for ring hygiene."""
+    name, var = order.name, order.unknown
+    c0 = num.coefficient_of("E2", 0)
+    _check(c0.degree_in(var) == 1,
+           f"{name}: constant coefficient: expression linear in {var}")
+    derived = RationalExpression(-c0.coefficient_of(var, 0),
+                                 c0.coefficient_of(var, 1))
+    _check(derived == order.reference(g, diag),
+           f"{name}: cross-multiplied equality with {order.closed}")
+    checks.append(("equals closed form", order.shown))
+    _check(derived.variables_used() <= order.allowed, f"{name}: ring hygiene")
+    checks.append(("ring hygiene", "no eliminated or foreign symbols"))
+    return DerivationReport(name, derived, checks)
+
+
+def _first_order(chart: _Chart) -> DerivationReport:
+    """Differentiate the chart's polynomial once: the cleared result is
+    linear in E2, its E2 coefficient is a monomial times H, and the rest
+    solves for the chart's first unknown."""
+    g = ring_gens()
+    name = chart.first.name
+    _, E4p, E6p = _ramanujan(g["E2"], g["E4"], g["E6"])
+    rp = chart.root_p(g, g[chart.first.unknown])
+    num = (rp * g[chart.dr] + E4p * g["d4"] + E6p * g["d6"]).num
+    _check(num.degree_in("E2") == 1,
+           f"{name}: cleared expression linear in E2")
+    quot = _divide_by(num.coefficient_of("E2", 1), _h(chart),
+                      f"{name}: E2 coefficient divisible by {chart.h}")
+    _check(quot.is_monomial, f"{name}: {chart.h} quotient is a monomial")
+    checks = [("degree in E2", "1"),
+              (f"E2 coefficient / {chart.h}", f"monomial quotient {quot}")]
+    return _solved(chart.first, num, g, (), checks)
+
+
+def _second_order(chart: _Chart) -> DerivationReport:
+    """Differentiate twice, eliminate the diagonal second partials through
+    the weighted-homogeneity relations, and solve the E2-constant
+    coefficient for the chart's second unknown; the E2 and E2^2
+    coefficients must be multiples of H."""
+    g = ring_gens()
+    name = chart.second.name
+    ell, E2, E4, E6, d4, d6, d46 = _at(g, "ell E2 E4 E6 d4 d6 d46")
+    r, dr, dr4, dr6 = (g[v] for v in chart[:4])
+    u = _first_order(chart).derived
+    E2p, E4p, E6p = _ramanujan(E2, E4, E6)
+    rp = chart.root_p(g, u)
+    rpp = chart.root_pp(g, u, E2p, E4p)
+    E4pp = (E2p * E4 + E2 * E4p - E6p) / 3
+    E6pp = (E2p * E6 + E2 * E6p - 2 * E4 * E4p) / 2
+    diag = tuple(n / d for n, d in (
+        formulas.diagonal_dss(ell, r, E4, E6, dr, dr4, dr6),
+        formulas.diagonal_d44(ell, r, E6, d4, dr4, d46, E4),
+        formulas.diagonal_d66(ell, r, E4, d6, dr6, d46, E6)))
+    drr, d44, d66 = diag
+
+    tmp = rpp * dr + rp * (rp * drr + E4p * dr4 + E6p * dr6)
+    tmp = tmp + E4pp * d4 + E4p * (rp * dr4 + E4p * d44 + E6p * d46)
+    tmp = tmp + E6pp * d6 + E6p * (rp * dr6 + E4p * d46 + E6p * d66)
+    num = tmp.num
+
+    _check(num.degree_in("E2") == 2,
+           f"{name}: cleared expression quadratic in E2")
+    checks = [("degree in E2", "2")]
+    h = _h(chart)
+    for i in (2, 1):
+        quot = _divide_by(num.coefficient_of("E2", i), h,
+                          f"{name}: C{i} divisible by {chart.h}")
+        checks.append((f"C{i} / {chart.h}",
+                       f"exact, quotient has {len(quot.terms)} terms"))
+    return _solved(chart.second, num, g, diag, checks)
 
 
 def derive_e4t() -> DerivationReport:
     """Differentiate U(sigma, E4, E6) = 0 once and solve for E4(q^ell)."""
-    g = ring_gens()
-    ell, E2, E4, E6 = g["ell"], g["E2"], g["E4"], g["E6"]
-    sigma, E4t = g["sigma"], g["E4t"]
-    d4, d6, ds = g["d4"], g["d6"], g["ds"]
-    checks = []
-
-    E4p = (E2 * E4 - E6) / 3
-    E6p = (E2 * E6 - E4 ** 2) / 2
-    sigp = ell / 24 * (4 * sigma ** 2 / ell ** 2 + 4 * sigma / ell * E2
-                       - (ell ** 2 * E4t - E4))
-    tmp = sigp * ds + E4p * d4 + E6p * d6
-    num = tmp.num
-
-    _check(num.degree_in("E2") == 1, "e4t: cleared expression linear in E2")
-    checks.append(("degree in E2", "1"))
-
-    c1 = num.coefficient_of("E2", 1)
-    quot = _divide_by(c1, h_u(), "e4t: E2 coefficient divisible by H_U")
-    _check(quot.is_monomial, "e4t: H_U quotient is a monomial")
-    checks.append(("E2 coefficient / H_U", f"monomial quotient {quot}"))
-
-    derived = _solve_linear(num.coefficient_of("E2", 0), "E4t",
-                            "e4t: constant coefficient")
-    ref_num, ref_den = formulas.e4_tilde_parts(ell, sigma, E4, E6, ds, d4, d6)
-    _check(derived == RationalExpression(ref_num, ref_den),
-           "e4t: cross-multiplied equality with closed form")
-    checks.append(("equals closed form", "-(4*ell*(3*E4^2*d6+2*E6*d4)"
-                   "-ds*(ell^2*E4+4*sigma^2))/(ell^4*ds)"))
-
-    allowed = {"ell", "E4", "E6", "sigma", "d4", "d6", "ds"}
-    _check(derived.variables_used() <= allowed, "e4t: ring hygiene")
-    checks.append(("ring hygiene", "no eliminated or foreign symbols"))
-    return DerivationReport("e4t", derived, checks)
+    return _first_order(_SIGMA_CHART)
 
 
 def derive_e6t() -> DerivationReport:
-    """Differentiate twice, eliminate diagonal second partials, and solve
+    """Differentiate U twice, eliminate diagonal second partials, and solve
     the E2-constant coefficient for E6(q^ell)."""
-    g = ring_gens()
-    ell, E2, E4, E6 = g["ell"], g["E2"], g["E4"], g["E6"]
-    sigma, E6t = g["sigma"], g["E6t"]
-    d4, d6, ds = g["d4"], g["d6"], g["ds"]
-    ds4, ds6, d46 = g["ds4"], g["ds6"], g["d46"]
-    checks = []
-
-    e4t = derive_e4t().derived
-    E4p = (E2 * E4 - E6) / 3
-    E6p = (E2 * E6 - E4 ** 2) / 2
-    E2p = (E2 ** 2 - E4) / 12
-    E2t = (E2 + 2 * sigma / ell) / ell
-    sigp = ell * (4 * sigma ** 2 / ell ** 2 + 4 * sigma / ell * E2
-                  - (ell ** 2 * e4t - E4)) / 24
-    E4pp = (E2p * E4 + E2 * E4p - E6p) / 3
-    E6pp = (E2p * E6 + E2 * E6p - 2 * E4 * E4p) / 2
-    E4tp = (E2t * e4t - E6t) / 3
-    E2tp = (E2t ** 2 - e4t) / 12
-    E2pp = (2 * E2 * E2p - E4p) / 12
-    E2tpp = (2 * E2t * E2tp - E4tp) / 12
-    sigpp = ell * (ell ** 3 * E2tpp - E2pp) / 2
-
-    dss_n, dss_d = formulas.diagonal_dss(ell, sigma, E4, E6, ds, ds4, ds6)
-    d44_n, d44_d = formulas.diagonal_d44(ell, sigma, E6, d4, ds4, d46, E4)
-    d66_n, d66_d = formulas.diagonal_d66(ell, sigma, E4, d6, ds6, d46, E6)
-    dss, d44, d66 = dss_n / dss_d, d44_n / d44_d, d66_n / d66_d
-
-    tmp = sigpp * ds + sigp * (sigp * dss + E4p * ds4 + E6p * ds6)
-    tmp = tmp + E4pp * d4 + E4p * (sigp * ds4 + E4p * d44 + E6p * d46)
-    tmp = tmp + E6pp * d6 + E6p * (sigp * ds6 + E4p * d46 + E6p * d66)
-    num = tmp.num
-
-    _check(num.degree_in("E2") == 2, "e6t: cleared expression quadratic in E2")
-    checks.append(("degree in E2", "2"))
-
-    H = h_u()
-    q2 = _divide_by(num.coefficient_of("E2", 2), H,
-                    "e6t: C2 divisible by H_U")
-    checks.append(("C2 / H_U", f"exact, quotient has {len(q2.terms)} terms"))
-    q1 = _divide_by(num.coefficient_of("E2", 1), H,
-                    "e6t: C1 divisible by H_U")
-    checks.append(("C1 / H_U", f"exact, quotient has {len(q1.terms)} terms"))
-
-    derived = _solve_linear(num.coefficient_of("E2", 0), "E6t",
-                            "e6t: constant coefficient")
-    # The transcription keeps dss/d44/d66 as formal arguments; the derived
-    # result has them eliminated, so compare after the same elimination.
-    n_ref = formulas.e6_tilde_numerator(ell, sigma, E4, E6, ds, d4, d6,
-                                        ds4, ds6, d46, dss, d44, d66)
-    ref = -n_ref / formulas.e6_tilde_denominator(ell, ds)
-    _check(derived == ref, "e6t: cross-multiplied equality with -N/(ell^6*ds^3)")
-    checks.append(("equals closed form", "-N/(ell^6*ds^3), N and c2 from the"
-                   " degree-3-in-ell display"))
-
-    allowed = {"ell", "E4", "E6", "sigma", "d4", "d6", "ds", "ds4", "ds6",
-               "d46"}
-    _check(derived.variables_used() <= allowed, "e6t: ring hygiene")
-    checks.append(("ring hygiene", "no eliminated or foreign symbols"))
-    return DerivationReport("e6t", derived, checks)
+    return _second_order(_SIGMA_CHART)
 
 
 def derive_atkin_sigma() -> DerivationReport:
     """Differentiate Ua(f, E4, E6) = 0 once and solve for sigma."""
-    g = ring_gens()
-    ell, E2, E4, E6 = g["ell"], g["E2"], g["E4"], g["E6"]
-    sigma = g["sigma"]
-    d4, d6, f, df = g["d4"], g["d6"], g["f"], g["df"]
-    checks = []
-
-    E4p = (E2 * E4 - E6) / 3
-    E6p = (E2 * E6 - E4 ** 2) / 2
-    E2t = (E2 + 2 * sigma / ell) / ell
-    fp = f / 12 * (ell * E2t + E2)
-    tmp = fp * df + E4p * d4 + E6p * d6
-    num = tmp.num
-
-    _check(num.degree_in("E2") == 1,
-           "a-sigma: cleared expression linear in E2")
-    checks.append(("degree in E2", "1"))
-
-    c1 = num.coefficient_of("E2", 1)
-    quot = _divide_by(c1, h_f(), "a-sigma: E2 coefficient divisible by H_f")
-    _check(quot.is_monomial, "a-sigma: H_f quotient is a monomial")
-    checks.append(("E2 coefficient / H_f", f"monomial quotient {quot}"))
-
-    derived = _solve_linear(num.coefficient_of("E2", 0), "sigma",
-                            "a-sigma: constant coefficient")
-    ref_num, ref_den = formulas.atkin_sigma_parts(ell, E4, E6, d4, d6, f, df)
-    _check(derived == RationalExpression(ref_num, ref_den),
-           "a-sigma: cross-multiplied equality with closed form")
-    checks.append(("equals closed form",
-                   "ell*(3*d6*E4^2+2*d4*E6)/(f*df)"))
-
-    allowed = {"ell", "E4", "E6", "d4", "d6", "f", "df"}
-    _check(derived.variables_used() <= allowed, "a-sigma: ring hygiene")
-    checks.append(("ring hygiene", "no eliminated or foreign symbols"))
-    return DerivationReport("a-sigma", derived, checks)
+    return _first_order(_F_CHART)
 
 
 def derive_atkin_e4t() -> DerivationReport:
     """Differentiate twice in the eta-variant chart and solve for E4(q^ell)."""
-    g = ring_gens()
-    ell, E2, E4, E6 = g["ell"], g["E2"], g["E4"], g["E6"]
-    E4t = g["E4t"]
-    d4, d6, d46 = g["d4"], g["d6"], g["d46"]
-    f, df, df4, df6 = g["f"], g["df"], g["df4"], g["df6"]
-    checks = []
-
-    sig = derive_atkin_sigma().derived
-    E4p = (E2 * E4 - E6) / 3
-    E6p = (E2 * E6 - E4 ** 2) / 2
-    E2p = (E2 ** 2 - E4) / 12
-    E2t = (E2 + 2 * sig / ell) / ell
-    fp = f / 12 * (ell * E2t + E2)
-    fpp = f / 144 * ((ell * E2t + E2) ** 2 + ell ** 2 * (E2t ** 2 - E4t)
-                     + (E2 ** 2 - E4))
-    E4pp = (E2p * E4 + E2 * E4p - E6p) / 3
-    E6pp = (E2p * E6 + E2 * E6p - 2 * E4 * E4p) / 2
-
-    dff_n, dff_d = formulas.diagonal_dss(ell, f, E4, E6, df, df4, df6)
-    d44_n, d44_d = formulas.diagonal_d44(ell, f, E6, d4, df4, d46, E4)
-    d66_n, d66_d = formulas.diagonal_d66(ell, f, E4, d6, df6, d46, E6)
-    dff, d44, d66 = dff_n / dff_d, d44_n / d44_d, d66_n / d66_d
-
-    tmp = fpp * df + fp * (fp * dff + E4p * df4 + E6p * df6)
-    tmp = tmp + E4pp * d4 + E4p * (fp * df4 + E4p * d44 + E6p * d46)
-    tmp = tmp + E6pp * d6 + E6p * (fp * df6 + E4p * d46 + E6p * d66)
-    num = tmp.num
-
-    _check(num.degree_in("E2") == 2,
-           "a-e4t: cleared expression quadratic in E2")
-    checks.append(("degree in E2", "2"))
-
-    H = h_f()
-    q2 = _divide_by(num.coefficient_of("E2", 2), H,
-                    "a-e4t: C2 divisible by H_f")
-    checks.append(("C2 / H_f", f"exact, quotient has {len(q2.terms)} terms"))
-    q1 = _divide_by(num.coefficient_of("E2", 1), H,
-                    "a-e4t: C1 divisible by H_f")
-    checks.append(("C1 / H_f", f"exact, quotient has {len(q1.terms)} terms"))
-
-    derived = _solve_linear(num.coefficient_of("E2", 0), "E4t",
-                            "a-e4t: constant coefficient")
-    m_ref = formulas.atkin_m_block(ell, E4, E6, d4, d6, d46, f, df, df4, df6)
-    ref = RationalExpression(
-        -m_ref, formulas.atkin_e4_tilde_denominator(ell, E4, E6, f, df))
-    _check(derived == ref,
-           "a-e4t: cross-multiplied equality with -M/(ell^2*f^2*E4*E6*df^3)")
-    checks.append(("equals closed form", "-M/(ell^2*f^2*E4*E6*df^3), M from"
-                   " the E4-degree-6 display"))
-
-    allowed = {"ell", "E4", "E6", "d4", "d6", "d46", "f", "df", "df4", "df6"}
-    _check(derived.variables_used() <= allowed, "a-e4t: ring hygiene")
-    checks.append(("ring hygiene", "no eliminated or foreign symbols"))
-    return DerivationReport("a-e4t", derived, checks)
+    return _second_order(_F_CHART)
 
 
 DERIVATIONS = {

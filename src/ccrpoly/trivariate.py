@@ -18,12 +18,15 @@ from fractions import Fraction
 
 from .errors import BuildError, NotDivisibleError, StoreError
 
-KINDS = ("U", "V", "W", "Ua")
-BASES = ("E4E6", "AB")
-
 # X carries the weight of the quantity it stands for: sigma1 is weight 1,
 # A* weight 2, B* weight 3, the eta product weight 1.
 X_WEIGHT = {"U": 1, "V": 2, "W": 3, "Ua": 1}
+KINDS = tuple(X_WEIGHT)
+BASES = ("E4E6", "AB")
+# what a store file may hold: Phi beside the trivariate kinds, and the
+# Delta display beside their bases (Phi's basis is always j)
+STORE_KINDS = KINDS + ("Phi",)
+STORE_BASES = BASES + ("Delta",)
 
 # E4E6 -> AB substitution is E4 = -A/3, E6 = -B/2, so a coefficient of
 # E4^a E6^b picks up (-1)^(a+b) / (3^a 2^b) when re-read on A^a B^b.
@@ -262,19 +265,18 @@ def store_header(text: str) -> tuple:
         kind, ell, basis = fields["kind"], int(fields["ell"]), fields["basis"]
     except (KeyError, ValueError):
         raise StoreError(f"malformed store header {line!r}") from None
-    allowed = ("j",) if kind == "Phi" else BASES + ("Delta",)
-    if kind not in KINDS + ("Phi",) or basis not in allowed:
+    allowed = ("j",) if kind == "Phi" else STORE_BASES
+    if kind not in STORE_KINDS or basis not in allowed:
         raise StoreError(f"unknown kind or basis in store header {line!r}")
     return kind, ell, basis
 
 
 def poly_from_text(text: str):
-    """Parse store text; a malformed header field or term line raises
+    """Parse store text; a missing or malformed header, or a malformed term
+    line (a negative exponent or a repeated term among them), raises
     StoreError."""
+    kind, ell, basis = store_header(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("CCR "):
-        raise ValueError("missing CCR header line")
-    kind, ell, basis = store_header(lines[0])
     # Phi lines are "i k 0 c", Delta lines "i a b m c", the rest "i a b c"
     width, parse = ((3, int) if kind == "Phi" else
                     (4, Fraction) if basis == "Delta" else (3, Fraction))
@@ -285,7 +287,12 @@ def poly_from_text(text: str):
             if len(parts) != width + 1:
                 raise ValueError
             key = tuple(map(int, parts[:width]))
-            terms[key[:2] if kind == "Phi" else key] = parse(parts[width])
+            if min(key) < 0 or kind == "Phi" and key[2]:
+                raise ValueError
+            key = key[:2] if kind == "Phi" else key
+            if key in terms:
+                raise ValueError
+            terms[key] = parse(parts[width])
         except (ValueError, ZeroDivisionError):
             raise StoreError(f"malformed store line {ln!r}") from None
     if kind == "Phi":

@@ -116,6 +116,31 @@ class TestPowerSums:
             assert zero_through(s, 23)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                min_size=1, max_size=5))
+def test_newton_elementary_gives_the_polynomial(roots):
+    # the power sums of integer series r_i give the coefficients of
+    # prod (X - r_i): that of X^(n-k) is (-1)^k e_k
+    rs = [PowerSeries(c) for c in roots]
+    n = len(rs)
+    sums = [sum((r ** k for r in rs[1:]), rs[0] ** k) for k in range(1, n + 1)]
+    zero = PowerSeries.constant(0, 4)
+    coeffs = [PowerSeries.constant(1, 4)]
+    for r in rs:
+        coeffs = [a - r * b for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+    levels = []
+
+    def step(k, e_k):
+        levels.append(k)
+        return e_k
+
+    elem = builder._newton_elementary(sums, PowerSeries.constant(1, 4), step)
+    assert levels == list(range(1, n + 1))
+    assert [e if k % 2 == 0 else -e for k, e in enumerate(elem, 1)] \
+        == coeffs[1:]
+
+
 class TestBasisMatch:
     def test_exponent_enumeration(self):
         assert form_basis_exponents(0) == [(0, 0)]

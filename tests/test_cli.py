@@ -1,7 +1,9 @@
 """Exit codes and report text of the command-line front end."""
 
 import contextlib
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -281,6 +283,30 @@ class TestStoreErrors:
         kind_ell = name.rsplit("_", 1)[0]
         assert proc.stdout == f"store error: {path}: {kind_ell}: {reason}\n"
 
+    # a term line only the parser can refuse: validate() passes it
+    BAD_TERMS = {
+        # keeps homogeneity; fp_table would index its power tables at -2
+        "negative_exponent": ("U_5_E4E6.txt", "2 5 -2 7"),
+        # Phi's third field is always 0; this line once read as "3 0 0 1"
+        "phi_third_field": ("Phi_5_j.txt", "3 0 7 1"),
+        # repeats the term "4 1 0 -60", which it once replaced
+        "repeated_term": ("U_5_E4E6.txt", "4 1 0 -59"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_TERMS))
+    def test_bad_term_line(self, cache, tmp_path, capsys, defect):
+        name, line = self.BAD_TERMS[defect]
+        assert cli.main(ELKIES_ARGS) == 0
+        capsys.readouterr()
+        path = cache / name
+        path.write_text(path.read_text() + line + "\n")
+        proc = run_cli(ELKIES_ARGS, cache, tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        # one line, and no report line printed before it
+        assert proc.stdout == (f"store error: {path}: malformed store line "
+                               f"{line!r}\n")
+
     def test_unwritable_out(self, cache, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
@@ -358,6 +384,18 @@ class TestVerifySymbolic:
 
     def test_unknown_case_rejected(self, capsys):
         assert cli.main(["verify-symbolic", "--case", "bogus"]) == 2
+
+    # sha256 of the stdout of each case, recorded before the derivations
+    # shared one routine per order
+    RECORDED = json.loads((Path(__file__).resolve().parent / "data"
+                           / "verify_symbolic_sha256.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_output_matches_recorded(self, capsys, case):
+        assert cli.main(["verify-symbolic", "--case", case]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.RECORDED[case]
 
 
 class TestSeries:

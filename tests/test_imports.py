@@ -47,9 +47,11 @@ def test_warm_calls_import_no_build_side(tmp_path):
     assert "ccrpoly.cli" in loaded and not loaded & BUILD_SIDE
     for argv in (["elkies", *CURVE, "--ell", "13"],
                  ["atkin", *CURVE, "--ell", "11"]):
-        # the cold call builds and fills the store, the warm one reads it
+        # the cold call builds and fills the store, the warm one reads it;
+        # building needs no symbolic ring
         code, loaded = _modules(tmp_path, _CALL, *argv)
         assert code == 0 and "ccrpoly.builder" in loaded
+        assert "ccrpoly.symbolic" not in loaded
         code, loaded = _modules(tmp_path, _CALL, *argv)
         assert code == 0 and "ccrpoly.isogeny" in loaded
         assert not loaded & BUILD_SIDE, (argv, loaded & BUILD_SIDE)
