@@ -59,13 +59,12 @@ def _build_poly(kind: str, ell: int):
     return builder.build(kind, ell)
 
 
-def load_or_build(kind: str, ell: int, directory: str, basis: str = "E4E6",
+def load_or_build(kind: str, ell: int, directory: str,
                   rebuild: bool = False):
-    """Fetch a polynomial from the store directory, building and caching
-    it on a miss.  With rebuild, regenerate and require byte equality
-    with any existing file."""
-    if kind == "Phi":
-        basis = "j"
+    """Fetch a polynomial (E4E6 basis, j for Phi) from the store, building
+    and caching it on a miss.  With rebuild, regenerate and require byte
+    equality with any existing file."""
+    basis = "j" if kind == "Phi" else "E4E6"
     path = _store_path(directory, kind, ell, basis)
     cached = None
     try:
@@ -155,7 +154,7 @@ def cmd_elkies(args) -> int:
           f"j={curve.j_invariant()}")
     diagnostics = []
     results = elkies_step(curve, ell, u, v=v, w=w, phi=phi,
-                          seed=args.seed, diagnostics=diagnostics)
+                          diagnostics=diagnostics)
     for root, message in diagnostics:
         print(f"diagnostic: root={root} skipped: {message}")
     for r in results:
@@ -191,8 +190,7 @@ def cmd_atkin(args) -> int:
     print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={args.ell} "
           f"j={curve.j_invariant()}")
     diagnostics = []
-    results = atkin_step(curve, args.ell, ua, seed=args.seed,
-                         diagnostics=diagnostics)
+    results = atkin_step(curve, args.ell, ua, diagnostics=diagnostics)
     for root, message in diagnostics:
         print(f"diagnostic: root={root} skipped: {message}")
     for r in results:
@@ -247,12 +245,12 @@ def cmd_selftest(args) -> int:
     field = PrimeField(1009)
     curve = CurveParams(field, 1, 3)
     res = elkies_step(curve, 5, u5, v=_build_poly("V", 5),
-                      w=_build_poly("W", 5), phi=_build_poly("Phi", 5), seed=0)
+                      w=_build_poly("W", 5), phi=_build_poly("Phi", 5))
     ok = any(r.sigma == 584 and r.a_star == 441 and r.b_star == 997
              and r.validated.v_root and r.validated.w_root
              and r.validated.phi_match for r in res)
     check("elkies worked example", ok)
-    ares = atkin_step(curve, 11, _build_poly("Ua", 11), seed=0)
+    ares = atkin_step(curve, 11, _build_poly("Ua", 11))
     ok = any(r.f == 65 and r.sigma == 75 and r.e4t == 532 and r.b_star == 460
              for r in ares)
     check("atkin worked example", ok)
@@ -297,7 +295,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=int, required=True)
         p.add_argument("--b", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--poly-dir", default=None)
         p.add_argument("--rebuild", action="store_true")
 

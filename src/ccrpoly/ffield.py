@@ -7,8 +7,9 @@ its roots in F_p, evaluating the partial-derivative bundle at a chosen
 root, and the division polynomials f_n.
 
 fp_table reduces a polynomial's exact coefficients into F_p once per
-prime and keeps the table on the polynomial; every evaluation at a
-curve or a root reads that table and runs over plain ints.
+prime and keeps the table on the polynomial; collapse is the one reader
+of that table, and every evaluation at a curve or a root goes through it
+and runs over plain ints.
 
 Field elements are canonical ints in [0, p).  The PrimeField object
 owns the modulus and counts modular multiplications and inversions,
@@ -141,13 +142,14 @@ class PrimeField:
     adds in schoolbook units, independent of the algorithm used: a
     product of polynomials of lengths m and n adds m*n, and reducing a
     length-n polynomial by a degree-d modulus adds (n - d)*d, plus n - d
-    for the quotient digits when the modulus is not monic.  The
-    evaluators over a compiled table of T terms add one per power they
-    take; specialize adds 2T, derivative_bundle one per slope k*v^(k-1)
-    plus 6T plus 7 per power of X.  An exponentiation x^e adds
-    e.bit_length() + popcount(e) - 2, its square-and-multiply steps;
-    sqrt adds its exponentiations plus one per further squaring or
-    product, and roots adds 3 more per degree-2 factor it solves.
+    for the quotient digits when the modulus is not monic.  Reading a
+    compiled table of T terms adds one per power taken and 2T per
+    collapse: specialize is one collapse, derivative_bundle four, plus
+    one per slope k*v^(k-1) and 7 per power of X for its dot products.
+    An exponentiation x^e adds e.bit_length() + popcount(e) - 2, its
+    square-and-multiply steps; sqrt adds its exponentiations plus one
+    per further squaring or product, and roots adds 3 more per degree-2
+    factor it solves.
     inv_count counts inversions, one per coefficient denominator when a
     table is compiled.
     """
@@ -486,13 +488,14 @@ class UniPoly:
         return f"UniPoly(p={self.field.p}, coeffs={self.coeffs})"
 
 
-def roots(f: UniPoly, seed) -> list:
+def roots(f: UniPoly) -> list:
     """All distinct roots of f in F_p, sorted ascending.
 
     gcd(X^p - X, f) isolates the product of distinct linear factors.
     A factor of degree 2 is solved by the quadratic formula; larger
-    ones go through seeded equal-degree splitting.  The result does not
-    depend on the seed; only the internal path does.
+    ones go through equal-degree splitting, whose random shifts come
+    from a generator seeded with the constant 0, so every call on the
+    same f takes the same path.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -502,7 +505,7 @@ def roots(f: UniPoly, seed) -> list:
     if f.degree == 0:
         return []
     lin = (x.powmod(p, f) - x).gcd(f)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     one = UniPoly(fld, [1])
     found = []
     stack = [lin]
@@ -577,18 +580,16 @@ def fp_table(P, fld: PrimeField) -> tuple:
 
     The table is (terms, tops): one (i, a, b, c) per nonzero coefficient
     c of X^i E4^a E6^b mod p, in the E4E6 basis whatever basis P is
-    stored in, or (i, k, c) for X^i j^k of Phi; tops holds each
-    variable's maximal exponent.  This is the package's one reduction of
-    a Fraction into F_p.
+    stored in, or (i, k, 0, c) for X^i j^k of Phi, as its store lines
+    read; tops holds each slot's maximal exponent.  This is the
+    package's one reduction of a Fraction into F_p.
     """
     p = fld.p
     table = P._fp.get(p)
     if table is None:
         if p == P.ell:
             raise ValueError("p equals the level ell")
-        src = P
-        if isinstance(P, TrivariatePoly) and P.basis != "E4E6":
-            src = P.to_basis("E4E6")
+        src = P.to_basis("E4E6") if isinstance(P, TrivariatePoly) else P
         inv = {1: 1}
         terms = []
         for key, c in src.terms.items():
@@ -596,10 +597,25 @@ def fp_table(P, fld: PrimeField) -> tuple:
                 inv[c.denominator] = fld.inv(c.denominator)
             c = c.numerator * inv[c.denominator] % p
             if c:
-                terms.append((*key, c))
+                terms.append((*key, 0, c) if len(key) == 2 else (*key, c))
         tops = tuple(map(max, zip(*terms)))[:-1]
         table = P._fp[p] = (tuple(terms), tops)
     return table
+
+
+def collapse(P, fld: PrimeField, keep: int, t1: list, t2: list) -> list:
+    """The one reader of P's table: entry e sums c * t1[m] * t2[n], left
+    unreduced mod p, over the terms with exponent e in slot keep and
+    m, n in the other two slots; t1, t2 are power or slope tables."""
+    terms, tops = fp_table(P, fld)
+    others = [s for s in (0, 1, 2) if s != keep]
+    rows = terms if keep == 0 else map(
+        operator.itemgetter(keep, *others, 3), terms)
+    out = [0] * (tops[keep] + 1)
+    for e, m, n, c in rows:
+        out[e] += c * t1[m] * t2[n]
+    fld.mul_count += 2 * len(terms)
+    return out
 
 
 def specialize(P, curve: CurveParams) -> UniPoly:
@@ -609,44 +625,33 @@ def specialize(P, curve: CurveParams) -> UniPoly:
     basis, read at (-A/3, -B/2), which is the AB basis read at (A, B).
     """
     fld = curve.field
-    terms, (dx, dy, dz) = fp_table(P, fld)
-    ys = fld.powers(curve.e4, dy)
-    zs = fld.powers(curve.e6, dz)
-    out = [0] * (dx + 1)
-    for i, a, b, c in terms:
-        out[i] += c * ys[a] * zs[b]
-    fld.mul_count += 2 * len(terms)
-    return UniPoly(fld, out)
+    _, (_, dy, dz) = fp_table(P, fld)
+    return UniPoly(fld, collapse(P, fld, 0, fld.powers(curve.e4, dy),
+                                 fld.powers(curve.e6, dz)))
 
 
 def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
     """First and mixed-second partials of P at (root, -A/3, -B/2).
 
-    One pass over P's table sums, per power X^i, its (E4, E6) coefficient
-    and that coefficient's E4, E6 and E4E6 partials; the root's power and
-    slope tables then give all seven entries.
+    Four collapses onto X give, per power X^i, its (E4, E6) coefficient
+    and that coefficient's E4, E6 and E4E6 partials; the root's power
+    and slope tables then give all seven entries.
 
     Raises ValueError when the given point is not actually a root;
     that always signals a caller logic error, not bad input data.
     """
     fld = curve.field
     p = fld.p
-    terms, (dx, dy, dz) = fp_table(P, fld)
+    _, (dx, dy, dz) = fp_table(P, fld)
     xs = fld.powers(root % p, dx)
     ys = fld.powers(curve.e4, dy)
     zs = fld.powers(curve.e6, dz)
     # slopes: entry k is k * v^(k-1), the derivative of v^k
     dxs, dys, dzs = ([0] + [k * v % p for k, v in enumerate(vs[:-1], 1)]
                      for vs in (xs, ys, zs))
-    g, g4, g6, g46 = ([0] * (dx + 1) for _ in range(4))
-    for i, a, b, c in terms:
-        cz = c * zs[b]
-        cdz = c * dzs[b]
-        g[i] += cz * ys[a]
-        g4[i] += cz * dys[a]
-        g6[i] += cdz * ys[a]
-        g46[i] += cdz * dys[a]
-    fld.mul_count += dx + dy + dz + 6 * len(terms) + 7 * (dx + 1)
+    g, g4, g6, g46 = (collapse(P, fld, 0, t1, t2) for t1, t2 in
+                      ((ys, zs), (dys, zs), (ys, dzs), (dys, dzs)))
+    fld.mul_count += dx + dy + dz + 7 * (dx + 1)
 
     def dot(coeffs, powers) -> int:
         return sum(map(operator.mul, coeffs, powers)) % p

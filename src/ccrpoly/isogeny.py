@@ -18,8 +18,8 @@ from collections import namedtuple
 from . import formulas
 from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                      VerificationError)
-from .ffield import (CurveParams, UniPoly, check_level, derivative_bundle,
-                     fp_table, roots, specialize)
+from .ffield import (CurveParams, UniPoly, check_level, collapse,
+                     derivative_bundle, fp_table, roots, specialize)
 
 
 ValidationFlags = namedtuple("ValidationFlags", "v_root w_root phi_match")
@@ -103,15 +103,8 @@ def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
     return s0, s2, s3
 
 
-def _phi_match(phi, field, j: int, j_star: int) -> bool:
-    terms, (dx, dk) = fp_table(phi, field)
-    xs = field.powers(j, dx)
-    ys = field.powers(j_star, dk)
-    return sum(c * xs[i] * ys[k] for i, k, c in terms) % field.p == 0
-
-
 def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
-                seed=0, diagnostics=None) -> list:
+                diagnostics=None) -> list:
     """Work every root of the specialized U polynomial into an
     IsogenyStepResult.
 
@@ -119,7 +112,7 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     derivative or point value vanishes are skipped; a (root, message)
     pair goes to the diagnostics list when one is supplied.  v, w, phi
     are optional cross-check polynomials; their flags stay None when
-    absent.
+    absent, and they are specialized only when U has a root.
     """
     field = curve.field
     _check_level(field, ell)
@@ -131,9 +124,10 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
 
     out = []
     e4, e6 = curve.e4, curve.e6
-    v_spec = specialize(v, curve) if v is not None else None
-    w_spec = specialize(w, curve) if w is not None else None
-    for sigma in roots(specialize(u, curve), seed):
+    sigmas = roots(specialize(u, curve))
+    v_spec = specialize(v, curve) if sigmas and v is not None else None
+    w_spec = specialize(w, curve) if sigmas and w is not None else None
+    for sigma in sigmas:
         bundle = derivative_bundle(u, curve, sigma)
         try:
             e4t = e4_tilde(field, ell, sigma, bundle, e4, e6)
@@ -153,7 +147,11 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
                 note(sigma, "isogenous curve has zero discriminant")
             else:
                 j_star = 1728 * pow(e4t, 3, p) * field.inv(delta_num) % p
-                phi_ok = _phi_match(phi, field, curve.j_invariant(), j_star)
+                # Phi(j, j*): Phi collapsed onto X at j*, read at j
+                _, (_, dk, _) = fp_table(phi, field)
+                phi_x = collapse(phi, field, 0, field.powers(j_star, dk), [1])
+                phi_ok = UniPoly(field, phi_x).evaluate(
+                    curve.j_invariant()) == 0
         s0, s2, s3 = elkies_power_sums(field, curve.A, curve.B,
                                        a_star, b_star, sigma, ell)
         out.append(IsogenyStepResult(
@@ -234,22 +232,19 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
 def _ua_b_slot_poly(field, ua, x_val: int, a_val: int) -> UniPoly:
     """The eta-variant polynomial as a univariate in its B slot.
 
-    The E4E6 table is read at E4 = -A/3, so the coefficient of B^b is
-    the sum of c x^i (-A/3)^a times (-1/2)^b from E6 = -B/2.
+    The E4E6 table collapses onto E6 at X = x and E4 = -A/3, so the
+    coefficient of B^b is the sum of c x^i (-A/3)^a times (-1/2)^b from
+    E6 = -B/2.
     """
     p = field.p
-    terms, (dx, dy, dz) = fp_table(ua, field)
-    xs = field.powers(x_val, dx)
-    ys = field.powers(-a_val * field.inv(3) % p, dy)
-    out = [0] * (dz + 1)
-    for i, a, b, c in terms:
-        out[b] += c * xs[i] * ys[a]
+    _, (dx, dy, dz) = fp_table(ua, field)
+    out = collapse(ua, field, 2, field.powers(x_val, dx),
+                   field.powers(-a_val * field.inv(3) % p, dy))
     halves = field.powers(-field.inv(2) % p, dz)
     return UniPoly(field, [c * h for c, h in zip(out, halves)])
 
 
-def atkin_step(curve: CurveParams, ell: int, ua, seed=0,
-               diagnostics=None) -> list:
+def atkin_step(curve: CurveParams, ell: int, ua, diagnostics=None) -> list:
     """Work every root of the specialized eta variant through sigma,
     E4(q^ell), A* and the B* gcd."""
     field = curve.field
@@ -259,7 +254,7 @@ def atkin_step(curve: CurveParams, ell: int, ua, seed=0,
     p = field.p
     out = []
     e4, e6 = curve.e4, curve.e6
-    for f in roots(specialize(ua, curve), seed):
+    for f in roots(specialize(ua, curve)):
         bundle = derivative_bundle(ua, curve, f)
         try:
             sigma = atkin_sigma(field, ell, f, bundle, e4, e6)

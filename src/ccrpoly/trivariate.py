@@ -37,6 +37,12 @@ def _convert_coeff(c: Fraction, a: int, b: int, to_ab: bool) -> Fraction:
     return c * scale if to_ab else c / scale
 
 
+def _denominator_is_smooth(c: Fraction) -> bool:
+    """Whether c's denominator d is of the form 2^x 3^y, that is divides
+    6^k for k = bit_length(d), which bounds x and y."""
+    return 6 ** c.denominator.bit_length() % c.denominator == 0
+
+
 class TrivariatePoly:
     """Terms (i, a, b) -> Fraction in one basis, never changed after
     construction, so ``_fp`` can cache ffield's table of them per p."""
@@ -75,7 +81,8 @@ class TrivariatePoly:
         return out
 
     def validate(self) -> "TrivariatePoly":
-        """Check monicity, X-degree, and weighted homogeneity."""
+        """Check monicity, X-degree, weighted homogeneity, and the
+        denominators: integral in the AB basis, or 2^x 3^y for Ua."""
         n = self.ell + 1
         if self.degree_x() != n:
             raise BuildError(f"{self.kind}_{self.ell}: X-degree "
@@ -89,6 +96,17 @@ class TrivariatePoly:
                 raise BuildError(
                     f"{self.kind}_{self.ell}: monomial ({i},{a},{b}) breaks "
                     f"weighted homogeneity {w}*i+2a+3b={self.weighted_degree}")
+        if self.kind == "Ua":
+            if not all(map(_denominator_is_smooth, self.terms.values())):
+                raise BuildError(f"Ua_{self.ell}: denominator not of the "
+                                 f"form 2^x 3^y")
+        # c E4^a E6^b reads (-1)^(a+b) c / (3^a 2^b) A^a B^b, an integer
+        # exactly when c is one and 3^a 2^b divides it
+        elif not self.is_integral() or self.basis == "E4E6" and any(
+                c.numerator % (3 ** a * 2 ** b)
+                for (_, a, b), c in self.terms.items()):
+            raise BuildError(f"{self.kind}_{self.ell}: non-integer "
+                             f"coefficients in AB basis")
         return self
 
     def is_integral(self) -> bool:
@@ -229,10 +247,6 @@ def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
 # as num/den, integers bare.
 
 
-def _fmt(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_to_text(obj, basis: str | None = None) -> str:
     if isinstance(obj, ClassicalModularPoly):
         lines = [f"CCR kind=Phi ell={obj.ell} basis=j"]
@@ -244,13 +258,13 @@ def poly_to_text(obj, basis: str | None = None) -> str:
         lines = [f"CCR kind={obj.kind} ell={obj.ell} basis=Delta"]
         for key in sorted(terms, reverse=True):
             i, a, b, m = key
-            lines.append(f"{i} {a} {b} {m} {_fmt(terms[key])}")
+            lines.append(f"{i} {a} {b} {m} {terms[key]!s}")
         return "\n".join(lines) + "\n"
     if basis is not None:
         obj = obj.to_basis(basis)
     lines = [f"CCR kind={obj.kind} ell={obj.ell} basis={obj.basis}"]
     for (i, a, b) in sorted(obj.terms, reverse=True):
-        lines.append(f"{i} {a} {b} {_fmt(obj.terms[(i, a, b)])}")
+        lines.append(f"{i} {a} {b} {obj.terms[(i, a, b)]!s}")
     return "\n".join(lines) + "\n"
 
 

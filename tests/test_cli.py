@@ -283,6 +283,33 @@ class TestStoreErrors:
         kind_ell = name.rsplit("_", 1)[0]
         assert proc.stdout == f"store error: {path}: {kind_ell}: {reason}\n"
 
+    # store file, the command that reads it, a term line, its replacement
+    # with a denominator p = 1009 divides, and the builder's gate it fails
+    BAD_DENOMINATORS = {
+        "U5": ("U_5_E4E6.txt", ELKIES_ARGS, "4 1 0 -60\n", "4 1 0 1/1009\n",
+               "non-integer coefficients in AB basis"),
+        "Ua11": ("Ua_11_E4E6.txt", ATKIN_ARGS, "1 4 1 -1/1728\n",
+                 "1 4 1 1/1009\n", "denominator not of the form 2^x 3^y"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_DENOMINATORS))
+    def test_denominator_the_builder_refuses(self, cache, tmp_path, capsys,
+                                             defect):
+        """A coefficient the builder's denominator gate would refuse is
+        refused on read too, before fp_table inverts its denominator."""
+        name, argv, line, bad, reason = self.BAD_DENOMINATORS[defect]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        path = cache / name
+        text = path.read_text()
+        assert line in text
+        path.write_text(text.replace(line, bad))
+        proc = run_cli(argv, cache, tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        kind_ell = name.rsplit("_", 1)[0]
+        assert proc.stdout == f"store error: {path}: {kind_ell}: {reason}\n"
+
     # a term line only the parser can refuse: validate() passes it
     BAD_TERMS = {
         # keeps homogeneity; fp_table would index its power tables at -2
@@ -499,3 +526,10 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [ELKIES_ARGS, ATKIN_ARGS])
+    def test_seed_is_not_a_flag(self, cache, capsys, argv):
+        # root finding takes one fixed path, so there is nothing to seed
+        assert cli.main(argv + ["--seed", "0"]) == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not cache.exists()

@@ -2,13 +2,14 @@
 derivative bundles, division polynomials."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ccrpoly import isogeny
+from ccrpoly import ffield, isogeny
 from ccrpoly.errors import GcdDegreeTwo, SingularCurve, VerificationError
 from ccrpoly.ffield import (
     CurveParams,
@@ -285,8 +286,8 @@ class TestPackedArithmetic:
         st.just(p),
         st.lists(st.integers(0, p - 1), min_size=1, max_size=12),
         st.lists(st.integers(0, p - 1), max_size=6),
-        st.integers(1, p - 1))), st.integers(0, 2**32))
-    def test_roots_match_brute_force(self, case, seed):
+        st.integers(1, p - 1))))
+    def test_roots_match_brute_force(self, case):
         p, factors, cofactor, lead = case
         fld = PrimeField(p)
         x = UniPoly.x(fld)
@@ -295,7 +296,7 @@ class TestPackedArithmetic:
             f = f * (x - r)
         f = f * UniPoly(fld, cofactor + [1])
         want = [r for r in range(p) if f.evaluate(r) == 0]
-        assert roots(f, seed) == want
+        assert roots(f) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((97, 101, 103, 2**256 - 2063)).flatmap(
@@ -303,9 +304,8 @@ class TestPackedArithmetic:
             st.just(p),
             st.lists(st.integers(0, p - 1), unique=True, max_size=10),
             st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, p - 1)),
-                     max_size=3))), st.integers(0, 2**32))
-    def test_roots_of_linear_and_irreducible_quadratic_factors(self, case,
-                                                              seed):
+                     max_size=3))))
+    def test_roots_of_linear_and_irreducible_quadratic_factors(self, case):
         """Distinct linear factors times quadratics (X + u)^2 - n v^2 with
         n a non-residue, which have no root in F_p."""
         p, linear, quadratics = case
@@ -317,39 +317,48 @@ class TestPackedArithmetic:
             f = f * (x - r)
         for u, v in quadratics:
             f = f * ((x + u) * (x + u) - n * v * v)
-        assert roots(f, seed) == sorted(linear)
+        assert roots(f) == sorted(linear)
 
 
 class TestRoots:
     def test_u5_worked_curve(self, fld, curve13, u5):
-        assert roots(specialize(u5, curve13), seed=7) == [584, 664]
+        assert roots(specialize(u5, curve13)) == [584, 664]
 
     def test_ua11_worked_curve(self, fld, curve13, ua11):
-        assert roots(specialize(ua11, curve13), seed=7) == [65, 333]
+        assert roots(specialize(ua11, curve13)) == [65, 333]
 
     def test_square_root_of_minus_one(self, fld):
         f = UniPoly(fld, [1, 0, 1])
-        r = roots(f, seed=0)
+        r = roots(f)
         assert len(r) == 2 and r[0] + r[1] == P
         assert r[0] * r[0] % P == P - 1
 
-    def test_seed_independence(self, fld, curve13, u5):
-        f = specialize(u5, curve13)
-        baseline = roots(f, seed=0)
-        for seed in (1, 2, 999, "text-seed"):
-            assert roots(f, seed=seed) == baseline
+    @pytest.mark.parametrize("seed", (1, 2, 999, "text-seed"))
+    def test_splitting_path_does_not_change_roots(self, fld, monkeypatch,
+                                                  seed):
+        """The splitting generator is seeded with 0; any other seed takes
+        another path to the same sorted roots."""
+        x = UniPoly.x(fld)
+        f = x + 1
+        for r in (3, 17, 29, 40, 57, 64, 71, 98):
+            f = f * (x - r)
+        baseline = roots(f)
+        assert baseline == [3, 17, 29, 40, 57, 64, 71, 98, P - 1]
+        monkeypatch.setattr(ffield, "random", types.SimpleNamespace(
+            Random=lambda _: random.Random(seed)))
+        assert roots(f) == baseline
 
     def test_repeated_factors_and_zero_root(self, fld):
         x = UniPoly.x(fld)
         f = x * (x - 3) * (x - 3) * (x - 5)
-        assert roots(f, seed=4) == [0, 3, 5]
+        assert roots(f) == [0, 3, 5]
 
     def test_count_matches_linear_part(self, fld):
         rng = random.Random(11)
         x = UniPoly.x(fld)
         for _ in range(10):
             f = UniPoly(fld, [rng.randrange(P) for _ in range(8)] + [1])
-            rs = roots(f, seed=2)
+            rs = roots(f)
             lin = (x.powmod(P, f) - x).gcd(f)
             assert len(rs) == lin.degree
             for r in rs:
@@ -357,8 +366,8 @@ class TestRoots:
 
     def test_degenerate_inputs(self, fld):
         with pytest.raises(ValueError):
-            roots(UniPoly(fld, []), seed=0)
-        assert roots(UniPoly(fld, [4]), seed=0) == []
+            roots(UniPoly(fld, []))
+        assert roots(UniPoly(fld, [4])) == []
 
 
 class TestCurveParams:
@@ -538,13 +547,13 @@ class TestRootCountProperty:
                 continue
             seen += 1
             c = CurveParams(fld, a, b)
-            n = len(roots(specialize(poly, c), seed=5))
+            n = len(roots(specialize(poly, c)))
             assert n in (0, 1, 2, ell + 1)
 
     def test_atkin_curve_has_no_roots(self, fld, u5):
         # frozen Atkin instance reused by the command-line tests
         c = CurveParams(fld, 1, 2)
-        assert roots(specialize(u5, c), seed=3) == []
+        assert roots(specialize(u5, c)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +619,12 @@ class TestCompiledTables:
     @pytest.mark.parametrize("name", _TABLE_POLYS)
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(curve=_table_curves(), seed=st.integers(0, 2**32))
+    @given(curve=_table_curves())
     def test_specialize_and_bundle_match_exact_partials(
-            self, request, name, basis, curve, seed):
+            self, request, name, basis, curve):
         P = request.getfixturevalue(name).to_basis(basis)
         spec = _check_specialize(P, curve)
-        for root in roots(spec, seed):
+        for root in roots(spec):
             assert derivative_bundle(P, curve, root) == \
                 _oracle_bundle(P, curve, root)
 
@@ -636,7 +645,7 @@ class TestCompiledTables:
             monkeypatch.setattr(TrivariatePoly, name, counted(name))
         spec = specialize(P, curve)
         assert calls == ["to_basis"]
-        rs = roots(spec, 0)
+        rs = roots(spec)
         assert rs
         for _ in range(2):
             specialize(P, curve)
@@ -668,7 +677,7 @@ class TestCompiledTables:
 
         def b_stars():
             out = []
-            for f in roots(specialize(ua, curve), 0):
+            for f in roots(specialize(ua, curve)):
                 try:
                     out.append(isogeny.atkin_b_star(11, f, a_val, curve, ua))
                 except (GcdDegreeTwo, VerificationError) as exc:

@@ -107,7 +107,7 @@ class TestE6Tilde:
 
 class TestElkiesStep:
     def test_five_isogeny_worked_example(self, curve13, u5, v5, w5, phi5):
-        res = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5, seed=1)
+        res = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5)
         assert [r.sigma for r in res] == [584, 664]
         first = res[0]
         assert (first.sigma, first.a_star, first.b_star) == (584, 441, 997)
@@ -117,33 +117,33 @@ class TestElkiesStep:
             assert r.validated.phi_match
 
     def test_scaling_invariant(self, curve13, u5):
-        for r in elkies_step(curve13, 5, u5, seed=1):
+        for r in elkies_step(curve13, 5, u5):
             assert r.a_star == -3 * pow(5, 4, P) * r.e4t % P
             assert r.b_star == -2 * pow(5, 6, P) * r.e6t % P
 
     def test_power_sum_fields(self, curve13, u5):
-        r = elkies_step(curve13, 5, u5, seed=1)[0]
+        r = elkies_step(curve13, 5, u5)[0]
         assert r.sigma0 == 2
         assert r.sigma2 == ((1 - r.a_star) * pow(5, P - 2, P)
                             - 2 * 1 * r.sigma0) * pow(6, P - 2, P) % P
 
     def test_flags_none_without_polys(self, curve13, u5):
-        r = elkies_step(curve13, 5, u5, seed=1)[0]
+        r = elkies_step(curve13, 5, u5)[0]
         assert r.validated == (None, None, None) or (
             r.validated.v_root is None
             and r.validated.w_root is None
             and r.validated.phi_match is None)
 
     def test_atkin_prime_empty(self, fld, u5):
-        assert elkies_step(CurveParams(fld, 1, 2), 5, u5, seed=1) == []
+        assert elkies_step(CurveParams(fld, 1, 2), 5, u5) == []
 
     def test_determinism(self, curve13, u5, v5, w5, phi5):
-        a = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5, seed=9)
-        b = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5, seed=9)
+        a = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5)
+        b = elkies_step(curve13, 5, u5, v=v5, w=w5, phi=phi5)
         assert a == b
 
     def test_seven_isogeny(self, curve13, u7, v7, w7, phi7):
-        res = elkies_step(curve13, 7, u7, v=v7, w=w7, phi=phi7, seed=1)
+        res = elkies_step(curve13, 7, u7, v=v7, w=w7, phi=phi7)
         assert [r.sigma for r in res] == [50, 909]
         for r in res:
             assert r.validated.v_root and r.validated.w_root
@@ -154,15 +154,15 @@ class TestElkiesStep:
         # degenerate-point guards, so the root is skipped, not fatal
         c = CurveParams(fld, 0, 1)
         sink = []
-        assert elkies_step(c, 7, u7, seed=1, diagnostics=sink) == []
+        assert elkies_step(c, 7, u7, diagnostics=sink) == []
         assert sink and sink[0][0] == 0
 
     def test_level_gates(self, curve13, u5):
         with pytest.raises(ValueError):
-            elkies_step(curve13, 4, u5, seed=1)
+            elkies_step(curve13, 4, u5)
         f5 = PrimeField(5)
         with pytest.raises(ValueError):
-            elkies_step(CurveParams(f5, 1, 3), 5, u5, seed=1)
+            elkies_step(CurveParams(f5, 1, 3), 5, u5)
 
 
 class TestElkiesPowerSums:
@@ -259,7 +259,7 @@ class TestAtkinBStar:
 
 class TestAtkinStep:
     def test_both_branches(self, curve13, ua11):
-        res = atkin_step(curve13, 11, ua11, seed=1)
+        res = atkin_step(curve13, 11, ua11)
         assert [(r.f, r.sigma, r.e4t, r.a_star, r.b_star) for r in res] == [
             (65, 75, 532, 395, 460),
             (333, 681, 430, 581, 584),
@@ -277,12 +277,12 @@ class TestAtkinStep:
             r.error = "changed"
 
     def test_determinism(self, curve13, ua11):
-        assert atkin_step(curve13, 11, ua11, seed=1) == \
-            atkin_step(curve13, 11, ua11, seed=2)
+        assert atkin_step(curve13, 11, ua11) == \
+            atkin_step(curve13, 11, ua11)
 
     def test_level_gate(self, curve13, ua11):
         with pytest.raises(ValueError, match="11 mod 12"):
-            atkin_step(curve13, 13, ua11, seed=1)
+            atkin_step(curve13, 13, ua11)
 
 
 # One line per call: "E" (elkies_step with V, W and Phi) or "A"
@@ -302,11 +302,11 @@ def test_step_repr_matches_recording(request, line):
     step, p, a, b, ell, want = line.split(" ", 5)
     curve = CurveParams(PrimeField(int(p)), int(a), int(b))
     if step == "A":
-        res = atkin_step(curve, 11, request.getfixturevalue("ua11"), seed=0)
+        res = atkin_step(curve, 11, request.getfixturevalue("ua11"))
     else:
         u, v, w, phi = (request.getfixturevalue(f"{kind}{ell}")
                         for kind in ("u", "v", "w", "phi"))
-        res = elkies_step(curve, int(ell), u, v=v, w=w, phi=phi, seed=0)
+        res = elkies_step(curve, int(ell), u, v=v, w=w, phi=phi)
     assert repr(res) == want
 
 
@@ -325,7 +325,7 @@ class TestFormulaSymbolicAgreement:
             if curve.e4 == 0 or curve.e6 == 0:
                 continue
             poly = {5: u5, 7: u7}[ell]
-            for sigma in roots(specialize(poly, curve), seed=1):
+            for sigma in roots(specialize(poly, curve)):
                 if sigma == 0:
                     continue
                 bundle = derivative_bundle(poly, curve, sigma)

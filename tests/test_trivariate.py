@@ -84,6 +84,30 @@ class TestValidate:
         with pytest.raises(BuildError):
             TrivariatePoly("U", 5, "E4E6", bad).validate()
 
+    @pytest.mark.parametrize("basis, key, coeff", [
+        ("E4E6", (4, 1, 0), Fraction(-60, 7)),
+        ("E4E6", (4, 1, 0), -61),       # -61/3 on A*X^4
+        ("E4E6", (0, 0, 2), -322),      # -322/4 on B^2
+        ("AB", (4, 1, 0), Fraction(20, 3)),
+    ])
+    def test_non_integer_ab_coefficient_rejected(self, basis, key, coeff):
+        terms = dict(U5_E4E6 if basis == "E4E6" else U5_AB)
+        terms[key] = coeff
+        with pytest.raises(BuildError, match="non-integer coefficients"):
+            TrivariatePoly("U", 5, basis, terms).validate()
+        TrivariatePoly("U", 5, basis, U5_AB if basis == "AB"
+                       else U5_E4E6).validate()
+
+    @pytest.mark.parametrize("den", [5, 1009, 2 * 7])
+    def test_ua_denominator_must_be_smooth(self, den):
+        ua = expand_delta_display("Ua", 11, UA11_DELTA)
+        terms = dict(ua.terms)
+        terms[(1, 4, 1)] = Fraction(1, den)
+        with pytest.raises(BuildError, match="2\\^x 3\\^y"):
+            TrivariatePoly("Ua", 11, "E4E6", terms).validate()
+        for basis in ("E4E6", "AB"):
+            ua.to_basis(basis).validate()
+
     def test_is_integral_sees_denominators(self):
         p = TrivariatePoly("U", 5, "E4E6",
                            {(6, 0, 0): 1, (0, 0, 2): Fraction(1, 2)})
