@@ -15,18 +15,26 @@ The traces come from baby and giant steps (power_traces): with
 m = ceil(sqrt(k_max)), only R^1..R^m and R^m, R^2m, ... are formed in
 full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
 exponents ell divides, so the ell+1 traces cost about 2*sqrt(ell+1) full
-products.  build_classical_phi shares that routine too.
+products.  build_classical_phi shares that routine too.  Every chain of
+powers (_powers) forms its even powers as squares, which PowerSeries
+multiplies with half the products.
+
+match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
+with b <= 1 whose i-th element starts with q^i, and rewrites the result
+in E4^a E6^b.  build_classical_phi peels the powers of j off e_k in
+integers on e_k's own window, and re-expands e_k only on the slots that
+later Newton levels read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import BasisMatchError, BuildError, PrecisionError
 from .ffield import check_level
-from .qseries import PowerSeries, eisenstein_series, eta_squared_product, \
-    j_series, sigma1_series
+from .qseries import PowerSeries, _series, delta_series, \
+    eisenstein_series, eta_squared_product, j_series, sigma1_series
 from .trivariate import PHI_ELLS, ClassicalModularPoly, TrivariatePoly, \
     X_WEIGHT
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -61,23 +69,28 @@ def conjugate_series(kind: str, ell: int, n_q: int):
     return r_inf, r_x.reinterpret(ell)
 
 
+def _powers(pw: list, top: int) -> list:
+    """Grow pw = [x^0 or None, x, x^2, ...] in place through x^top and
+    return it; every even power is formed as a square."""
+    while len(pw) <= top:
+        k = len(pw)
+        pw.append(pw[k // 2] * pw[k // 2] if k % 2 == 0 else pw[-1] * pw[1])
+    return pw
+
+
 def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     """[trace of R^k over the ell cosets for k = 1..k_max], from about
     2*sqrt(k_max) full products (the baby-step/giant-step split of
     Paterson and Stockmeyer, 1973).
 
     With m = ceil(sqrt(k_max)), the baby steps R^1..R^m and the giant
-    steps R^m, R^2m, ... are formed in full; every other k = t*m + j is
-    traced from R^(tm) and R^j by PowerSeries.product_trace, which never
-    forms R^k.  All R^k share R's window length, so each trace is exactly
+    steps R^m, R^2m, ... are formed in full, the even ones as squares;
+    every other k = t*m + j is traced from R^(tm) and R^j by
+    PowerSeries.product_trace, which never forms R^k.  All R^k share R's window length, so each trace is exactly
     the one the full power would give."""
     m = isqrt(k_max - 1) + 1
-    baby = [None, big_r]
-    while len(baby) <= m:
-        baby.append(baby[-1] * big_r)
-    giant = [None, baby[m]]
-    while len(giant) <= k_max // m:
-        giant.append(giant[-1] * baby[m])
+    baby = _powers([None, big_r], m)
+    giant = _powers([None, baby[m]], k_max // m)
     out = []
     for k in range(1, k_max + 1):
         t, j = divmod(k, m)
@@ -111,84 +124,69 @@ def form_basis_exponents(w: int) -> list:
     return out
 
 
-def _gauss_solve(rows: list, rhs: list, m: int) -> list:
-    """Exact solve of an overdetermined integer system by fraction-free
-    (Bareiss) elimination; raises BasisMatchError when rank-deficient or
-    inconsistent.
-
-    After step k every entry below the pivots is a (k+1)-minor of the
-    augmented matrix, so each division by the previous pivot is exact, and
-    a row past the m pivots ends with a zero right-hand side exactly when
-    it agrees with the solution."""
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    n = len(aug)
-    prev = 1
-    for k in range(m):
-        pr = next((i for i in range(k, n) if aug[i][k]), None)
-        if pr is None:
-            raise BasisMatchError("rank-deficient basis system")
-        aug[k], aug[pr] = aug[pr], aug[k]
-        piv = aug[k]
-        p = piv[k]
-        tail = piv[k + 1:]
-        for row in aug[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * v - f * t) // prev
-                           for v, t in zip(row[k + 1:], tail)]
-        prev = p
-    if any(row[m] for row in aug[m:]):
-        raise BasisMatchError("inconsistent basis system")
-    sol = [Fraction(0)] * m
-    for k in range(m - 1, -1, -1):
-        row = aug[k]
-        acc = Fraction(row[m]) - sum(row[j] * sol[j] for j in range(k + 1, m))
-        sol[k] = acc / row[k]
-    return sol
-
-
 def _form_powers(end: int) -> tuple:
-    """([1, E4], [1, E6]) on the q-window [0, end).  match_to_form_basis
-    appends higher powers to the lists as the weights it is asked for
-    grow, so one pair serves every match of a build."""
+    """([1, E4], E6, [1, Delta]) on the q-window [0, end).
+    match_to_form_basis appends higher powers of E4 and Delta to the
+    lists as the weights it is asked for grow, so one triple serves every
+    match of a build."""
     one = PowerSeries.constant(1, end)
-    return [one, eisenstein_series(4, end)], [one, eisenstein_series(6, end)]
+    return ([one, eisenstein_series(4, end)], eisenstein_series(6, end),
+            [one, delta_series(end)])
 
 
 def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     """Write the q-series s exactly as sum of c_{a,b} E4^a E6^b over
-    2a + 3b = w; every known coefficient beyond the solve rows is
-    verified.  {} for the zero series.  Raises PrecisionError when s is
-    known to fewer than the w//6 + 1 coefficients of Sturm's bound for
-    weight 2w.
+    2a + 3b = w; every known coefficient is verified.  {} for the zero
+    series.  Raises PrecisionError when s is known to fewer than the
+    w//6 + 1 coefficients of Sturm's bound for weight 2w, and
+    BasisMatchError when s has a pole or is no such sum.
 
-    E4^a E6^b have integer coefficients, so the system's rows are the
-    basis numerators and its right-hand side is s.nums, solved over the
-    integers and divided by s.den at the end.  The powers of E4 and E6
-    come from ``powers`` (see _form_powers), whose window must cover s's,
-    or from a fresh pair."""
+    The solve runs in the basis Delta^i E4^a E6^b with 6i + 2a + 3b = w
+    and b <= 1, one element for each i with w - 6i != 1.  Element i
+    starts with 1*q^i and has integer coefficients, so for i = 0, 1, ...
+    its multiple is the q^i coefficient of the integer residual, starting
+    from s.nums, and is subtracted; the residual must then vanish on the
+    whole window.  The multiples are rewritten in E4^a E6^b through
+    Delta = (E4^3 - E6^2)/1728 and divided by s.den.  The powers come
+    from ``powers`` (see _form_powers), whose window must cover s's, or
+    from a fresh triple."""
     exps = form_basis_exponents(w)
     end = s.end
     if not exps:
         if not s.is_zero():
             raise BasisMatchError(f"nonzero series but empty weight-{w} basis")
         return {}
-    m = len(exps)
     sturm = w // 6 + 1
     # s and its fit are weight-2w forms: by Sturm, exact rows prove s == fit
     if end < sturm:
         raise PrecisionError(f"need {sturm} coefficients, have {end}")
-    p4, p6 = powers or _form_powers(end)
-    basis_series = []
-    for (a, b) in exps:
-        for pw, t in ((p4, a), (p6, b)):
-            while len(pw) <= t:
-                pw.append(pw[-1] * pw[1])
-        basis_series.append(p4[a] * p6[b] if a and b else
-                            p4[a] if a else p6[b])
-    rows = [[bs.nums[nn] for bs in basis_series] for nn in range(end)]
-    rhs = [s.nums[nn - s.lead] if nn >= s.lead else 0 for nn in range(end)]
-    sol = _gauss_solve(rows, rhs, m)
-    return {exps[k]: sol[k] / s.den for k in range(m) if sol[k]}
+    below = max(-s.lead, 0)
+    if any(s.nums[:below]):
+        raise BasisMatchError("pole in a series matched to E4E6 forms")
+    p4, e6, pd = powers or _form_powers(end)
+    res = [0] * s.lead + s.nums[below:]         # on [0, end)
+    top = w // 6
+    nums = {}                       # over 1728**top * s.den
+    for i in range(top + 1):
+        b = (w - 6 * i) % 2
+        a = (w - 6 * i - 3 * b) // 2
+        c = res[i]
+        if not c or a < 0:      # no element for w - 6i == 1
+            continue
+        elem = _powers(p4, a)[a] * _powers(pd, i)[i]
+        if b:
+            elem = elem * e6
+        res[i:] = [u - c * v for u, v in zip(res[i:], elem.nums[i:end],
+                                              strict=True)]
+        # Delta^i = sum over j of C(i, j) (-E6^2)^j E4^(3(i-j)) / 1728^i
+        c *= 1728 ** (top - i)
+        for j in range(i + 1):
+            ab = (a + 3 * (i - j), b + 2 * j)
+            nums[ab] = nums.get(ab, 0) + (-1) ** j * comb(i, j) * c
+    if any(res):
+        raise BasisMatchError("inconsistent basis system")
+    den = 1728 ** top * s.den
+    return {ab: Fraction(nums[ab], den) for ab in exps if nums.get(ab)}
 
 
 def _newton_elementary(sums: list, e0: PowerSeries, step) -> list:
@@ -260,22 +258,23 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     Power sums have poles up to q^{-ell*k}, but each elementary symmetric
     function is a polynomial in j of degree <= ell+1.  After every Newton
     level the e_k series is matched against cached powers of j and then
-    re-expanded from the matched polynomial on a long window, which stops
-    the precision loss that the deep poles would otherwise cause.
+    re-expanded from the matched polynomial on a longer window, which
+    stops the precision loss that the deep poles would otherwise cause.
+    Level k + i multiplies e_k by s_i, whose window has end_s + ell*i
+    slots, so e_k is re-expanded on end_s + ell*(n - k) slots: every
+    product keeps the size it would have with any longer window.
     """
     if ell not in PHI_ELLS:
         raise ValueError(f"ell must be one of {PHI_ELLS}, got {ell}")
     n = ell + 1
     tail = 4                       # checked surplus coefficients past q^0
     end_s = tail + ell + 2         # power-sum window end
-    end_e = tail + ell * n         # re-expanded window end
+    end_e = tail + ell * n         # e_0's window end
     # expand j once at the longest window; j_series(P) is known below
     # q^(P-2), so each shorter window is a truncation of this one
     j_long = j_series(ell * end_s + ell + 3)
     jq = j_long.truncate(end_e + ell + 2)
-    jpow = [None, jq]
-    for m in range(2, n + 1):
-        jpow.append(jpow[-1] * jq)
+    jpow = _powers([None, jq], n)
 
     # the root j(q^ell) on the q-window [-ell, ell*r_end): its k-th power
     # is the k-th power of j on [-1, r_end), i.e. a truncation of jpow[k],
@@ -292,20 +291,20 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
         lead = e_k.effective_lead()
         if lead is not None and lead < -n:
             raise BuildError(f"Phi_{ell}: e_{k} pole below j-degree bound")
-        # peel the powers of j off from the deepest pole, summing the
-        # re-expansion on the long window as they go
+        # peel the powers of j off from the deepest pole, in integers on
+        # e_k's own window: r[t] is the numerator of the q^(t-n) term
+        r = [0] * (e_k.lead + n) + e_k.nums[max(-n - e_k.lead, 0):]
+        if len(r) <= n:
+            raise PrecisionError(f"Phi_{ell}: e_{k} ends below q^0")
         pk = {}
-        cur = e_k
-        rebuilt = None
         for m in range(n, 0, -1):
-            c = cur.coefficient(-m)
-            if c:
-                pk[m] = c
-                piece = c * jpow[m]
-                cur = cur - piece
-                rebuilt = piece if rebuilt is None else rebuilt + piece
-        pk[0] = c0 = cur.coefficient(0)
-        if not (cur - c0).is_zero():
+            v = r[n - m]
+            if v:
+                pk[m] = Fraction(v, e_k.den)
+                r[n - m:] = [u - v * t
+                             for u, t in zip(r[n - m:], jpow[m].nums)]
+        pk[0] = Fraction(r[n], e_k.den)
+        if any(r[n + 1:]):
             raise BuildError(f"Phi_{ell}: e_{k} is not a polynomial in j "
                              "at this precision")
         for m, c in pk.items():
@@ -313,8 +312,15 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
                 raise BuildError(f"Phi_{ell}: non-integer coefficient at "
                                  f"e_{k}, j^{m}")
             terms[(n - k, m)] = -int(c) if k % 2 else int(c)
-        return (PowerSeries.constant(c0, end_e) if rebuilt is None
-                else rebuilt + c0)
+        # re-expand from the deepest pole on the slots later levels read
+        top = next(iter(pk))
+        nums = [0] * (end_s + ell * (n - k))
+        nums[top] = int(pk.pop(0))
+        for m, c in pk.items():
+            c = int(c)
+            nums[top - m:] = [u + c * t
+                              for u, t in zip(nums[top - m:], jpow[m].nums)]
+        return _series(nums, 1, -top, 1)
 
     _newton_elementary(sums, PowerSeries.constant(1, end_e), match)
     return ClassicalModularPoly(ell, terms).validate()

@@ -13,8 +13,9 @@ the same rational coefficients therefore have the same ``nums`` and
 ``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
 the integers; Fractions appear only at the edges: the constructor,
 ``coefficient()`` and the ``coeffs`` view.  Each coefficient of a
-product is one dot product of numerator lists, and ``product_trace``
-takes only the coefficients at the exponents a given ell divides.
+product is one dot product of numerator lists (half of one for
+``s * s``), and ``product_trace`` takes only the coefficients at the
+exponents a given ell divides.
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -58,9 +59,13 @@ def _convolve(a, b, size, slots):
     """Slot n of the product of the numerator lists a and b truncated to
     ``size``, for each n in ``slots``: sum(a[t] * b[n-t] for t <= n), one
     C-level dot product against b's head reversed (map stops at the
-    shorter list)."""
+    shorter list).  A square (a is b) pairs a[t] * a[n-t] once, for
+    t < n - t, and adds a[n/2]**2 at even n: half the products."""
     rb = b[size - 1::-1]
-    return [sum(map(mul, a, rb[size - 1 - n:])) for n in slots]
+    if a is not b:
+        return [sum(map(mul, a, rb[size - 1 - n:])) for n in slots]
+    return [2 * sum(map(mul, a[:(n + 1) // 2], rb[size - 1 - n:]))
+            + (0 if n % 2 else a[n // 2] ** 2) for n in slots]
 
 
 class PowerSeries:
@@ -350,8 +355,10 @@ def j_series(precision):
     """j = E4^3/Delta = q^-1 + 744 + ...; window reaches x^(precision-3)."""
     if precision < 2:
         raise ValueError("j needs precision at least 2")
-    e4 = eisenstein_series(4, precision)
-    return e4 ** 3 / delta_series(precision)
+    c4 = eisenstein_series(4, precision) ** 3
+    e6 = eisenstein_series(6, precision)
+    # dividing by c4 - e6**2, which leads with 1728, is much slower
+    return c4 / ((c4 - e6 ** 2) / 1728)
 
 
 def fn_series(n, precision):

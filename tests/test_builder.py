@@ -163,6 +163,16 @@ class TestBasisMatch:
         with pytest.raises(BasisMatchError):
             match_to_form_basis(s, 2)
 
+    def test_pole_raises(self):
+        # 5/q + E4 is not E4: nothing below q^0 may be dropped
+        s = PowerSeries([5] + eisenstein_series(4, 8).coeffs, lead=-1)
+        with pytest.raises(BasisMatchError):
+            match_to_form_basis(s, 2)
+
+    def test_zeros_below_q0_are_no_pole(self):
+        s = PowerSeries([0, 0] + eisenstein_series(4, 8).coeffs, lead=-2)
+        assert match_to_form_basis(s, 2) == {(1, 0): 1}
+
     def test_nonzero_series_with_empty_basis_raises(self):
         s = PowerSeries([1] * 8)
         with pytest.raises(BasisMatchError):
@@ -288,6 +298,49 @@ class TestClassicalPhi:
     def test_symmetry(self, phi5):
         assert phi5.is_symmetric()
 
+    def test_every_tail_row_is_checked(self, monkeypatch):
+        # e_1 plus q^row, for each known row past q^0, is no polynomial
+        # in j
+        real = builder._newton_elementary
+        ends = []
+
+        def bump_at(row):
+            def spy(sums, e0, step):
+                def bumped(k, e_k):
+                    ends.append(e_k.end)
+                    coeffs = [0] * len(e_k.nums)
+                    coeffs[row - e_k.lead] = 1
+                    return step(k, e_k + PowerSeries(coeffs, lead=e_k.lead))
+                return real(sums, e0, bumped)
+            return spy
+
+        row = 1
+        while not ends or row < ends[0]:
+            monkeypatch.setattr(builder, "_newton_elementary", bump_at(row))
+            with pytest.raises(BuildError, match="not a polynomial in j"):
+                build_classical_phi(5)
+            row += 1
+        assert row > 2
+
+    @pytest.mark.parametrize("ell", [2, 5, 13])
+    def test_re_expansion_covers_every_later_product(self, monkeypatch,
+                                                     ell):
+        # level k + i multiplies e_k by s_i: a re-expanded e_k at least as
+        # long as s_i leaves that product the size s_i gives it
+        seen = []
+        real = builder._newton_elementary
+
+        def spy(sums, e0, step):
+            seen.append((sums, real(sums, e0, step)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(builder, "_newton_elementary", spy)
+        build_classical_phi(ell)
+        (sums, e), = seen
+        for k, e_k in enumerate(e, 1):
+            for s_i in sums[:ell + 1 - k]:
+                assert len(e_k.nums) >= len(s_i.nums)
+
     def test_rejects_unsupported_level(self):
         with pytest.raises(ValueError):
             build_classical_phi(4)
@@ -328,7 +381,10 @@ class TestInvolution:
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # U47 and Ua47 digests recorded from a builder that formed every R^k by
-# sequential products, a path independent of power_traces
+# sequential products, a path independent of power_traces; Phi2 and Phi3,
+# which no benchmark level covers, from a builder that formed every power
+# of j by sequential products and re-expanded each e_k on one long
+# window, so every PHI_ELLS level is pinned
 RECORDED = Path(__file__).resolve().parent / "data" / "store_sha256.json"
 
 

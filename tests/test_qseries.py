@@ -400,6 +400,26 @@ class TestIntegerCore:
               lambda: ref_extract(ra, ra.step))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), coefficients), min_size=1,
+                max_size=40),
+       st.integers(-6, 6), st.integers(1, 7))
+def test_square_is_the_general_product(coeffs, lead, ell):
+    # a * a takes the halved convolution; an equal copy takes the general one
+    a, twin = (PowerSeries(coeffs, lead=lead, step=ell) for _ in range(2))
+    assert a.nums is not twin.nums
+    square = a * a
+    general = a * twin
+    assert (square.lead, square.den, square.nums) == \
+        (general.lead, general.den, general.nums)
+    assert_matches(square, ref_mul(Ref(coeffs, lead, ell),
+                                   Ref(coeffs, lead, ell)))
+    trace = a.product_trace(a, ell)
+    expected = a.product_trace(twin, ell)
+    assert (trace.lead, trace.den, trace.nums) == \
+        (expected.lead, expected.den, expected.nums)
+
+
 @st.composite
 def trace_factors(draw, ell):
     """(PowerSeries, Ref) on step 1, ell or 2, possibly empty, with sparse
@@ -447,35 +467,42 @@ def reference_gauss_jordan(rows, rhs, m):
 
 
 @st.composite
-def integer_systems(draw):
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(m, m + 4))
-    entries = st.integers(-4, 4)
-    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
-    shape = draw(st.sampled_from(["consistent", "dependent", "perturbed"]))
-    if shape == "dependent" and m > 1:
-        # last column a combination of the others: rank < m
-        f = draw(st.lists(entries, min_size=m - 1, max_size=m - 1))
-        for row in rows:
-            row[-1] = sum(a * b for a, b in zip(row, f))
-    x = draw(st.lists(st.integers(-50, 50), min_size=m, max_size=m))
-    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    if shape == "perturbed":
-        rhs[draw(st.integers(0, n - 1))] += draw(st.integers(1, 5))
-    return rows, rhs, m
+def weighted_forms(draw):
+    """(w, drawn c_ab, window end): a weight with a nonempty E4E6 basis,
+    rational coefficients for it, and Sturm to Sturm + 4 known rows."""
+    w = draw(st.integers(0, 30).filter(builder.form_basis_exponents))
+    exps = builder.form_basis_exponents(w)
+    cs = draw(st.lists(st.one_of(st.just(0), scalars),
+                       min_size=len(exps), max_size=len(exps)))
+    end = w // 6 + 1 + draw(st.integers(0, 4))
+    return w, {ab: Fraction(c) for ab, c in zip(exps, cs)}, end
 
 
 @settings(max_examples=300, deadline=None)
-@given(integer_systems())
-def test_gauss_solve_matches_fraction_gauss_jordan(system):
-    rows, rhs, m = system
-    try:
-        expected = reference_gauss_jordan(rows, rhs, m)
-    except BasisMatchError:
+@given(weighted_forms(), st.data())
+def test_match_to_form_basis_matches_fraction_gauss_jordan(form, data):
+    w, drawn, end = form
+    e4, e6 = eisenstein_series(4, end), eisenstein_series(6, end)
+    exps = list(drawn)
+    monomials = [e4 ** a * e6 ** b for a, b in exps]
+    s = PowerSeries([0] * end)
+    for c, f in zip(drawn.values(), monomials):
+        s = s + f * c
+    expected = {ab: c for ab, c in drawn.items() if c}
+    rows = [[f.nums[n] for f in monomials] for n in range(end)]
+    oracle = reference_gauss_jordan(rows, s.coeffs, len(exps))
+    assert {ab: c for ab, c in zip(exps, oracle) if c} == expected
+    assert builder.match_to_form_basis(s, w) == expected
+    # the first len(exps) rows fix the fit; every later one is checked
+    if end > len(exps):
+        row = data.draw(st.integers(len(exps), end - 1))
+        bump = [0] * end
+        bump[row] = data.draw(scalars.filter(bool))
         with pytest.raises(BasisMatchError):
-            builder._gauss_solve(rows, rhs, m)
-        return
-    assert builder._gauss_solve(rows, rhs, m) == expected
+            builder.match_to_form_basis(s + PowerSeries(bump), w)
+    if w >= 6:
+        with pytest.raises(PrecisionError):
+            builder.match_to_form_basis(s.truncate(w // 6), w)
 
 
 def ref_expand(name, prec, ell):
