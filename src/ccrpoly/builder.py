@@ -273,6 +273,7 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     # expand j once at the longest window; j_series(P) is known below
     # q^(P-2), so each shorter window is a truncation of this one
     j_long = j_series(ell * end_s + ell + 3)
+    # the powers of j outrun every window match() zips them against
     jq = j_long.truncate(end_e + ell + 2)
     jpow = _powers([None, jq], n)
 
