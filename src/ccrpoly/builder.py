@@ -32,11 +32,10 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import BasisMatchError, BuildError, PrecisionError
-from .ffield import check_level
 from .qseries import PowerSeries, _series, delta_series, \
     eisenstein_series, eta_squared_product, j_series, sigma1_series
-from .trivariate import PHI_ELLS, ClassicalModularPoly, TrivariatePoly, \
-    X_WEIGHT
+from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
+    check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
 # it under this module's name
 from .trivariate import _denominator_is_smooth  # noqa: F401
@@ -208,7 +207,7 @@ def _newton_elementary(sums: list, e0: PowerSeries, step) -> list:
 
 def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     n = ell + 1
-    w_x = X_WEIGHT[kind]
+    w_x = KINDS[kind].x_weight
     powers = _form_powers(n_q)
     terms = {(n, 0, 0): Fraction(1)}
 
@@ -226,21 +225,20 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     return TrivariatePoly(kind, ell, "E4E6", terms).validate()
 
 
-def build(kind: str, ell: int) -> TrivariatePoly:
+def build(kind: str, ell: int):
     """Monic degree-(ell+1) polynomial in the E4E6 basis, validated for
-    homogeneity and integrality.
+    homogeneity and integrality; Phi is build_classical_phi's.
 
     e_k is a polynomial in s_1..s_k over Q, so like s_k it is a level-1
     form of weight 2wk (w the X-weight), and Sturm's bound fixes it by
     floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
     rows to spare.  The coefficients are exact, so a matching failure is a
     fault, not a precision shortfall, and is not retried."""
-    if kind not in X_WEIGHT:
-        raise ValueError(f"unknown kind {kind!r}")
-    check_level(ell)
-    if kind == "Ua" and ell % 12 != 11:
-        raise ValueError(f"eta-product kind needs ell = 11 mod 12, got {ell}")
-    n_q = X_WEIGHT[kind] * (ell + 1) // 6 + 4
+    w_x = check_kind(kind, ell).x_weight
+    if not w_x:
+        # a weight-0 root is a value of j: its e_k are polynomials in j
+        return build_classical_phi(ell)
+    n_q = w_x * (ell + 1) // 6 + 4
     try:
         return _build_at(kind, ell, n_q)
     except (BasisMatchError, PrecisionError) as exc:
@@ -264,8 +262,7 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     slots, so e_k is re-expanded on end_s + ell*(n - k) slots: every
     product keeps the size it would have with any longer window.
     """
-    if ell not in PHI_ELLS:
-        raise ValueError(f"ell must be one of {PHI_ELLS}, got {ell}")
+    check_kind("Phi", ell)
     n = ell + 1
     tail = 4                       # checked surplus coefficients past q^0
     end_s = tail + ell + 2         # power-sum window end

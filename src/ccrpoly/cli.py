@@ -20,8 +20,8 @@ from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import atkin_step, elkies_step
-from .trivariate import PHI_ELLS, STORE_BASES, STORE_KINDS, \
-    poly_from_text, poly_to_text, store_header
+from .trivariate import PHI_ELLS, check_kind, poly_from_text, \
+    poly_to_text, store_header
 
 CACHE_ENV = "CCR_CACHE_DIR"
 
@@ -53,18 +53,16 @@ def __getattr__(name):
 
 
 def _build_poly(kind: str, ell: int):
-    from . import builder
-    if kind == "Phi":
-        return builder.build_classical_phi(ell)
-    return builder.build(kind, ell)
+    from .builder import build
+    return build(kind, ell)
 
 
 def load_or_build(kind: str, ell: int, directory: str,
                   rebuild: bool = False):
-    """Fetch a polynomial (E4E6 basis, j for Phi) from the store, building
-    and caching it on a miss.  With rebuild, regenerate and require byte
-    equality with any existing file."""
-    basis = "j" if kind == "Phi" else "E4E6"
+    """Fetch a polynomial in its kind's cached basis from the store,
+    building and caching it on a miss.  With rebuild, regenerate and
+    require byte equality with any existing file."""
+    basis = check_kind(kind, ell).bases[0]
     path = _store_path(directory, kind, ell, basis)
     cached = None
     try:
@@ -111,26 +109,31 @@ def _write_atomic(path: str, text: str):
             os.remove(tmp)
 
 
-def _parse_curve(args) -> CurveParams:
+def _parse_curve(args, kind: str) -> CurveParams:
     """CurveParams over PrimeField(p) from --p/--a/--b; ValueError when
-    they do not make a usable curve."""
+    they make no usable curve, or --ell is not a level of kind or is p."""
     if args.p <= 3 or not is_probable_prime(args.p):
         raise ValueError("p not prime or too small")
     if args.p in (5, 7):
         raise ValueError("p must exceed 7: p in {5, 7} breaks the power-sum "
                          "denominators")
     try:
-        return CurveParams(PrimeField(args.p), args.a, args.b)
+        curve = CurveParams(PrimeField(args.p), args.a, args.b)
     except SingularCurve as exc:
         raise ValueError(f"singular curve: {exc}") from None
+    check_kind(kind, args.ell)
+    if curve.field.p == args.ell:
+        raise ValueError(f"ell={args.ell} is not an odd prime level distinct "
+                         f"from p")
+    return curve
 
 
 def cmd_build(args) -> int:
-    if args.kind not in STORE_KINDS:
-        raise ValueError(f"unknown kind {args.kind}")
-    if args.basis == "Delta" and args.kind != "Ua":
-        raise ValueError("Delta display only applies to kind Ua")
-    basis = "j" if args.kind == "Phi" else args.basis
+    bases = check_kind(args.kind, args.ell).bases
+    basis = bases[0] if args.basis is None else args.basis
+    if basis not in bases:
+        raise ValueError(f"kind {args.kind} has no basis {basis}; its bases "
+                         f"are {', '.join(bases)}")
     text = poly_to_text(_build_poly(args.kind, args.ell), basis)
     out = args.out or _store_path("", args.kind, args.ell, basis)
     _write_atomic(out, text)
@@ -139,11 +142,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_elkies(args) -> int:
-    curve = _parse_curve(args)
+    curve = _parse_curve(args, "U")
     ell = args.ell
-    if ell < 5 or not is_probable_prime(ell) or curve.field.p == ell:
-        raise ValueError(f"ell={ell} is not an odd prime level distinct "
-                         f"from p")
     directory = args.poly_dir or _cache_dir()
     u = load_or_build("U", ell, directory, rebuild=args.rebuild)
     v = load_or_build("V", ell, directory, rebuild=args.rebuild)
@@ -180,11 +180,7 @@ def cmd_elkies(args) -> int:
 
 
 def cmd_atkin(args) -> int:
-    if args.ell % 12 != 11:
-        raise ValueError(f"ell={args.ell} is not 11 mod 12")
-    curve = _parse_curve(args)
-    if curve.field.p == args.ell:
-        raise ValueError("p equals ell")
+    curve = _parse_curve(args, "Ua")
     directory = args.poly_dir or _cache_dir()
     ua = load_or_build("Ua", args.ell, directory, rebuild=args.rebuild)
     print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={args.ell} "
@@ -286,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build one polynomial store file")
     b.add_argument("--ell", type=int, required=True)
     b.add_argument("--kind", required=True)
-    b.add_argument("--basis", choices=STORE_BASES, default="E4E6")
+    b.add_argument("--basis", default=None)
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_build)
 

@@ -34,7 +34,6 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import SingularCurve
-from .trivariate import TrivariatePoly
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base in _MR_BASES
@@ -587,17 +586,20 @@ def fp_table(P, fld: PrimeField) -> tuple:
     p = fld.p
     table = P._fp.get(p)
     if table is None:
+        # imported here: trivariate imports check_level from this module
+        from .trivariate import KINDS
         if p == P.ell:
             raise ValueError("p equals the level ell")
-        src = P.to_basis("E4E6") if isinstance(P, TrivariatePoly) else P
+        row = KINDS[P.kind]
+        pad = (0,) * (3 - row.width)
         inv = {1: 1}
         terms = []
-        for key, c in src.terms.items():
+        for key, c in P.to_basis(row.bases[0]).terms.items():
             if c.denominator not in inv:
                 inv[c.denominator] = fld.inv(c.denominator)
             c = c.numerator * inv[c.denominator] % p
             if c:
-                terms.append((*key, 0, c) if len(key) == 2 else (*key, c))
+                terms.append((*key, *pad, c))
         tops = tuple(map(max, zip(*terms)))[:-1]
         table = P._fp[p] = (tuple(terms), tops)
     return table

@@ -20,6 +20,7 @@ from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                      VerificationError)
 from .ffield import (CurveParams, UniPoly, check_level, collapse,
                      derivative_bundle, fp_table, roots, specialize)
+from .trivariate import check_kind
 
 
 ValidationFlags = namedtuple("ValidationFlags", "v_root w_root phi_match")
@@ -249,8 +250,7 @@ def atkin_step(curve: CurveParams, ell: int, ua, diagnostics=None) -> list:
     E4(q^ell), A* and the B* gcd."""
     field = curve.field
     _check_level(field, ell)
-    if ell % 12 != 11:
-        raise ValueError("the eta variant needs ell = 11 mod 12")
+    check_kind("Ua", ell)
     p = field.p
     out = []
     e4, e6 = curve.e4, curve.e6

@@ -1,4 +1,4 @@
-"""Weighted trivariate polynomials, their bases, and the text store format.
+"""The kind registry, the polynomials of each kind, bases, store format.
 
 A modular polynomial here is monic of degree ell+1 in X with coefficients
 that are polynomials in the pair (E4, E6), or equivalently (A, B) after the
@@ -14,19 +14,54 @@ x_weight*(ell+1).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
-from .errors import BuildError, NotDivisibleError, StoreError
+from .errors import BuildError, StoreError
+from .ffield import check_level
 
-# X carries the weight of the quantity it stands for: sigma1 is weight 1,
-# A* weight 2, B* weight 3, the eta product weight 1.
-X_WEIGHT = {"U": 1, "V": 2, "W": 3, "Ua": 1}
-KINDS = tuple(X_WEIGHT)
 BASES = ("E4E6", "AB")
-# what a store file may hold: Phi beside the trivariate kinds, and the
-# Delta display beside their bases (Phi's basis is always j)
-STORE_KINDS = KINDS + ("Phi",)
-STORE_BASES = BASES + ("Delta",)
+# levels whose Phi_ell the builder makes and the Elkies step checks against
+PHI_ELLS = (2, 3, 5, 7, 11, 13)
+
+# The kind registry: every fact about a kind, one row each.
+#   x_weight  X's weight, that of the root it stands for: sigma1 1, A* 2,
+#             B* 3, the eta product 1, j 0
+#   bases     the bases a store file may hold, the cached one first
+#   width     exponents in a term's key: (i, a, b), or (i, k) for X^i j^k
+#   smooth    denominators may be 2^x 3^y; otherwise the terms are
+#             integral in the AB basis (Phi's are integers)
+#   mod12     the residue mod 12 the level must have, or None
+#   ells      the levels, or () for every odd prime > 3
+Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells")
+KINDS = {
+    "U": Kind(1, BASES, 3, False, None, ()),
+    "V": Kind(2, BASES, 3, False, None, ()),
+    "W": Kind(3, BASES, 3, False, None, ()),
+    # the eta product's coefficients are printed over powers of Delta
+    "Ua": Kind(1, BASES + ("Delta",), 3, True, 11, ()),
+    "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS),
+}
+
+
+def check_kind(kind: str, ell: int) -> Kind:
+    """kind's row of KINDS; ValueError when kind is unknown or ell is not
+    one of its levels."""
+    row = KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    if row.ells:
+        if ell not in row.ells:
+            raise ValueError(f"ell must be one of {row.ells}, got {ell}")
+        return row
+    check_level(ell)
+    if row.mod12 is not None and ell % 12 != row.mod12:
+        raise ValueError(f"ell must be {row.mod12} mod 12 for kind {kind}, "
+                         f"got {ell}")
+    return row
+
 
 # E4E6 -> AB substitution is E4 = -A/3, E6 = -B/2, so a coefficient of
 # E4^a E6^b picks up (-1)^(a+b) / (3^a 2^b) when re-read on A^a B^b.
@@ -43,42 +78,54 @@ def _denominator_is_smooth(c: Fraction) -> bool:
     return 6 ** c.denominator.bit_length() % c.denominator == 0
 
 
-class TrivariatePoly:
-    """Terms (i, a, b) -> Fraction in one basis, never changed after
-    construction, so ``_fp`` can cache ffield's table of them per p."""
+class _KindPoly:
+    """A polynomial of a kind in KINDS: terms (i, ...) -> coefficient of
+    X^i times a basis monomial, never changed after construction, so
+    ``_fp`` can cache ffield's table of them per p."""
 
     __slots__ = ("kind", "ell", "basis", "terms", "_fp")
 
     def __init__(self, kind: str, ell: int, basis: str, terms: dict):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
         self.kind = kind
         self.ell = ell
         self.basis = basis
-        self.terms = {k: Fraction(v) for k, v in terms.items() if v}
+        self.terms = terms
         self._fp = {}
+
+    def degree_x(self) -> int:
+        return max((key[0] for key in self.terms), default=-1)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.ell, self.basis, self.terms) == \
+            (other.kind, other.ell, other.basis, other.terms)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(kind={self.kind}, ell={self.ell}, "
+                f"basis={self.basis}, {len(self.terms)} terms)")
+
+
+class TrivariatePoly(_KindPoly):
+    """Terms (i, a, b) -> Fraction, the coefficient of X^i Y^a Z^b with
+    (Y, Z) the basis pair."""
+
+    __slots__ = ()
+
+    def __init__(self, kind: str, ell: int, basis: str, terms: dict):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        # Phi, whose one basis is j, is a ClassicalModularPoly
+        if basis not in BASES or basis not in KINDS[kind].bases:
+            raise ValueError(f"unknown basis {basis!r}")
+        super().__init__(kind, ell, basis,
+                         {k: Fraction(v) for k, v in terms.items() if v})
 
     # -- structure --------------------------------------------------------
 
     @property
-    def x_weight(self) -> int:
-        return X_WEIGHT[self.kind]
-
-    @property
     def weighted_degree(self) -> int:
-        return self.x_weight * (self.ell + 1)
-
-    def degree_x(self) -> int:
-        return max((i for i, _, _ in self.terms), default=-1)
-
-    def x_coefficients(self) -> dict:
-        """Map i -> {(a, b): coeff} for the coefficient of X^i."""
-        out: dict = {}
-        for (i, a, b), c in self.terms.items():
-            out.setdefault(i, {})[(a, b)] = c
-        return out
+        return KINDS[self.kind].x_weight * (self.ell + 1)
 
     def validate(self) -> "TrivariatePoly":
         """Check monicity, X-degree, weighted homogeneity, and the
@@ -90,16 +137,16 @@ class TrivariatePoly:
         if self.terms.get((n, 0, 0)) != 1 or any(
                 i == n and (a or b) for (i, a, b) in self.terms):
             raise BuildError(f"{self.kind}_{self.ell}: not monic in X")
-        w = self.x_weight
+        w = KINDS[self.kind].x_weight
         for (i, a, b) in self.terms:
             if w * i + 2 * a + 3 * b != self.weighted_degree:
                 raise BuildError(
                     f"{self.kind}_{self.ell}: monomial ({i},{a},{b}) breaks "
                     f"weighted homogeneity {w}*i+2a+3b={self.weighted_degree}")
-        if self.kind == "Ua":
+        if KINDS[self.kind].smooth:
             if not all(map(_denominator_is_smooth, self.terms.values())):
-                raise BuildError(f"Ua_{self.ell}: denominator not of the "
-                                 f"form 2^x 3^y")
+                raise BuildError(f"{self.kind}_{self.ell}: denominator not "
+                                 f"of the form 2^x 3^y")
         # c E4^a E6^b reads (-1)^(a+b) c / (3^a 2^b) A^a B^b, an integer
         # exactly when c is one and 3^a 2^b divides it
         elif not self.is_integral() or self.basis == "E4E6" and any(
@@ -141,35 +188,22 @@ class TrivariatePoly:
             out[key] = out.get(key, Fraction(0)) + c * e
         return TrivariatePoly(self.kind, self.ell, self.basis, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, TrivariatePoly):
-            return NotImplemented
-        return (self.kind, self.ell, self.basis, self.terms) == \
-            (other.kind, other.ell, other.basis, other.terms)
 
-    def __repr__(self):
-        return (f"TrivariatePoly(kind={self.kind}, ell={self.ell}, "
-                f"basis={self.basis}, {len(self.terms)} terms)")
-
-
-# levels whose Phi_ell the builder makes and the Elkies step checks against
-PHI_ELLS = (2, 3, 5, 7, 11, 13)
-
-
-class ClassicalModularPoly:
+class ClassicalModularPoly(_KindPoly):
     """The symmetric modular polynomial relating j-invariants of
-    ell-isogenous curves; terms (i, k) -> integer coefficient of X^i j^k.
-    As for TrivariatePoly, ``_fp`` caches the terms mod p per prime."""
+    ell-isogenous curves: kind Phi in the basis j, terms (i, k) ->
+    integer coefficient of X^i j^k."""
 
-    __slots__ = ("ell", "terms", "_fp")
+    __slots__ = ()
 
     def __init__(self, ell: int, terms: dict):
-        self.ell = ell
-        self.terms = {k: v for k, v in terms.items() if v}
-        self._fp = {}
+        super().__init__("Phi", ell, "j", {k: v for k, v in terms.items() if v})
 
-    def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
+    def to_basis(self, basis: str) -> "ClassicalModularPoly":
+        """Phi itself: j is its one basis."""
+        if basis != self.basis:
+            raise ValueError(f"unknown basis {basis!r}")
+        return self
 
     def is_symmetric(self) -> bool:
         return all(self.terms.get((k, i)) == c
@@ -185,86 +219,66 @@ class ClassicalModularPoly:
             raise BuildError(f"Phi_{self.ell}: not symmetric in (X, j)")
         return self
 
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalModularPoly):
-            return NotImplemented
-        return (self.ell, self.terms) == (other.ell, other.terms)
-
-    def __repr__(self):
-        return f"ClassicalModularPoly(ell={self.ell}, {len(self.terms)} terms)"
-
 
 # ---------------------------------------------------------------------------
 # Delta display: factor the largest possible power of
 # Delta = (E4^3 - E6^2)/1728 out of each X-coefficient.
 
-_DELTA_VARS = ("E4", "E6")
-
-
-def _delta_ring() -> tuple:
-    """(MultiPoly, Delta as a MultiPoly in E4, E6), imported on use."""
-    from .symbolic import MultiPoly
-    e4, e6 = (MultiPoly.gen(_DELTA_VARS, v) for v in _DELTA_VARS)
-    return MultiPoly, (e4 ** 3 - e6 ** 2) / 1728
-
 
 def delta_display_terms(poly: TrivariatePoly) -> dict:
     """Rewrite an E4E6-basis polynomial as (i, a, b, m) -> coeff of
-    X^i E4^a E6^b Delta^m, with m maximal per X-coefficient."""
-    src = poly.to_basis("E4E6")
-    MultiPoly, delta = _delta_ring()
+    X^i E4^a E6^b Delta^m, m maximal per X-coefficient E4^a0 E6^b0 G:
+    G(U, V) = sum of g_t U^(d-t) V^t with U = E4^3, V = E6^2.  As
+    1728 Delta = U - V, synthetic division by U - V goes through while
+    the g_t sum to 0, and leaves their partial sums."""
+    coeffs: dict = {}
+    for (i, a, b), c in poly.to_basis("E4E6").terms.items():
+        coeffs.setdefault(i, {})[(a, b)] = c
     out: dict = {}
-    for i, coeffs in src.x_coefficients().items():
-        mp = MultiPoly(_DELTA_VARS, {(a, b): c for (a, b), c in coeffs.items()})
+    for i, xc in coeffs.items():
+        a, b = next(iter(xc))
+        a0, b0 = a % 3, b % 2
+        d = a // 3 + b // 2
+        g = [xc.get((a0 + 3 * (d - t), b0 + 2 * t), 0) for t in range(d + 1)]
         m = 0
-        while not mp.is_zero:
-            try:
-                mp = mp.exact_divide(delta)
-            except NotDivisibleError:
-                break
+        while not sum(g):
+            g = list(accumulate(g))[:-1]
             m += 1
-        for (a, b), c in mp.terms.items():
-            out[(i, a, b, m)] = c
+        for t, c in enumerate(g):
+            if c:
+                out[(i, a0 + 3 * (d - m - t), b0 + 2 * t, m)] = c * 1728 ** m
     return out
 
 
 def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
-    """Inverse of delta_display_terms: multiply the Delta powers back out."""
-    MultiPoly, delta = _delta_ring()
+    """Inverse of delta_display_terms: multiply the Delta powers back out,
+    1728^m Delta^m = sum over j of C(m, j) E4^(3(m-j)) (-E6^2)^j."""
     acc: dict = {}
     for (i, a, b, m), c in terms.items():
-        mono = MultiPoly(_DELTA_VARS, {(a, b): Fraction(c)})
-        expanded = mono * delta ** m
-        for (ea, eb), ec in expanded.terms.items():
-            key = (i, ea, eb)
-            acc[key] = acc.get(key, Fraction(0)) + ec
+        for j in range(m + 1):
+            key = (i, a + 3 * (m - j), b + 2 * j)
+            acc[key] = acc.get(key, 0) + Fraction(
+                (-1) ** j * comb(m, j) * c, 1728 ** m)
     return TrivariatePoly(kind, ell, "E4E6", acc)
 
 
 # ---------------------------------------------------------------------------
 # Store format.  Header `CCR kind=<U|V|W|Ua|Phi> ell=<l> basis=<E4E6|AB|j|Delta>`
-# then one term per line, exponents descending lexicographically; rationals
-# as num/den, integers bare.
+# (the kind's bases in KINDS) then one term per line, exponents descending
+# lexicographically; rationals as num/den, integers bare.
 
 
 def poly_to_text(obj, basis: str | None = None) -> str:
-    if isinstance(obj, ClassicalModularPoly):
-        lines = [f"CCR kind=Phi ell={obj.ell} basis=j"]
-        for (i, k) in sorted(obj.terms, reverse=True):
-            lines.append(f"{i} {k} 0 {obj.terms[(i, k)]}")
-        return "\n".join(lines) + "\n"
     if basis == "Delta":
         terms = delta_display_terms(obj)
-        lines = [f"CCR kind={obj.kind} ell={obj.ell} basis=Delta"]
-        for key in sorted(terms, reverse=True):
-            i, a, b, m = key
-            lines.append(f"{i} {a} {b} {m} {terms[key]!s}")
-        return "\n".join(lines) + "\n"
-    if basis is not None:
-        obj = obj.to_basis(basis)
-    lines = [f"CCR kind={obj.kind} ell={obj.ell} basis={obj.basis}"]
-    for (i, a, b) in sorted(obj.terms, reverse=True):
-        lines.append(f"{i} {a} {b} {obj.terms[(i, a, b)]!s}")
+    else:
+        obj = obj.to_basis(basis) if basis else obj
+        basis, terms = obj.basis, obj.terms
+    # Phi's (i, k) keys are written i k 0
+    pad = (0,) * (3 - KINDS[obj.kind].width)
+    lines = [f"CCR kind={obj.kind} ell={obj.ell} basis={basis}"]
+    lines += [" ".join(map(str, (*key, *pad, terms[key])))
+              for key in sorted(terms, reverse=True)]
     return "\n".join(lines) + "\n"
 
 
@@ -279,8 +293,7 @@ def store_header(text: str) -> tuple:
         kind, ell, basis = fields["kind"], int(fields["ell"]), fields["basis"]
     except (KeyError, ValueError):
         raise StoreError(f"malformed store header {line!r}") from None
-    allowed = ("j",) if kind == "Phi" else STORE_BASES
-    if kind not in STORE_KINDS or basis not in allowed:
+    if kind not in KINDS or basis not in KINDS[kind].bases:
         raise StoreError(f"unknown kind or basis in store header {line!r}")
     return kind, ell, basis
 
@@ -291,26 +304,26 @@ def poly_from_text(text: str):
     StoreError."""
     kind, ell, basis = store_header(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    # Phi lines are "i k 0 c", Delta lines "i a b m c", the rest "i a b c"
-    width, parse = ((3, int) if kind == "Phi" else
-                    (4, Fraction) if basis == "Delta" else (3, Fraction))
+    # a key is the term's first `width` exponents, and a line has at
+    # least three: Delta lines add the power of Delta, Phi lines are
+    # "i k 0 c" with integer c
+    width = KINDS[kind].width + (basis == "Delta")
+    n = max(width, 3)
+    parse = int if basis == "j" else Fraction
     terms = {}
     for ln in lines[1:]:
         parts = ln.split()
         try:
-            if len(parts) != width + 1:
+            if len(parts) != n + 1:
                 raise ValueError
-            key = tuple(map(int, parts[:width]))
-            if min(key) < 0 or kind == "Phi" and key[2]:
+            key = tuple(map(int, parts[:n]))
+            if min(key) < 0 or any(key[width:]) or key[:width] in terms:
                 raise ValueError
-            key = key[:2] if kind == "Phi" else key
-            if key in terms:
-                raise ValueError
-            terms[key] = parse(parts[width])
+            terms[key[:width]] = parse(parts[n])
         except (ValueError, ZeroDivisionError):
             raise StoreError(f"malformed store line {ln!r}") from None
-    if kind == "Phi":
-        return ClassicalModularPoly(ell, terms)
     if basis == "Delta":
         return expand_delta_display(kind, ell, terms)
+    if basis == "j":
+        return ClassicalModularPoly(ell, terms)
     return TrivariatePoly(kind, ell, basis, terms)

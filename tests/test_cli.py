@@ -72,6 +72,27 @@ class TestBuild:
         assert cli.main(["build", "--ell", "5", "--kind", "U",
                          "--basis", "Delta"]) == 2
 
+    @pytest.mark.parametrize("kind, basis, bases", [
+        ("Phi", "AB", "j"), ("Phi", "E4E6", "j"), ("U", "Delta", "E4E6, AB"),
+        ("W", "j", "E4E6, AB"), ("Ua", "sigma", "E4E6, AB, Delta")])
+    def test_basis_the_kind_lacks_rejected(self, cache, capsys, kind, basis,
+                                           bases):
+        assert cli.main(["build", "--ell", "11", "--kind", kind, "--basis",
+                         basis, "--out", "a.txt"]) == 2
+        assert capsys.readouterr().out == (
+            f"usage error: kind {kind} has no basis {basis}; its bases are "
+            f"{bases}\n")
+        assert not (cache.parent / "a.txt").exists()
+
+    @pytest.mark.parametrize("kind, out", [("Phi", "Phi_5_j.txt"),
+                                           ("V", "V_5_E4E6.txt")])
+    def test_basis_defaults_to_the_cached_one(self, cache, capsys, kind,
+                                              out):
+        assert cli.main(["build", "--ell", "5", "--kind", kind]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        text = (cache.parent / out).read_text()
+        assert text.startswith(f"CCR kind={kind} ell=5 basis=")
+
     def test_ua_needs_11_mod_12(self, cache, capsys):
         assert cli.main(["build", "--ell", "13", "--kind", "Ua"]) == 2
 

@@ -57,6 +57,18 @@ def test_warm_calls_import_no_build_side(tmp_path):
         assert not loaded & BUILD_SIDE, (argv, loaded & BUILD_SIDE)
 
 
+def test_delta_display_loads_no_symbolic(tmp_path):
+    code, loaded = _modules(tmp_path, _CALL, "build", "--kind", "Ua",
+                            "--ell", "11", "--basis", "Delta", "--out",
+                            "ua.txt")
+    assert code == 0 and "ccrpoly.symbolic" not in loaded
+    read = ("import sys; from ccrpoly.trivariate import poly_from_text; "
+            "poly_from_text(open('ua.txt').read()); print(0)" + _LOADED)
+    code, loaded = _modules(tmp_path, read)
+    assert code == 0 and "ccrpoly.trivariate" in loaded
+    assert "ccrpoly.symbolic" not in loaded
+
+
 def test_bare_package_import_loads_no_submodule(tmp_path):
     code, loaded = _modules(tmp_path,
                             "import sys, ccrpoly; print(0)" + _LOADED)
@@ -100,9 +112,9 @@ def test_every_export_resolves():
 
 
 def test_cli_keeps_builder_entry_points():
-    from ccrpoly import builder
+    from ccrpoly import builder, trivariate
     assert cli.build is builder.build
     assert cli.build_classical_phi is builder.build_classical_phi
-    assert cli.PHI_ELLS is builder.PHI_ELLS
+    assert cli.PHI_ELLS is trivariate.PHI_ELLS
     with pytest.raises(AttributeError):
         cli.no_such_name

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrpoly import cli
 from ccrpoly.errors import BuildError, StoreError
-from ccrpoly.trivariate import (ClassicalModularPoly, TrivariatePoly, X_WEIGHT,
-                                delta_display_terms, expand_delta_display,
-                                poly_from_text, poly_to_text)
+from ccrpoly.trivariate import (KINDS, ClassicalModularPoly, TrivariatePoly,
+                                check_kind, delta_display_terms,
+                                expand_delta_display, poly_from_text,
+                                poly_to_text)
 from oracles import evaluate
 
 # degree-6 polynomial for ell=5 in both bases, checked elsewhere against the
@@ -52,20 +54,46 @@ class TestBasisConversion:
             TrivariatePoly("U", 5, "j", {(6, 0, 0): 1})
 
 
+class TestKindRegistry:
+    @pytest.mark.parametrize("kind, x_weight, bases, ell, bad_ell, line", [
+        ("U", 1, ("E4E6", "AB"), 5, 4,
+         "ell must be an odd prime > 3, got 4"),
+        ("V", 2, ("E4E6", "AB"), 7, 9,
+         "ell must be an odd prime > 3, got 9"),
+        ("W", 3, ("E4E6", "AB"), 13, 3,
+         "ell must be an odd prime > 3, got 3"),
+        ("Ua", 1, ("E4E6", "AB", "Delta"), 23, 13,
+         "ell must be 11 mod 12 for kind Ua, got 13"),
+        ("Phi", 0, ("j",), 2, 17,
+         "ell must be one of (2, 3, 5, 7, 11, 13), got 17"),
+    ])
+    def test_row(self, capsys, tmp_path, monkeypatch, kind, x_weight, bases,
+                 ell, bad_ell, line):
+        """The X weight and the store bases, the cached one first, and one
+        level the kind takes and one it refuses, in the library and as
+        the one usage line of ``build``."""
+        row = check_kind(kind, ell)
+        assert row is KINDS[kind]
+        assert (row.x_weight, row.bases) == (x_weight, bases)
+        if x_weight:
+            n = ell + 1
+            poly = TrivariatePoly(kind, ell, "E4E6", {(n, 0, 0): 1})
+            assert poly.validate().weighted_degree == x_weight * n
+        with pytest.raises(ValueError) as exc:
+            check_kind(kind, bad_ell)
+        assert str(exc.value) == line
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["build", "--kind", kind, "--ell", str(bad_ell)]) == 2
+        assert capsys.readouterr().out == f"usage error: {line}\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestValidate:
     def test_fixture_is_valid(self):
         p = u5().validate()
         assert p.degree_x() == 6
         assert p.weighted_degree == 6
         assert p.is_integral()
-
-    def test_x_weights(self):
-        assert X_WEIGHT == {"U": 1, "Ua": 1, "V": 2, "W": 3}
-        # weight-2 root: X carries weight 2, e1 = -3*ell*(ell^3+1)*E4
-        v = TrivariatePoly("V", 5, "E4E6",
-                           {(6, 0, 0): 1, (5, 1, 0): 3 * 5 * 126})
-        assert v.weighted_degree == 12
-        v.validate()
 
     def test_wrong_degree_rejected(self):
         p = TrivariatePoly("U", 7, "E4E6", U5_E4E6)
@@ -191,6 +219,10 @@ class TestStoreFormat:
         "CCR kind=U ell=5 basis=E4E6\n6 0 x 1\n",
         "CCR kind=Phi ell=5 basis=j\n6 0 0 3/2\n",
         "CCR kind=Ua ell=11 basis=Delta\n12 0 0 1\n",
+        # only the eta product is stored in the Delta display
+        "CCR kind=U ell=5 basis=Delta\n6 0 0 0 1\n",
+        "CCR kind=V ell=5 basis=Delta\n6 0 0 0 1\n",
+        "CCR kind=W ell=5 basis=Delta\n6 0 0 0 1\n",
         # a negative exponent keeps homogeneity, so only the parser sees it
         "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n2 5 -2 7\n",
         "CCR kind=U ell=5 basis=AB\n6 0 0 1\n-1 2 1 7\n",
