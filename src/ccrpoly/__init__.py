@@ -28,8 +28,8 @@ _EXPORTS = {
                "e6_tilde elkies_power_sums elkies_step",
     "qseries": "PowerSeries delta_series eisenstein_series "
                "eta_squared_product expand fn_series j_series sigma1_series",
-    "symbolic": "DerivationReport MultiPoly RationalExpression "
-                "derive_atkin_e4t derive_atkin_sigma derive_e4t derive_e6t",
+    "symbolic": "DerivationReport MultiPoly derive_atkin_e4t "
+                "derive_atkin_sigma derive_e4t derive_e6t",
     "trivariate": "PHI_ELLS ClassicalModularPoly TrivariatePoly "
                   "delta_display_terms poly_from_text poly_to_text",
 }

@@ -1,27 +1,29 @@
-"""Exact sparse multivariate arithmetic over Q and the formula re-derivations.
+"""Exact sparse Laurent polynomials over Q and the formula re-derivations.
 
-``MultiPoly`` is a generic sparse polynomial over an arbitrary tuple of named
-indeterminates; ``RationalExpression`` is a quotient of two of them with a
-cheap normalization (common monomial and rational content only, no polynomial
-gcd).  On top of the engine, ``derive_e4t`` / ``derive_e6t`` /
-``derive_atkin_sigma`` / ``derive_atkin_e4t`` replay the differential
-derivations of the isogenous-curve formulas step by step and check the
-results against the transcriptions in :mod:`ccrpoly.formulas` by
-cross-multiplication.  One first-order and one second-order routine serve
-both the sigma chart (U) and the f chart (Ua); a table gives each chart's
-symbols, the root's q-derivatives and the closed forms.  Every check is an
-exact polynomial identity; a failure raises :class:`VerificationError`
-naming the step.
+``MultiPoly`` is a sparse polynomial over an arbitrary tuple of named
+indeterminates whose exponents may be negative, so dividing by a single
+term is exact; ``num``/``den`` write one as a polynomial over a monomial.
+Every denominator the derivations meet is a single term (powers of ell,
+ds, f and df, and 2*E4, 3*E6), so no quotient field is needed.  On top of
+the ring, ``derive_e4t`` / ``derive_e6t`` / ``derive_atkin_sigma`` /
+``derive_atkin_e4t`` replay the differential derivations of the
+isogenous-curve formulas step by step and check the results against the
+transcriptions in :mod:`ccrpoly.formulas` for equality.  One first-order
+and one second-order routine serve both the sigma chart (U) and the f
+chart (Ua); a table gives each chart's symbols, the root's q-derivatives
+and the closed forms.  Every check is an exact polynomial identity; a
+failure raises :class:`VerificationError` naming the step.
 
-The builders do not use this module: it serves the verifier and the
-Delta display of the store format.
+Its users are ``verify-symbolic`` and the exact branch of
+``ffield.division_poly``; the builders and the Delta display do not
+import it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from operator import truediv
 
 from .errors import NotDivisibleError, VerificationError
 from . import formulas
@@ -38,18 +40,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _frac_content(values) -> Fraction:
-    num = 0
-    den = 1
-    for v in values:
-        num = gcd(num, abs(v.numerator))
-        den = den * v.denominator // gcd(den, v.denominator)
-    return Fraction(num, den)
-
-
 class MultiPoly:
-    """Sparse polynomial over Q: exponent tuples (one slot per variable)
-    mapped to nonzero Fraction coefficients."""
+    """Sparse Laurent polynomial over Q: exponent tuples (one slot per
+    variable, negative allowed) mapped to nonzero Fraction coefficients."""
 
     __slots__ = ("vars", "terms")
 
@@ -148,22 +141,26 @@ class MultiPoly:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (_ONE / Fraction(other))
-        if isinstance(other, MultiPoly):
-            return RationalExpression(self, other)
-        if isinstance(other, RationalExpression):
-            return RationalExpression(self * other.den, other.num)
-        return NotImplemented
+        """Exact division by a single term t: subtract t's exponents from
+        each term's and divide by t's coefficient.  A divisor of two or
+        more terms raises NotDivisibleError."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        if len(o.terms) > 1:
+            raise NotDivisibleError("divisor has more than one term")
+        (eb, cb), = o.terms.items()
+        return MultiPoly(self.vars,
+                         {tuple(x - y for x, y in zip(e, eb)): c / cb
+                          for e, c in self.terms.items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- structure --------------------------------------------------------
 
@@ -172,19 +169,8 @@ class MultiPoly:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def degree_in(self, var: str) -> int:
         if not self.terms:
@@ -202,31 +188,18 @@ class MultiPoly:
                 out[e[:i] + (0,) + e[i + 1:]] = c
         return MultiPoly(self.vars, out)
 
-    def content(self) -> Fraction:
-        return _frac_content(self.terms.values())
+    @property
+    def den(self) -> "MultiPoly":
+        """The least coefficient-1 monomial whose product with self has no
+        negative exponent."""
+        shift = (tuple(-min(0, *col) for col in zip(*self.terms))
+                 or (0,) * len(self.vars))
+        return MultiPoly(self.vars, {shift: _ONE})
 
-    def monomial_content(self) -> tuple:
-        if not self.terms:
-            return (0,) * len(self.vars)
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(map(min, mins, e))
-        return mins
-
-    def divide_monomial(self, mono: tuple) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            shifted = tuple(x - y for x, y in zip(e, mono))
-            if any(x < 0 for x in shifted):
-                raise NotDivisibleError("monomial does not divide every term")
-            out[shifted] = c
-        return MultiPoly(self.vars, out)
-
-    def leading(self) -> tuple:
-        """Lex-leading (exponent, coefficient) under the ring's variable
-        order."""
-        e = max(self.terms)
-        return e, self.terms[e]
+    @property
+    def num(self) -> "MultiPoly":
+        """self * self.den, a polynomial."""
+        return self * self.den
 
     def exact_divide(self, other: "MultiPoly") -> "MultiPoly":
         """Quotient self/other when the division is exact; raises
@@ -239,7 +212,8 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
             return MultiPoly(self.vars, {})
-        eb, cb = o.leading()
+        eb = max(o.terms)
+        cb = o.terms[eb]
         rem = dict(self.terms)
         quo: dict = {}
         while rem:
@@ -301,132 +275,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
-
-
-class RationalExpression:
-    """Quotient num/den of two MultiPoly over the same ring.
-
-    Normalization keeps sizes down without polynomial gcd: cancel the common
-    monomial factor, make the denominator primitive with positive lex-leading
-    coefficient, and fold constant denominators into the numerator.  Equality
-    is decided by cross-multiplication, so normalization is not relied on for
-    correctness.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(num.vars, 1)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = MultiPoly.const(num.vars, 1)
-        elif den.is_constant:
-            num = num * (_ONE / den.constant_value())
-            den = MultiPoly.const(num.vars, 1)
-        else:
-            common = tuple(map(min, num.monomial_content(),
-                               den.monomial_content()))
-            if any(common):
-                num = num.divide_monomial(common)
-                den = den.divide_monomial(common)
-            scale = den.content()
-            if den.leading()[1] < 0:
-                scale = -scale
-            if scale != 1:
-                num = num * (_ONE / scale)
-                den = den * (_ONE / scale)
-        self.num = num
-        self.den = den
-
-    # -- coercion ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RationalExpression):
-            if other.num.vars != self.num.vars:
-                raise TypeError("mixed variable sets")
-            return other
-        if isinstance(other, MultiPoly):
-            if other.vars != self.num.vars:
-                raise TypeError("mixed variable sets")
-            return RationalExpression(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalExpression(MultiPoly.const(self.num.vars, other))
-        return None
-
-    # -- field operations -------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpression(self.num * o.den + o.num * self.den,
-                                  self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalExpression(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpression(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpression(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalExpression(self.den ** (-n), self.num ** (-n))
-        return RationalExpression(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    # -- structure --------------------------------------------------------
-
-    def variables_used(self) -> set:
-        return self.num.variables_used() | self.den.variables_used()
-
-    def __str__(self) -> str:
-        if self.den.is_constant:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalExpression({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +346,7 @@ _Chart = namedtuple("_Chart",
 _SIGMA_CHART = _Chart(
     "sigma", "ds", "ds4", "ds6", "H_U", _sigma_p, _sigma_pp,
     _Order("e4t", "E4t",
-           lambda g, diag: RationalExpression(*formulas.e4_tilde_parts(
+           lambda g, diag: truediv(*formulas.e4_tilde_parts(
                *_at(g, "ell sigma E4 E6 ds d4 d6"))),
            "closed form",
            "-(4*ell*(3*E4^2*d6+2*E6*d4)-ds*(ell^2*E4+4*sigma^2))"
@@ -518,7 +366,7 @@ _SIGMA_CHART = _Chart(
 _F_CHART = _Chart(
     "f", "df", "df4", "df6", "H_f", _f_p, _f_pp,
     _Order("a-sigma", "sigma",
-           lambda g, diag: RationalExpression(*formulas.atkin_sigma_parts(
+           lambda g, diag: truediv(*formulas.atkin_sigma_parts(
                *_at(g, "ell E4 E6 d4 d6 f df"))),
            "closed form",
            "ell*(3*d6*E4^2+2*d4*E6)/(f*df)",
@@ -540,21 +388,11 @@ def _h(chart: _Chart) -> MultiPoly:
             + 3 * g["E6"] * g["d6"])
 
 
-def h_u() -> MultiPoly:
-    """sigma*ds + 2*E4*d4 + 3*E6*d6, the weighted-homogeneity combination
-    annihilating the E2 coefficients in the sigma-root derivations."""
-    return _h(_SIGMA_CHART)
-
-
-def h_f() -> MultiPoly:
-    """f*df + 2*E4*d4 + 3*E6*d6, the analogue for the eta-variant root."""
-    return _h(_F_CHART)
-
-
 class DerivationReport(namedtuple("DerivationReport",
                                   "name derived assertions")):
-    """Outcome of one derivation: the derived RationalExpression plus the
-    ordered list of (label, detail) assertions, all of which passed."""
+    """Outcome of one derivation: the derived MultiPoly, printed as its
+    num over its den, plus the ordered list of (label, detail) assertions,
+    all of which passed."""
 
     __slots__ = ()
 
@@ -590,10 +428,11 @@ def _solved(order: _Order, num: MultiPoly, g: dict, diag: tuple,
     c0 = num.coefficient_of("E2", 0)
     _check(c0.degree_in(var) == 1,
            f"{name}: constant coefficient: expression linear in {var}")
-    derived = RationalExpression(-c0.coefficient_of(var, 0),
-                                 c0.coefficient_of(var, 1))
+    lead = c0.coefficient_of(var, 1)
+    _check(lead.is_monomial, f"{name}: coefficient of {var} is one term")
+    derived = -c0.coefficient_of(var, 0) / lead
     _check(derived == order.reference(g, diag),
-           f"{name}: cross-multiplied equality with {order.closed}")
+           f"{name}: equality with {order.closed}")
     checks.append(("equals closed form", order.shown))
     _check(derived.variables_used() <= order.allowed, f"{name}: ring hygiene")
     checks.append(("ring hygiene", "no eliminated or foreign symbols"))

@@ -1,14 +1,13 @@
 """Exact reference evaluators that the tests check the library against.
 
 Each works from the public fields of the objects (``terms``, ``vars``,
-``num``/``den``, ``coeffs``/``lead``/``step``), so it shares no code path
-with the compiled F_p tables or the integer series core it checks.
+``coeffs``/``lead``/``step``), so it shares no code path with the
+compiled F_p tables, the integer series core or the symbolic ring it
+checks.
 """
 
 from fractions import Fraction
 from math import prod
-
-from ccrpoly.symbolic import RationalExpression
 
 
 def evaluate(poly, *point):
@@ -34,14 +33,20 @@ def fraction_mod(v, p: int) -> int:
 
 
 def eval_mod(expr, values: dict, p: int) -> int:
-    """A MultiPoly or RationalExpression at the integer assignment
-    ``values`` (variable name -> int), reduced mod the prime p."""
-    if isinstance(expr, RationalExpression):
-        num, den = (eval_mod(part, values, p) for part in (expr.num, expr.den))
-        if not den:
-            raise ZeroDivisionError("denominator vanishes at this point")
-        return num * pow(den, -1, p) % p
-    return fraction_mod(evaluate(expr, *map(values.get, expr.vars)), p)
+    """A MultiPoly at the integer assignment ``values`` (variable name ->
+    int), reduced mod the prime p, term by term as c * prod(v^e); a
+    negative e is a modular inverse, and ZeroDivisionError when v
+    vanishes mod p."""
+    total = 0
+    for key, c in expr.terms.items():
+        term = fraction_mod(c, p)
+        for name, e in zip(expr.vars, key):
+            if e < 0 and not values[name] % p:
+                raise ZeroDivisionError(f"{name} vanishes mod {p}")
+            if e:
+                term = term * pow(values[name], e, p) % p
+        total += term
+    return total % p
 
 
 def ref_qdiff(a):

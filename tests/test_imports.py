@@ -89,8 +89,8 @@ EXPORTS = {
     "elkies_power_sums", "elkies_step",
     "PowerSeries", "delta_series", "eisenstein_series", "eta_squared_product",
     "expand", "fn_series", "j_series", "sigma1_series",
-    "DerivationReport", "MultiPoly", "RationalExpression", "derive_atkin_e4t",
-    "derive_atkin_sigma", "derive_e4t", "derive_e6t",
+    "DerivationReport", "MultiPoly", "derive_atkin_e4t", "derive_atkin_sigma",
+    "derive_e4t", "derive_e6t",
     "ClassicalModularPoly", "TrivariatePoly", "delta_display_terms",
     "poly_from_text", "poly_to_text",
 }
