@@ -79,6 +79,17 @@ class TestMultiPoly:
         assert p.degree_in("z") == 0
         assert c(0).degree_in("x") == -1
 
+    def test_variables_used(self):
+        p = g("x") ** 2 * g("z") + 3
+        assert p.variables_used() == {"x", "z"}
+        assert (g("y") / g("z")).variables_used() == {"y", "z"}
+        assert c(5).variables_used() == set()
+        assert c(0).variables_used() == set()
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            g("x") ** -1
+
     def test_eval_mod(self):
         p = g("x") ** 2 + g("y") / 2
         # 3^2 + 4/2 = 11
@@ -131,6 +142,14 @@ class TestLaurent:
         r = g("x") ** 2 * g("y") / (g("x") * g("y") * g("z"))
         assert r.num == g("x")
         assert r.den == g("z")
+
+    def test_coefficient_of_negative_exponents(self):
+        x, y, z = g("x"), g("y"), g("z")
+        p = x / y + 2 * x * z / y ** 2 + x ** 2
+        assert p.coefficient_of("y", -1) == x
+        assert p.coefficient_of("y", -2) == 2 * x * z
+        assert p.coefficient_of("y", 0) == x ** 2
+        assert p.coefficient_of("x", 1) == c(1) / y + 2 * z / y ** 2
 
     def test_wide_divisor_rejected(self):
         # no polynomial gcd: an exact quotient is still refused
