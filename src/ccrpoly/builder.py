@@ -9,6 +9,7 @@ cyclotomic arithmetic is needed); run Newton's identities on the power-sum
 series; match each elementary symmetric function e_k to the level-1 form
 basis E4^a E6^b of the right weight; assemble the monic degree-(ell+1)
 result from the matches.  build_classical_phi runs the same Newton routine
+on the traces of j(x)^k alone, multiplies the root j(q^ell) in afterwards,
 and matches each e_k against the powers of j instead.
 
 The traces come from baby and giant steps (power_traces): with
@@ -21,9 +22,8 @@ multiplies with half the products.
 
 match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
 with b <= 1 whose i-th element starts with q^i, and rewrites the result
-in E4^a E6^b.  build_classical_phi peels the powers of j off e_k in
-integers on e_k's own window, and re-expands e_k only on the slots that
-later Newton levels read.
+in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k in integers
+on e_k's own window.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import BasisMatchError, BuildError, PrecisionError
-from .qseries import PowerSeries, _series, delta_series, \
-    eisenstein_series, eta_squared_product, j_series, sigma1_series
+from .qseries import PowerSeries, delta_series, eisenstein_series, \
+    eta_squared_product, j_series, sigma1_series
 from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
     check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -249,76 +249,71 @@ def build(kind: str, ell: int):
 # Classical modular polynomial relating j(q) and j(q^ell).
 
 
-def build_classical_phi(ell: int) -> ClassicalModularPoly:
-    """Phi_ell(X, j) from the roots j(q^ell) and the ell coset conjugates
-    of j(x), x = q^{1/ell}.
+def _peel_j_powers(e: PowerSeries, jpow: list, ell: int, k: int) -> dict:
+    """{m: c} with e = e_k of Phi_ell = sum of c * j^m over m <= n,
+    n = ell + 1, the c integers; jpow[m] = j^m, known on [-m, e.end).  The
+    powers are peeled off from the deepest pole in integers on e's window
+    (r[t] is the numerator of q^(t-n)); every row past q^0 must cancel."""
+    n = ell + 1
+    lead = e.effective_lead()
+    if lead is not None and lead < -n:
+        raise BuildError(f"Phi_{ell}: e_{k} pole below j-degree bound")
+    r = [0] * (e.lead + n) + e.nums[max(-n - e.lead, 0):]
+    if len(r) <= n:
+        raise PrecisionError(f"Phi_{ell}: e_{k} ends below q^0")
+    pk = {}
+    for m in range(n, 0, -1):
+        v = r[n - m]
+        if v:
+            pk[m] = v
+            # a j^m short of e's end is an error, not fewer checked rows
+            r[n - m:] = [u - v * t for u, t in zip(
+                r[n - m:], jpow[m].nums[:len(r) - n + m], strict=True)]
+    pk[0] = r[n]
+    if any(r[n + 1:]):
+        raise BuildError(f"Phi_{ell}: e_{k} is not a polynomial in j "
+                         "at this precision")
+    for m, v in pk.items():
+        if v % e.den:
+            raise BuildError(f"Phi_{ell}: non-integer coefficient at "
+                             f"e_{k}, j^{m}")
+    return {m: v // e.den for m, v in pk.items()}
 
-    Power sums have poles up to q^{-ell*k}, but each elementary symmetric
-    function is a polynomial in j of degree <= ell+1.  After every Newton
-    level the e_k series is matched against cached powers of j and then
-    re-expanded from the matched polynomial on a longer window, which
-    stops the precision loss that the deep poles would otherwise cause.
-    Level k + i multiplies e_k by s_i, whose window has end_s + ell*i
-    slots, so e_k is re-expanded on end_s + ell*(n - k) slots: every
-    product keeps the size it would have with any longer window.
-    """
+
+def build_classical_phi(ell: int) -> ClassicalModularPoly:
+    """Phi_ell(X, j) from the roots J = j(q^ell) and the ell coset
+    conjugates of j(x), x = q^{1/ell}.
+
+    Newton's identities run on the conjugates' traces t_k (k <= ell, poles
+    at most q^-1) alone and give their elementary symmetric functions E'_k.
+    As sum of e_k T^k = (1 + J*T) * sum of E'_k T^k, the step matches
+    e_k = E'_k + J*E'_(k-1) against the powers of j (E'_(ell+1) = 0), so
+    no series carries the q^(-ell*k) poles of the roots' power sums."""
     check_kind("Phi", ell)
     n = ell + 1
     tail = 4                       # checked surplus coefficients past q^0
-    end_s = tail + ell + 2         # power-sum window end
-    end_e = tail + ell * n         # e_0's window end
-    # expand j once at the longest window; j_series(P) is known below
-    # q^(P-2), so each shorter window is a truncation of this one
-    j_long = j_series(ell * end_s + ell + 3)
-    # the powers of j outrun every window match() zips them against
-    jq = j_long.truncate(end_e + ell + 2)
-    jpow = _powers([None, jq], n)
-
-    # the root j(q^ell) on the q-window [-ell, ell*r_end): its k-th power
-    # is the k-th power of j on [-1, r_end), i.e. a truncation of jpow[k],
-    # with q replaced by q^ell
-    r_end = n - (-end_s // ell)
-    sums = [(jpow[k].truncate(r_end + 1 - k).substitute_q_power(ell)
-             + trace).truncate(end_s)
-            for k, trace in enumerate(
-                power_traces(j_long.reinterpret(ell), ell, n), 1)]
-
+    end_s = tail + ell + 2         # the traces' window end
+    # j(x)^k is known on [-k, ell*end_s + 1 - k): each t_k ends at q^end_s
+    j_long = j_series(ell * end_s + 2)
+    # j^m on [-m, n + end_s), past the end of every e_k
+    jpow = _powers([None, j_long.truncate(n + end_s)], n)
+    # J on the q-window [-ell, end_s)
+    big_j = j_long.truncate(-(-end_s // ell)).substitute_q_power(ell) \
+        .truncate(end_s)
     terms = {(n, 0): 1}
+    # E'_0 on end_s + ell slots, so that J*E'_0 ends where E'_1 does
+    conj = [PowerSeries.constant(1, end_s + ell)]
 
-    def match(k, e_k):
-        lead = e_k.effective_lead()
-        if lead is not None and lead < -n:
-            raise BuildError(f"Phi_{ell}: e_{k} pole below j-degree bound")
-        # peel the powers of j off from the deepest pole, in integers on
-        # e_k's own window: r[t] is the numerator of the q^(t-n) term
-        r = [0] * (e_k.lead + n) + e_k.nums[max(-n - e_k.lead, 0):]
-        if len(r) <= n:
-            raise PrecisionError(f"Phi_{ell}: e_{k} ends below q^0")
-        pk = {}
-        for m in range(n, 0, -1):
-            v = r[n - m]
-            if v:
-                pk[m] = Fraction(v, e_k.den)
-                r[n - m:] = [u - v * t
-                             for u, t in zip(r[n - m:], jpow[m].nums)]
-        pk[0] = Fraction(r[n], e_k.den)
-        if any(r[n + 1:]):
-            raise BuildError(f"Phi_{ell}: e_{k} is not a polynomial in j "
-                             "at this precision")
-        for m, c in pk.items():
-            if c.denominator != 1:
-                raise BuildError(f"Phi_{ell}: non-integer coefficient at "
-                                 f"e_{k}, j^{m}")
-            terms[(n - k, m)] = -int(c) if k % 2 else int(c)
-        # re-expand from the deepest pole on the slots later levels read
-        top = next(iter(pk))
-        nums = [0] * (end_s + ell * (n - k))
-        nums[top] = int(pk.pop(0))
-        for m, c in pk.items():
-            c = int(c)
-            nums[top - m:] = [u + c * t
-                              for u, t in zip(nums[top - m:], jpow[m].nums)]
-        return _series(nums, 1, -top, 1)
+    def match(k, conj_k):
+        # the coefficient of X^(n-k) is (-1)^k e_k
+        e_k = conj_k + big_j * conj[-1]
+        for m, c in _peel_j_powers(e_k, jpow, ell, k).items():
+            terms[(n - k, m)] = -c if k % 2 else c
+        conj.append(conj_k)
+        return conj_k
 
-    _newton_elementary(sums, PowerSeries.constant(1, end_e), match)
+    _newton_elementary(power_traces(j_long.reinterpret(ell), ell, ell),
+                       conj[0], match)
+    # e_(ell+1) = J*E'_ell: there are only ell conjugates
+    match(n, PowerSeries.constant(0, end_s))
     return ClassicalModularPoly(ell, terms).validate()

@@ -20,7 +20,7 @@ from ccrpoly.errors import BasisMatchError, BuildError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
-from ccrpoly.trivariate import poly_to_text
+from ccrpoly.trivariate import PHI_ELLS, poly_to_text
 from oracles import evaluate, zero_through
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
@@ -139,6 +139,41 @@ def test_newton_elementary_gives_the_polynomial(roots):
     assert levels == list(range(1, n + 1))
     assert [e if k % 2 == 0 else -e for k, e in enumerate(elem, 1)] \
         == coeffs[1:]
+
+
+def same_on_common_window(a, b):
+    # the coefficients both series know agree
+    return all(a.coefficient(x) == b.coefficient(x)
+               for x in range(min(a.lead, b.lead), min(a.end, b.end)))
+
+
+def drawn_series(max_size):
+    return st.builds(
+        lambda nums, lead, den: PowerSeries(nums, lead) * Fraction(1, den),
+        st.lists(st.integers(-50, 50), min_size=3, max_size=max_size),
+        st.integers(-3, 3), st.integers(2, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_series(10), st.lists(drawn_series(10), min_size=1, max_size=4))
+def test_newton_splits_off_a_root(big_j, traces):
+    # sum of e_k T^k = (1 + J*T) * sum of E'_k T^k, where e_k come from the
+    # power sums J^k + t_k and E'_k from the t_k alone: the split that
+    # build_classical_phi runs Newton on
+    m = len(traces)
+    e0 = PowerSeries.constant(1, 24)
+    conj = [e0] + builder._newton_elementary(traces, e0, lambda k, c: c)
+    # t_(m+1): the next power sum of the m roots whose first power sums
+    # are t_1..t_m, so that E'_(m+1) = 0
+    nxt = conj[1] * traces[m - 1]
+    for i in range(2, m + 1):
+        term = conj[i] * traces[m - i]
+        nxt = nxt + term if i % 2 else nxt - term
+    sums = [big_j ** k + t for k, t in enumerate(traces + [nxt], 1)]
+    elem = builder._newton_elementary(sums, e0, lambda k, c: c)
+    conj.append(PowerSeries.constant(0, 24))
+    for k, e_k in enumerate(elem, 1):
+        assert same_on_common_window(e_k, conj[k] + big_j * conj[k - 1])
 
 
 class TestBasisMatch:
@@ -287,8 +322,11 @@ class TestClassicalPhi:
         assert phi2.terms[(1, 1)] == 40773375
         assert phi2.terms[(1, 0)] == 8748000000
 
-    def test_series_annihilation(self, phi2, phi3, phi5):
-        for ell, phi in ((2, phi2), (3, phi3), (5, phi5)):
+    def test_series_annihilation(self, request):
+        # Phi(j(q), j(q^ell)) through the oracle evaluator, which shares
+        # no code with the builder
+        for ell in PHI_ELLS:
+            phi = request.getfixturevalue(f"phi{ell}")
             # the X^ell j^ell cross term costs ell^2 + ell of window
             prec = 34 + ell * (ell + 1)
             j = j_series(prec)
@@ -300,7 +338,7 @@ class TestClassicalPhi:
 
     def test_every_tail_row_is_checked(self, monkeypatch):
         # e_1 plus q^row, for each known row past q^0, is no polynomial
-        # in j
+        # in j; the step sees E'_1, which ends where e_1 = E'_1 + J does
         real = builder._newton_elementary
         ends = []
 
@@ -322,24 +360,33 @@ class TestClassicalPhi:
             row += 1
         assert row > 2
 
-    @pytest.mark.parametrize("ell", [2, 5, 13])
-    def test_re_expansion_covers_every_later_product(self, monkeypatch,
-                                                     ell):
-        # level k + i multiplies e_k by s_i: a re-expanded e_k at least as
-        # long as s_i leaves that product the size s_i gives it
-        seen = []
-        real = builder._newton_elementary
+    @pytest.mark.parametrize("ell", PHI_ELLS)
+    def test_checked_rows_per_level(self, monkeypatch, ell):
+        # the peel checks every known row of e_k past q^0
+        rows = {}
+        real = builder._peel_j_powers
 
-        def spy(sums, e0, step):
-            seen.append((sums, real(sums, e0, step)))
-            return seen[-1][1]
+        def spy(e, *args):
+            rows[args[-1]] = e.end - 1
+            return real(e, *args)
 
-        monkeypatch.setattr(builder, "_newton_elementary", spy)
+        monkeypatch.setattr(builder, "_peel_j_powers", spy)
         build_classical_phi(ell)
-        (sums, e), = seen
-        for k, e_k in enumerate(e, 1):
-            for s_i in sums[:ell + 1 - k]:
-                assert len(e_k.nums) >= len(s_i.nums)
+        assert sorted(rows) == list(range(1, ell + 2))
+        assert rows[1] >= ell + 5
+        assert all(rows[k] >= 5 for k in range(2, ell + 1))
+        assert rows[ell + 1] >= 3
+
+    def test_peel_refuses_a_short_j_power(self):
+        j = j_series(14)                        # on [-1, 12)
+        jpow = builder._powers([None, j], 3)
+        e = jpow[2] + 3 * j + 5                 # on [-2, 11)
+        assert builder._peel_j_powers(e, jpow, 2, 1) == {2: 1, 1: 3, 0: 5}
+        # j^2 must reach q^10, e's last row: one slot short is an error,
+        # not a row left unchecked
+        jpow[2] = jpow[2].truncate(e.end - 1)
+        with pytest.raises(ValueError):
+            builder._peel_j_powers(e, jpow, 2, 1)
 
     def test_rejects_unsupported_level(self):
         with pytest.raises(ValueError):
