@@ -2,6 +2,7 @@
 symbolic cross-checks."""
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,59 @@ def fake_bundle(**over):
     vals = dict(u=0, du_s=1, du_4=1, du_6=1, du_s4=1, du_s6=1, du_46=1)
     vals.update(over)
     return DerivativeBundle(**vals)
+
+
+# Each recovery function's zero guards in the order they run: the input
+# that must not vanish, the error class and its exact message.
+_SIGMA_GUARDS = {
+    "ds": (DegenerateDerivative, "ds = 0 at sigma root"),
+    "sigma": (DegeneratePoint, "sigma = 0"),
+    "E4": (DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"),
+    "E6": (DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"),
+}
+_F_GUARDS = {
+    "f": (DegeneratePoint, "f = 0"),
+    "df": (DegenerateDerivative, "df = 0 at f root"),
+    "E4": (DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"),
+    "E6": (DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"),
+}
+_GUARD_ORDER = {
+    "e4_tilde": (e4_tilde, ("ds",), _SIGMA_GUARDS),
+    "e6_tilde": (e6_tilde, ("ds", "sigma", "E4", "E6"), _SIGMA_GUARDS),
+    "atkin_sigma": (atkin_sigma, ("f", "df"), _F_GUARDS),
+    "atkin_e4_tilde": (atkin_e4_tilde, ("f", "df", "E4", "E6"), _F_GUARDS),
+}
+
+
+def _guard_cases():
+    """Every pair of vanishing inputs that trips at least one guard, with
+    the guard that must win: the first one in the function's order."""
+    for name, (_, order, guards) in _GUARD_ORDER.items():
+        for pair in combinations(guards, 2):
+            winner = next((g for g in order if g in pair), None)
+            if winner is not None:
+                yield pytest.param(name, pair, *guards[winner],
+                                   id=f"{name}-{'-'.join(pair)}")
+
+
+@pytest.mark.parametrize("name, zeros, error, message", _guard_cases())
+def test_guard_order(fld, name, zeros, error, message):
+    func, _, _ = _GUARD_ORDER[name]
+    root = 0 if {"sigma", "f"} & set(zeros) else 7
+    du_s = 0 if {"ds", "df"} & set(zeros) else 1
+    e4 = 0 if "E4" in zeros else 5
+    e6 = 0 if "E6" in zeros else 3
+    with pytest.raises(error) as info:
+        func(fld, 11, root, fake_bundle(du_s=du_s), e4, e6)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("a, b", [(0, 3), (1, 0)], ids=["E4", "E6"])
+def test_b_star_guard_order(fld, ua11, a, b):
+    # f = 0 wins over a curve with E4 = 0 (j = 0) or E6 = 0 (j = 1728)
+    with pytest.raises(DegeneratePoint) as info:
+        atkin_b_star(11, 0, 5, CurveParams(fld, a, b), ua11)
+    assert str(info.value) == "f = 0"
 
 
 class TestE4Tilde:
