@@ -146,9 +146,8 @@ class PrimeField:
     collapse: specialize is one collapse, derivative_bundle four, plus
     one per slope k*v^(k-1) and 7 per power of X for its dot products.
     An exponentiation x^e adds e.bit_length() + popcount(e) - 2, its
-    square-and-multiply steps; sqrt adds its exponentiations plus one
-    per further squaring or product, and roots adds 3 more per degree-2
-    factor it solves.
+    square-and-multiply steps; roots adds one such exponentiation and 4
+    more per degree-2 factor it solves in closed form.
     inv_count counts inversions, one per coefficient denominator when a
     table is compiled.
     """
@@ -174,42 +173,6 @@ class PrimeField:
         """x^e for e >= 1, counted as square and multiply."""
         self.mul_count += e.bit_length() + bin(e).count("1") - 2
         return pow(x, e, self.p)
-
-    def sqrt(self, a: int) -> int:
-        """A square root of a: a^((p+1)/4) when p = 3 (mod 4), Tonelli-Shanks
-        with the least non-residue otherwise.  ValueError when a is not a
-        square."""
-        p = self.p
-        a %= p
-        if p % 4 == 3 or a == 0:
-            r = self.pow(a, (p + 1) // 4)
-            self.mul_count += 1
-            if r * r % p != a:
-                raise ValueError(f"{a} is not a square mod {p}")
-            return r
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while self.pow(z, (p - 1) // 2) != p - 1:
-            z += 1
-        c, t, r = self.pow(z, q), self.pow(a, q), self.pow(a, (q + 1) // 2)
-        # invariants: c has order 2^s, t has order 2^i with i < s, r^2 = a*t
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            if i == s:
-                raise ValueError(f"{a} is not a square mod {p}")
-            b = c
-            for _ in range(s - i - 1):
-                b = b * b % p
-            self.mul_count += s + 2
-            s, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
 
     def powers(self, x: int, n: int) -> list:
         """[1, x, ..., x^n] with counted multiplications."""
@@ -491,10 +454,11 @@ def roots(f: UniPoly) -> list:
     """All distinct roots of f in F_p, sorted ascending.
 
     gcd(X^p - X, f) isolates the product of distinct linear factors.
-    A factor of degree 2 is solved by the quadratic formula; larger
-    ones go through equal-degree splitting, whose random shifts come
-    from a generator seeded with the constant 0, so every call on the
-    same f takes the same path.
+    When p = 3 (mod 4) a factor of degree 2 is solved by the quadratic
+    formula, the square root of its discriminant taken as disc^((p+1)/4);
+    every other factor goes through equal-degree splitting, whose random
+    shifts come from a generator seeded with the constant 0, so every
+    call on the same f takes the same path.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -517,13 +481,16 @@ def roots(f: UniPoly) -> list:
             # h is monic X + c, root is -c
             found.append((p - h.coeffs[0]) % p)
             continue
-        if d == 2:
+        if d == 2 and p % 4 == 3:
             # h = X^2 + bX + c splits, so its discriminant is a nonzero square
             c, b = h.coeffs[:2]
-            s = fld.sqrt((b * b - 4 * c) % p)
+            disc = (b * b - 4 * c) % p
+            s = fld.pow(disc, (p + 1) // 4)
+            if s * s % p != disc:
+                raise ValueError(f"{disc} is not a square mod {p}")
             half = (p + 1) // 2
             found += [(s - b) * half % p, (-s - b) * half % p]
-            fld.mul_count += 3
+            fld.mul_count += 4
             continue
         while True:
             shift = UniPoly(fld, [rng.randrange(p), 1])

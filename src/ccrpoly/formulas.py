@@ -1,9 +1,11 @@
 """Shared transcription of the isogenous-curve coefficient formulas.
 
 Written once against a generic commutative ring: arguments only need +, -, *
-and small integer powers.  The finite-field engine evaluates these on field
-elements and the symbolic verifier evaluates the identical expressions on
-polynomials, so the two consumers cannot drift apart.
+and small integer powers.  Every formula returns a (num, den) pair whose
+quotient is the value, so neither consumer divides inside a formula.  The
+finite-field engine evaluates these on field elements and divides mod p;
+the symbolic verifier evaluates the identical expressions on polynomials
+and divides exactly, so the two consumers cannot drift apart.
 
 Naming: ds, d4, d6 are the first partials of the modular polynomial in its
 three slots (root, E4, E6); ds4, ds6, d46 the mixed second partials; dss,
@@ -30,73 +32,60 @@ def c2_block(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46, dss, d44, d66):
             + 8 * e6 ** 2 * (d4 ** 2 * dss - 2 * d4 * ds * ds4 + d44 * ds ** 2))
 
 
-def e6_tilde_numerator(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46,
-                       dss, d44, d66):
-    """N with E6(q^ell) = -N / (ell^6 ds^3)."""
+def e6_tilde_parts(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46,
+                   dss, d44, d66):
+    """(-N, ell^6 ds^3) with E6(q^ell) = -N / (ell^6 ds^3)."""
     c2 = c2_block(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46, dss, d44, d66)
     # ell^0 coefficient is -8 ds^3 sigma^3: the coefficient 8 is forced both
     # by the symbolic re-derivation and by the l=5 numeric point (B*=997).
-    return (-e6 * ds ** 3 * ell ** 3
-            + c2 * ell ** 2
-            + 12 * ds ** 2 * sigma * (3 * e4 ** 2 * d6 + 2 * e6 * d4) * ell
-            - 8 * ds ** 3 * sigma ** 3)
+    n = (-e6 * ds ** 3 * ell ** 3
+         + c2 * ell ** 2
+         + 12 * ds ** 2 * sigma * (3 * e4 ** 2 * d6 + 2 * e6 * d4) * ell
+         - 8 * ds ** 3 * sigma ** 3)
+    return -n, ell ** 6 * ds ** 3
 
 
-def e6_tilde_denominator(ell, ds):
-    return ell ** 6 * ds ** 3
-
-
-def diagonal_dss(ell, principal, e4, e6, ds, ds4, ds6):
-    """Numerator/denominator of the eliminated diagonal second partial in the
-    first slot; ``principal`` is sigma (or f), ds/ds4/ds6 its partials."""
-    return ell * ds - 2 * e4 * ds4 - 3 * e6 * ds6, principal
-
-
-def diagonal_d44(ell, principal, e6, d4, ds4, d46, e4):
-    return (ell - 1) * d4 - principal * ds4 - 3 * e6 * d46, 2 * e4
-
-
-def diagonal_d66(ell, principal, e4, d6, ds6, d46, e6):
-    return (ell - 2) * d6 - principal * ds6 - 2 * e4 * d46, 3 * e6
+def diagonals(ell, root, e4, e6, dr, d4, d6, dr4, dr6, d46):
+    """(num, den) of each eliminated diagonal second partial, in the root,
+    E4 and E6 slots; ``root`` is sigma (or f), dr/dr4/dr6 its partials."""
+    return ((ell * dr - 2 * e4 * dr4 - 3 * e6 * dr6, root),
+            ((ell - 1) * d4 - root * dr4 - 3 * e6 * d46, 2 * e4),
+            ((ell - 2) * d6 - root * dr6 - 2 * e4 * d46, 3 * e6))
 
 
 def atkin_sigma_parts(ell, e4, e6, d4, d6, f, df):
     """sigma = ell*(3 d6 E4^2 + 2 d4 E6) / (f df) in the f-root chart."""
-    num = ell * (3 * d6 * e4 ** 2 + 2 * d4 * e6)
-    den = f * df
-    return num, den
+    return ell * (3 * d6 * e4 ** 2 + 2 * d4 * e6), f * df
 
 
-def atkin_m_block(ell, e4, e6, d4, d6, d46, f, df, df4, df6):
-    """M with E4(q^ell) = -M / (ell^2 f^2 E4 E6 df^3) in the f-root chart."""
-    return (24 * (3 * e6 * d6 ** 2 * df4 + d46 * df ** 2 * f) * e4 ** 6
-            + 12 * (9 * e6 ** 2 * d6 ** 2 * df6
-                    - 3 * e6 * d6 ** 2 * df * ell
-                    + 6 * e6 * d6 * df * df6 * f
-                    - d6 * df ** 2 * ell * f
-                    + df ** 2 * df6 * f ** 2
-                    - 6 * e6 * d6 ** 2 * df
-                    + 2 * d6 * df ** 2 * f) * e4 ** 5
-            + 96 * e4 ** 4 * e6 ** 2 * d4 * d6 * df4
-            + 4 * e6 * (36 * e6 ** 2 * d4 * d6 * df6
-                        - 12 * e6 * d4 * d6 * df * ell
-                        + 12 * e6 * d4 * df * df6 * f
-                        - 12 * e6 * d46 * df ** 2 * f
-                        + 12 * e6 * d6 * df * df4 * f
-                        - 24 * e6 * d4 * d6 * df
-                        - 5 * d4 * df ** 2 * f) * e4 ** 3
-            + e6 * (32 * e6 ** 2 * d4 ** 2 * df4
-                    - 42 * e6 * d6 * df ** 2 * f
-                    + df ** 3 * f ** 2) * e4 ** 2
-            + 16 * e6 ** 3 * d4 * (3 * e6 * d4 * df6
-                                   - d4 * df * ell
-                                   + 2 * df * df4 * f
-                                   - 2 * d4 * df) * e4
-            + 24 * e6 ** 4 * d46 * f * df ** 2
-            - 8 * e6 ** 3 * d4 * ell * f * df ** 2
-            + 8 * e6 ** 3 * df4 * f ** 2 * df ** 2
-            + 8 * e6 ** 3 * d4 * f * df ** 2)
-
-
-def atkin_e4_tilde_denominator(ell, e4, e6, f, df):
-    return ell ** 2 * f ** 2 * e4 * e6 * df ** 3
+def atkin_e4_tilde_parts(ell, e4, e6, d4, d6, d46, f, df, df4, df6):
+    """(-M, ell^2 f^2 E4 E6 df^3) with E4(q^ell) = -M / (ell^2 f^2 E4 E6
+    df^3) in the f-root chart."""
+    m = (24 * (3 * e6 * d6 ** 2 * df4 + d46 * df ** 2 * f) * e4 ** 6
+         + 12 * (9 * e6 ** 2 * d6 ** 2 * df6
+                 - 3 * e6 * d6 ** 2 * df * ell
+                 + 6 * e6 * d6 * df * df6 * f
+                 - d6 * df ** 2 * ell * f
+                 + df ** 2 * df6 * f ** 2
+                 - 6 * e6 * d6 ** 2 * df
+                 + 2 * d6 * df ** 2 * f) * e4 ** 5
+         + 96 * e4 ** 4 * e6 ** 2 * d4 * d6 * df4
+         + 4 * e6 * (36 * e6 ** 2 * d4 * d6 * df6
+                     - 12 * e6 * d4 * d6 * df * ell
+                     + 12 * e6 * d4 * df * df6 * f
+                     - 12 * e6 * d46 * df ** 2 * f
+                     + 12 * e6 * d6 * df * df4 * f
+                     - 24 * e6 * d4 * d6 * df
+                     - 5 * d4 * df ** 2 * f) * e4 ** 3
+         + e6 * (32 * e6 ** 2 * d4 ** 2 * df4
+                 - 42 * e6 * d6 * df ** 2 * f
+                 + df ** 3 * f ** 2) * e4 ** 2
+         + 16 * e6 ** 3 * d4 * (3 * e6 * d4 * df6
+                                - d4 * df * ell
+                                + 2 * df * df4 * f
+                                - 2 * d4 * df) * e4
+         + 24 * e6 ** 4 * d46 * f * df ** 2
+         - 8 * e6 ** 3 * d4 * ell * f * df ** 2
+         + 8 * e6 ** 3 * df4 * f ** 2 * df ** 2
+         + 8 * e6 ** 3 * d4 * f * df ** 2)
+    return -m, ell ** 2 * f ** 2 * e4 * e6 * df ** 3

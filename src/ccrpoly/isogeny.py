@@ -9,8 +9,9 @@ come from partials at a root f, and B* is cut out by a two-polynomial
 gcd.
 
 All formulas live in formulas.py, shared verbatim with the symbolic
-verifier; this module only evaluates them on field elements and guards
-every division with a typed error.
+verifier, each as a (num, den) pair; this module only evaluates them on
+field elements, checks every divisor through _nonzero, which raises the
+chart's typed error, and divides through _quotient.
 """
 
 from collections import namedtuple
@@ -44,16 +45,47 @@ def _check_level(field, ell: int):
         raise ValueError("p equals the level ell")
 
 
+def _check_poly(P, kind: str, ell: int):
+    if (P.kind, P.ell) != (kind, ell):
+        raise ValueError(f"expected the {kind}_{ell} polynomial, "
+                         f"got {P.kind}_{P.ell}")
+
+
+# the zero guards: error class and message when the input vanishes mod p
+_DS = DegenerateDerivative, "ds = 0 at sigma root"
+_SIGMA = DegeneratePoint, "sigma = 0"
+_J_0_1728 = DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"
+_F = DegeneratePoint, "f = 0"
+_DF = DegenerateDerivative, "df = 0 at f root"
+
+
+def _nonzero(value: int, p: int, error, message: str) -> int:
+    """value mod p; error(message) when that is zero."""
+    value %= p
+    if value == 0:
+        raise error(message)
+    return value
+
+
+def _quotient(field, num: int, den: int) -> int:
+    """num / den mod p, for a den the guards have shown nonzero."""
+    p = field.p
+    return num % p * field.inv(den % p) % p
+
+
+def _f_chart(field, ell: int, f_root: int, bundle) -> tuple:
+    """f and df at a root f of the eta variant, checked in that order."""
+    _check_level(field, ell)
+    p = field.p
+    return _nonzero(f_root, p, *_F), _nonzero(bundle.du_s, p, *_DF)
+
+
 def e4_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
     """E4(q^ell) from the first partials at a sigma root."""
     _check_level(field, ell)
-    p = field.p
-    ds = bundle.du_s % p
-    if ds == 0:
-        raise DegenerateDerivative("ds = 0 at sigma root")
-    num, den = formulas.e4_tilde_parts(ell, sigma, e4, e6,
-                                       ds, bundle.du_4, bundle.du_6)
-    return num % p * field.inv(den % p) % p
+    ds = _nonzero(bundle.du_s, field.p, *_DS)
+    return _quotient(field, *formulas.e4_tilde_parts(
+        ell, sigma, e4, e6, ds, bundle.du_4, bundle.du_6))
 
 
 def e6_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
@@ -65,25 +97,13 @@ def e6_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
     """
     _check_level(field, ell)
     p = field.p
-    ds = bundle.du_s % p
-    if ds == 0:
-        raise DegenerateDerivative("ds = 0 at sigma root")
-    if sigma % p == 0:
-        raise DegeneratePoint("sigma = 0")
-    if e4 % p == 0 or e6 % p == 0:
-        raise DegeneratePoint("E4 or E6 = 0 (j in {0, 1728})")
-    d4, d6 = bundle.du_4, bundle.du_6
-    ds4, ds6, d46 = bundle.du_s4, bundle.du_s6, bundle.du_46
-    n1, m1 = formulas.diagonal_dss(ell, sigma, e4, e6, ds, ds4, ds6)
-    dss = n1 % p * field.inv(m1 % p) % p
-    n2, m2 = formulas.diagonal_d44(ell, sigma, e6, d4, ds4, d46, e4)
-    d44 = n2 % p * field.inv(m2 % p) % p
-    n3, m3 = formulas.diagonal_d66(ell, sigma, e4, d6, ds6, d46, e6)
-    d66 = n3 % p * field.inv(m3 % p) % p
-    num = formulas.e6_tilde_numerator(ell, sigma, e4, e6, ds, d4, d6,
-                                      ds4, ds6, d46, dss, d44, d66)
-    den = formulas.e6_tilde_denominator(ell, ds)
-    return -num % p * field.inv(den % p) % p
+    ds = _nonzero(bundle.du_s, p, *_DS)
+    _nonzero(sigma, p, *_SIGMA)
+    _nonzero(e4 * e6, p, *_J_0_1728)
+    point = (ell, sigma, e4, e6, ds, bundle.du_4, bundle.du_6,
+             bundle.du_s4, bundle.du_s6, bundle.du_46)
+    diag = [_quotient(field, *nd) for nd in formulas.diagonals(*point)]
+    return _quotient(field, *formulas.e6_tilde_parts(*point, *diag))
 
 
 def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
@@ -117,6 +137,9 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     """
     field = curve.field
     _check_level(field, ell)
+    for P, kind in ((u, "U"), (v, "V"), (w, "W"), (phi, "Phi")):
+        if P is not None:
+            _check_poly(P, kind, ell)
     p = field.p
 
     def note(root, exc):
@@ -165,37 +188,19 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
 
 def atkin_sigma(field, ell: int, f_root: int, bundle, e4: int, e6: int) -> int:
     """sigma from the first partials at a root f of the eta variant."""
-    _check_level(field, ell)
-    p = field.p
-    f = f_root % p
-    if f == 0:
-        raise DegeneratePoint("f = 0")
-    df = bundle.du_s % p
-    if df == 0:
-        raise DegenerateDerivative("df = 0 at f root")
-    num, den = formulas.atkin_sigma_parts(ell, e4, e6,
-                                          bundle.du_4, bundle.du_6, f, df)
-    return num % p * field.inv(den % p) % p
+    f, df = _f_chart(field, ell, f_root, bundle)
+    return _quotient(field, *formulas.atkin_sigma_parts(
+        ell, e4, e6, bundle.du_4, bundle.du_6, f, df))
 
 
 def atkin_e4_tilde(field, ell: int, f_root: int, bundle,
                    e4: int, e6: int) -> int:
     """E4(q^ell) from the full second-order bundle at a root f."""
-    _check_level(field, ell)
-    p = field.p
-    f = f_root % p
-    if f == 0:
-        raise DegeneratePoint("f = 0")
-    df = bundle.du_s % p
-    if df == 0:
-        raise DegenerateDerivative("df = 0 at f root")
-    if e4 % p == 0 or e6 % p == 0:
-        raise DegeneratePoint("E4 or E6 = 0 (j in {0, 1728})")
-    m = formulas.atkin_m_block(ell, e4, e6, bundle.du_4, bundle.du_6,
-                               bundle.du_46, f, df,
-                               bundle.du_s4, bundle.du_s6)
-    den = formulas.atkin_e4_tilde_denominator(ell, e4, e6, f, df)
-    return -m % p * field.inv(den % p) % p
+    f, df = _f_chart(field, ell, f_root, bundle)
+    _nonzero(e4 * e6, field.p, *_J_0_1728)
+    return _quotient(field, *formulas.atkin_e4_tilde_parts(
+        ell, e4, e6, bundle.du_4, bundle.du_6, bundle.du_46, f, df,
+        bundle.du_s4, bundle.du_s6))
 
 
 def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
@@ -211,10 +216,9 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
     """
     field = curve.field
     _check_level(field, ell)
+    _check_poly(ua, "Ua", ell)
     p = field.p
-    f = f_root % p
-    if f == 0:
-        raise DegeneratePoint("f = 0")
+    f = _nonzero(f_root, p, *_F)
     e4, e6 = curve.e4, curve.e6
     delta = (pow(e4, 3, p) - e6 * e6) % p * field.inv(1728) % p
     c0 = (6912 * pow(f, 12, p) * field.inv(delta)
@@ -251,6 +255,7 @@ def atkin_step(curve: CurveParams, ell: int, ua, diagnostics=None) -> list:
     field = curve.field
     _check_level(field, ell)
     check_kind("Ua", ell)
+    _check_poly(ua, "Ua", ell)
     p = field.p
     out = []
     e4, e6 = curve.e4, curve.e6

@@ -332,9 +332,10 @@ def _f_pp(g, u, E2p, E4p):
 
 
 # A derivation solves for ``unknown`` and checks the result against
-# ``reference(g, diagonals)``, the closed form the report names ``closed``
-# in its step label and ``shown`` in its line, and against the symbols
-# ``allowed`` in it.
+# ``reference(g, diagonals)``, the quotient of the (num, den) pair its
+# formula in formulas.py returns, which the report names ``closed`` in its
+# step label and ``shown`` in its line, and against the symbols ``allowed``
+# in it.
 _Order = namedtuple("_Order", "name unknown reference closed shown allowed")
 
 # A chart names its root, the root's first partial, its mixed partials with
@@ -355,9 +356,8 @@ _SIGMA_CHART = _Chart(
     # the transcription keeps dss/d44/d66 as formal arguments; the derived
     # result has them eliminated, so compare after the same elimination
     _Order("e6t", "E6t",
-           lambda g, diag: -formulas.e6_tilde_numerator(
-               *_at(g, "ell sigma E4 E6 ds d4 d6 ds4 ds6 d46"), *diag)
-           / formulas.e6_tilde_denominator(g["ell"], g["ds"]),
+           lambda g, diag: truediv(*formulas.e6_tilde_parts(
+               *_at(g, "ell sigma E4 E6 ds d4 d6 ds4 ds6 d46"), *diag)),
            "-N/(ell^6*ds^3)",
            "-N/(ell^6*ds^3), N and c2 from the degree-3-in-ell display",
            {"ell", "E4", "E6", "sigma", "d4", "d6", "ds", "ds4", "ds6",
@@ -372,10 +372,8 @@ _F_CHART = _Chart(
            "ell*(3*d6*E4^2+2*d4*E6)/(f*df)",
            {"ell", "E4", "E6", "d4", "d6", "f", "df"}),
     _Order("a-e4t", "E4t",
-           lambda g, diag: -formulas.atkin_m_block(
-               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"))
-           / formulas.atkin_e4_tilde_denominator(
-               *_at(g, "ell E4 E6 f df")),
+           lambda g, diag: truediv(*formulas.atkin_e4_tilde_parts(
+               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"))),
            "-M/(ell^2*f^2*E4*E6*df^3)",
            "-M/(ell^2*f^2*E4*E6*df^3), M from the E4-degree-6 display",
            {"ell", "E4", "E6", "d4", "d6", "d46", "f", "df", "df4",
@@ -473,10 +471,8 @@ def _second_order(chart: _Chart) -> DerivationReport:
     rpp = chart.root_pp(g, u, E2p, E4p)
     E4pp = (E2p * E4 + E2 * E4p - E6p) / 3
     E6pp = (E2p * E6 + E2 * E6p - 2 * E4 * E4p) / 2
-    diag = tuple(n / d for n, d in (
-        formulas.diagonal_dss(ell, r, E4, E6, dr, dr4, dr6),
-        formulas.diagonal_d44(ell, r, E6, d4, dr4, d46, E4),
-        formulas.diagonal_d66(ell, r, E4, d6, dr6, d46, E6)))
+    diag = tuple(n / d for n, d in formulas.diagonals(
+        ell, r, E4, E6, dr, d4, d6, dr4, dr6, d46))
     drr, d44, d66 = diag
 
     tmp = rpp * dr + rp * (rp * drr + E4p * dr4 + E6p * dr6)

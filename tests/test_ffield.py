@@ -40,9 +40,9 @@ def curve13(fld):
     return CurveParams(fld, 1, 3)
 
 
-# p - 1 has 2-adic valuation 5, 2, 1, 1 and 4: Tonelli-Shanks at several
-# depths and the (p+1)/4 power
-_SQRT_PRIMES = (97, 101, 103, 2**256 - 189, 2**256 - 2063)
+# 103 and 2^256 - 189 are 3 (mod 4), where roots solves a quadratic by the
+# (p+1)/4 power; 97, 101 and 2^256 - 2063 are 1 (mod 4), where it splits one
+_QUADRATIC_PRIMES = (97, 101, 103, 2**256 - 189, 2**256 - 2063)
 
 
 def _non_residue(p: int) -> int:
@@ -109,23 +109,24 @@ class TestPrimeField:
         with pytest.raises(ZeroDivisionError):
             fld.inv(0)
 
-    @pytest.mark.parametrize("p", _SQRT_PRIMES)
-    def test_sqrt(self, p):
+    @pytest.mark.parametrize("p", _QUADRATIC_PRIMES)
+    def test_quadratic_roots(self, p):
         fld = PrimeField(p)
+        x = UniPoly.x(fld)
         rng = random.Random(p)
-        for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
-            r = fld.sqrt(x * x)
-            assert r * r % p == x * x % p
-        with pytest.raises(ValueError, match="not a square"):
-            fld.sqrt(_non_residue(p))
+        for r in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
+            s = (r + rng.randrange(1, p)) % p
+            assert roots((x - r) * (x - s)) == sorted([r, s])
 
-    def test_sqrt_count(self):
-        # p = 3 (mod 4): one exponentiation by e = (p+1)/4 and the check
-        p = 2**256 - 189
-        fld = PrimeField(p)
-        e = (p + 1) // 4
-        fld.sqrt(4)
-        assert fld.mul_count == e.bit_length() + bin(e).count("1") - 1
+    def test_quadratic_roots_count(self):
+        # p = 3 (mod 4): the Frobenius powmod, the gcd, one exponentiation
+        # by (p+1)/4, the check and the formula
+        fld = PrimeField(2**256 - 189)
+        x = UniPoly.x(fld)
+        f = (x - 12345) * (x - 67890)
+        before = fld.mul_count
+        assert roots(f) == [12345, 67890]
+        assert fld.mul_count - before == 3530
 
 
 class TestUniPoly:

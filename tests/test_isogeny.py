@@ -2,6 +2,7 @@
 symbolic cross-checks."""
 
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -337,6 +338,33 @@ class TestAtkinStep:
     def test_level_gate(self, curve13, ua11):
         with pytest.raises(ValueError, match="11 mod 12"):
             atkin_step(curve13, 13, ua11)
+
+
+class TestPolynomialChecks:
+    """A step refuses a polynomial of another kind or level."""
+
+    @pytest.mark.parametrize("slot, bad, message", [
+        ("u", "v5", "expected the U_5 polynomial, got V_5"),
+        ("u", "u13", "expected the U_5 polynomial, got U_13"),
+        ("v", "w5", "expected the V_5 polynomial, got W_5"),
+        ("w", "v5", "expected the W_5 polynomial, got V_5"),
+        ("phi", "phi7", "expected the Phi_5 polynomial, got Phi_7"),
+    ], ids=["u-V5", "u-U13", "v-W5", "w-V5", "phi-Phi7"])
+    def test_elkies_step(self, request, curve13, slot, bad, message):
+        polys = {"u": request.getfixturevalue("u5"),
+                 slot: request.getfixturevalue(bad)}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            elkies_step(curve13, 5, **polys)
+
+    def test_atkin_step(self, curve13, u11):
+        with pytest.raises(ValueError, match="^expected the Ua_11 "
+                                             "polynomial, got U_11$"):
+            atkin_step(curve13, 11, u11)
+
+    def test_atkin_b_star(self, curve13, u11):
+        with pytest.raises(ValueError, match="^expected the Ua_11 "
+                                             "polynomial, got U_11$"):
+            atkin_b_star(11, 65, 395, curve13, u11)
 
 
 # One line per call: "E" (elkies_step with V, W and Phi) or "A"
