@@ -25,11 +25,15 @@ lists, lowest degree first, trailing zeros stripped.
 Products of polynomials go through Kronecker substitution: the
 coefficients are packed into one integer, one slot each, the integers
 are multiplied, and the slots of the product are the coefficients of
-the polynomial product, reduced mod p.
+the polynomial product, reduced mod p.  Slots of up to 8 bytes are
+packed as machine words, one C call each way.  Division and Euclid's
+gcd run on plain coefficient lists, counted in the units above.
 """
 
 import operator
 import random
+import sys
+from array import array
 from collections import namedtuple
 from math import isqrt
 
@@ -194,22 +198,63 @@ class PrimeField:
 
 
 def _slot_bytes(p: int, terms: int) -> int:
-    """Bytes per slot that hold a sum of `terms` products of residues."""
-    return ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+    """Bytes per slot that hold a sum of `terms` products of residues,
+    at least 8: such a slot is one machine word."""
+    return max(8, ((terms * (p - 1) ** 2).bit_length() + 7) // 8)
+
+
+# word slots stay little-endian whatever the host's byte order
+_SWAP = sys.byteorder == "big"
 
 
 def _pack(coeffs, width: int) -> int:
     """Kronecker substitution: coefficient i goes in bytes
-    [i*width, (i+1)*width) of one little-endian integer."""
+    [i*width, (i+1)*width) of one little-endian integer; 8-byte slots
+    are packed as one array of machine words."""
+    if width == 8:
+        words = array("Q", coeffs)
+        if _SWAP:
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
     return int.from_bytes(b"".join([c.to_bytes(width, "little")
                                     for c in coeffs]), "little")
 
 
 def _unpack(v: int, width: int, n: int) -> list:
-    """The first n slots of a packed integer, unreduced."""
+    """The first n slots of a packed integer, unreduced; 8-byte slots
+    are read as one array of machine words."""
     raw = v.to_bytes(n * width, "little")
+    if width == 8:
+        words = array("Q", raw)
+        if _SWAP:
+            words.byteswap()
+        return words.tolist()
     return [int.from_bytes(raw[i:i + width], "little")
             for i in range(0, n * width, width)]
+
+
+def _divmod_lists(fld: PrimeField, a: list, b: list) -> tuple:
+    """(quotient, stripped remainder) of coefficient lists, b stripped
+    and nonzero, counted by the PrimeField rule for a reduction."""
+    p = fld.p
+    db = len(b) - 1
+    r = list(a)
+    if len(r) <= db:
+        return [], r
+    inv_lead = 1 if b[-1] == 1 else fld.inv(b[-1])
+    steps = len(r) - db
+    fld.mul_count += steps * db + (steps if inv_lead != 1 else 0)
+    q = [0] * steps
+    for k in range(steps - 1, -1, -1):
+        c = r[k + db] * inv_lead % p
+        if c:
+            q[k] = c
+            # zip stops at db, before b's leading coefficient
+            r[k:k + db] = [(u - c * v) % p for u, v in zip(r[k:k + db], b)]
+    del r[db:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
 class UniPoly:
@@ -322,24 +367,8 @@ class UniPoly:
         fld = self.field
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        p = fld.p
-        b = other.coeffs
-        db = len(b) - 1
-        r = list(self.coeffs)
-        if len(r) <= db:
-            return UniPoly(fld, []), UniPoly(fld, r)
-        inv_lead = 1 if b[-1] == 1 else fld.inv(b[-1])
-        steps = len(r) - db
-        fld.mul_count += steps * db + (steps if inv_lead != 1 else 0)
-        q = [0] * steps
-        for k in range(steps - 1, -1, -1):
-            c = r[k + db] * inv_lead % p
-            if c == 0:
-                continue
-            q[k] = c
-            for i in range(db):
-                r[k + i] = (r[k + i] - c * b[i]) % p
-        return UniPoly(fld, q), UniPoly(fld, r[:db])
+        q, r = _divmod_lists(fld, self.coeffs, other.coeffs)
+        return UniPoly(fld, q), UniPoly(fld, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -354,10 +383,11 @@ class UniPoly:
         return self * inv_lead
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        fld = self.field
+        a, b = self.coeffs, other.coeffs
+        while b:
+            a, b = b, _divmod_lists(fld, a, b)[1]
+        return UniPoly(fld, a).monic()
 
     def powmod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         """self^e mod modulus by left-to-right square-and-multiply.

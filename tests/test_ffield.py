@@ -227,7 +227,10 @@ def _schoolbook_powmod(base, e, mod, p):
     return result, units
 
 
-_PRIMES = (101, 10007, 2**256 - 189)
+# at 2^31 - 1 a slot holds a sum of up to 4 products in one 8-byte word
+# and needs 9 bytes from 5 on, so the packed product (lengths <= 4 against
+# >= 5) and powmod (degree <= 2 against >= 3) cross both packings
+_PRIMES = (101, 10007, 2**31 - 1, 2**256 - 189)
 
 
 @st.composite
@@ -251,9 +254,56 @@ def _powmod_cases(draw):
     return p, mod, base, e
 
 
+def _euclid(a, b, p):
+    """(coefficients, mul units, inversions) of the monic gcd of a and b
+    by schoolbook Euclid: the reference for UniPoly.gcd.  A division of
+    length n by degree d adds (n - d)*d, plus n - d and one inversion
+    when the divisor is not monic; making the result monic adds its
+    length and one inversion."""
+    muls = invs = 0
+    while b:
+        d = len(b) - 1
+        a = list(a)
+        if len(a) > d:
+            inv = pow(b[-1], -1, p)
+            if b[-1] != 1:
+                invs += 1
+                muls += len(a) - d
+            muls += (len(a) - d) * d
+            for k in range(len(a) - 1, d - 1, -1):
+                c = a[k] * inv % p
+                for i in range(d + 1):
+                    a[k - d + i] = (a[k - d + i] - c * b[i]) % p
+            a = _strip(a[:d])
+        a, b = b, a
+    if a and a[-1] != 1:
+        invs += 1
+        muls += len(a)
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a, muls, invs
+
+
+@st.composite
+def _gcd_cases(draw):
+    """(p, g*x, g*y) for random g, x, y, each zero, monic or not."""
+    p = draw(st.sampled_from(_PRIMES))
+
+    def poly(max_len):
+        n = draw(st.integers(0, max_len))
+        if n == 0:
+            return []
+        lead = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+        return draw(st.lists(st.integers(0, p - 1), min_size=n - 1,
+                             max_size=n - 1)) + [lead]
+
+    g = poly(8)
+    return p, _schoolbook_mul(g, poly(10), p), _schoolbook_mul(g, poly(10), p)
+
+
 class TestPackedArithmetic:
-    """The packed product and powmod against test-local schoolbook
-    references, values and mul_count alike."""
+    """The packed product, powmod and gcd against test-local schoolbook
+    references, values and counts alike."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -281,6 +331,36 @@ class TestPackedArithmetic:
             before = fld.mul_count
             assert (u * v).coeffs == _schoolbook_mul(u.coeffs, v.coeffs, p)
             assert fld.mul_count - before == len(u.coeffs) * len(v.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((1, 2, 4, 5, 8, 9, 33)).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(
+            st.integers(0, 2 ** (8 * w) - 1), max_size=40))))
+    def test_pack_round_trip(self, case):
+        """Unpacking inverts packing, and the word path at width 8 packs
+        the same integer as the byte-by-byte layout does."""
+        width, coeffs = case
+        packed = ffield._pack(coeffs, width)
+        assert packed == sum(c << (8 * width * i)
+                             for i, c in enumerate(coeffs))
+        assert ffield._unpack(packed, width, len(coeffs)) == coeffs
+
+    def test_slot_widths(self):
+        # one word up to 4 products of residues mod 2^31 - 1, 9 bytes from 5
+        assert [ffield._slot_bytes(2**31 - 1, t) for t in (1, 4, 5)] \
+            == [8, 8, 9]
+        assert ffield._slot_bytes(101, 1) == 8
+        assert ffield._slot_bytes(2**256 - 189, 1) == 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gcd_cases())
+    def test_gcd_matches_euclid(self, case):
+        p, a, b = case
+        for u, v in ((a, b), (b, a)):
+            fld = PrimeField(p)
+            want, muls, invs = _euclid(u, v, p)
+            assert UniPoly(fld, u).gcd(UniPoly(fld, v)).coeffs == want
+            assert (fld.mul_count, fld.inv_count) == (muls, invs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((97, 101, 103)).flatmap(lambda p: st.tuples(
