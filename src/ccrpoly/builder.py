@@ -1,24 +1,23 @@
 """Builders for the trivariate modular polynomials and the classical
 j-polynomial used as an independent validation oracle.
 
-The pipeline per kind: expand the distinguished root r_inf(q) and the
-conjugate-generating series R(x) with x = q^{1/ell}; form the power sums
-s_k = r_inf^k + trace(R^k) where the trace is arithmetic-progression
-extraction (root-of-unity sums vanish off multiples of ell, so no
-cyclotomic arithmetic is needed); run Newton's identities on the power-sum
-series; match each elementary symmetric function e_k to the level-1 form
-basis E4^a E6^b of the right weight; assemble the monic degree-(ell+1)
-result from the matches.  build_classical_phi runs the same Newton routine
-on the traces of j(x)^k alone, multiplies the root j(q^ell) in afterwards,
-and matches each e_k against the powers of j instead.
+Every kind, Phi included, takes one chain.  conjugate_series expands the
+distinguished root r_inf(q) and the conjugate generator R(x) with
+x = q^{1/ell}; power_sums traces R^1..R^ell over the ell cosets (the
+trace is arithmetic-progression extraction: root-of-unity sums vanish off
+multiples of ell, so no cyclotomic arithmetic is needed); Newton's
+identities on those traces give the conjugates' elementary symmetric
+functions E'_k; _elementary multiplies the root in; and each e_k, up to
+sign the coefficient of X^(ell+1-k), is matched against the form basis
+E4^a E6^b of its weight (_build_at) or, for Phi, against the powers of j
+(build_classical_phi).  No series holds a power of r_inf.
 
 The traces come from baby and giant steps (power_traces): with
-m = ceil(sqrt(k_max)), only R^1..R^m and R^m, R^2m, ... are formed in
+m = ceil(sqrt(ell)), only R^1..R^m and R^m, R^2m, ... are formed in
 full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
-exponents ell divides, so the ell+1 traces cost about 2*sqrt(ell+1) full
-products.  build_classical_phi shares that routine too.  Every chain of
-powers (_powers) forms its even powers as squares, which PowerSeries
-multiplies with half the products.
+exponents ell divides, so the ell traces cost about 2*sqrt(ell) full
+products.  Every chain of powers (_powers) forms its even powers as
+squares, which PowerSeries multiplies with half the products.
 
 match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
 with b <= 1 whose i-th element starts with q^i, and rewrites the result
@@ -33,7 +32,7 @@ from math import comb, isqrt
 
 from .errors import BasisMatchError, BuildError, PrecisionError
 from .qseries import PowerSeries, delta_series, eisenstein_series, \
-    eta_squared_product, j_series, sigma1_series
+    eta_squared_product, fn_series, j_series, sigma1_series
 from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
     check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -47,9 +46,7 @@ def conjugate_series(kind: str, ell: int, n_q: int):
     n_x = ell * n_q
     if kind == "U":
         r_inf = sigma1_series(ell, n_q)
-        r_x = (eisenstein_series(2, n_x)
-               - ell * eisenstein_series(2, n_q).substitute_q_power(ell)
-               ) * Fraction(1, 2)
+        r_x = fn_series(ell, n_x) * Fraction(1, 2)
     elif kind == "V":
         r_inf = eisenstein_series(4, n_q).substitute_q_power(ell) \
             .truncate(n_q) * (-3 * ell ** 4)
@@ -58,6 +55,12 @@ def conjugate_series(kind: str, ell: int, n_q: int):
         r_inf = eisenstein_series(6, n_q).substitute_q_power(ell) \
             .truncate(n_q) * (-2 * ell ** 6)
         r_x = eisenstein_series(6, n_x) * (-2)
+    elif kind == "Phi":
+        # j(x)^k, k <= ell, is known below x^(ell*n_q - k): every trace
+        # ends at q^n_q.  r_inf = j(q^ell) on [-ell, n_q)
+        r_x = j_series(ell * n_q + 2)
+        r_inf = r_x.truncate(-(-n_q // ell)).substitute_q_power(ell) \
+            .truncate(n_q)
     elif kind == "Ua":
         # distinguished root -ell*f; each coset contributes the same eta
         # shape in x (the twist leaves the (1-x^(ell*n)) factors alone)
@@ -102,15 +105,11 @@ def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     return out
 
 
-def power_sums(kind: str, ell: int, k_max: int, n_q: int) -> list:
-    """s_k(q) = r_inf^k + trace of R^k over the ell cosets, k = 1..k_max."""
+def power_sums(kind: str, ell: int, n_q: int) -> tuple:
+    """(r_inf, [t_1..t_ell]): the distinguished root and the power sums
+    t_k = trace of R^k of the ell coset conjugates."""
     r_inf, big_r = conjugate_series(kind, ell, n_q)
-    out = []
-    rp = None
-    for trace in power_traces(big_r, ell, k_max):
-        rp = r_inf if rp is None else rp * r_inf
-        out.append(rp + trace)
-    return out
+    return r_inf, power_traces(big_r, ell, ell)
 
 
 def form_basis_exponents(w: int) -> list:
@@ -188,21 +187,30 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     return {ab: Fraction(nums[ab], den) for ab in exps if nums.get(ab)}
 
 
-def _newton_elementary(sums: list, e0: PowerSeries, step) -> list:
+def _newton_elementary(sums: list, e0: PowerSeries) -> list:
     """e_1..e_n from the power-sum series s_1..s_n by Newton's identities,
-    k*e_k = sum over i = 1..k of (-1)^(i-1) * e_(k-i) * s_i, exact over Q.
-
-    e0 is the series of e_0 = 1.  After each level, step(k, e_k) does that
-    builder's work on e_k and returns the series that later levels read in
-    its place; the list of those series is returned."""
+    k*e_k = sum over i = 1..k of (-1)^(i-1) * e_(k-i) * s_i, exact over Q;
+    e0 is the series of e_0 = 1."""
     e = [e0]
     for k in range(1, len(sums) + 1):
         acc = e[k - 1] * sums[0]
         for i in range(2, k + 1):
             term = e[k - i] * sums[i - 1]
             acc = acc + term if i % 2 else acc - term
-        e.append(step(k, acc * Fraction(1, k)))
+        e.append(acc * Fraction(1, k))
     return e[1:]
+
+
+def _elementary(r_inf: PowerSeries, traces: list) -> list:
+    """e_1..e_(ell+1) of the root r_inf and the ell conjugates whose power
+    sums are traces.  Newton on the traces alone gives the conjugates'
+    E'_k; as sum of e_k T^k = (1 + r_inf*T) * sum of E'_k T^k,
+    e_k = E'_k + r_inf*E'_(k-1), and e_(ell+1) = r_inf*E'_ell.  E'_0 is
+    as long as r_inf, so that r_inf*E'_0 ends where E'_1 does."""
+    e0 = PowerSeries.constant(1, len(r_inf.nums))
+    conj = [e0] + _newton_elementary(traces, e0)
+    return [c + r_inf * d for c, d in zip(conj[1:], conj)] \
+        + [r_inf * conj[-1]]
 
 
 def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
@@ -210,18 +218,13 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     w_x = KINDS[kind].x_weight
     powers = _form_powers(n_q)
     terms = {(n, 0, 0): Fraction(1)}
-
-    def match(k, e_k):
+    for k, e_k in enumerate(_elementary(*power_sums(kind, ell, n_q)), 1):
         # the coefficient of X^(n-k) is (-1)^k e_k.  With a positive lead
         # (Ua) a product's window runs past n_q, beyond the cached powers
         # of E4 and E6; the Sturm window is all the match needs.
-        e_k = e_k.truncate(n_q)
-        for (a, b), c in match_to_form_basis(e_k, w_x * k, powers).items():
+        for (a, b), c in match_to_form_basis(e_k.truncate(n_q), w_x * k,
+                                             powers).items():
             terms[(n - k, a, b)] = -c if k % 2 else c
-        return e_k
-
-    _newton_elementary(power_sums(kind, ell, n, n_q),
-                       PowerSeries.constant(1, n_q), match)
     return TrivariatePoly(kind, ell, "E4E6", terms).validate()
 
 
@@ -229,11 +232,14 @@ def build(kind: str, ell: int):
     """Monic degree-(ell+1) polynomial in the E4E6 basis, validated for
     homogeneity and integrality; Phi is build_classical_phi's.
 
-    e_k is a polynomial in s_1..s_k over Q, so like s_k it is a level-1
-    form of weight 2wk (w the X-weight), and Sturm's bound fixes it by
-    floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
-    rows to spare.  The coefficients are exact, so a matching failure is a
-    fault, not a precision shortfall, and is not retried."""
+    Every kind takes the module's one chain: the conjugates' traces,
+    Newton, the root multiplied in, then the match.  e_k is a polynomial
+    over Q in the power sums of the ell + 1 roots, which are level-1
+    forms, so e_k is a level-1 form of weight 2wk (w the X-weight), and
+    Sturm's bound fixes it by floor(wk/6) + 1 coefficients; the window
+    covers k = ell+1 with three rows to spare.  The coefficients are
+    exact, so a matching failure is a fault, not a precision shortfall,
+    and is not retried."""
     w_x = check_kind(kind, ell).x_weight
     if not w_x:
         # a weight-0 root is a value of j: its e_k are polynomials in j
@@ -282,38 +288,20 @@ def _peel_j_powers(e: PowerSeries, jpow: list, ell: int, k: int) -> dict:
 
 def build_classical_phi(ell: int) -> ClassicalModularPoly:
     """Phi_ell(X, j) from the roots J = j(q^ell) and the ell coset
-    conjugates of j(x), x = q^{1/ell}.
-
-    Newton's identities run on the conjugates' traces t_k (k <= ell, poles
-    at most q^-1) alone and give their elementary symmetric functions E'_k.
-    As sum of e_k T^k = (1 + J*T) * sum of E'_k T^k, the step matches
-    e_k = E'_k + J*E'_(k-1) against the powers of j (E'_(ell+1) = 0), so
-    no series carries the q^(-ell*k) poles of the roots' power sums."""
+    conjugates of j(x), x = q^{1/ell}, by the module's one chain: the
+    traces of j(x)^k, k <= ell, whose poles are at most q^-1, Newton,
+    then J multiplied in, e_k = E'_k + J*E'_(k-1).  So no series carries
+    the q^(-ell*k) poles of the roots' power sums.  The powers of j are
+    peeled off each e_k."""
     check_kind("Phi", ell)
     n = ell + 1
     tail = 4                       # checked surplus coefficients past q^0
-    end_s = tail + ell + 2         # the traces' window end
-    # j(x)^k is known on [-k, ell*end_s + 1 - k): each t_k ends at q^end_s
-    j_long = j_series(ell * end_s + 2)
-    # j^m on [-m, n + end_s), past the end of every e_k
-    jpow = _powers([None, j_long.truncate(n + end_s)], n)
-    # J on the q-window [-ell, end_s)
-    big_j = j_long.truncate(-(-end_s // ell)).substitute_q_power(ell) \
-        .truncate(end_s)
+    n_q = tail + ell + 2           # the traces' window end
+    # j^m on [-m, n + n_q), past the end of every e_k
+    jpow = _powers([None, j_series(n + n_q + 2)], n)
     terms = {(n, 0): 1}
-    # E'_0 on end_s + ell slots, so that J*E'_0 ends where E'_1 does
-    conj = [PowerSeries.constant(1, end_s + ell)]
-
-    def match(k, conj_k):
+    for k, e_k in enumerate(_elementary(*power_sums("Phi", ell, n_q)), 1):
         # the coefficient of X^(n-k) is (-1)^k e_k
-        e_k = conj_k + big_j * conj[-1]
         for m, c in _peel_j_powers(e_k, jpow, ell, k).items():
             terms[(n - k, m)] = -c if k % 2 else c
-        conj.append(conj_k)
-        return conj_k
-
-    _newton_elementary(power_traces(j_long.reinterpret(ell), ell, ell),
-                       conj[0], match)
-    # e_(ell+1) = J*E'_ell: there are only ell conjugates
-    match(n, PowerSeries.constant(0, end_s))
     return ClassicalModularPoly(ell, terms).validate()

@@ -380,7 +380,8 @@ class UniPoly:
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
         inv_lead = self.field.inv(self.coeffs[-1])
-        return self * inv_lead
+        self.field.mul_count += len(self.coeffs)
+        return UniPoly(self.field, [c * inv_lead for c in self.coeffs])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         fld = self.field

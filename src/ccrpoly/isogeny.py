@@ -106,6 +106,11 @@ def e6_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
     return _quotient(field, *formulas.e6_tilde_parts(*point, *diag))
 
 
+def _check_sums_prime(p: int):
+    if p in (5, 7):
+        raise ValueError("p in {5, 7} breaks the power-sum denominators")
+
+
 def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
                       sigma: int, ell: int):
     """(sigma0, sigma2, sigma3) of the kernel abscissas.
@@ -115,8 +120,7 @@ def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
     B - B* = 7(10 sigma3 + 6 A sigma1 + 4 B sigma0).
     """
     p = field.p
-    if p in (5, 7):
-        raise ValueError("p in {5, 7} breaks the power-sum denominators")
+    _check_sums_prime(p)
     s0 = (ell - 1) // 2 % p
     s2 = ((a - a_star) * field.inv(5) - 2 * a * s0) % p * field.inv(6) % p
     s3 = ((b - b_star) * field.inv(7) - 6 * a * sigma - 4 * b * s0) % p \
@@ -133,10 +137,12 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     derivative or point value vanishes are skipped; a (root, message)
     pair goes to the diagnostics list when one is supplied.  v, w, phi
     are optional cross-check polynomials; their flags stay None when
-    absent, and they are specialized only when U has a root.
+    absent, and they are specialized only when U has a root.  p in
+    {5, 7}, where the power sums divide by zero, is refused first.
     """
     field = curve.field
     _check_level(field, ell)
+    _check_sums_prime(field.p)
     for P, kind in ((u, "U"), (v, "V"), (w, "W"), (phi, "Phi")):
         if P is not None:
             _check_poly(P, kind, ell)

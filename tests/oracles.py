@@ -7,6 +7,7 @@ checks.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 
@@ -60,3 +61,20 @@ def zero_through(s, n: int) -> bool:
     """Every coefficient of s below x**n vanishes; PrecisionError when the
     window stops short of x**n."""
     return not any(s.coefficient(k) for k in range(s.lead, n))
+
+
+@lru_cache(maxsize=None)
+def _quadratic_characters(p: int) -> tuple:
+    """chi(v) for v = 0..p-1: 0 at zero, 1 on the squares, -1 elsewhere."""
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        chi[y * y % p] = 1
+    return tuple(chi)
+
+
+def frobenius_trace(p: int, a: int, b: int) -> int:
+    """t = p + 1 - #E for E: y^2 = x^3 + ax + b over F_p, from the naive
+    count #E = p + 1 + sum over x of chi(x^3 + ax + b)."""
+    chi = _quadratic_characters(p)
+    return -sum(chi[(x * x * x + a * x + b) % p] for x in range(p))

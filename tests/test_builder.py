@@ -100,19 +100,24 @@ class TestConjugateSeries:
             conjugate_series("Z", 5, 8)
 
 
+def full_power_sums(kind, ell, n_q):
+    """r_inf^k + t_k, k = 1..ell: the power sums of all ell + 1 roots."""
+    r_inf, traces = power_sums(kind, ell, n_q)
+    return [r_inf ** k + t for k, t in enumerate(traces, 1)]
+
+
 class TestPowerSums:
     def test_first_sum_vanishes_for_sigma_kind(self):
-        s = power_sums("U", 5, 1, 17)[0]
+        s = full_power_sums("U", 5, 17)[0]
         assert zero_through(s, 17)
 
     def test_second_sum_is_120_e4(self):
-        s = power_sums("U", 5, 2, 17)[1]
+        s = full_power_sums("U", 5, 17)[1]
         e4 = eisenstein_series(4, 17)
         assert zero_through(s - 120 * e4, 17)
 
     def test_eta_variant_low_sums_vanish(self):
-        sums = power_sums("Ua", 11, 5, 23)
-        for s in sums:
+        for s in full_power_sums("Ua", 11, 23)[:5]:
             assert zero_through(s, 23)
 
 
@@ -129,14 +134,7 @@ def test_newton_elementary_gives_the_polynomial(roots):
     coeffs = [PowerSeries.constant(1, 4)]
     for r in rs:
         coeffs = [a - r * b for a, b in zip(coeffs + [zero], [zero] + coeffs)]
-    levels = []
-
-    def step(k, e_k):
-        levels.append(k)
-        return e_k
-
-    elem = builder._newton_elementary(sums, PowerSeries.constant(1, 4), step)
-    assert levels == list(range(1, n + 1))
+    elem = builder._newton_elementary(sums, PowerSeries.constant(1, 4))
     assert [e if k % 2 == 0 else -e for k, e in enumerate(elem, 1)] \
         == coeffs[1:]
 
@@ -157,12 +155,11 @@ def drawn_series(max_size):
 @settings(max_examples=80, deadline=None)
 @given(drawn_series(10), st.lists(drawn_series(10), min_size=1, max_size=4))
 def test_newton_splits_off_a_root(big_j, traces):
-    # sum of e_k T^k = (1 + J*T) * sum of E'_k T^k, where e_k come from the
-    # power sums J^k + t_k and E'_k from the t_k alone: the split that
-    # build_classical_phi runs Newton on
+    # sum of e_k T^k = (1 + J*T) * sum of E'_k T^k: _elementary's e_k,
+    # from Newton on the t_k alone, are Newton's on the power sums J^k + t_k
     m = len(traces)
     e0 = PowerSeries.constant(1, 24)
-    conj = [e0] + builder._newton_elementary(traces, e0, lambda k, c: c)
+    conj = [e0] + builder._newton_elementary(traces, e0)
     # t_(m+1): the next power sum of the m roots whose first power sums
     # are t_1..t_m, so that E'_(m+1) = 0
     nxt = conj[1] * traces[m - 1]
@@ -170,10 +167,11 @@ def test_newton_splits_off_a_root(big_j, traces):
         term = conj[i] * traces[m - i]
         nxt = nxt + term if i % 2 else nxt - term
     sums = [big_j ** k + t for k, t in enumerate(traces + [nxt], 1)]
-    elem = builder._newton_elementary(sums, e0, lambda k, c: c)
-    conj.append(PowerSeries.constant(0, 24))
-    for k, e_k in enumerate(elem, 1):
-        assert same_on_common_window(e_k, conj[k] + big_j * conj[k - 1])
+    elem = builder._newton_elementary(sums, e0)
+    split = builder._elementary(big_j, traces)
+    assert len(split) == m + 1
+    for e_k, want in zip(split, elem, strict=True):
+        assert same_on_common_window(e_k, want)
 
 
 class TestBasisMatch:
@@ -260,6 +258,22 @@ class TestBuild:
     def test_sturm_window_matches_old_window(self, kind, ell):
         assert build(kind, ell) == _build_at(kind, ell, ell + 12)
 
+    @pytest.mark.parametrize("kind, ell", [("U", 13), ("V", 11), ("W", 11),
+                                           ("Ua", 23)])
+    def test_every_e_k_fills_the_window(self, monkeypatch, kind, ell):
+        # e_k = E'_k + r_inf*E'_(k-1) is known through n_q at every k, so
+        # the match checks every row of the Sturm window
+        ends = []
+        real = builder.match_to_form_basis
+
+        def spy(s, *args):
+            ends.append(s.end)
+            return real(s, *args)
+
+        monkeypatch.setattr(builder, "match_to_form_basis", spy)
+        build(kind, ell)
+        assert len(ends) == ell + 1 and len(set(ends)) == 1
+
     def test_match_failure_is_not_retried(self, monkeypatch):
         calls = []
         real_build_at = builder._build_at
@@ -337,19 +351,19 @@ class TestClassicalPhi:
         assert phi5.is_symmetric()
 
     def test_every_tail_row_is_checked(self, monkeypatch):
-        # e_1 plus q^row, for each known row past q^0, is no polynomial
-        # in j; the step sees E'_1, which ends where e_1 = E'_1 + J does
+        # E'_1 plus q^row, for each known row past q^0, makes e_1 plus
+        # q^row, which is no polynomial in j; E'_1 ends where
+        # e_1 = E'_1 + J does
         real = builder._newton_elementary
         ends = []
 
         def bump_at(row):
-            def spy(sums, e0, step):
-                def bumped(k, e_k):
-                    ends.append(e_k.end)
-                    coeffs = [0] * len(e_k.nums)
-                    coeffs[row - e_k.lead] = 1
-                    return step(k, e_k + PowerSeries(coeffs, lead=e_k.lead))
-                return real(sums, e0, bumped)
+            def spy(sums, e0):
+                first, *rest = real(sums, e0)
+                ends.append(first.end)
+                coeffs = [0] * len(first.nums)
+                coeffs[row - first.lead] = 1
+                return [first + PowerSeries(coeffs, lead=first.lead)] + rest
             return spy
 
         row = 1

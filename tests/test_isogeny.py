@@ -7,11 +7,15 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ccrpoly.builder import build, build_classical_phi
 from ccrpoly.errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                             VerificationError)
 from ccrpoly.ffield import (CurveParams, DerivativeBundle, PrimeField,
-                            derivative_bundle, roots, specialize)
+                            UniPoly, collapse, derivative_bundle, fp_table,
+                            roots, specialize)
 from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
                              atkin_b_star, atkin_e4_tilde, atkin_sigma,
                              atkin_step, e4_tilde, e6_tilde,
@@ -19,7 +23,7 @@ from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
 from ccrpoly.symbolic import (derive_atkin_e4t, derive_atkin_sigma,
                               derive_e4t, derive_e6t)
 from ccrpoly.trivariate import TrivariatePoly
-from oracles import eval_mod
+from oracles import eval_mod, frobenius_trace
 
 P = 1009
 
@@ -238,6 +242,69 @@ class TestElkiesPowerSums:
         f7 = PrimeField(7)
         with pytest.raises(ValueError):
             elkies_power_sums(f7, 1, 1, 1, 1, 1, 11)
+
+    def test_elkies_step_refuses_small_p(self, u5):
+        # refused at entry: a curve whose U5 has no root over F_7 would
+        # otherwise read as an Atkin prime
+        f7 = PrimeField(7)
+        curves = [CurveParams(f7, a, b) for a in range(7) for b in range(7)
+                  if (4 * a ** 3 + 27 * b * b) % 7]
+        assert len(curves) == 42
+        for curve in curves:
+            with pytest.raises(ValueError, match="power-sum denominators"):
+                elkies_step(curve, 5, u5)
+
+
+@pytest.fixture(scope="module")
+def counted_polys():
+    """U at every prime 5..31, Ua at 11 and 23, Phi at 5..13."""
+    return ({ell: build("U", ell) for ell in (5, 7, 11, 13, 17, 19, 23, 29,
+                                              31)},
+            {ell: build("Ua", ell) for ell in (11, 23)},
+            {ell: build_classical_phi(ell) for ell in (5, 7, 11, 13)})
+
+
+@st.composite
+def ordinary_curves(draw):
+    """(curve, t): an ordinary curve with j not in {0, 1728} and its
+    trace of Frobenius, counted naively."""
+    p = draw(st.sampled_from((10007, 100003)))
+    a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+    assume((4 * a ** 3 + 27 * b * b) % p)
+    t = frobenius_trace(p, a, b)
+    assume(t)
+    return CurveParams(PrimeField(p), a, b), t
+
+
+def atkin_root_counts(ell: int, t: int, p: int) -> set:
+    """The F_p root counts Atkin's classification allows (Schoof 1995,
+    section 6): 1 + ((t^2 - 4p)/ell) off ell | t^2 - 4p, else 1 or ell + 1."""
+    d = (t * t - 4 * p) % ell
+    if not d:
+        return {1, ell + 1}
+    return {2 if pow(d, (ell - 1) // 2, ell) == 1 else 0}
+
+
+@settings(max_examples=16, deadline=None)
+@given(ordinary_curves())
+def test_root_counts_follow_atkin_classification(counted_polys, case):
+    # every root of U and Ua counts, whether it ends in a result or a
+    # diagnostic; Phi(X, j) is read through its collapse at j
+    curve, t = case
+    fld = curve.field
+    u, ua, phi = counted_polys
+    p = fld.p
+    for kind, step, polys in (("U", elkies_step, u), ("Ua", atkin_step, ua)):
+        for ell, poly in polys.items():
+            diag = []
+            found = len(step(curve, ell, poly, diagnostics=diag))
+            assert found + len(diag) in atkin_root_counts(ell, t, p), \
+                (kind, ell)
+    j = curve.j_invariant()
+    for ell, poly in phi.items():
+        _, (_, dk, _) = fp_table(poly, fld)
+        at_j = UniPoly(fld, collapse(poly, fld, 0, fld.powers(j, dk), [1]))
+        assert len(roots(at_j)) in atkin_root_counts(ell, t, p), ("Phi", ell)
 
 
 class TestAtkinSigma:
