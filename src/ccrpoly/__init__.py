@@ -21,8 +21,7 @@ _EXPORTS = {
               "DegeneratePoint GcdDegreeTwo NotDivisibleError PrecisionError "
               "SingularCurve VerificationError",
     "ffield": "CurveParams DerivativeBundle PrimeField UniPoly "
-              "derivative_bundle division_poly is_probable_prime roots "
-              "specialize",
+              "derivative_bundle is_probable_prime roots specialize",
     "isogeny": "AtkinStepResult IsogenyStepResult ValidationFlags "
                "atkin_b_star atkin_e4_tilde atkin_sigma atkin_step e4_tilde "
                "e6_tilde elkies_power_sums elkies_step",

@@ -3,8 +3,8 @@ specialization.
 
 Everything downstream of the polynomial builders happens here: reducing
 a trivariate polynomial at a curve (A, B) to a univariate in X, finding
-its roots in F_p, evaluating the partial-derivative bundle at a chosen
-root, and the division polynomials f_n.
+its roots in F_p, and evaluating the partial-derivative bundle at a
+chosen root.
 
 fp_table reduces a polynomial's exact coefficients into F_p once per
 prime and keeps the table on the polynomial; collapse is the one reader
@@ -16,18 +16,19 @@ owns the modulus and counts modular multiplications and inversions,
 including those performed inside polynomial arithmetic; the complexity
 checks read these counters.  Polynomial arithmetic is counted in
 schoolbook units, whatever algorithm does the work: a product of
-polynomials of lengths m and n adds m*n, and reducing a length-n
+lengths m and n inside powmod adds m*n, and reducing a length-n
 polynomial by a degree-d modulus adds (n - d)*d.  The evaluators that
 read a compiled table count per table term and per power they take, as
 the PrimeField docstring lists.  Polynomials are dense coefficient
 lists, lowest degree first, trailing zeros stripped.
 
-Products of polynomials go through Kronecker substitution: the
-coefficients are packed into one integer, one slot each, the integers
-are multiplied, and the slots of the product are the coefficients of
-the polynomial product, reduced mod p.  Slots of up to 8 bytes are
-packed as machine words, one C call each way.  Division and Euclid's
-gcd run on plain coefficient lists, counted in the units above.
+Products of polynomials happen only inside powmod, by Kronecker
+substitution: the coefficients are packed into one integer, one slot
+each, the integers are multiplied, and the slots of the product are
+the coefficients of the polynomial product, reduced mod p.  Slots of up
+to 8 bytes are packed as machine words, one C call each way.  Division
+and Euclid's gcd run on plain coefficient lists, counted in the units
+above.
 """
 
 import operator
@@ -35,6 +36,7 @@ import random
 import sys
 from array import array
 from collections import namedtuple
+from itertools import zip_longest
 from math import isqrt
 
 from .errors import SingularCurve
@@ -143,15 +145,16 @@ class PrimeField:
 
     mul_count counts modular multiplications.  Polynomial arithmetic
     adds in schoolbook units, independent of the algorithm used: a
-    product of polynomials of lengths m and n adds m*n, and reducing a
+    product of lengths m and n inside powmod adds m*n, reducing a
     length-n polynomial by a degree-d modulus adds (n - d)*d, plus n - d
-    for the quotient digits when the modulus is not monic.  Reading a
-    compiled table of T terms adds one per power taken and 2T per
-    collapse: specialize is one collapse, derivative_bundle four, plus
-    one per slope k*v^(k-1) and 7 per power of X for its dot products.
-    An exponentiation x^e adds e.bit_length() + popcount(e) - 2, its
-    square-and-multiply steps; roots adds one such exponentiation and 4
-    more per degree-2 factor it solves in closed form.
+    for the quotient digits when the modulus is not monic, and making a
+    length-n polynomial monic adds n.  Reading a compiled table of T
+    terms adds one per power taken and 2T per collapse: specialize is
+    one collapse, derivative_bundle four, plus one per slope k*v^(k-1)
+    and 7 per power of X for its dot products.  An exponentiation x^e
+    adds e.bit_length() + popcount(e) - 2, its square-and-multiply
+    steps; roots adds one such exponentiation and 4 more per degree-2
+    factor it solves in closed form.
     inv_count counts inversions, one per coefficient denominator when a
     table is compiled.
     """
@@ -261,7 +264,9 @@ class UniPoly:
     """Dense univariate polynomial over a prime field.
 
     Coefficients run lowest degree first; the zero polynomial is the
-    empty list.  Arithmetic accepts int scalars on either side.
+    empty list.  It has what root finding runs: difference, division
+    with remainder, gcd, powmod and evaluation; products of polynomials
+    happen only inside powmod.
     """
 
     __slots__ = ("field", "coeffs")
@@ -285,85 +290,16 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, int):
-            return UniPoly(self.field, [other])
-        return NotImplemented
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, UniPoly):
             return NotImplemented
         return self.field.p == other.field.p and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.field.p, tuple(self.coeffs)))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(self.field, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        fld = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly(fld, [])
-        fld.mul_count += len(a) * len(b)
-        width = _slot_bytes(fld.p, min(len(a), len(b)))
-        pa = _pack(a, width)
-        # the same object on both sides lets the int product square
-        pb = pa if b is a else _pack(b, width)
-        return UniPoly(fld, _unpack(pa * pb, width, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return UniPoly(self.field, [a - b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         fld = self.field
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -668,58 +604,3 @@ def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
         du_s6=dot(g6, dxs),
         du_46=dot(g46, xs),
     )
-
-
-_DPOLY_VARS = ("X", "A", "B")
-
-
-def division_poly(n: int, curve: CurveParams = None):
-    """The n-division polynomial f_n with the curve relation folded in.
-
-    f_n = psi_n for odd n and psi_n/(2Y) for even n, so f_n is a
-    polynomial in X alone; the leading coefficient is n for odd n and
-    n/2 for even n.  With a curve the result is a UniPoly, without one
-    an exact polynomial in (X, A, B).
-    """
-    if n < -1:
-        raise ValueError("n must be at least -1")
-    if n > 30:
-        raise ValueError("n beyond supported range")
-    if curve is None:
-        from .symbolic import MultiPoly
-        x = MultiPoly.gen(_DPOLY_VARS, "X")
-        a = MultiPoly.gen(_DPOLY_VARS, "A")
-        b = MultiPoly.gen(_DPOLY_VARS, "B")
-    else:
-        fld = curve.field
-        x = UniPoly.x(fld)
-        a = UniPoly(fld, [curve.A])
-        b = UniPoly(fld, [curve.B])
-    cubic = x * x * x + a * x + b
-    # 16 Y^4 reduced on the curve
-    ff = 16 * cubic * cubic
-    f = {
-        -1: -(x ** 0),
-        0: 0 * x,
-        1: x ** 0,
-        2: x ** 0,
-        3: 3 * x ** 4 + 6 * a * x ** 2 + 12 * b * x - a * a,
-        4: (2 * x ** 6 + 10 * a * x ** 4 + 40 * b * x ** 3
-            - 10 * a * a * x ** 2 - 8 * a * b * x - 16 * b * b
-            - 2 * a ** 3),
-    }
-
-    def fill(k: int):
-        if k in f:
-            return f[k]
-        m, odd = divmod(k, 2)
-        if odd:
-            first = fill(m + 2) * fill(m) ** 3
-            second = fill(m - 1) * fill(m + 1) ** 3
-            f[k] = ff * first - second if m % 2 == 0 else first - ff * second
-        else:
-            f[k] = fill(m) * (fill(m + 2) * fill(m - 1) ** 2
-                              - fill(m - 2) * fill(m + 1) ** 2)
-        return f[k]
-
-    return fill(n)

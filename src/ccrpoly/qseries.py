@@ -258,9 +258,6 @@ class PowerSeries:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented

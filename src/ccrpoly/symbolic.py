@@ -14,9 +14,8 @@ chart (Ua); a table gives each chart's symbols, the root's q-derivatives
 and the closed forms.  Every check is an exact polynomial identity; a
 failure raises :class:`VerificationError` naming the step.
 
-Its users are ``verify-symbolic`` and the exact branch of
-``ffield.division_poly``; the builders and the Delta display do not
-import it.
+Its one user is ``verify-symbolic``; the builders and the Delta
+display do not import it.
 """
 
 from __future__ import annotations
@@ -98,12 +97,6 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

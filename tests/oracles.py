@@ -3,12 +3,12 @@
 Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``/``step``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
-checks.
+checks; cm_vector has its own point arithmetic and finds no roots.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 
 
 def evaluate(poly, *point):
@@ -78,3 +78,77 @@ def frobenius_trace(p: int, a: int, b: int) -> int:
     count #E = p + 1 + sum over x of chi(x^3 + ax + b)."""
     chi = _quadratic_characters(p)
     return -sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+
+
+# j-invariants of the orders of discriminant -7 and -8
+_CM_J = {-7: -3375, -8: 8000}
+
+
+def _ec_add(pt, qt, a: int, p: int):
+    """The sum of two affine points on y^2 = x^3 + ax + b over F_p, None
+    standing for the point at infinity."""
+    if pt is None:
+        return qt
+    if qt is None:
+        return pt
+    (x1, y1), (x2, y2) = pt, qt
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, pt, a: int, p: int):
+    """n * pt by double-and-add."""
+    out = None
+    while n:
+        if n & 1:
+            out = _ec_add(out, pt, a, p)
+        pt = _ec_add(pt, pt, a, p)
+        n >>= 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def cm_vector(disc: int, ell: int) -> tuple:
+    """(P, A, B, sigma, A*, B*): a curve E: y^2 = x^3 + Ax + B over F_P
+    with CM by the order of discriminant disc, and the ell-isogeny with
+    a rational kernel worked out by Velu's formulas.
+
+    P is the first prime above 2^30 with P = -1 (mod 4 ell) and
+    (disc/P) = -1.  disc is then inert, so E, taken as y^2 = x^3 + 3kx +
+    2k with k = j/(1728 - j), is supersingular and #E = P + 1; as
+    P = 3 (mod 4), a square root is a (P+1)/4 power.  R = ((P+1)/ell) Q
+    for the first point Q, by abscissa, where that is not infinity.  Over
+    R, 2R, ..., dR with d = (ell-1)/2, sigma is the sum of the x_Q, and
+    A* = A - 5v, B* = B - 7w with v the sum of 6x_Q^2 + 2A and w the
+    sum of 4y_Q^2 + x_Q(6x_Q^2 + 2A).
+    """
+    p = (2 ** 30 // (4 * ell) + 1) * 4 * ell - 1
+    while not (all(p % q for q in range(3, isqrt(p) + 1, 2))
+               and pow(disc, (p - 1) // 2, p) == p - 1):
+        p += 4 * ell
+    j = _CM_J[disc]
+    k = j * pow(1728 - j, -1, p) % p
+    a, b = 3 * k % p, 2 * k % p
+    for x in range(p):
+        rhs = (x ** 3 + a * x + b) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p != rhs:
+            continue
+        r = _ec_mul((p + 1) // ell, (x, y), a, p)
+        if r is not None:
+            break
+    assert _ec_mul(ell, r, a, p) is None
+    sigma = v = w = 0
+    q = r
+    for _ in range((ell - 1) // 2):
+        xq, yq = q
+        vq = 6 * xq * xq + 2 * a
+        sigma, v, w = sigma + xq, v + vq, w + 4 * yq * yq + xq * vq
+        q = _ec_add(q, r, a, p)
+    return p, a, b, sigma % p, (a - 5 * v) % p, (b - 7 * w) % p

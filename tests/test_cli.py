@@ -355,6 +355,21 @@ class TestStoreErrors:
         assert proc.stdout == (f"store error: {path}: malformed store line "
                                f"{line!r}\n")
 
+    def test_non_ascii_byte(self, cache, tmp_path, capsys):
+        """Store files are ASCII whatever the locale's encoding, so a
+        byte outside it is a store error, not a decoding ValueError."""
+        assert cli.main(ELKIES_ARGS) == 0
+        capsys.readouterr()
+        path = cache / "U_5_E4E6.txt"
+        text = path.read_bytes()
+        path.write_bytes(text + b"\xff\n")
+        proc = run_cli(ELKIES_ARGS, cache, tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout == (
+            f"store error: cannot read {path}: 'ascii' codec can't decode "
+            f"byte 0xff in position {len(text)}: ordinal not in range(128)\n")
+
     def test_unwritable_out(self, cache, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")

@@ -1,5 +1,5 @@
 """Finite-field layer: scalars, polynomials, roots, specialization,
-derivative bundles, division polynomials."""
+derivative bundles."""
 
 import random
 import types
@@ -18,12 +18,10 @@ from ccrpoly.ffield import (
     UniPoly,
     _strong_lucas,
     derivative_bundle,
-    division_poly,
     is_probable_prime,
     roots,
     specialize,
 )
-from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import TrivariatePoly
 from oracles import evaluate, fraction_mod
 
@@ -47,6 +45,28 @@ _QUADRATIC_PRIMES = (97, 101, 103, 2**256 - 189, 2**256 - 2063)
 
 def _non_residue(p: int) -> int:
     return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def _strip(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _schoolbook_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _strip(out)
+
+
+def _product(fld, *factors) -> UniPoly:
+    """The product of coefficient lists, [-r, 1] for X - r."""
+    out = [1]
+    for f in factors:
+        out = _schoolbook_mul(out, f, fld.p)
+    return UniPoly(fld, out)
 
 
 class TestPrimeField:
@@ -112,18 +132,16 @@ class TestPrimeField:
     @pytest.mark.parametrize("p", _QUADRATIC_PRIMES)
     def test_quadratic_roots(self, p):
         fld = PrimeField(p)
-        x = UniPoly.x(fld)
         rng = random.Random(p)
         for r in [0, 1, p - 1] + [rng.randrange(p) for _ in range(30)]:
             s = (r + rng.randrange(1, p)) % p
-            assert roots((x - r) * (x - s)) == sorted([r, s])
+            assert roots(_product(fld, [-r, 1], [-s, 1])) == sorted([r, s])
 
     def test_quadratic_roots_count(self):
         # p = 3 (mod 4): the Frobenius powmod, the gcd, one exponentiation
         # by (p+1)/4, the check and the formula
         fld = PrimeField(2**256 - 189)
-        x = UniPoly.x(fld)
-        f = (x - 12345) * (x - 67890)
+        f = _product(fld, [-12345, 1], [-67890, 1])
         before = fld.mul_count
         assert roots(f) == [12345, 67890]
         assert fld.mul_count - before == 3530
@@ -136,58 +154,45 @@ class TestUniPoly:
         assert UniPoly(fld, [-1]).coeffs == [P - 1]
         assert UniPoly(fld, []).degree == -1
 
-    def test_ring_ops(self, fld):
-        x = UniPoly.x(fld)
-        f = x * x - 1
-        g = x - 1
-        assert (f + g).coeffs == [P - 2, 1, 1]
-        assert (f * g).coeffs == [1, P - 1, P - 1, 1]
-        assert (2 * g).coeffs == [P - 2, 2]
-        assert (x ** 3).coeffs == [0, 0, 0, 1]
+    def test_difference(self, fld):
+        f = UniPoly(fld, [-1, 0, 1])
+        g = UniPoly(fld, [-1, 1])
+        assert (f - g).coeffs == [0, P - 1, 1]
+        assert (g - f).coeffs == [0, 1, P - 1]
+        # the leading terms cancel, and the result is stripped
+        assert (g - UniPoly(fld, [5, 1])).coeffs == [P - 6]
+        assert (f - f).is_zero()
+        assert f != g and f != f.coeffs and f - UniPoly(fld, []) == f
 
     def test_divmod(self, fld):
         x = UniPoly.x(fld)
-        q, r = divmod(x ** 3, x)
-        assert q == x * x and r.is_zero()
-        q, r = divmod(x ** 2 + 1, 2 * x - 1)
+        q, r = divmod(UniPoly(fld, [0, 0, 0, 1]), x)
+        assert q == UniPoly(fld, [0, 0, 1]) and r.is_zero()
+        f, g = UniPoly(fld, [1, 0, 1]), UniPoly(fld, [-1, 2])
+        q, r = divmod(f, g)
+        assert q == f // g and r == f % g and r.degree < g.degree
         # back-substitute
-        assert q * (2 * x - 1) + r == x ** 2 + 1
+        assert f - _product(fld, q.coeffs, g.coeffs) == r
         with pytest.raises(ZeroDivisionError):
             divmod(x, UniPoly(fld, []))
 
     def test_gcd_monic(self, fld):
-        x = UniPoly.x(fld)
-        g = (x * x - 1).gcd(x - 1)
-        assert g == x - 1
+        g = UniPoly(fld, [-1, 0, 1]).gcd(UniPoly(fld, [-1, 1]))
+        assert g == UniPoly(fld, [-1, 1])
         # gcd normalizes the leading coefficient even off monic inputs
-        g = (3 * (x - 5) * (x - 7)).gcd(5 * (x - 5))
-        assert g == x - 5
+        g = _product(fld, [3], [-5, 1], [-7, 1]).gcd(
+            _product(fld, [5], [-5, 1]))
+        assert g == UniPoly(fld, [-5, 1])
 
     def test_powmod_small_field(self):
         f5 = PrimeField(5)
         x = UniPoly.x(f5)
-        mod = x * x + 1
         # X^5 = X*(X^2)^2 = X*(-1)^2 = X mod (X^2+1)
-        assert x.powmod(5, mod) == x
+        assert x.powmod(5, UniPoly(f5, [1, 0, 1])) == x
 
     def test_evaluate(self, fld):
-        x = UniPoly.x(fld)
-        f = x ** 3 + 2 * x + 5
+        f = UniPoly(fld, [5, 2, 0, 1])
         assert f.evaluate(10) == 1025 % P
-
-
-def _strip(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _schoolbook_mul(a, b, p):
-    out = [0] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _strip(out)
 
 
 def _schoolbook_powmod(base, e, mod, p):
@@ -228,8 +233,8 @@ def _schoolbook_powmod(base, e, mod, p):
 
 
 # at 2^31 - 1 a slot holds a sum of up to 4 products in one 8-byte word
-# and needs 9 bytes from 5 on, so the packed product (lengths <= 4 against
-# >= 5) and powmod (degree <= 2 against >= 3) cross both packings
+# and needs 9 bytes from 5 on, so powmod (degree <= 2 against >= 3)
+# crosses both packings
 _PRIMES = (101, 10007, 2**31 - 1, 2**256 - 189)
 
 
@@ -302,8 +307,8 @@ def _gcd_cases(draw):
 
 
 class TestPackedArithmetic:
-    """The packed product, powmod and gcd against test-local schoolbook
-    references, values and counts alike."""
+    """powmod and gcd against test-local schoolbook references, values
+    and counts alike, and the packing powmod runs on."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -317,20 +322,6 @@ class TestPackedArithmetic:
         assert fld.mul_count == units
         # one inversion per call, and only to make the modulus monic
         assert fld.inv_count == (mod[-1] != 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(_PRIMES).flatmap(lambda p: st.tuples(
-        st.just(p),
-        st.lists(st.integers(0, p - 1), max_size=40),
-        st.lists(st.integers(0, p - 1), max_size=40))))
-    def test_product_matches_schoolbook(self, case):
-        p, a, b = case
-        fld = PrimeField(p)
-        a, b = UniPoly(fld, a), UniPoly(fld, b)
-        for u, v in ((a, b), (a, a)):
-            before = fld.mul_count
-            assert (u * v).coeffs == _schoolbook_mul(u.coeffs, v.coeffs, p)
-            assert fld.mul_count - before == len(u.coeffs) * len(v.coeffs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((1, 2, 4, 5, 8, 9, 33)).flatmap(
@@ -371,11 +362,7 @@ class TestPackedArithmetic:
     def test_roots_match_brute_force(self, case):
         p, factors, cofactor, lead = case
         fld = PrimeField(p)
-        x = UniPoly.x(fld)
-        f = UniPoly(fld, [lead])
-        for r in factors:
-            f = f * (x - r)
-        f = f * UniPoly(fld, cofactor + [1])
+        f = _product(fld, [lead], *([-r, 1] for r in factors), cofactor + [1])
         want = [r for r in range(p) if f.evaluate(r) == 0]
         assert roots(f) == want
 
@@ -392,12 +379,8 @@ class TestPackedArithmetic:
         p, linear, quadratics = case
         fld = PrimeField(p)
         n = _non_residue(p)
-        x = UniPoly.x(fld)
-        f = UniPoly(fld, [1])
-        for r in linear:
-            f = f * (x - r)
-        for u, v in quadratics:
-            f = f * ((x + u) * (x + u) - n * v * v)
+        f = _product(fld, *([-r, 1] for r in linear),
+                     *([u * u - n * v * v, 2 * u, 1] for u, v in quadratics))
         assert roots(f) == sorted(linear)
 
 
@@ -419,10 +402,8 @@ class TestRoots:
                                                   seed):
         """The splitting generator is seeded with 0; any other seed takes
         another path to the same sorted roots."""
-        x = UniPoly.x(fld)
-        f = x + 1
-        for r in (3, 17, 29, 40, 57, 64, 71, 98):
-            f = f * (x - r)
+        f = _product(fld, [1, 1], *([-r, 1] for r in
+                                    (3, 17, 29, 40, 57, 64, 71, 98)))
         baseline = roots(f)
         assert baseline == [3, 17, 29, 40, 57, 64, 71, 98, P - 1]
         monkeypatch.setattr(ffield, "random", types.SimpleNamespace(
@@ -430,8 +411,7 @@ class TestRoots:
         assert roots(f) == baseline
 
     def test_repeated_factors_and_zero_root(self, fld):
-        x = UniPoly.x(fld)
-        f = x * (x - 3) * (x - 3) * (x - 5)
+        f = _product(fld, [0, 1], [-3, 1], [-3, 1], [-5, 1])
         assert roots(f) == [0, 3, 5]
 
     def test_count_matches_linear_part(self, fld):
@@ -519,101 +499,6 @@ class TestDerivativeBundle:
     def test_second_root(self, curve13, u5):
         bundle = derivative_bundle(u5, curve13, 664)
         assert bundle.u == 0 and bundle.du_s != 0
-
-
-class TestDivisionPoly:
-    def test_first_values_symbolic(self):
-        v = ("X", "A", "B")
-        one = MultiPoly.const(v, 1)
-        assert division_poly(-1) == -one
-        assert division_poly(0).is_zero
-        assert division_poly(1) == one
-        assert division_poly(2) == one
-
-    def test_f3(self):
-        v = ("X", "A", "B")
-        x = MultiPoly.gen(v, "X")
-        a = MultiPoly.gen(v, "A")
-        b = MultiPoly.gen(v, "B")
-        assert division_poly(3) == 3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a
-
-    def test_f4(self):
-        # psi_4 = 4Y*(X^6+5AX^4+20BX^3-5A^2X^2-4ABX-8B^2-A^3), so
-        # f_4 = psi_4/(2Y) carries leading coefficient 4/2 = 2; the
-        # monic variant would break the (n odd -> lead n) pattern that
-        # test_doubling_composition pins for f_5
-        v = ("X", "A", "B")
-        x = MultiPoly.gen(v, "X")
-        a = MultiPoly.gen(v, "A")
-        b = MultiPoly.gen(v, "B")
-        monic = (x**6 + 5 * a * x**4 + 20 * b * x**3 - 5 * a * a * x**2
-                 - 4 * a * b * x - 8 * b * b - a**3)
-        assert division_poly(4) == 2 * monic
-
-    def test_leading_coefficients(self, fld, curve13):
-        for n in range(3, 21):
-            lead = division_poly(n, curve13).leading()
-            assert lead == (n if n % 2 else n // 2) % P
-
-    def test_degree_formula(self, fld, curve13):
-        for n in range(3, 21):
-            want = (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
-            assert division_poly(n, curve13).degree == want
-        assert division_poly(30, curve13).degree == (900 - 4) // 2
-
-    def test_weighted_homogeneity(self):
-        # X weight 1, A weight 2, B weight 3
-        for n in range(3, 13):
-            f = division_poly(n)
-            deg = f.degree_in("X")
-            for (i, a, b) in f.terms:
-                assert i + 2 * a + 3 * b == deg
-
-    def test_symbolic_field_agreement(self, fld, curve13):
-        for n in (5, 8, 11):
-            sym = division_poly(n)
-            out = [0] * (sym.degree_in("X") + 1)
-            for (i, a, b), c in sym.terms.items():
-                out[i] = (out[i] + int(c) * pow(3, b, P)) % P
-            assert UniPoly(fld, out) == division_poly(n, curve13)
-
-    def test_doubling_composition(self, fld, curve13):
-        # x([4]P) computed by composing the doubling map twice must
-        # equal x - f3*f5/(4*(x^3+Ax+B)*f4^2); this pins the even-index
-        # normalization and the recurrence output f5 at once
-        a, b = curve13.A, curve13.B
-        f3 = division_poly(3, curve13)
-        f4 = division_poly(4, curve13)
-        f5 = division_poly(5, curve13)
-        assert f5.leading() == 5
-
-        def dbl(x):
-            num = (x**4 - 2 * a * x * x - 8 * b * x + a * a) % P
-            den = 4 * (x**3 + a * x + b) % P
-            return None if den == 0 else num * pow(den, P - 2, P) % P
-
-        checked = 0
-        rng = random.Random(99)
-        while checked < 10:
-            x = rng.randrange(P)
-            d1 = dbl(x)
-            d2 = dbl(d1) if d1 is not None else None
-            if d2 is None:
-                continue
-            den = 4 * (x**3 + a * x + b) * pow(f4.evaluate(x), 2, P) % P
-            if den == 0:
-                continue
-            rhs = (x - f3.evaluate(x) * f5.evaluate(x) * pow(den, P - 2, P)) % P
-            assert d2 == rhs
-            checked += 1
-
-    def test_range_gate(self, curve13):
-        with pytest.raises(ValueError):
-            division_poly(-2)
-        with pytest.raises(ValueError):
-            division_poly(31)
-        with pytest.raises(ValueError):
-            division_poly(31, curve13)
 
 
 class TestRootCountProperty:

@@ -82,8 +82,7 @@ EXPORTS = {
     "DegeneratePoint", "GcdDegreeTwo", "NotDivisibleError", "PrecisionError",
     "SingularCurve", "VerificationError",
     "CurveParams", "DerivativeBundle", "PrimeField", "UniPoly",
-    "derivative_bundle", "division_poly", "is_probable_prime", "roots",
-    "specialize",
+    "derivative_bundle", "is_probable_prime", "roots", "specialize",
     "AtkinStepResult", "IsogenyStepResult", "ValidationFlags", "atkin_b_star",
     "atkin_e4_tilde", "atkin_sigma", "atkin_step", "e4_tilde", "e6_tilde",
     "elkies_power_sums", "elkies_step",

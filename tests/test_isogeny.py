@@ -23,7 +23,7 @@ from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
 from ccrpoly.symbolic import (derive_atkin_e4t, derive_atkin_sigma,
                               derive_e4t, derive_e6t)
 from ccrpoly.trivariate import TrivariatePoly
-from oracles import eval_mod, frobenius_trace
+from oracles import cm_vector, eval_mod, frobenius_trace
 
 P = 1009
 
@@ -305,6 +305,42 @@ def test_root_counts_follow_atkin_classification(counted_polys, case):
         _, (_, dk, _) = fp_table(poly, fld)
         at_j = UniPoly(fld, collapse(poly, fld, 0, fld.powers(j, dk), [1]))
         assert len(roots(at_j)) in atkin_root_counts(ell, t, p), ("Phi", ell)
+
+
+# Velu's isogenies at supersingular CM curves, worked out with the
+# oracle's own point arithmetic: the step must find the one whose kernel
+# is rational, beside the other rational kernel
+_CM_ELLS = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.fixture(scope="module")
+def velu_vw():
+    """V and W at every prime 5..31, the Elkies step's cross-checks."""
+    return {ell: (build("V", ell), build("W", ell)) for ell in _CM_ELLS}
+
+
+@pytest.mark.parametrize("disc", (-7, -8))
+@pytest.mark.parametrize("ell", _CM_ELLS)
+def test_elkies_step_matches_velu_at_cm_vectors(counted_polys, velu_vw,
+                                                 ell, disc):
+    p, a, b, *velu = cm_vector(disc, ell)
+    out = elkies_step(CurveParams(PrimeField(p), a, b), ell,
+                      counted_polys[0][ell], *velu_vw[ell])
+    assert len(out) == 2
+    match = [r for r in out if [r.sigma, r.a_star, r.b_star] == velu]
+    assert len(match) == 1
+    assert match[0].validated.v_root is True
+    assert match[0].validated.w_root is True
+
+
+@pytest.mark.parametrize("disc", (-7, -8))
+@pytest.mark.parametrize("ell", (11, 23))
+def test_atkin_step_matches_velu_at_cm_vectors(counted_polys, ell, disc):
+    p, a, b, *velu = cm_vector(disc, ell)
+    out = atkin_step(CurveParams(PrimeField(p), a, b), ell,
+                     counted_polys[1][ell])
+    assert len(out) == 2
+    assert velu in [[r.sigma, r.a_star, r.b_star] for r in out]
 
 
 class TestAtkinSigma:
