@@ -41,8 +41,8 @@ from .trivariate import _denominator_is_smooth  # noqa: F401
 
 
 def conjugate_series(kind: str, ell: int, n_q: int):
-    """The distinguished-root series r_inf(q) and the conjugate generator
-    R(x) as a step-ell series in x = q^{1/ell}."""
+    """r_inf, a series in q, and the conjugate generator R, a series in
+    x = q^{1/ell}: the one series of the builder that is not in q."""
     n_x = ell * n_q
     if kind == "U":
         r_inf = sigma1_series(ell, n_q)
@@ -68,7 +68,7 @@ def conjugate_series(kind: str, ell: int, n_q: int):
         r_x = eta_squared_product(ell, n_x)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return r_inf, r_x.reinterpret(ell)
+    return r_inf, r_x
 
 
 def _powers(pw: list, top: int) -> list:
@@ -81,15 +81,15 @@ def _powers(pw: list, top: int) -> list:
 
 
 def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
-    """[trace of R^k over the ell cosets for k = 1..k_max], from about
-    2*sqrt(k_max) full products (the baby-step/giant-step split of
-    Paterson and Stockmeyer, 1973).
+    """[trace of R^k over the ell cosets for k = 1..k_max], series in q
+    from R in x = q^{1/ell}, by about 2*sqrt(k_max) full products (the
+    baby-step/giant-step split of Paterson and Stockmeyer, 1973).
 
     With m = ceil(sqrt(k_max)), the baby steps R^1..R^m and the giant
     steps R^m, R^2m, ... are formed in full, the even ones as squares;
     every other k = t*m + j is traced from R^(tm) and R^j by
-    PowerSeries.product_trace, which never forms R^k.  All R^k share R's window length, so each trace is exactly
-    the one the full power would give."""
+    PowerSeries.product_trace, which never forms R^k.  R^k has R's
+    window length, so its trace is exactly the full power's."""
     m = isqrt(k_max - 1) + 1
     baby = _powers([None, big_r], m)
     giant = _powers([None, baby[m]], k_max // m)

@@ -157,6 +157,7 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     sigmas = roots(specialize(u, curve))
     v_spec = specialize(v, curve) if sigmas and v is not None else None
     w_spec = specialize(w, curve) if sigmas and w is not None else None
+    j = curve.j_invariant() if sigmas and phi is not None else None
     for sigma in sigmas:
         bundle = derivative_bundle(u, curve, sigma)
         try:
@@ -180,8 +181,7 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
                 # Phi(j, j*): Phi collapsed onto X at j*, read at j
                 _, (_, dk, _) = fp_table(phi, field)
                 phi_x = collapse(phi, field, 0, field.powers(j_star, dk), [1])
-                phi_ok = UniPoly(field, phi_x).evaluate(
-                    curve.j_invariant()) == 0
+                phi_ok = UniPoly(field, phi_x).evaluate(j) == 0
         s0, s2, s3 = elkies_power_sums(field, curve.A, curve.B,
                                        a_star, b_star, sigma, ell)
         out.append(IsogenyStepResult(

@@ -1,11 +1,12 @@
-"""Exact truncated power series in a fractional power of q.
+"""Exact truncated Laurent series in one variable x.
 
 A series is a dense window of exact rational coefficients, held as one
 list of integer numerators ``nums`` over one positive integer denominator
-``den``: the coefficient of x**(lead+k) is nums[k]/den, where
-x = q**(1/step).  Exponents below the window are exact zeros; exponents at
-or past ``end = lead + len(nums)`` are unknown and reading one raises
-PrecisionError.  Negative leads are allowed (the j-function needs them).
+``den``: the coefficient of x**(lead+k) is nums[k]/den.  Exponents below
+the window are exact zeros; exponents at or past ``end = lead + len(nums)``
+are unknown and reading one raises PrecisionError.  Negative leads are
+allowed (the j-function needs them).  x is q in every named expansion;
+only the builder reads a series in x = q**(1/ell), and traces it to q.
 
 Every series is kept in canonical form: den > 0 and
 gcd(den, *nums) == 1, so the zero series has den == 1.  Two series with
@@ -38,7 +39,7 @@ def _as_fraction(value):
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
-def _series(nums, den, lead, step):
+def _series(nums, den, lead):
     """The series nums/den, brought into canonical form."""
     if den != 1:
         if den < 0:
@@ -47,7 +48,7 @@ def _series(nums, den, lead, step):
         if g != 1:
             nums, den = [v // g for v in nums], den // g
     out = PowerSeries.__new__(PowerSeries)
-    out.step, out.lead, out.nums, out.den = step, lead, nums, den
+    out.lead, out.nums, out.den = lead, nums, den
     return out
 
 
@@ -71,15 +72,13 @@ def _convolve(a, b, size, slots):
 class PowerSeries:
     """Truncated series sum(nums[k]/den * x**(lead+k)) + O(x**end)."""
 
-    __slots__ = ("step", "lead", "nums", "den")
+    __slots__ = ("lead", "nums", "den")
 
-    def __init__(self, coeffs, lead=0, step=1):
-        if step < 1:
-            raise ValueError("step must be a positive integer")
+    def __init__(self, coeffs, lead=0):
         fracs = [_as_fraction(c) for c in coeffs]
         # the lcm of reduced denominators is already coprime to the nums
         den = lcm(*(c.denominator for c in fracs))
-        self.step, self.lead, self.den = step, lead, den
+        self.lead, self.den = lead, den
         self.nums = [c.numerator * (den // c.denominator) for c in fracs]
 
     @property
@@ -92,10 +91,10 @@ class PowerSeries:
         return [Fraction(v, self.den) for v in self.nums]
 
     @classmethod
-    def constant(cls, value, precision, step=1):
+    def constant(cls, value, precision):
         c = _as_fraction(value)
         return _series([c.numerator] + [0] * (precision - 1), c.denominator,
-                       0, step)
+                       0)
 
     def coefficient(self, n):
         """Exact coefficient of x**n; zero below the window, error past it."""
@@ -116,51 +115,29 @@ class PowerSeries:
         """True when all known coefficients vanish."""
         return not any(self.nums)
 
-    def reinterpret(self, step):
-        """Same coefficients read against a new fractional power of q."""
-        if step < 1:
-            raise ValueError("step must be a positive integer")
-        return _series(self.nums, self.den, self.lead, step)
-
     def truncate(self, end):
         """Forget coefficients at or past exponent ``end``."""
         if end <= self.lead:
             raise PrecisionError("truncation would leave an empty window")
-        return _series(self.nums[:end - self.lead], self.den, self.lead,
-                       self.step)
+        return _series(self.nums[:end - self.lead], self.den, self.lead)
 
     # -- arithmetic -------------------------------------------------------
-
-    def _aligned(self, other):
-        if self.step == other.step:
-            return self, other
-        s = lcm(self.step, other.step)
-        return self._rescale(s // self.step, s), other._rescale(s // other.step, s)
-
-    def _rescale(self, m, step):
-        if m == 1:
-            return self
-        nums = [0] * (m * len(self.nums))
-        nums[::m] = self.nums
-        # known mod x^end in the old variable means mod x^(m*end) in the new
-        return _series(nums, self.den, m * self.lead, step)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._add_scalar(_as_fraction(other))
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        a, b = self._aligned(other)
-        lead = min(a.lead, b.lead)
-        end = min(a.end, b.end)
+        lead = min(self.lead, other.lead)
+        end = min(self.end, other.end)
         if end <= lead:
             raise PrecisionError("empty window in series addition")
-        den = lcm(a.den, b.den)
+        den = lcm(self.den, other.den)
         # both padded windows reach end; zip stops there
         pa, pb = ([0] * (s.lead - lead)
                   + _scaled(s.nums[:max(end - s.lead, 0)], den // s.den)
-                  for s in (a, b))
-        return _series([u + v for u, v in zip(pa, pb)], den, lead, a.step)
+                  for s in (self, other))
+        return _series([u + v for u, v in zip(pa, pb)], den, lead)
 
     def _add_scalar(self, c):
         if self.end <= 0:
@@ -169,13 +146,12 @@ class PowerSeries:
         den = lcm(self.den, c.denominator)
         nums = [0] * (self.lead - lead) + _scaled(self.nums, den // self.den)
         nums[-lead] += c.numerator * (den // c.denominator)
-        return _series(nums, den, lead, self.step)
+        return _series(nums, den, lead)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series([-v for v in self.nums], self.den, self.lead,
-                       self.step)
+        return _series([-v for v in self.nums], self.den, self.lead)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PowerSeries)
@@ -188,36 +164,32 @@ class PowerSeries:
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             return _series(_scaled(self.nums, c.numerator),
-                           self.den * c.denominator, self.lead, self.step)
+                           self.den * c.denominator, self.lead)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        a, b, size = self._product_window(other)
-        return _series(_convolve(a.nums, b.nums, size, range(size)),
-                       a.den * b.den, a.lead + b.lead, a.step)
+        size = self._product_window(other)
+        return _series(_convolve(self.nums, other.nums, size, range(size)),
+                       self.den * other.den, self.lead + other.lead)
 
     __rmul__ = __mul__
 
     def _product_window(self, other):
-        """Both factors on one step, and the length of their product's
-        window."""
-        a, b = self._aligned(other)
-        size = min(len(a.nums), len(b.nums))
+        """The length of the product's window."""
+        size = min(len(self.nums), len(other.nums))
         if size <= 0:
             raise PrecisionError("empty window in series multiplication")
-        return a, b, size
+        return size
 
     def product_trace(self, other, ell):
         """(self * other).extract_progression(ell) without forming the
         product: only the slots whose exponent ell divides are convolved,
         about 1/ell of the work of the full product."""
-        a, b, size = self._product_window(other)
-        if a.step != ell:
-            raise ValueError("extraction requires a series in x = q^(1/ell)")
-        lead = a.lead + b.lead
+        size = self._product_window(other)
+        lead = self.lead + other.lead
         qlead = -((-lead) // ell)
-        kept = _convolve(a.nums, b.nums, size,
+        kept = _convolve(self.nums, other.nums, size,
                          range(qlead * ell - lead, size, ell))
-        return _series([ell * v for v in kept], a.den * b.den, qlead, 1)
+        return _series([ell * v for v in kept], self.den * other.den, qlead)
 
     def inverse(self):
         """Multiplicative inverse, window matched to the known coefficients.
@@ -246,7 +218,7 @@ class PowerSeries:
             p *= u0
         # p is now den * u0**len(u); nums[k] carries den * u0**(len-1-k)
         nums.reverse()
-        return _series(nums, p // self.den, -first, self.step)
+        return _series(nums, p // self.den, -first)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,7 +236,7 @@ class PowerSeries:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return PowerSeries.constant(1, len(self.nums), step=self.step)
+            return PowerSeries.constant(1, len(self.nums))
         result = None
         base = self
         while True:
@@ -278,41 +250,40 @@ class PowerSeries:
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return (self.step == other.step and self.lead == other.lead
-                and self.den == other.den and self.nums == other.nums)
+        return (self.lead == other.lead and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.step, self.lead, self.den, tuple(self.nums)))
+        return hash((self.lead, self.den, tuple(self.nums)))
 
     def __repr__(self):
         shown = ", ".join(str(Fraction(v, self.den)) for v in self.nums[:6])
         if len(self.nums) > 6:
             shown += ", ..."
-        return (f"PowerSeries(step={self.step}, x^{self.lead}..x^{self.end}:"
-                f" [{shown}])")
+        return f"PowerSeries(x^{self.lead}..x^{self.end}: [{shown}])"
 
     # -- q-operators ------------------------------------------------------
 
     def substitute_q_power(self, m):
-        """Replace q by q**m, i.e. multiply every exponent by m."""
+        """Replace x by x**m, i.e. multiply every exponent by m."""
         if m < 1:
             raise ValueError("substitution power must be positive")
-        return self._rescale(m, self.step)
+        nums = [0] * (m * len(self.nums))
+        nums[::m] = self.nums
+        # known mod x^end before means known mod x^(m*end) after
+        return _series(nums, self.den, m * self.lead)
 
     def extract_progression(self, ell):
-        """Keep exponents divisible by ell, rescale x**(ell*m) to q**m,
-        and multiply by ell.
+        """Read the series in x = q**(1/ell): keep the exponents ell
+        divides, rescale x**(ell*m) to q**m, and multiply by ell.
 
         This is the trace over the ell-th roots of unity: summing the series
         at x*zeta^j over all j kills every exponent not divisible by ell and
-        multiplies the surviving ones by ell.  Requires step == ell so the
-        result is an integral q-series.
+        multiplies the surviving ones by ell.
         """
-        if self.step != ell:
-            raise ValueError("extraction requires a series in x = q^(1/ell)")
         qlead = -((-self.lead) // ell)
         kept = self.nums[qlead * ell - self.lead::ell]
-        return _series([ell * v for v in kept], self.den, qlead, 1)
+        return _series([ell * v for v in kept], self.den, qlead)
 
 
 # -- named expansions -----------------------------------------------------

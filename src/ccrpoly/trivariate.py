@@ -14,6 +14,7 @@ x_weight*(ell+1).
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
@@ -265,7 +266,9 @@ def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
 # ---------------------------------------------------------------------------
 # Store format.  Header `CCR kind=<U|V|W|Ua|Phi> ell=<l> basis=<E4E6|AB|j|Delta>`
 # (the kind's bases in KINDS) then one term per line, exponents descending
-# lexicographically; rationals as num/den, integers bare.
+# lexicographically; rationals as num/den, integers bare.  The reader
+# refuses every other number form (exponents, "+", "_", ".") before int or
+# Fraction sees it: Fraction("1e999999999") would expand 10**999999999.
 
 
 def poly_to_text(obj, basis: str | None = None) -> str:
@@ -289,8 +292,14 @@ def store_header(text: str) -> tuple:
     try:
         if not line.startswith("CCR "):
             raise ValueError
-        fields = dict(part.split("=", 1) for part in line.split()[1:])
-        kind, ell, basis = fields["kind"], int(fields["ell"]), fields["basis"]
+        pairs = [part.split("=", 1) for part in line.split()[1:]]
+        fields = dict(pairs)
+        kind, ell, basis = fields["kind"], fields["ell"], fields["basis"]
+        # a field named twice, or an ell that int() reads but the writer
+        # never prints ("+5", "5_0")
+        if len(fields) < len(pairs) or not re.fullmatch("[0-9]+", ell):
+            raise ValueError
+        ell = int(ell)
     except (KeyError, ValueError):
         raise StoreError(f"malformed store header {line!r}") from None
     if kind not in KINDS or basis not in KINDS[kind].bases:
@@ -300,8 +309,8 @@ def store_header(text: str) -> tuple:
 
 def poly_from_text(text: str):
     """Parse store text; a missing or malformed header, or a malformed term
-    line (a negative exponent or a repeated term among them), raises
-    StoreError."""
+    line (a number in another form than poly_to_text writes, or a repeated
+    term, among them), raises StoreError."""
     kind, ell, basis = store_header(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # a key is the term's first `width` exponents, and a line has at
@@ -309,15 +318,17 @@ def poly_from_text(text: str):
     # "i k 0 c" with integer c
     width = KINDS[kind].width + (basis == "Delta")
     n = max(width, 3)
-    parse = int if basis == "j" else Fraction
+    parse, coeff = ((int, "-?[0-9]+") if basis == "j"
+                    else (Fraction, "-?[0-9]+(/[0-9]+)?"))
+    term = re.compile("([0-9]+ )" * n + coeff)
     terms = {}
     for ln in lines[1:]:
         parts = ln.split()
         try:
-            if len(parts) != n + 1:
+            if not term.fullmatch(" ".join(parts)):
                 raise ValueError
             key = tuple(map(int, parts[:n]))
-            if min(key) < 0 or any(key[width:]) or key[:width] in terms:
+            if any(key[width:]) or key[:width] in terms:
                 raise ValueError
             terms[key[:width]] = parse(parts[n])
         except (ValueError, ZeroDivisionError):

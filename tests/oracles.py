@@ -1,7 +1,7 @@
 """Exact reference evaluators that the tests check the library against.
 
 Each works from the public fields of the objects (``terms``, ``vars``,
-``coeffs``/``lead``/``step``), so it shares no code path with the
+``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
 checks; cm_vector has its own point arithmetic and finds no roots.
 """
@@ -51,10 +51,10 @@ def eval_mod(expr, values: dict, p: int) -> int:
 
 
 def ref_qdiff(a):
-    """q d/dq: the coefficient of x**n picks up n/step.  Takes and returns
-    any series type built as cls(coeffs, lead, step)."""
-    return type(a)([c * Fraction(a.lead + k, a.step)
-                    for k, c in enumerate(a.coeffs)], a.lead, a.step)
+    """q d/dq: the coefficient of q**n picks up n.  Takes and returns any
+    series type built as cls(coeffs, lead)."""
+    return type(a)([c * (a.lead + k) for k, c in enumerate(a.coeffs)],
+                   a.lead)
 
 
 def zero_through(s, n: int) -> bool:

@@ -355,6 +355,21 @@ class TestStoreErrors:
         assert proc.stdout == (f"store error: {path}: malformed store line "
                                f"{line!r}\n")
 
+    def test_number_in_exponent_notation(self, cache, tmp_path, capsys):
+        """-6e1 is -60 to Fraction, yet the writer never prints it: the
+        store holds something other than what was built."""
+        assert cli.main(ELKIES_ARGS) == 0
+        capsys.readouterr()
+        path = cache / "U_5_E4E6.txt"
+        text = path.read_text()
+        assert "\n4 1 0 -60\n" in text
+        path.write_text(text.replace("\n4 1 0 -60\n", "\n4 1 0 -6e1\n"))
+        proc = run_cli(ELKIES_ARGS, cache, tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout == (f"store error: {path}: malformed store line "
+                               f"'4 1 0 -6e1'\n")
+
     def test_non_ascii_byte(self, cache, tmp_path, capsys):
         """Store files are ASCII whatever the locale's encoding, so a
         byte outside it is a store error, not a decoding ValueError."""

@@ -233,6 +233,17 @@ class TestStoreFormat:
         # a repeated term would silently replace the first
         "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 -60\n4 1 0 -59\n",
         "CCR kind=Phi ell=5 basis=j\n6 0 0 1\n6 0 0 1\n",
+        # numbers only as the writer prints them: no other syntax that int
+        # or Fraction accepts ("1e999999999" would expand 10**999999999)
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 -6e1\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 0.5\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 1_0\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 +60\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n4 1 0 1e9\n",
+        "CCR kind=U ell=5 basis=E4E6\n6 0 0 1\n0_4 1 0 -60\n",
+        "CCR kind=U ell=+5 basis=E4E6\n6 0 0 1\n",
+        # a field named twice: the last kind would win
+        "CCR kind=U ell=5 basis=E4E6 kind=V\n6 0 0 1\n",
     ])
     def test_malformed_store_text_is_a_store_error(self, text):
         with pytest.raises(StoreError):
