@@ -19,7 +19,7 @@ import sys
 from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
-from .isogeny import atkin_step, elkies_step
+from .isogeny import _check_sums_prime, atkin_step, elkies_step
 from .trivariate import PHI_ELLS, check_kind, poly_from_text, \
     poly_to_text, store_header
 
@@ -115,9 +115,8 @@ def _parse_curve(args, kind: str) -> CurveParams:
     they make no usable curve, or --ell is not a level of kind or is p."""
     if args.p <= 3 or not is_probable_prime(args.p):
         raise ValueError("p not prime or too small")
-    if args.p in (5, 7):
-        raise ValueError("p must exceed 7: p in {5, 7} breaks the power-sum "
-                         "denominators")
+    if kind == "U":
+        _check_sums_prime(args.p)
     try:
         curve = CurveParams(PrimeField(args.p), args.a, args.b)
     except SingularCurve as exc:

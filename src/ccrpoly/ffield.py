@@ -2,7 +2,7 @@
 specialization.
 
 Everything downstream of the polynomial builders happens here: reducing
-a trivariate polynomial at a curve (A, B) to a univariate in X, finding
+a store polynomial at a curve (A, B) to a univariate in X, finding
 its roots in F_p, and evaluating the partial-derivative bundle at a
 chosen root.
 
@@ -555,15 +555,17 @@ def collapse(P, fld: PrimeField, keep: int, t1: list, t2: list) -> list:
 
 
 def specialize(P, curve: CurveParams) -> UniPoly:
-    """Reduce a trivariate polynomial at a curve to a univariate in X.
+    """Reduce a store polynomial at a curve to a univariate in X.
 
-    Either stored basis gives the same result: the table is in the E4E6
-    basis, read at (-A/3, -B/2), which is the AB basis read at (A, B).
+    A CCR kind's table is in the E4E6 basis and is read at (-A/3, -B/2),
+    the same as the AB basis read at (A, B); Phi's, in the j basis, is
+    read at the curve's j, which gives Phi(X, j).
     """
     fld = curve.field
     _, (_, dy, dz) = fp_table(P, fld)
-    return UniPoly(fld, collapse(P, fld, 0, fld.powers(curve.e4, dy),
-                                 fld.powers(curve.e6, dz)))
+    y, z = (curve.j_invariant(), 0) if P.basis == "j" else (curve.e4, curve.e6)
+    return UniPoly(fld, collapse(P, fld, 0, fld.powers(y, dy),
+                                 fld.powers(z, dz)))
 
 
 def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
@@ -573,9 +575,11 @@ def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
     and that coefficient's E4, E6 and E4E6 partials; the root's power
     and slope tables then give all seven entries.
 
-    Raises ValueError when the given point is not actually a root;
-    that always signals a caller logic error, not bad input data.
+    Raises ValueError for Phi, which has no E4 or E6 slot, or at a point
+    that is not a root: either is a caller logic error, not bad input.
     """
+    if P.basis == "j":
+        raise ValueError("Phi has no E4, E6 partials: it is read at j")
     fld = curve.field
     p = fld.p
     _, (dx, dy, dz) = fp_table(P, fld)

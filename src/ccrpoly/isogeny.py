@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from . import formulas
 from .errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
-                     VerificationError)
+                     SingularCurve, VerificationError)
 from .ffield import (CurveParams, UniPoly, check_level, collapse,
                      derivative_bundle, fp_table, roots, specialize)
 from .trivariate import check_kind
@@ -108,7 +108,8 @@ def e6_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
 
 def _check_sums_prime(p: int):
     if p in (5, 7):
-        raise ValueError("p in {5, 7} breaks the power-sum denominators")
+        raise ValueError("p must exceed 7: p in {5, 7} breaks the power-sum "
+                         "denominators")
 
 
 def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
@@ -155,9 +156,8 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     out = []
     e4, e6 = curve.e4, curve.e6
     sigmas = roots(specialize(u, curve))
-    v_spec = specialize(v, curve) if sigmas and v is not None else None
-    w_spec = specialize(w, curve) if sigmas and w is not None else None
-    j = curve.j_invariant() if sigmas and phi is not None else None
+    v_at, w_at, phi_at = (specialize(P, curve) if sigmas and P is not None
+                          else None for P in (v, w, phi))
     for sigma in sigmas:
         bundle = derivative_bundle(u, curve, sigma)
         try:
@@ -168,20 +168,17 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
             continue
         a_star = -3 * pow(ell, 4, p) * e4t % p
         b_star = -2 * pow(ell, 6, p) * e6t % p
-        v_ok = v_spec.evaluate(a_star) == 0 if v_spec is not None else None
-        w_ok = w_spec.evaluate(b_star) == 0 if w_spec is not None else None
+        v_ok = v_at.evaluate(a_star) == 0 if v_at is not None else None
+        w_ok = w_at.evaluate(b_star) == 0 if w_at is not None else None
         phi_ok = None
-        if phi is not None:
-            delta_num = (pow(e4t, 3, p) - e6t * e6t) % p
-            if delta_num == 0:
+        if phi_at is not None:
+            # Phi(j, j*) read as Phi(j*, j): Phi is symmetric
+            try:
+                j_star = CurveParams(field, a_star, b_star).j_invariant()
+                phi_ok = phi_at.evaluate(j_star) == 0
+            except SingularCurve:
                 phi_ok = False
                 note(sigma, "isogenous curve has zero discriminant")
-            else:
-                j_star = 1728 * pow(e4t, 3, p) * field.inv(delta_num) % p
-                # Phi(j, j*): Phi collapsed onto X at j*, read at j
-                _, (_, dk, _) = fp_table(phi, field)
-                phi_x = collapse(phi, field, 0, field.powers(j_star, dk), [1])
-                phi_ok = UniPoly(field, phi_x).evaluate(j) == 0
         s0, s2, s3 = elkies_power_sums(field, curve.A, curve.B,
                                        a_star, b_star, sigma, ell)
         out.append(IsogenyStepResult(

@@ -289,22 +289,14 @@ def store_header(text: str) -> tuple:
     """(kind, ell, basis) named by the first non-blank line of store text;
     StoreError when that line is not a well-formed header."""
     line = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        if not line.startswith("CCR "):
-            raise ValueError
-        pairs = [part.split("=", 1) for part in line.split()[1:]]
-        fields = dict(pairs)
-        kind, ell, basis = fields["kind"], fields["ell"], fields["basis"]
-        # a field named twice, or an ell that int() reads but the writer
-        # never prints ("+5", "5_0")
-        if len(fields) < len(pairs) or not re.fullmatch("[0-9]+", ell):
-            raise ValueError
-        ell = int(ell)
-    except (KeyError, ValueError):
-        raise StoreError(f"malformed store header {line!r}") from None
+    # the one form poly_to_text writes: these three fields, in this order
+    header = re.fullmatch(r"CCR kind=(\S+) ell=([0-9]+) basis=(\S+)", line)
+    if header is None:
+        raise StoreError(f"malformed store header {line!r}")
+    kind, ell, basis = header.groups()
     if kind not in KINDS or basis not in KINDS[kind].bases:
         raise StoreError(f"unknown kind or basis in store header {line!r}")
-    return kind, ell, basis
+    return kind, int(ell), basis
 
 
 def poly_from_text(text: str):

@@ -434,15 +434,24 @@ class TestAtkin:
         assert rc == 2
         assert "p not prime" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("p", ["5", "7"])
-    def test_p_five_or_seven_rejected_before_output(self, cache, capsys, p):
-        rc = cli.main(["atkin", "--p", p, "--a", "1", "--b", "1",
+    def test_p_seven_runs(self, cache, capsys):
+        # the Atkin step computes no power sums, so p in {5, 7} is a
+        # prime like any other here
+        rc = cli.main(["atkin", "--p", "7", "--a", "1", "--b", "1",
                        "--ell", "11"])
-        out = capsys.readouterr().out
-        assert rc == 2
-        assert out.startswith("usage error: p must exceed 7")
-        assert f"p={p} " not in out
-        assert not cache.exists()
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "f=4 sigma=1 E4t=2 Bstar=1 Astar=4 gcd_degree=1",
+            "f=6 sigma=5 E4t=4 Bstar=1 Astar=1 gcd_degree=1"]
+
+    def test_gcd_degree_two(self, cache, capsys):
+        rc = cli.main(["atkin", "--p", "19", "--a", "2", "--b", "3",
+                       "--ell", "11"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "f=1 sigma=0 E4t=9 Bstar=unavailable Astar=7 gcd_degree=2 "
+            "error=B* is not rational from this root",
+            "f=15 sigma=6 E4t=18 Bstar=16 Astar=14 gcd_degree=1"]
 
 
 class TestVerifySymbolic:

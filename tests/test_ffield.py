@@ -474,6 +474,19 @@ class TestSpecialize:
         with pytest.raises(ValueError, match="level"):
             specialize(u5, c)
 
+    @pytest.mark.parametrize("name", ("phi5", "phi7", "phi11", "phi13"))
+    @pytest.mark.parametrize("a, b", ((1, 3), (0, 5), (3, 0), (2, 7)))
+    def test_phi_is_read_at_j(self, request, fld, name, a, b):
+        # coefficient i of Phi(X, j) is the row of X^i read at j, with
+        # j = 1728 * 4a^3 / (4a^3 + 27b^2) worked out here
+        phi = request.getfixturevalue(name)
+        j = 1728 * 4 * a ** 3 * pow(4 * a ** 3 + 27 * b * b, -1, P) % P
+        rows = [types.SimpleNamespace(terms={}) for _ in range(phi.ell + 2)]
+        for (i, k), c in phi.terms.items():
+            rows[i].terms[k,] = c
+        want = [fraction_mod(evaluate(row, j), P) for row in rows]
+        assert specialize(phi, CurveParams(fld, a, b)).coeffs == want
+
 
 class TestDerivativeBundle:
     def test_worked_example_firsts(self, curve13, u5):
@@ -499,6 +512,12 @@ class TestDerivativeBundle:
     def test_second_root(self, curve13, u5):
         bundle = derivative_bundle(u5, curve13, 664)
         assert bundle.u == 0 and bundle.du_s != 0
+
+    def test_phi_rejected(self, curve13, phi5):
+        # 845 is a root of Phi5(X, j), but Phi has no E4, E6 partials
+        assert 845 in roots(specialize(phi5, curve13))
+        with pytest.raises(ValueError, match="Phi has no E4, E6 partials"):
+            derivative_bundle(phi5, curve13, 845)
 
 
 class TestRootCountProperty:

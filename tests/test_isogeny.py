@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccrpoly import isogeny
 from ccrpoly.builder import build, build_classical_phi
 from ccrpoly.errors import (DegenerateDerivative, DegeneratePoint, GcdDegreeTwo,
                             VerificationError)
 from ccrpoly.ffield import (CurveParams, DerivativeBundle, PrimeField,
-                            UniPoly, collapse, derivative_bundle, fp_table,
-                            roots, specialize)
+                            derivative_bundle, roots, specialize)
 from ccrpoly.isogeny import (AtkinStepResult, IsogenyStepResult,
                              atkin_b_star, atkin_e4_tilde, atkin_sigma,
                              atkin_step, e4_tilde, e6_tilde,
@@ -216,6 +216,29 @@ class TestElkiesStep:
         assert elkies_step(c, 7, u7, diagnostics=sink) == []
         assert sink and sink[0][0] == 0
 
+    def test_zero_discriminant_isogenous_curve(self, monkeypatch, curve13,
+                                               u5, v5, w5, phi5):
+        # E4t = E6t = 1 makes 4A*^3 + 27B*^2 vanish: the Phi check fails
+        # with one diagnostic per root, while V and W are read as ever
+        monkeypatch.setattr(isogeny, "e4_tilde", lambda *args: 1)
+        monkeypatch.setattr(isogeny, "e6_tilde", lambda *args: 1)
+        a_star, b_star = -3 * 5 ** 4 % P, -2 * 5 ** 6 % P
+        v_ok = specialize(v5, curve13).evaluate(a_star) == 0
+        w_ok = specialize(w5, curve13).evaluate(b_star) == 0
+        sink = []
+        res = elkies_step(curve13, 5, u5, v5, w5, phi5, diagnostics=sink)
+        assert [r.sigma for r in res] == [584, 664]
+        for r in res:
+            assert (r.a_star, r.b_star) == (a_star, b_star)
+            assert r.validated == (v_ok, w_ok, False)
+        assert sink == [(s, "isogenous curve has zero discriminant")
+                        for s in (584, 664)]
+        # without Phi there is nothing to report
+        sink = []
+        res = elkies_step(curve13, 5, u5, v5, w5, diagnostics=sink)
+        assert [r.validated for r in res] == [(v_ok, w_ok, None)] * 2
+        assert sink == []
+
     def test_level_gates(self, curve13, u5):
         with pytest.raises(ValueError):
             elkies_step(curve13, 4, u5)
@@ -289,22 +312,58 @@ def atkin_root_counts(ell: int, t: int, p: int) -> set:
 @given(ordinary_curves())
 def test_root_counts_follow_atkin_classification(counted_polys, case):
     # every root of U and Ua counts, whether it ends in a result or a
-    # diagnostic; Phi(X, j) is read through its collapse at j
+    # diagnostic; Phi(X, j) is Phi specialized at the curve
     curve, t = case
-    fld = curve.field
     u, ua, phi = counted_polys
-    p = fld.p
+    p = curve.field.p
     for kind, step, polys in (("U", elkies_step, u), ("Ua", atkin_step, ua)):
         for ell, poly in polys.items():
             diag = []
             found = len(step(curve, ell, poly, diagnostics=diag))
             assert found + len(diag) in atkin_root_counts(ell, t, p), \
                 (kind, ell)
-    j = curve.j_invariant()
     for ell, poly in phi.items():
-        _, (_, dk, _) = fp_table(poly, fld)
-        at_j = UniPoly(fld, collapse(poly, fld, 0, fld.powers(j, dk), [1]))
-        assert len(roots(at_j)) in atkin_root_counts(ell, t, p), ("Phi", ell)
+        found = len(roots(specialize(poly, curve)))
+        assert found in atkin_root_counts(ell, t, p), ("Phi", ell)
+
+
+def _curves(p: int, a_step: int = 1, b_step: int = 1):
+    """(curve, t) for the nonsingular curves over F_p with a = 1 mod
+    a_step and b = 1 mod b_step, every one when both steps are 1."""
+    fld = PrimeField(p)
+    for a in range(1 % a_step, p, a_step):
+        for b in range(1 % b_step, p, b_step):
+            if (4 * a ** 3 + 27 * b * b) % p:
+                yield CurveParams(fld, a, b), frobenius_trace(p, a, b)
+
+
+# an isogenous curve has the curve's point count, counted naively
+@pytest.mark.parametrize("p, results", ((101, 1312), (103, 1300)))
+def test_elkies_isogenous_curve_has_the_point_count(counted_polys, p,
+                                                     results):
+    found = 0
+    for curve, t in _curves(p, 7, 11):
+        for ell, u in counted_polys[0].items():
+            for r in elkies_step(curve, ell, u):
+                assert frobenius_trace(p, r.a_star, r.b_star) == t, \
+                    (curve, ell, r.sigma)
+                found += 1
+    assert found == results
+
+
+@pytest.mark.parametrize("p, results", ((5, 20), (7, 36), (13, 144),
+                                        (17, 384), (19, 522)))
+def test_atkin_isogenous_curve_has_the_point_count(counted_polys, p,
+                                                    results):
+    found = 0
+    for curve, t in _curves(p):
+        for ell, ua in counted_polys[1].items():
+            for r in atkin_step(curve, ell, ua):
+                if r.b_star is not None:
+                    assert frobenius_trace(p, r.a_star, r.b_star) == t, \
+                        (curve, ell, r.f)
+                    found += 1
+    assert found == results
 
 
 # Velu's isogenies at supersingular CM curves, worked out with the

@@ -244,6 +244,10 @@ class TestStoreFormat:
         "CCR kind=U ell=+5 basis=E4E6\n6 0 0 1\n",
         # a field named twice: the last kind would win
         "CCR kind=U ell=5 basis=E4E6 kind=V\n6 0 0 1\n",
+        # the header only in the one form the writer prints
+        "CCR kind=U ell=5 basis=E4E6 extra=1\n6 0 0 1\n",
+        "CCR ell=5 kind=U basis=E4E6\n6 0 0 1\n",
+        "CCR  kind=U ell=5 basis=E4E6\n6 0 0 1\n",
     ])
     def test_malformed_store_text_is_a_store_error(self, text):
         with pytest.raises(StoreError):
