@@ -20,8 +20,7 @@ from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
 from .isogeny import _check_sums_prime, atkin_step, elkies_step
-from .trivariate import PHI_ELLS, check_kind, poly_from_text, \
-    poly_to_text, store_header
+from .trivariate import PHI_ELLS, check_kind, poly_from_text, poly_to_text
 
 CACHE_ENV = "CCR_CACHE_DIR"
 
@@ -74,12 +73,12 @@ def load_or_build(kind: str, ell: int, directory: str,
         raise StoreError(f"cannot read {path}: {exc}") from exc
     if cached is not None and not rebuild:
         try:
-            found = store_header(cached)
-            if found != (kind, ell, basis):
-                raise StoreError("holds kind={} ell={} basis={}, not the "
-                                 "requested kind={} ell={} basis={}".format(
-                                     *found, kind, ell, basis))
-            return poly_from_text(cached).validate()
+            found = poly_from_text(cached)
+            if (found.kind, found.ell, found.basis) != (kind, ell, basis):
+                raise StoreError(f"holds kind={found.kind} ell={found.ell} "
+                                 f"basis={found.basis}, not the requested "
+                                 f"kind={kind} ell={ell} basis={basis}")
+            return found.validate()
         except (StoreError, BuildError) as exc:
             raise StoreError(f"{path}: {exc}") from None
     poly = _build_poly(kind, ell)

@@ -18,7 +18,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 
 from .errors import BuildError, StoreError
 from .ffield import check_level
@@ -30,7 +29,8 @@ PHI_ELLS = (2, 3, 5, 7, 11, 13)
 # The kind registry: every fact about a kind, one row each.
 #   x_weight  X's weight, that of the root it stands for: sigma1 1, A* 2,
 #             B* 3, the eta product 1, j 0
-#   bases     the bases a store file may hold, the cached one first
+#   bases     the bases `build` writes, the cached one first: the one
+#             the store reader takes
 #   width     exponents in a term's key: (i, a, b), or (i, k) for X^i j^k
 #   smooth    denominators may be 2^x 3^y; otherwise the terms are
 #             integral in the AB basis (Phi's are integers)
@@ -251,24 +251,20 @@ def delta_display_terms(poly: TrivariatePoly) -> dict:
     return out
 
 
-def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
-    """Inverse of delta_display_terms: multiply the Delta powers back out,
-    1728^m Delta^m = sum over j of C(m, j) E4^(3(m-j)) (-E6^2)^j."""
-    acc: dict = {}
-    for (i, a, b, m), c in terms.items():
-        for j in range(m + 1):
-            key = (i, a + 3 * (m - j), b + 2 * j)
-            acc[key] = acc.get(key, 0) + Fraction(
-                (-1) ** j * comb(m, j) * c, 1728 ** m)
-    return TrivariatePoly(kind, ell, "E4E6", acc)
-
-
 # ---------------------------------------------------------------------------
-# Store format.  Header `CCR kind=<U|V|W|Ua|Phi> ell=<l> basis=<E4E6|AB|j|Delta>`
-# (the kind's bases in KINDS) then one term per line, exponents descending
-# lexicographically; rationals as num/den, integers bare.  The reader
-# refuses every other number form (exponents, "+", "_", ".") before int or
-# Fraction sees it: Fraction("1e999999999") would expand 10**999999999.
+# Store format.  Header `CCR kind=<U|V|W|Ua|Phi> ell=<l> basis=<basis>`, then
+# one term per line, keys strictly descending, every line ending in "\n";
+# rationals as num/den, integers bare.  The writer prints any of the kind's
+# bases in KINDS; the reader takes only the cached one (E4E6, or j for Phi),
+# and each line only as the writer prints what it parses to.  A number in
+# another form (exponents, "+", "_", ".") is refused before int or Fraction
+# sees it: Fraction("1e999999999") would expand 10**999999999.
+
+
+def _term_line(key: tuple, c) -> str:
+    # Phi's (i, k) keys are written i k 0, the Delta display's
+    # (i, a, b, m) in full
+    return " ".join(map(str, (*key, *(0,) * (3 - len(key)), c)))
 
 
 def poly_to_text(obj, basis: str | None = None) -> str:
@@ -277,56 +273,50 @@ def poly_to_text(obj, basis: str | None = None) -> str:
     else:
         obj = obj.to_basis(basis) if basis else obj
         basis, terms = obj.basis, obj.terms
-    # Phi's (i, k) keys are written i k 0
-    pad = (0,) * (3 - KINDS[obj.kind].width)
     lines = [f"CCR kind={obj.kind} ell={obj.ell} basis={basis}"]
-    lines += [" ".join(map(str, (*key, *pad, terms[key])))
+    lines += [_term_line(key, terms[key])
               for key in sorted(terms, reverse=True)]
     return "\n".join(lines) + "\n"
 
 
-def store_header(text: str) -> tuple:
-    """(kind, ell, basis) named by the first non-blank line of store text;
-    StoreError when that line is not a well-formed header."""
-    line = next((ln for ln in text.splitlines() if ln.strip()), "")
-    # the one form poly_to_text writes: these three fields, in this order
-    header = re.fullmatch(r"CCR kind=(\S+) ell=([0-9]+) basis=(\S+)", line)
-    if header is None:
-        raise StoreError(f"malformed store header {line!r}")
-    kind, ell, basis = header.groups()
-    if kind not in KINDS or basis not in KINDS[kind].bases:
-        raise StoreError(f"unknown kind or basis in store header {line!r}")
-    return kind, int(ell), basis
+# a header and a term line in the writer's form; digits only, so no other
+# number form reaches int or Fraction
+_HEADER = re.compile(r"CCR kind=(\S+) ell=(0|[1-9][0-9]*) basis=(\S+)")
+_TERM = re.compile(r"([0-9]+ ){3}-?[0-9]+(/[0-9]+)?")
 
 
 def poly_from_text(text: str):
-    """Parse store text; a missing or malformed header, or a malformed term
-    line (a number in another form than poly_to_text writes, or a repeated
-    term, among them), raises StoreError."""
-    kind, ell, basis = store_header(text)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    # a key is the term's first `width` exponents, and a line has at
-    # least three: Delta lines add the power of Delta, Phi lines are
-    # "i k 0 c" with integer c
-    width = KINDS[kind].width + (basis == "Delta")
-    n = max(width, 3)
-    parse, coeff = ((int, "-?[0-9]+") if basis == "j"
-                    else (Fraction, "-?[0-9]+(/[0-9]+)?"))
-    term = re.compile("([0-9]+ )" * n + coeff)
-    terms = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    """Parse store text in its kind's cached basis, exactly as
+    poly_to_text writes it: a header or term line in any other form (a
+    number written otherwise, a zero term, keys out of order or repeated,
+    blank lines, no final newline, among them) raises StoreError."""
+    lines = text.split("\n")
+    header = lines[0]
+    found = _HEADER.fullmatch(header)
+    if found is None:
+        raise StoreError(f"malformed store header {header!r}")
+    kind, ell, basis = found[1], int(found[2]), found[3]
+    if kind not in KINDS or basis != KINDS[kind].bases[0]:
+        raise StoreError(f"unknown kind or basis in store header {header!r}")
+    # every line ends in "\n", so the split leaves one "" after the last
+    if lines[-1]:
+        raise StoreError(f"malformed store line {lines[-1]!r}")
+    width = KINDS[kind].width
+    parse = int if basis == "j" else Fraction
+    terms, last = {}, None
+    for ln in lines[1:-1]:
         try:
-            if not term.fullmatch(" ".join(parts)):
+            if not _TERM.fullmatch(ln):
                 raise ValueError
-            key = tuple(map(int, parts[:n]))
-            if any(key[width:]) or key[:width] in terms:
+            *key, c = ln.split(" ")
+            key, c = tuple(map(int, key[:width])), parse(c)
+            # keys strictly descend, so none repeats
+            if not c or last and key >= last or _term_line(key, c) != ln:
                 raise ValueError
-            terms[key[:width]] = parse(parts[n])
         except (ValueError, ZeroDivisionError):
             raise StoreError(f"malformed store line {ln!r}") from None
-    if basis == "Delta":
-        return expand_delta_display(kind, ell, terms)
+        terms[key] = c
+        last = key
     if basis == "j":
         return ClassicalModularPoly(ell, terms)
     return TrivariatePoly(kind, ell, basis, terms)

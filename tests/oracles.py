@@ -4,11 +4,15 @@ Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
 checks; cm_vector has its own point arithmetic and finds no roots.
+expand_delta_display is the reference inverse of the Delta display,
+which the store writes and never reads.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import comb, isqrt, prod
+
+from ccrpoly.trivariate import TrivariatePoly
 
 
 def evaluate(poly, *point):
@@ -48,6 +52,20 @@ def eval_mod(expr, values: dict, p: int) -> int:
                 term = term * pow(values[name], e, p) % p
         total += term
     return total % p
+
+
+def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
+    """The inverse of trivariate.delta_display_terms, which the store
+    writes and never reads: (i, a, b, m) -> coeff of X^i E4^a E6^b
+    Delta^m back in the E4E6 basis, through 1728^m Delta^m = sum over j
+    of C(m, j) E4^(3(m-j)) (-E6^2)^j."""
+    acc: dict = {}
+    for (i, a, b, m), c in terms.items():
+        for j in range(m + 1):
+            key = (i, a + 3 * (m - j), b + 2 * j)
+            acc[key] = acc.get(key, 0) + Fraction(
+                (-1) ** j * comb(m, j) * c, 1728 ** m)
+    return TrivariatePoly(kind, ell, "E4E6", acc)
 
 
 def ref_qdiff(a):

@@ -232,6 +232,23 @@ class TestStoreWrite:
         assert sorted(os.listdir(cache)) == ["U_5_E4E6.txt"]
 
 
+def _sub(old, new):
+    """An edit of a store file: its first ``old`` becomes ``new``."""
+    def edit(text, path):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+def _written_by_build(kind, ell, basis):
+    """An edit of a store file: what ``build --basis`` writes over it."""
+    def edit(text, path):
+        assert cli.main(["build", "--kind", kind, "--ell", str(ell),
+                         "--basis", basis, "--out", str(path)]) == 0
+        return path.read_text()
+    return edit
+
+
 class TestStoreErrors:
     """An I/O failure of the store, or a store file that is malformed or
     holds another polynomial, is a typed StoreError: one line and exit 3,
@@ -246,31 +263,75 @@ class TestStoreErrors:
         assert proc.stdout.startswith("store error: cannot create ")
         assert proc.stdout.count("\n") == 1
 
+    # defect -> (store file, the command that reads it, an edit of the
+    # file, the message after "store error: <path>: "); the eight from
+    # header_level_leading_zero to spaces_and_tab are forms the reader
+    # once accepted
     CORRUPTED = {
-        "header_without_kind": "malformed store header 'CCR ell=5 ",
-        "truncated_last_line": "malformed store line '0 0 2'",
-        "v_file_at_u_path": "holds kind=V ell=5 basis=E4E6, not the "
-                            "requested kind=U ell=5 basis=E4E6",
+        "header_without_kind": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("kind=U ", ""),
+            "malformed store header 'CCR ell=5 "),
+        "truncated_last_line": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("\n0 0 2 -320\n", "\n0 0 2"),
+            "malformed store line '0 0 2'"),
+        "v_file_at_u_path": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            lambda text, path: (path.parent / "V_5_E4E6.txt").read_text(),
+            "holds kind=V ell=5 basis=E4E6, not the "
+            "requested kind=U ell=5 basis=E4E6"),
+        "header_level_leading_zero": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("ell=5", "ell=05"),
+            "malformed store header 'CCR kind=U ell=05 basis=E4E6'\n"),
+        "leading_blank_line": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("CCR", "\nCCR"),
+            "malformed store header ''\n"),
+        "blank_line_between_terms": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("\n4 1 0", "\n\n4 1 0"),
+            "malformed store line ''\n"),
+        "unreduced_fraction": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub(" -60\n", " -120/2\n"),
+            "malformed store line '4 1 0 -120/2'\n"),
+        "leading_zero": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub(" -60\n", " -060\n"),
+            "malformed store line '4 1 0 -060'\n"),
+        "no_final_newline": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            _sub("\n0 0 2 -320\n", "\n0 0 2 -320"),
+            "malformed store line '0 0 2 -320'\n"),
+        "zero_term": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("\n4 1 0", "\n5 0 0 0\n4 1 0"),
+            "malformed store line '5 0 0 0'\n"),
+        "spaces_and_tab": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("\n6 0 0 1\n", "\n6  0 0\t1 \n"),
+            "malformed store line '6  0 0\\t1 '\n"),
+        # past int's 4300-digit string limit, whose ValueError is a store
+        # error; with no limit (Python 3.10) 1...1 is no multiple of 3,
+        # so the AB gate refuses it, hence no fixed reason
+        "oversize_number": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            _sub(" -60\n", " -" + "1" * 5000 + "\n"), ""),
+        # the displays build --basis writes are never read
+        "ab_file_at_cache_path": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _written_by_build("U", 5, "AB"),
+            "unknown kind or basis in store header "
+            "'CCR kind=U ell=5 basis=AB'\n"),
+        "delta_file_at_cache_path": (
+            "Ua_11_E4E6.txt", ATKIN_ARGS, _written_by_build("Ua", 11, "Delta"),
+            "unknown kind or basis in store header "
+            "'CCR kind=Ua ell=11 basis=Delta'\n"),
     }
 
     @pytest.mark.parametrize("defect", sorted(CORRUPTED))
     def test_corrupted_cache_file(self, cache, tmp_path, capsys, defect):
-        assert cli.main(ELKIES_ARGS) == 0
+        name, argv, edit, message = self.CORRUPTED[defect]
+        assert cli.main(argv) == 0
         capsys.readouterr()
-        path = cache / "U_5_E4E6.txt"
-        text = path.read_text()
-        if defect == "header_without_kind":
-            text = text.replace("kind=U ", "", 1)
-        elif defect == "truncated_last_line":
-            text = text.rstrip("\n").rsplit(" ", 1)[0]
-        else:
-            text = (cache / "V_5_E4E6.txt").read_text()
-        path.write_text(text)
-        proc = run_cli(ELKIES_ARGS, cache, tmp_path)
+        path = cache / name
+        path.write_text(edit(path.read_text(), path))
+        proc = run_cli(argv, cache, tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == ""
-        assert proc.stdout.startswith(
-            f"store error: {path}: {self.CORRUPTED[defect]}")
+        assert proc.stdout.startswith(f"store error: {path}: {message}")
         assert proc.stdout.count("\n") == 1
 
     # store file, the command that reads it, the lines cut from it (line 0

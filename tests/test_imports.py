@@ -62,11 +62,6 @@ def test_delta_display_loads_no_symbolic(tmp_path):
                             "--ell", "11", "--basis", "Delta", "--out",
                             "ua.txt")
     assert code == 0 and "ccrpoly.symbolic" not in loaded
-    read = ("import sys; from ccrpoly.trivariate import poly_from_text; "
-            "poly_from_text(open('ua.txt').read()); print(0)" + _LOADED)
-    code, loaded = _modules(tmp_path, read)
-    assert code == 0 and "ccrpoly.trivariate" in loaded
-    assert "ccrpoly.symbolic" not in loaded
 
 
 def test_bare_package_import_loads_no_submodule(tmp_path):

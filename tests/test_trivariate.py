@@ -12,9 +12,8 @@ from ccrpoly import cli
 from ccrpoly.errors import BuildError, StoreError
 from ccrpoly.trivariate import (KINDS, ClassicalModularPoly, TrivariatePoly,
                                 check_kind, delta_display_terms,
-                                expand_delta_display, poly_from_text,
-                                poly_to_text)
-from oracles import evaluate
+                                poly_from_text, poly_to_text)
+from oracles import evaluate, expand_delta_display
 
 # degree-6 polynomial for ell=5 in both bases, checked elsewhere against the
 # series builder; used here as a fixed fixture
@@ -184,16 +183,24 @@ class TestStoreFormat:
         assert txt.endswith("\n")
 
     def test_round_trip_both_bases(self):
+        """The cached basis reads back; the AB display is written only."""
         p = u5()
         assert poly_from_text(poly_to_text(p)) == p
-        ab = p.to_basis("AB")
-        assert poly_from_text(poly_to_text(p, basis="AB")) == ab
+        with pytest.raises(StoreError, match="unknown kind or basis"):
+            poly_from_text(poly_to_text(p, basis="AB"))
 
     def test_delta_store_round_trips_through_expansion(self):
+        """The Delta display is written only: its lines expand back to
+        the polynomial through the reference inverse, not the reader."""
         ua = expand_delta_display("Ua", 11, UA11_DELTA)
         txt = poly_to_text(ua, basis="Delta")
-        assert txt.splitlines()[0] == "CCR kind=Ua ell=11 basis=Delta"
-        assert poly_from_text(txt) == ua
+        header, *lines = txt.splitlines()
+        assert header == "CCR kind=Ua ell=11 basis=Delta"
+        display = {tuple(map(int, ln.split()[:4])): Fraction(ln.split()[4])
+                   for ln in lines}
+        assert expand_delta_display("Ua", 11, display) == ua
+        with pytest.raises(StoreError, match="unknown kind or basis"):
+            poly_from_text(txt)
 
     def test_rational_coefficients_survive(self):
         p = TrivariatePoly("Ua", 11, "E4E6",
@@ -218,8 +225,8 @@ class TestStoreFormat:
         "CCR kind=U ell=5 basis=E4E6\n6 0 0 1/0\n",
         "CCR kind=U ell=5 basis=E4E6\n6 0 x 1\n",
         "CCR kind=Phi ell=5 basis=j\n6 0 0 3/2\n",
+        # the Delta display is written, never read
         "CCR kind=Ua ell=11 basis=Delta\n12 0 0 1\n",
-        # only the eta product is stored in the Delta display
         "CCR kind=U ell=5 basis=Delta\n6 0 0 0 1\n",
         "CCR kind=V ell=5 basis=Delta\n6 0 0 0 1\n",
         "CCR kind=W ell=5 basis=Delta\n6 0 0 0 1\n",
@@ -254,16 +261,50 @@ class TestStoreFormat:
             poly_from_text(text)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["E4E6", "AB", "Delta"]), st.data())
-    def test_truncated_store_text_parses_or_raises_typed(self, basis, data):
+    @given(st.data())
+    def test_truncated_store_text_parses_or_raises_typed(
+            self, u5, v5, w5, ua11, phi5, data):
         # a torn write: any prefix either parses or raises a typed error
-        ua = expand_delta_display("Ua", 11, UA11_DELTA)
-        text = poly_to_text(ua, basis=basis)
+        poly = data.draw(st.sampled_from([u5, v5, w5, ua11, phi5]))
+        text = poly_to_text(poly)
         cut = data.draw(st.integers(0, len(text)))
         try:
             poly_from_text(text[:cut])
         except StoreError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reader_accepts_only_the_writers_image(
+            self, u5, v5, w5, ua11, phi5, data):
+        """One edit of a cached store either is refused or reads as a
+        polynomial the writer prints as exactly the edited text."""
+        text = poly_to_text(data.draw(st.sampled_from(
+            [u5, v5, w5, ua11, phi5])))
+        header, *lines = text.splitlines(keepends=True)
+        edit = data.draw(st.sampled_from(
+            ["insert", "duplicate", "swap", "drop", "cut"]))
+        if edit == "insert":
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(
+                st.sampled_from([" ", "\t", "0", "\n"])) + text[at:]
+        elif edit == "cut":
+            text = text[:-1]
+        else:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            if edit == "duplicate":
+                lines.insert(at, lines[at])
+            elif edit == "swap":
+                to = data.draw(st.integers(0, len(lines) - 1))
+                lines[at], lines[to] = lines[to], lines[at]
+            else:
+                del lines[at]
+            text = "".join([header, *lines])
+        try:
+            poly = poly_from_text(text)
+        except StoreError:
+            return
+        assert poly_to_text(poly) == text
 
 
 class TestClassicalPoly:
