@@ -16,8 +16,13 @@ The traces come from baby and giant steps (power_traces): with
 m = ceil(sqrt(ell)), only R^1..R^m and R^m, R^2m, ... are formed in
 full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
 exponents ell divides, so the ell traces cost about 2*sqrt(ell) full
-products.  Every chain of powers (_powers) forms its even powers as
-squares, which PowerSeries multiplies with half the products.
+products.  PowerSeries forms a full product as one packed integer
+product when its numerators are narrow: from ell = 23 on, that holds
+for the baby steps of U, V and W, and at every level for each step of
+Ua.  The wider giant steps, every power of Phi's j(x) and the convolved
+traces take dot products.  Every chain of powers (_powers) forms its
+even powers as squares, which PowerSeries multiplies with half the
+work.
 
 match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
 with b <= 1 whose i-th element starts with q^i, and rewrites the result

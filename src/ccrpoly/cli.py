@@ -36,7 +36,8 @@ EXITS = {
 
 
 def _cache_dir() -> str:
-    return os.environ.get(CACHE_ENV, ".ccr-cache")
+    # an empty value is unset, as an empty --poly-dir is
+    return os.environ.get(CACHE_ENV) or ".ccr-cache"
 
 
 def _store_path(directory: str, kind: str, ell: int, basis: str) -> str:

@@ -13,10 +13,13 @@ gcd(den, *nums) == 1, so the zero series has den == 1.  Two series with
 the same rational coefficients therefore have the same ``nums`` and
 ``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
 the integers; Fractions appear only at the edges: the constructor,
-``coefficient()`` and the ``coeffs`` view.  Each coefficient of a
-product is one dot product of numerator lists (half of one for
-``s * s``), and ``product_trace`` takes only the coefficients at the
-exponents a given ell divides.
+``coefficient()`` and the ``coeffs`` view.  A product whose numerators
+are narrow, their largest bit lengths summing to at most the window
+length, is one integer product of the two lists packed into signed
+slots (Kronecker substitution); in any other product each coefficient
+is one dot product of numerator lists (half of one for ``s * s``).
+``product_trace`` takes only the coefficients at the exponents a given
+ell divides, each a dot product.
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -67,6 +70,33 @@ def _convolve(a, b, size, slots):
         return [sum(map(mul, a, rb[size - 1 - n:])) for n in slots]
     return [2 * sum(map(mul, a[:(n + 1) // 2], rb[size - 1 - n:]))
             + (0 if n % 2 else a[n // 2] ** 2) for n in slots]
+
+
+def _kronecker(a, b, size, bits):
+    """Slots 0 .. size-1 of the product of the numerator lists a and b,
+    whose largest bit lengths sum to ``bits``, from one integer product
+    (Kronecker substitution), a square when a is b.  Each list, cut to
+    ``size``, is packed into one int whose slot t, k bytes wide, holds
+    the signed a[t].  Slot n of the product, sum(a[t] * b[n-t] for
+    t <= n), is below 2**(bits + bit_length(size)) in size, so k bytes
+    hold it with a sign bit and no slot spills into the next."""
+    k = (bits + size.bit_length() + 8) // 8
+    signs = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
+
+    def pack(nums):
+        t = int.from_bytes(b"".join([v.to_bytes(k, "little", signed=True)
+                                     for v in nums[:size]]), "little")
+        # a negative slot reads 2**(8k) too high: borrow it from the next
+        return t - ((t & signs) << 1)
+
+    c = pack(a)
+    c *= c if a is b else pack(b)
+    # adding the sign bits carries every slot's borrow at once, and the
+    # xor then leaves each slot in two's complement
+    buf = (((c + signs) & ((1 << 8 * k * size) - 1)) ^ signs).to_bytes(
+        k * size, "little")
+    return [int.from_bytes(buf[i:i + k], "little", signed=True)
+            for i in range(0, k * size, k)]
 
 
 class PowerSeries:
@@ -168,8 +198,17 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         size = self._product_window(other)
-        return _series(_convolve(self.nums, other.nums, size, range(size)),
-                       self.den * other.den, self.lead + other.lead)
+        a, b = self.nums, other.nums
+        # narrow slots take one packed product; wide ones lose to the dot
+        # products, whose cost follows the mostly small leading numerators.
+        # The top numerators' widths bound the widest from below, and
+        # settle almost every wide product without a pass over the lists
+        bits = a[size - 1].bit_length() + b[size - 1].bit_length()
+        if bits <= size:
+            bits = sum(max(map(int.bit_length, x[:size])) for x in (a, b))
+        nums = (_kronecker(a, b, size, bits) if bits <= size
+                else _convolve(a, b, size, range(size)))
+        return _series(nums, self.den * other.den, self.lead + other.lead)
 
     __rmul__ = __mul__
 

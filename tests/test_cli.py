@@ -187,6 +187,23 @@ class TestElkies:
         assert (alt / "U_5_E4E6.txt").exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize("argv, store", [
+        (ELKIES_ARGS, "U_5_E4E6.txt"), (ATKIN_ARGS, "Ua_11_E4E6.txt")])
+    def test_empty_cache_dir_is_unset(self, cache, tmp_path, monkeypatch,
+                                      capsys, argv, store):
+        # an empty CCR_CACHE_DIR falls back to .ccr-cache, as an empty
+        # --poly-dir does: the cold call writes there, and the warm call
+        # reads there and not the working directory
+        monkeypatch.setenv(cli.CACHE_ENV, "")
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        assert (tmp_path / ".ccr-cache" / store).exists()
+        assert not list(tmp_path.glob("*.txt"))
+        (tmp_path / store).write_text("not a store\n")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert not cache.exists()
+
     @pytest.mark.parametrize("p", ["5", "7"])
     def test_p_five_or_seven_rejected_before_output(self, cache, capsys, p):
         rc = cli.main(["elkies", "--p", p, "--a", "1", "--b", "1",

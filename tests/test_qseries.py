@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ccrpoly import builder, cli, qseries
@@ -345,12 +345,41 @@ scalars = st.one_of(st.integers(-30, 30),
 
 
 @st.composite
-def series_pairs(draw):
-    """(PowerSeries, Ref) with a negative, zero or positive lead."""
+def series_pairs(draw, max_size=9, max_bits=0):
+    """(PowerSeries, Ref) with a negative, zero or positive lead.  With
+    max_bits, a seeded generator extends the window to a drawn length of
+    up to max_size: integers of either sign, or zero, each of up to a
+    drawn width of at most max_bits bits.  The width is at most 24 bits
+    half the time, so that a product's summed numerator widths fall on
+    either side of its window length."""
     coeffs = draw(st.lists(st.one_of(st.just(0), coefficients),
                            min_size=1, max_size=9))
+    if max_bits:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        bits = draw(st.one_of(st.integers(0, 24), st.integers(0, max_bits)))
+        size = draw(st.integers(len(coeffs), max_size))
+        coeffs += [rng.choice((-1, 0, 1))
+                   * rng.getrandbits(rng.randint(0, bits))
+                   for _ in range(size - len(coeffs))]
     lead = draw(st.integers(-4, 4))
     return PowerSeries(coeffs, lead=lead), Ref(coeffs, lead)
+
+
+def schoolbook(a, b, size):
+    """Slots 0 .. size-1 of the product of the integer lists a and b."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(size)]
+
+
+def assert_product(s, a, b):
+    """s is a * b, checked against the schoolbook product of the
+    numerators read back through the constructor."""
+    size = min(len(a.nums), len(b.nums))
+    den = a.den * b.den
+    expected = PowerSeries([Fraction(v, den) for v in
+                            schoolbook(a.nums, b.nums, size)],
+                           lead=a.lead + b.lead)
+    assert (s.lead, s.den, s.nums) == \
+        (expected.lead, expected.den, expected.nums)
 
 
 class TestIntegerCore:
@@ -389,19 +418,76 @@ class TestIntegerCore:
               lambda: ref_extract(ra, ell))
 
 
+class TestBothProductPaths:
+    """A product with narrow numerators is one packed integer product
+    (_kronecker), any other a list of dot products (_convolve); both
+    must give the schoolbook product on every window and width."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs(120, 300), series_pairs(120, 300))
+    def test_product(self, x, y):
+        (a, _), (b, _) = x, y
+        size = min(len(a.nums), len(b.nums))
+        bits = sum(max(map(int.bit_length, s.nums[:size])) for s in (a, b))
+        event("packed" if bits <= size else "dot products")
+        expected = schoolbook(a.nums, b.nums, size)
+        assert qseries._kronecker(a.nums, b.nums, size, bits) == expected
+        assert qseries._convolve(a.nums, b.nums, size, range(size)) == \
+            expected
+        assert_product(a * b, a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        # all -1: every slot of the square is positive, of the product
+        # with all 1 negative
+        ([-1] * 40, [-1] * 40),
+        ([-1] * 40, [1] * 40),
+        # alternating +-(2^b - 1): the product's slots alternate in sign
+        ([(-1) ** i * (2 ** 20 - 1) for i in range(60)],
+         [(-1) ** i * (2 ** 20 - 1) for i in range(60)]),
+        ([(-1) ** i * (2 ** 9 - 1) for i in range(50)],
+         [(-1) ** (i // 3) * (2 ** 30 - 1) for i in range(50)]),
+        # only the top slot of the window is negative
+        ([1] * 30, [0] * 29 + [-5]),
+        ([3] * 29 + [-(2 ** 12)], [7] * 30),
+        # at the signed slot bound: 56 + bit_length(127) + 1 sign bit
+        # fill k = 8 bytes, and the top slot, 127 * (2^28 - 1)^2, is
+        # about 2^62.989, just under the sign bit; -2^28 and -2^26 take
+        # 29 and 27 bits
+        ([-(2 ** 28 - 1)] * 127, [2 ** 28 - 1] * 127),
+        ([2 ** 28 - 1] * 127, [-(2 ** 28 - 1)] * 127),
+        ([-(2 ** 28)] * 127, [-(2 ** 26)] * 127),
+        ([-(2 ** 28)] * 127, [2 ** 26] * 127),
+        # unequal lengths: the window is the shorter one
+        ([-1, 2 ** 15, -(2 ** 15)] * 20, [5, -7] * 11),
+    ])
+    def test_borrow_chains(self, a, b):
+        size = min(len(a), len(b))
+        bits = sum(max(map(int.bit_length, x[:size])) for x in (a, b))
+        assert bits <= size        # the product takes the packed path
+        expected = schoolbook(a, b, size)
+        assert qseries._kronecker(a, b, size, bits) == expected
+        sa, sb = PowerSeries(a, lead=-3), PowerSeries(b, lead=1)
+        assert_product(sa * sb, sa, sb)
+        # and the square of a, packed once
+        bits = 2 * max(map(int.bit_length, a))
+        assert qseries._kronecker(a, a, len(a), bits) == \
+            schoolbook(a, a, len(a))
+        assert_product(sa * sa, sa, sa)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.just(0), coefficients), min_size=1,
-                max_size=40),
-       st.integers(-6, 6), st.integers(1, 7))
-def test_square_is_the_general_product(coeffs, lead, ell):
-    # a * a takes the halved convolution; an equal copy takes the general one
+@given(series_pairs(120, 300), st.integers(-6, 6), st.integers(1, 7))
+def test_square_is_the_general_product(x, lead, ell):
+    # a * a takes the square on either path; an equal copy the general
+    # product
+    coeffs = x[0].coeffs
     a, twin = (PowerSeries(coeffs, lead=lead) for _ in range(2))
     assert a.nums is not twin.nums
     square = a * a
     general = a * twin
     assert (square.lead, square.den, square.nums) == \
         (general.lead, general.den, general.nums)
-    assert_matches(square, ref_mul(Ref(coeffs, lead), Ref(coeffs, lead)))
+    assert_product(square, a, twin)
     trace = a.product_trace(a, ell)
     expected = a.product_trace(twin, ell)
     assert (trace.lead, trace.den, trace.nums) == \
@@ -432,6 +518,50 @@ def test_product_trace_is_the_progression_of_the_product(data, ell):
     assert (got.lead, got.den, got.nums) == \
         (expected.lead, expected.den, expected.nums)
     assert_matches(got, ref_extract(ref_mul(ra, rb), ell))
+
+
+@pytest.mark.parametrize("kind, ell, baby, giant", [
+    ("U", 31, "packed", None),
+    ("W", 23, "packed", None),
+    ("Phi", 13, None, "dot"),
+])
+def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
+                                              giant):
+    # in power_traces the m - 1 baby steps come first, then the
+    # ell // m - 1 giant steps, then one product_trace for every other k
+    taken, span = [], []
+    packed, dot, traces = qseries._kronecker, qseries._convolve, \
+        builder.power_traces
+
+    def spy_packed(a, b, size, bits):
+        taken.append("packed")
+        return packed(a, b, size, bits)
+
+    def spy_dot(a, b, size, slots):
+        taken.append("dot" if slots.step == 1 else f"trace {slots.step}")
+        return dot(a, b, size, slots)
+
+    def spy_traces(*args):
+        span.append(len(taken))
+        out = traces(*args)
+        span.append(len(taken))
+        return out
+
+    monkeypatch.setattr(qseries, "_kronecker", spy_packed)
+    monkeypatch.setattr(qseries, "_convolve", spy_dot)
+    monkeypatch.setattr(builder, "power_traces", spy_traces)
+    builder.build(kind, ell)
+    taken = taken[span[0]:span[1]]
+    m = builder.isqrt(ell - 1) + 1
+    n_giant = ell // m - 1
+    n_traced = sum(1 for k in range(m + 1, ell + 1) if k % m)
+    assert len(taken) == m - 1 + n_giant + n_traced
+    if baby:
+        assert taken[:m - 1] == [baby] * (m - 1)
+    if giant:
+        assert taken[m - 1:m - 1 + n_giant] == [giant] * n_giant
+    # product_trace reads 1/ell of the slots: always dot products
+    assert taken[m - 1 + n_giant:] == [f"trace {ell}"] * n_traced
 
 
 def reference_gauss_jordan(rows, rhs, m):
