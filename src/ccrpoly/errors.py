@@ -35,7 +35,7 @@ class DegenerateDerivative(CCRError):
 
 
 class DegeneratePoint(CCRError):
-    """A point value (sigma, E4, E6 or f) needed as a divisor vanished."""
+    """A point value (the eta chart's root f) needed as a divisor vanished."""
 
 
 class GcdDegreeTwo(CCRError):

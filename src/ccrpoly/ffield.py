@@ -150,11 +150,12 @@ class PrimeField:
     for the quotient digits when the modulus is not monic, and making a
     length-n polynomial monic adds n.  Reading a compiled table of T
     terms adds one per power taken and 2T per collapse: specialize is
-    one collapse, derivative_bundle four, plus one per slope k*v^(k-1)
-    and 7 per power of X for its dot products.  An exponentiation x^e
-    adds e.bit_length() + popcount(e) - 2, its square-and-multiply
-    steps; roots adds one such exponentiation and 4 more per degree-2
-    factor it solves in closed form.
+    one collapse, derivative_bundle six, plus one per power for each of
+    its slope tables k*v^(k-1) and k(k-1)*v^(k-2) and 10 per power of X
+    for its dot products.  An exponentiation x^e adds e.bit_length() +
+    popcount(e) - 2, its square-and-multiply steps; roots adds one such
+    exponentiation and 4 more per degree-2 factor it solves in closed
+    form.
     inv_count counts inversions, one per coefficient denominator when a
     table is compiled.
     """
@@ -497,14 +498,15 @@ class CurveParams:
         return f"CurveParams(p={self.field.p}, A={self.A}, B={self.B})"
 
 
-DerivativeBundle = namedtuple("DerivativeBundle",
-                              "u du_s du_4 du_6 du_s4 du_s6 du_46")
+DerivativeBundle = namedtuple("DerivativeBundle", "u du_s du_4 du_6 du_s4 "
+                              "du_s6 du_46 du_ss du_44 du_66")
 DerivativeBundle.__doc__ = """Value and partials of a trivariate polynomial
 at (root, E4, E6), each a residue in [0, p).
 
 du_s is the partial in the X slot (the sigma or f direction), du_4 and
-du_6 the E4 and E6 partials, du_s4/du_s6/du_46 the mixed seconds.  u is
-the value itself and must be zero.
+du_6 the E4 and E6 partials, du_s4/du_s6/du_46 the mixed seconds and
+du_ss/du_44/du_66 the diagonal seconds.  u is the value itself and must
+be zero.
 """
 
 
@@ -569,11 +571,12 @@ def specialize(P, curve: CurveParams) -> UniPoly:
 
 
 def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
-    """First and mixed-second partials of P at (root, -A/3, -B/2).
+    """First and second partials of P at (root, -A/3, -B/2).
 
-    Four collapses onto X give, per power X^i, its (E4, E6) coefficient
-    and that coefficient's E4, E6 and E4E6 partials; the root's power
-    and slope tables then give all seven entries.
+    Six collapses onto X give, per power X^i, its (E4, E6) coefficient
+    and that coefficient's E4, E6, E4E6, E4E4 and E6E6 partials; the
+    root's power, slope and second-slope tables then give all ten
+    entries.
 
     Raises ValueError for Phi, which has no E4 or E6 slot, or at a point
     that is not a root: either is a caller logic error, not bad input.
@@ -586,12 +589,18 @@ def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
     xs = fld.powers(root % p, dx)
     ys = fld.powers(curve.e4, dy)
     zs = fld.powers(curve.e6, dz)
-    # slopes: entry k is k * v^(k-1), the derivative of v^k
-    dxs, dys, dzs = ([0] + [k * v % p for k, v in enumerate(vs[:-1], 1)]
-                     for vs in (xs, ys, zs))
-    g, g4, g6, g46 = (collapse(P, fld, 0, t1, t2) for t1, t2 in
-                      ((ys, zs), (dys, zs), (ys, dzs), (dys, dzs)))
-    fld.mul_count += dx + dy + dz + 7 * (dx + 1)
+
+    def slope(vs) -> list:
+        # entry k is k * vs[k-1]: k * v^(k-1), the derivative of v^k, from
+        # a power table, and k(k-1) * v^(k-2) from a slope table
+        return [0] + [k * v % p for k, v in enumerate(vs[:-1], 1)]
+
+    dxs, dys, dzs = map(slope, (xs, ys, zs))
+    ddxs, ddys, ddzs = map(slope, (dxs, dys, dzs))
+    g, g4, g6, g46, g44, g66 = (
+        collapse(P, fld, 0, t1, t2) for t1, t2 in
+        ((ys, zs), (dys, zs), (ys, dzs), (dys, dzs), (ddys, zs), (ys, ddzs)))
+    fld.mul_count += 2 * (dx + dy + dz) + 10 * (dx + 1)
 
     def dot(coeffs, powers) -> int:
         return sum(map(operator.mul, coeffs, powers)) % p
@@ -607,4 +616,7 @@ def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
         du_s4=dot(g4, dxs),
         du_s6=dot(g6, dxs),
         du_46=dot(g46, xs),
+        du_ss=dot(g, ddxs),
+        du_44=dot(g44, xs),
+        du_66=dot(g66, xs),
     )

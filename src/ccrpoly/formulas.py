@@ -9,8 +9,12 @@ and divides exactly, so the two consumers cannot drift apart.
 
 Naming: ds, d4, d6 are the first partials of the modular polynomial in its
 three slots (root, E4, E6); ds4, ds6, d46 the mixed second partials; dss,
-d44, d66 the diagonal second partials; df, df4, df6 the analogues for the
-eta-variant polynomial whose first slot carries f instead of sigma.
+d44, d66 the diagonal second partials; df, df4, df6, dff the analogues for
+the eta-variant polynomial whose first slot carries f instead of sigma.
+Both second-order formulas take the diagonals as arguments, so their only
+divisors are powers of ell and of the root's partial (and f); the
+finite-field engine reads the diagonals from its table, and only the
+verifier eliminates them through ``diagonals``.
 """
 
 
@@ -46,8 +50,10 @@ def e6_tilde_parts(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46,
 
 
 def diagonals(ell, root, e4, e6, dr, d4, d6, dr4, dr6, d46):
-    """(num, den) of each eliminated diagonal second partial, in the root,
-    E4 and E6 slots; ``root`` is sigma (or f), dr/dr4/dr6 its partials."""
+    """(num, den) of each diagonal second partial, in the root, E4 and E6
+    slots, eliminated through the weighted-homogeneity relations; ``root``
+    is sigma (or f), dr/dr4/dr6 its partials.  The divisors root, 2*E4 and
+    3*E6 may vanish at a curve, so only the symbolic verifier calls this."""
     return ((ell * dr - 2 * e4 * dr4 - 3 * e6 * dr6, root),
             ((ell - 1) * d4 - root * dr4 - 3 * e6 * d46, 2 * e4),
             ((ell - 2) * d6 - root * dr6 - 2 * e4 * d46, 3 * e6))
@@ -58,34 +64,12 @@ def atkin_sigma_parts(ell, e4, e6, d4, d6, f, df):
     return ell * (3 * d6 * e4 ** 2 + 2 * d4 * e6), f * df
 
 
-def atkin_e4_tilde_parts(ell, e4, e6, d4, d6, d46, f, df, df4, df6):
-    """(-M, ell^2 f^2 E4 E6 df^3) with E4(q^ell) = -M / (ell^2 f^2 E4 E6
-    df^3) in the f-root chart."""
-    m = (24 * (3 * e6 * d6 ** 2 * df4 + d46 * df ** 2 * f) * e4 ** 6
-         + 12 * (9 * e6 ** 2 * d6 ** 2 * df6
-                 - 3 * e6 * d6 ** 2 * df * ell
-                 + 6 * e6 * d6 * df * df6 * f
-                 - d6 * df ** 2 * ell * f
-                 + df ** 2 * df6 * f ** 2
-                 - 6 * e6 * d6 ** 2 * df
-                 + 2 * d6 * df ** 2 * f) * e4 ** 5
-         + 96 * e4 ** 4 * e6 ** 2 * d4 * d6 * df4
-         + 4 * e6 * (36 * e6 ** 2 * d4 * d6 * df6
-                     - 12 * e6 * d4 * d6 * df * ell
-                     + 12 * e6 * d4 * df * df6 * f
-                     - 12 * e6 * d46 * df ** 2 * f
-                     + 12 * e6 * d6 * df * df4 * f
-                     - 24 * e6 * d4 * d6 * df
-                     - 5 * d4 * df ** 2 * f) * e4 ** 3
-         + e6 * (32 * e6 ** 2 * d4 ** 2 * df4
-                 - 42 * e6 * d6 * df ** 2 * f
-                 + df ** 3 * f ** 2) * e4 ** 2
-         + 16 * e6 ** 3 * d4 * (3 * e6 * d4 * df6
-                                - d4 * df * ell
-                                + 2 * df * df4 * f
-                                - 2 * d4 * df) * e4
-         + 24 * e6 ** 4 * d46 * f * df ** 2
-         - 8 * e6 ** 3 * d4 * ell * f * df ** 2
-         + 8 * e6 ** 3 * df4 * f ** 2 * df ** 2
-         + 8 * e6 ** 3 * d4 * f * df ** 2)
-    return -m, ell ** 2 * f ** 2 * e4 * e6 * df ** 3
+def atkin_e4_tilde_parts(ell, e4, e6, d4, d6, d46, f, df, df4, df6,
+                         dff, d44, d66):
+    """(N, ell^2 f^2 df^3) with E4(q^ell) = N / (ell^2 f^2 df^3) in the
+    f-root chart; N holds the sigma chart's c2 block read at the f root
+    with sigma = 0, which carries every second partial."""
+    c2 = c2_block(ell, 0, e4, e6, df, d4, d6, df4, df6, d46, dff, d44, d66)
+    n = (2 * f * c2 + 8 * df * (3 * e4 ** 2 * d6 + 2 * e6 * d4) ** 2
+         - e4 * f ** 2 * df ** 3)
+    return n, ell ** 2 * f ** 2 * df ** 3

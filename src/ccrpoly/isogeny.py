@@ -53,8 +53,6 @@ def _check_poly(P, kind: str, ell: int):
 
 # the zero guards: error class and message when the input vanishes mod p
 _DS = DegenerateDerivative, "ds = 0 at sigma root"
-_SIGMA = DegeneratePoint, "sigma = 0"
-_J_0_1728 = DegeneratePoint, "E4 or E6 = 0 (j in {0, 1728})"
 _F = DegeneratePoint, "f = 0"
 _DF = DegenerateDerivative, "df = 0 at f root"
 
@@ -89,21 +87,13 @@ def e4_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
 
 
 def e6_tilde(field, ell: int, sigma: int, bundle, e4: int, e6: int) -> int:
-    """E6(q^ell) from the full second-order bundle at a sigma root.
-
-    The diagonal second partials are never taken directly; they are
-    eliminated through the weighted-homogeneity relations, which divide
-    by sigma, 2*E4 and 3*E6.
-    """
+    """E6(q^ell) from the full second-order bundle at a sigma root."""
     _check_level(field, ell)
-    p = field.p
-    ds = _nonzero(bundle.du_s, p, *_DS)
-    _nonzero(sigma, p, *_SIGMA)
-    _nonzero(e4 * e6, p, *_J_0_1728)
-    point = (ell, sigma, e4, e6, ds, bundle.du_4, bundle.du_6,
-             bundle.du_s4, bundle.du_s6, bundle.du_46)
-    diag = [_quotient(field, *nd) for nd in formulas.diagonals(*point)]
-    return _quotient(field, *formulas.e6_tilde_parts(*point, *diag))
+    ds = _nonzero(bundle.du_s, field.p, *_DS)
+    return _quotient(field, *formulas.e6_tilde_parts(
+        ell, sigma, e4, e6, ds, bundle.du_4, bundle.du_6, bundle.du_s4,
+        bundle.du_s6, bundle.du_46, bundle.du_ss, bundle.du_44,
+        bundle.du_66))
 
 
 def _check_sums_prime(p: int):
@@ -134,12 +124,12 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     """Work every root of the specialized U polynomial into an
     IsogenyStepResult.
 
-    An empty list signals an Atkin prime.  Roots where a needed
-    derivative or point value vanishes are skipped; a (root, message)
-    pair goes to the diagnostics list when one is supplied.  v, w, phi
-    are optional cross-check polynomials; their flags stay None when
-    absent, and they are specialized only when U has a root.  p in
-    {5, 7}, where the power sums divide by zero, is refused first.
+    An empty list signals an Atkin prime.  Roots where ds vanishes are
+    skipped; a (root, message) pair goes to the diagnostics list when
+    one is supplied.  v, w, phi are optional cross-check polynomials;
+    their flags stay None when absent, and they are specialized only
+    when U has a root.  p in {5, 7}, where the power sums divide by
+    zero, is refused first.
     """
     field = curve.field
     _check_level(field, ell)
@@ -163,7 +153,7 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
         try:
             e4t = e4_tilde(field, ell, sigma, bundle, e4, e6)
             e6t = e6_tilde(field, ell, sigma, bundle, e4, e6)
-        except (DegenerateDerivative, DegeneratePoint) as exc:
+        except DegenerateDerivative as exc:
             note(sigma, exc)
             continue
         a_star = -3 * pow(ell, 4, p) * e4t % p
@@ -200,10 +190,10 @@ def atkin_e4_tilde(field, ell: int, f_root: int, bundle,
                    e4: int, e6: int) -> int:
     """E4(q^ell) from the full second-order bundle at a root f."""
     f, df = _f_chart(field, ell, f_root, bundle)
-    _nonzero(e4 * e6, field.p, *_J_0_1728)
     return _quotient(field, *formulas.atkin_e4_tilde_parts(
         ell, e4, e6, bundle.du_4, bundle.du_6, bundle.du_46, f, df,
-        bundle.du_s4, bundle.du_s6))
+        bundle.du_s4, bundle.du_s6, bundle.du_ss, bundle.du_44,
+        bundle.du_66))
 
 
 def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,

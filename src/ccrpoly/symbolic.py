@@ -30,7 +30,9 @@ from . import formulas
 # Verifier ring: the three slot derivatives of the modular polynomial are
 # ds/d4/d6, mixed second partials ds4/ds6/d46, and the eta-variant analogues
 # carry the f prefix.  Diagonal second partials are never ring variables;
-# they are always eliminated through the weighted-homogeneity relations.
+# they are always eliminated through the weighted-homogeneity relations,
+# the step that shows the E2 coefficients to be multiples of H.  The
+# formulas take them as arguments, and the F_p engine reads them.
 VARS = ("ell", "E2", "E4", "E6", "sigma", "E4t", "E6t",
         "d4", "d6", "ds", "ds4", "ds6", "d46",
         "f", "df", "df4", "df6")
@@ -328,7 +330,9 @@ def _f_pp(g, u, E2p, E4p):
 # ``reference(g, diagonals)``, the quotient of the (num, den) pair its
 # formula in formulas.py returns, which the report names ``closed`` in its
 # step label and ``shown`` in its line, and against the symbols ``allowed``
-# in it.
+# in it.  The second-order transcriptions keep dss/d44/d66 (dff/d44/d66)
+# as formal arguments; the derived result has them eliminated, so they are
+# compared after the same elimination.
 _Order = namedtuple("_Order", "name unknown reference closed shown allowed")
 
 # A chart names its root, the root's first partial, its mixed partials with
@@ -346,8 +350,6 @@ _SIGMA_CHART = _Chart(
            "-(4*ell*(3*E4^2*d6+2*E6*d4)-ds*(ell^2*E4+4*sigma^2))"
            "/(ell^4*ds)",
            {"ell", "E4", "E6", "sigma", "d4", "d6", "ds"}),
-    # the transcription keeps dss/d44/d66 as formal arguments; the derived
-    # result has them eliminated, so compare after the same elimination
     _Order("e6t", "E6t",
            lambda g, diag: truediv(*formulas.e6_tilde_parts(
                *_at(g, "ell sigma E4 E6 ds d4 d6 ds4 ds6 d46"), *diag)),
@@ -366,9 +368,10 @@ _F_CHART = _Chart(
            {"ell", "E4", "E6", "d4", "d6", "f", "df"}),
     _Order("a-e4t", "E4t",
            lambda g, diag: truediv(*formulas.atkin_e4_tilde_parts(
-               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"))),
-           "-M/(ell^2*f^2*E4*E6*df^3)",
-           "-M/(ell^2*f^2*E4*E6*df^3), M from the E4-degree-6 display",
+               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"), *diag)),
+           "N/(ell^2*f^2*df^3)",
+           "N/(ell^2*f^2*df^3), N = 2*f*c2 at sigma = 0 + "
+           "8*df*(3*E4^2*d6+2*E6*d4)^2 - E4*f^2*df^3",
            {"ell", "E4", "E6", "d4", "d6", "d46", "f", "df", "df4",
             "df6"}))
 

@@ -100,6 +100,8 @@ def frobenius_trace(p: int, a: int, b: int) -> int:
 
 # j-invariants of the orders of discriminant -7 and -8
 _CM_J = {-7: -3375, -8: 8000}
+# curves with j = 0 and j = 1728, where k = j/(1728 - j) is singular
+_CM_AB = {-3: (0, 1), -4: (1, 0)}
 
 
 def _ec_add(pt, qt, a: int, p: int):
@@ -140,19 +142,25 @@ def cm_vector(disc: int, ell: int) -> tuple:
     P is the first prime above 2^30 with P = -1 (mod 4 ell) and
     (disc/P) = -1.  disc is then inert, so E, taken as y^2 = x^3 + 3kx +
     2k with k = j/(1728 - j), is supersingular and #E = P + 1; as
-    P = 3 (mod 4), a square root is a (P+1)/4 power.  R = ((P+1)/ell) Q
-    for the first point Q, by abscissa, where that is not infinity.  Over
-    R, 2R, ..., dR with d = (ell-1)/2, sigma is the sum of the x_Q, and
-    A* = A - 5v, B* = B - 7w with v the sum of 6x_Q^2 + 2A and w the
-    sum of 4y_Q^2 + x_Q(6x_Q^2 + 2A).
+    P = 3 (mod 4), a square root is a (P+1)/4 power.  For disc -3
+    (y^2 = x^3 + 1, j = 0) and -4 (y^2 = x^3 + x, j = 1728), P is the
+    first prime above 2^30 with P = -1 (mod 12 ell), which makes both
+    inert.  R = ((P+1)/ell) Q for the first point Q, by abscissa, where
+    that is not infinity.  Over R, 2R, ..., dR with d = (ell-1)/2, sigma
+    is the sum of the x_Q, and A* = A - 5v, B* = B - 7w with v the sum
+    of 6x_Q^2 + 2A and w the sum of 4y_Q^2 + x_Q(6x_Q^2 + 2A).
     """
-    p = (2 ** 30 // (4 * ell) + 1) * 4 * ell - 1
+    m = (12 if disc in _CM_AB else 4) * ell
+    p = (2 ** 30 // m + 1) * m - 1
     while not (all(p % q for q in range(3, isqrt(p) + 1, 2))
                and pow(disc, (p - 1) // 2, p) == p - 1):
-        p += 4 * ell
-    j = _CM_J[disc]
-    k = j * pow(1728 - j, -1, p) % p
-    a, b = 3 * k % p, 2 * k % p
+        p += m
+    if disc in _CM_AB:
+        a, b = _CM_AB[disc]
+    else:
+        j = _CM_J[disc]
+        k = j * pow(1728 - j, -1, p) % p
+        a, b = 3 * k % p, 2 * k % p
     for x in range(p):
         rhs = (x ** 3 + a * x + b) % p
         y = pow(rhs, (p + 1) // 4, p)

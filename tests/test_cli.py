@@ -532,6 +532,19 @@ class TestAtkin:
             "f=15 sigma=6 E4t=18 Bstar=16 Astar=14 gcd_degree=1"]
 
 
+@pytest.mark.parametrize("command", ["elkies", "atkin"])
+def test_j_zero_curve_answers_every_root(cache, capsys, command):
+    # y^2 = x^3 + 5 has j = 0, and no formula divides by E4 or E6: all 12
+    # roots give a result, and neither step skips one
+    rc = cli.main([command, "--p", "1000003", "--a", "0", "--b", "5",
+                   "--ell", "11"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0] == "p=1000003 A=0 B=5 ell=11 j=0"
+    assert len(lines) == 13
+    assert not [ln for ln in lines if ln.startswith("diagnostic")]
+
+
 class TestVerifySymbolic:
     def test_all_cases_pass(self, capsys):
         assert cli.main(["verify-symbolic", "--case", "all"]) == 0

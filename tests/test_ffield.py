@@ -560,10 +560,11 @@ def _oracle_bundle(P, curve, root: int) -> DerivativeBundle:
     P is differentiated in A and B, and the chain rule A = -3 E4,
     B = -2 E6 turns those into E4 and E6 partials."""
     s4, s6 = (1, 1) if P.basis == "E4E6" else (-3, -2)
-    px, p4 = P.partial(0), P.partial(1)
-    entries = ((P, 1), (px, 1), (p4, s4), (P.partial(2), s6),
+    px, p4, p6 = P.partial(0), P.partial(1), P.partial(2)
+    entries = ((P, 1), (px, 1), (p4, s4), (p6, s6),
                (px.partial(1), s4), (px.partial(2), s6),
-               (p4.partial(2), s4 * s6))
+               (p4.partial(2), s4 * s6), (px.partial(0), 1),
+               (p4.partial(1), s4 * s4), (p6.partial(2), s6 * s6))
     vals = _curve_values(P, curve)
     return DerivativeBundle(*(
         fraction_mod(scale * evaluate(q, root, *vals), curve.field.p)
