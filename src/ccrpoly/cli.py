@@ -61,14 +61,15 @@ def load_or_build(kind: str, ell: int, directory: str,
                   rebuild: bool = False):
     """Fetch a polynomial in its kind's cached basis from the store,
     building and caching it on a miss.  With rebuild, regenerate and
-    require byte equality with any existing file.  Store files are ASCII,
-    as poly_to_text writes them, whatever the locale's encoding."""
+    require byte equality with any existing file.  Store files are ASCII
+    with LF line ends, as poly_to_text writes them, whatever the locale's
+    encoding or the OS: no CR is read or written as a line end."""
     basis = check_kind(kind, ell).bases[0]
     path = _store_path(directory, kind, ell, basis)
     cached = None
     try:
         if os.path.exists(path):
-            with open(path, encoding="ascii") as fh:
+            with open(path, encoding="ascii", newline="") as fh:
                 cached = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read {path}: {exc}") from exc
@@ -100,7 +101,7 @@ def _write_atomic(path: str, text: str):
     place, so a reader finds the old file or the whole new one."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

@@ -207,32 +207,24 @@ def _slot_bytes(p: int, terms: int) -> int:
     return max(8, ((terms * (p - 1) ** 2).bit_length() + 7) // 8)
 
 
-# word slots stay little-endian whatever the host's byte order
-_SWAP = sys.byteorder == "big"
-
-
 def _pack(coeffs, width: int) -> int:
     """Kronecker substitution: coefficient i goes in bytes
-    [i*width, (i+1)*width) of one little-endian integer; 8-byte slots
-    are packed as one array of machine words."""
-    if width == 8:
-        words = array("Q", coeffs)
-        if _SWAP:
-            words.byteswap()
-        return int.from_bytes(words.tobytes(), "little")
+    [i*width, (i+1)*width) of one little-endian integer; on a
+    little-endian host 8-byte slots are packed as one array of machine
+    words."""
+    if width == 8 and sys.byteorder == "little":
+        return int.from_bytes(array("Q", coeffs).tobytes(), "little")
     return int.from_bytes(b"".join([c.to_bytes(width, "little")
                                     for c in coeffs]), "little")
 
 
 def _unpack(v: int, width: int, n: int) -> list:
-    """The first n slots of a packed integer, unreduced; 8-byte slots
-    are read as one array of machine words."""
+    """The first n slots of a packed integer, unreduced; on a
+    little-endian host 8-byte slots are read as one array of machine
+    words."""
     raw = v.to_bytes(n * width, "little")
-    if width == 8:
-        words = array("Q", raw)
-        if _SWAP:
-            words.byteswap()
-        return words.tolist()
+    if width == 8 and sys.byteorder == "little":
+        return array("Q", raw).tolist()
     return [int.from_bytes(raw[i:i + width], "little")
             for i in range(0, n * width, width)]
 

@@ -4,8 +4,9 @@ Written once against a generic commutative ring: arguments only need +, -, *
 and small integer powers.  Every formula returns a (num, den) pair whose
 quotient is the value, so neither consumer divides inside a formula.  The
 finite-field engine evaluates these on field elements and divides mod p;
-the symbolic verifier evaluates the identical expressions on polynomials
-and divides exactly, so the two consumers cannot drift apart.
+the symbolic verifier binds each parameter, by its name, to the ring
+symbol of that name and divides exactly, so the two consumers cannot
+drift apart.
 
 Naming: ds, d4, d6 are the first partials of the modular polynomial in its
 three slots (root, E4, E6); ds4, ds6, d46 the mixed second partials; dss,
@@ -13,8 +14,8 @@ d44, d66 the diagonal second partials; df, df4, df6, dff the analogues for
 the eta-variant polynomial whose first slot carries f instead of sigma.
 Both second-order formulas take the diagonals as arguments, so their only
 divisors are powers of ell and of the root's partial (and f); the
-finite-field engine reads the diagonals from its table, and only the
-verifier eliminates them through ``diagonals``.
+finite-field engine reads the diagonals from its table, and the verifier
+eliminates them.
 """
 
 
@@ -47,16 +48,6 @@ def e6_tilde_parts(ell, sigma, e4, e6, ds, d4, d6, ds4, ds6, d46,
          + 12 * ds ** 2 * sigma * (3 * e4 ** 2 * d6 + 2 * e6 * d4) * ell
          - 8 * ds ** 3 * sigma ** 3)
     return -n, ell ** 6 * ds ** 3
-
-
-def diagonals(ell, root, e4, e6, dr, d4, d6, dr4, dr6, d46):
-    """(num, den) of each diagonal second partial, in the root, E4 and E6
-    slots, eliminated through the weighted-homogeneity relations; ``root``
-    is sigma (or f), dr/dr4/dr6 its partials.  The divisors root, 2*E4 and
-    3*E6 may vanish at a curve, so only the symbolic verifier calls this."""
-    return ((ell * dr - 2 * e4 * dr4 - 3 * e6 * dr6, root),
-            ((ell - 1) * d4 - root * dr4 - 3 * e6 * d46, 2 * e4),
-            ((ell - 2) * d6 - root * dr6 - 2 * e4 * d46, 3 * e6))
 
 
 def atkin_sigma_parts(ell, e4, e6, d4, d6, f, df):

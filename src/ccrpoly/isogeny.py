@@ -8,10 +8,11 @@ eta-variant polynomial for ell = 11 mod 12, where sigma and E4(q^ell)
 come from partials at a root f, and B* is cut out by a two-polynomial
 gcd.
 
-All formulas live in formulas.py, shared verbatim with the symbolic
-verifier, each as a (num, den) pair; this module only evaluates them on
-field elements, checks every divisor through _nonzero, which raises the
-chart's typed error, and divides through _quotient.
+The recovery formulas live in formulas.py, shared verbatim with the
+symbolic verifier, each as a (num, den) pair; this module evaluates them
+on field elements and checks every divisor through _nonzero, which raises
+the chart's typed error.  Every division here, the power sums and the B*
+constraints among them, goes through _quotient, one inversion each.
 """
 
 from collections import namedtuple
@@ -110,12 +111,10 @@ def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
     A - A* = 5(6 sigma2 + 2 A sigma0) and
     B - B* = 7(10 sigma3 + 6 A sigma1 + 4 B sigma0).
     """
-    p = field.p
-    _check_sums_prime(p)
-    s0 = (ell - 1) // 2 % p
-    s2 = ((a - a_star) * field.inv(5) - 2 * a * s0) % p * field.inv(6) % p
-    s3 = ((b - b_star) * field.inv(7) - 6 * a * sigma - 4 * b * s0) % p \
-        * field.inv(10) % p
+    _check_sums_prime(field.p)
+    s0 = (ell - 1) // 2 % field.p
+    s2 = _quotient(field, a - a_star - 10 * a * s0, 30)
+    s3 = _quotient(field, b - b_star - 42 * a * sigma - 28 * b * s0, 70)
     return s0, s2, s3
 
 
@@ -213,9 +212,10 @@ def atkin_b_star(ell: int, f_root: int, a_star: int, curve: CurveParams,
     p = field.p
     f = _nonzero(f_root, p, *_F)
     e4, e6 = curve.e4, curve.e6
-    delta = (pow(e4, 3, p) - e6 * e6) % p * field.inv(1728) % p
-    c0 = (6912 * pow(f, 12, p) * field.inv(delta)
-          + 4 * pow(a_star, 3, p) * field.inv(27)) % p
+    # 1728*Delta = E4^3 - E6^2, so 27*1728*Delta clears both denominators
+    delta_1728 = pow(e4, 3, p) - e6 * e6
+    c0 = _quotient(field, 6912 * 1728 * 27 * pow(f, 12, p)
+                   + 4 * pow(a_star, 3, p) * delta_1728, 27 * delta_1728)
     p1 = UniPoly(field, [c0, 0, 1])
     p2 = _ua_b_slot_poly(field, ua, (-ell * f) % p, a_star)
     g = p1.gcd(p2)
@@ -234,11 +234,10 @@ def _ua_b_slot_poly(field, ua, x_val: int, a_val: int) -> UniPoly:
     coefficient of B^b is the sum of c x^i (-A/3)^a times (-1/2)^b from
     E6 = -B/2.
     """
-    p = field.p
     _, (dx, dy, dz) = fp_table(ua, field)
     out = collapse(ua, field, 2, field.powers(x_val, dx),
-                   field.powers(-a_val * field.inv(3) % p, dy))
-    halves = field.powers(-field.inv(2) % p, dz)
+                   field.powers(_quotient(field, -a_val, 3), dy))
+    halves = field.powers(_quotient(field, -1, 2), dz)
     return UniPoly(field, [c * h for c, h in zip(out, halves)])
 
 

@@ -7,12 +7,14 @@ Every denominator the derivations meet is a single term (powers of ell,
 ds, f and df, and 2*E4, 3*E6), so no quotient field is needed.  On top of
 the ring, ``derive_e4t`` / ``derive_e6t`` / ``derive_atkin_sigma`` /
 ``derive_atkin_e4t`` replay the differential derivations of the
-isogenous-curve formulas step by step and check the results against the
-transcriptions in :mod:`ccrpoly.formulas` for equality.  One first-order
-and one second-order routine serve both the sigma chart (U) and the f
-chart (Ua); a table gives each chart's symbols, the root's q-derivatives
-and the closed forms.  Every check is an exact polynomial identity; a
-failure raises :class:`VerificationError` naming the step.
+isogenous-curve formulas step by step and check the results for equality
+against the transcriptions in :mod:`ccrpoly.formulas`, each bound to ring
+symbols by its own parameter names.  One first-order and one second-order
+routine serve both the sigma chart (U) and the f chart (Ua); a table gives
+each chart's symbols, the root's q-derivatives and the closed forms, and
+the second order eliminates the diagonal second partials.  Every check is
+an exact polynomial identity; a failure raises :class:`VerificationError`
+naming the step.
 
 Its one user is ``verify-symbolic``; the builders and the Delta
 display do not import it.
@@ -20,6 +22,7 @@ display do not import it.
 
 from __future__ import annotations
 
+import inspect
 from collections import namedtuple
 from fractions import Fraction
 from operator import truediv
@@ -326,54 +329,53 @@ def _f_pp(g, u, E2p, E4p):
                            + ell ** 2 * (E2t ** 2 - g["E4t"]) + 12 * E2p)
 
 
-# A derivation solves for ``unknown`` and checks the result against
-# ``reference(g, diagonals)``, the quotient of the (num, den) pair its
-# formula in formulas.py returns, which the report names ``closed`` in its
-# step label and ``shown`` in its line, and against the symbols ``allowed``
-# in it.  The second-order transcriptions keep dss/d44/d66 (dff/d44/d66)
-# as formal arguments; the derived result has them eliminated, so they are
-# compared after the same elimination.
-_Order = namedtuple("_Order", "name unknown reference closed shown allowed")
+# A derivation solves for ``unknown`` and checks the result against the
+# quotient of the (num, den) pair its ``formula`` in formulas.py returns,
+# which the report names ``closed`` in its step label and ``shown`` in its
+# line.  _bind reads the formula's parameters by name, and the derived
+# result may hold those symbols only.  The second-order transcriptions
+# keep dss/d44/d66 (dff/d44/d66) as formal arguments; the derived result
+# has them eliminated, so they are bound to the same elimination.
+_Order = namedtuple("_Order", "name unknown formula closed shown")
 
 # A chart names its root, the root's first partial, its mixed partials with
-# E4 and E6, and its H; root_p and root_pp are the root's q-derivatives,
-# first and second the derivations of each order.
+# E4 and E6, its diagonal second partial and its H; root_p and root_pp are
+# the root's q-derivatives, first and second the derivations of each order.
 _Chart = namedtuple("_Chart",
-                    "root dr dr4 dr6 h root_p root_pp first second")
+                    "root dr dr4 dr6 drr h root_p root_pp first second")
 
 _SIGMA_CHART = _Chart(
-    "sigma", "ds", "ds4", "ds6", "H_U", _sigma_p, _sigma_pp,
-    _Order("e4t", "E4t",
-           lambda g, diag: truediv(*formulas.e4_tilde_parts(
-               *_at(g, "ell sigma E4 E6 ds d4 d6"))),
-           "closed form",
+    "sigma", "ds", "ds4", "ds6", "dss", "H_U", _sigma_p, _sigma_pp,
+    _Order("e4t", "E4t", formulas.e4_tilde_parts, "closed form",
            "-(4*ell*(3*E4^2*d6+2*E6*d4)-ds*(ell^2*E4+4*sigma^2))"
-           "/(ell^4*ds)",
-           {"ell", "E4", "E6", "sigma", "d4", "d6", "ds"}),
-    _Order("e6t", "E6t",
-           lambda g, diag: truediv(*formulas.e6_tilde_parts(
-               *_at(g, "ell sigma E4 E6 ds d4 d6 ds4 ds6 d46"), *diag)),
-           "-N/(ell^6*ds^3)",
-           "-N/(ell^6*ds^3), N and c2 from the degree-3-in-ell display",
-           {"ell", "E4", "E6", "sigma", "d4", "d6", "ds", "ds4", "ds6",
-            "d46"}))
+           "/(ell^4*ds)"),
+    _Order("e6t", "E6t", formulas.e6_tilde_parts, "-N/(ell^6*ds^3)",
+           "-N/(ell^6*ds^3), N and c2 from the degree-3-in-ell display"))
 
 _F_CHART = _Chart(
-    "f", "df", "df4", "df6", "H_f", _f_p, _f_pp,
-    _Order("a-sigma", "sigma",
-           lambda g, diag: truediv(*formulas.atkin_sigma_parts(
-               *_at(g, "ell E4 E6 d4 d6 f df"))),
-           "closed form",
-           "ell*(3*d6*E4^2+2*d4*E6)/(f*df)",
-           {"ell", "E4", "E6", "d4", "d6", "f", "df"}),
-    _Order("a-e4t", "E4t",
-           lambda g, diag: truediv(*formulas.atkin_e4_tilde_parts(
-               *_at(g, "ell E4 E6 d4 d6 d46 f df df4 df6"), *diag)),
+    "f", "df", "df4", "df6", "dff", "H_f", _f_p, _f_pp,
+    _Order("a-sigma", "sigma", formulas.atkin_sigma_parts, "closed form",
+           "ell*(3*d6*E4^2+2*d4*E6)/(f*df)"),
+    _Order("a-e4t", "E4t", formulas.atkin_e4_tilde_parts,
            "N/(ell^2*f^2*df^3)",
            "N/(ell^2*f^2*df^3), N = 2*f*c2 at sigma = 0 + "
-           "8*df*(3*E4^2*d6+2*E6*d4)^2 - E4*f^2*df^3",
-           {"ell", "E4", "E6", "d4", "d6", "d46", "f", "df", "df4",
-            "df6"}))
+           "8*df*(3*E4^2*d6+2*E6*d4)^2 - E4*f^2*df^3"))
+
+# the formulas name the curve's Eisenstein values in lower case
+_ALIAS = {"e4": "E4", "e6": "E6"}
+
+
+def _bind(order: _Order, g: dict, diag: dict) -> tuple:
+    """The formula at its parameters bound by name, a diagonal to its
+    elimination, and the ring symbols that the rest bind."""
+    names = [_ALIAS.get(n, n)
+             for n in inspect.signature(order.formula).parameters]
+    symbols = set(names) - diag.keys()
+    foreign = ", ".join(sorted(symbols - g.keys()))
+    _check(not foreign, f"{order.name}: {order.formula.__name__} binds "
+           f"ring symbols only, not {foreign}")
+    values = {**g, **diag}
+    return truediv(*order.formula(*(values[n] for n in names))), symbols
 
 
 def _h(chart: _Chart) -> MultiPoly:
@@ -414,7 +416,7 @@ def _divide_by(poly: MultiPoly, h: MultiPoly, step: str) -> MultiPoly:
         raise VerificationError(f"assertion failed at step: {step}") from exc
 
 
-def _solved(order: _Order, num: MultiPoly, g: dict, diag: tuple,
+def _solved(order: _Order, num: MultiPoly, g: dict, diag: dict,
             checks: list) -> DerivationReport:
     """Solve the E2-free coefficient of num, linear in the unknown, and
     check the result against the closed form and for ring hygiene."""
@@ -425,10 +427,10 @@ def _solved(order: _Order, num: MultiPoly, g: dict, diag: tuple,
     lead = c0.coefficient_of(var, 1)
     _check(lead.is_monomial, f"{name}: coefficient of {var} is one term")
     derived = -c0.coefficient_of(var, 0) / lead
-    _check(derived == order.reference(g, diag),
-           f"{name}: equality with {order.closed}")
+    closed, symbols = _bind(order, g, diag)
+    _check(derived == closed, f"{name}: equality with {order.closed}")
     checks.append(("equals closed form", order.shown))
-    _check(derived.variables_used() <= order.allowed, f"{name}: ring hygiene")
+    _check(derived.variables_used() <= symbols, f"{name}: ring hygiene")
     checks.append(("ring hygiene", "no eliminated or foreign symbols"))
     return DerivationReport(name, derived, checks)
 
@@ -449,7 +451,7 @@ def _first_order(chart: _Chart) -> DerivationReport:
     _check(quot.is_monomial, f"{name}: {chart.h} quotient is a monomial")
     checks = [("degree in E2", "1"),
               (f"E2 coefficient / {chart.h}", f"monomial quotient {quot}")]
-    return _solved(chart.first, num, g, (), checks)
+    return _solved(chart.first, num, g, {}, checks)
 
 
 def _second_order(chart: _Chart) -> DerivationReport:
@@ -467,9 +469,12 @@ def _second_order(chart: _Chart) -> DerivationReport:
     rpp = chart.root_pp(g, u, E2p, E4p)
     E4pp = (E2p * E4 + E2 * E4p - E6p) / 3
     E6pp = (E2p * E6 + E2 * E6p - 2 * E4 * E4p) / 2
-    diag = tuple(n / d for n, d in formulas.diagonals(
-        ell, r, E4, E6, dr, d4, d6, dr4, dr6, d46))
-    drr, d44, d66 = diag
+    # the diagonals by their parameter names, eliminated through the
+    # weighted-homogeneity relations; root, 2*E4 and 3*E6 are single terms
+    diag = {chart.drr: (ell * dr - 2 * E4 * dr4 - 3 * E6 * dr6) / r,
+            "d44": ((ell - 1) * d4 - r * dr4 - 3 * E6 * d46) / (2 * E4),
+            "d66": ((ell - 2) * d6 - r * dr6 - 2 * E4 * d46) / (3 * E6)}
+    drr, d44, d66 = diag.values()
 
     tmp = rpp * dr + rp * (rp * drr + E4p * dr4 + E6p * dr6)
     tmp = tmp + E4pp * d4 + E4p * (rp * dr4 + E4p * d44 + E6p * d46)

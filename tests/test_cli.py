@@ -281,9 +281,9 @@ class TestStoreErrors:
         assert proc.stdout.count("\n") == 1
 
     # defect -> (store file, the command that reads it, an edit of the
-    # file, the message after "store error: <path>: "); the eight from
-    # header_level_leading_zero to spaces_and_tab are forms the reader
-    # once accepted
+    # file, the message after "store error: <path>: "); the ten from
+    # header_level_leading_zero to cr_ending are forms the reader once
+    # accepted
     CORRUPTED = {
         "header_without_kind": (
             "U_5_E4E6.txt", ELKIES_ARGS, _sub("kind=U ", ""),
@@ -321,6 +321,17 @@ class TestStoreErrors:
         "spaces_and_tab": (
             "U_5_E4E6.txt", ELKIES_ARGS, _sub("\n6 0 0 1\n", "\n6  0 0\t1 \n"),
             "malformed store line '6  0 0\\t1 '\n"),
+        # the writer ends lines in LF alone on every OS, and the reader
+        # translates no other line end
+        "crlf_endings": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            lambda text, path: text.replace("\n", "\r\n"),
+            "malformed store header 'CCR kind=U ell=5 basis=E4E6\\r'\n"),
+        "cr_ending": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            lambda text, path: text.replace("\n", "\r"),
+            "malformed store header 'CCR kind=U ell=5 basis=E4E6\\r6 0 0 1"
+            "\\r4 1 0 -60\\r"),
         # past int's 4300-digit string limit, whose ValueError is a store
         # error; with no limit (Python 3.10) 1...1 is no multiple of 3,
         # so the AB gate refuses it, hence no fixed reason

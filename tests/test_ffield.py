@@ -329,12 +329,17 @@ class TestPackedArithmetic:
             st.integers(0, 2 ** (8 * w) - 1), max_size=40))))
     def test_pack_round_trip(self, case):
         """Unpacking inverts packing, and the word path at width 8 packs
-        the same integer as the byte-by-byte layout does."""
+        the same integer as the byte-by-byte layout does; the byte path
+        a big-endian host takes at width 8 runs with the host's byte
+        order read as big."""
         width, coeffs = case
-        packed = ffield._pack(coeffs, width)
-        assert packed == sum(c << (8 * width * i)
-                             for i, c in enumerate(coeffs))
-        assert ffield._unpack(packed, width, len(coeffs)) == coeffs
+        want = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+        for order in ("little", "big"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ffield.sys, "byteorder", order)
+                packed = ffield._pack(coeffs, width)
+                assert packed == want
+                assert ffield._unpack(packed, width, len(coeffs)) == coeffs
 
     def test_slot_widths(self):
         # one word up to 4 products of residues mod 2^31 - 1, 9 bytes from 5

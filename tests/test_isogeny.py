@@ -567,29 +567,43 @@ def test_step_repr_matches_recording(request, line):
 
 
 class TestFormulaSymbolicAgreement:
-    """Random Elkies cases: hard-coded formulas equal the derived ones."""
+    """Random curves: the hard-coded formulas equal the derived ones at
+    20 roots in each chart, over U5 and U7 together and over Ua11 and
+    Ua23 each, with the root, its partial, E4 and E6 nonzero."""
 
-    def test_twenty_random_cases(self, fld, u5, u7, reports):
+    @pytest.mark.parametrize("levels, kind, point, pairs", [
+        pytest.param((5, 7), "u", sigma_point,
+                     ((e4_tilde, "e4t"), (e6_tilde, "e6t")), id="sigma"),
+        pytest.param((11,), "ua", f_point,
+                     ((atkin_sigma, "a-sigma"), (atkin_e4_tilde, "a-e4t")),
+                     id="f-Ua11"),
+        pytest.param((23,), "ua", f_point,
+                     ((atkin_sigma, "a-sigma"), (atkin_e4_tilde, "a-e4t")),
+                     id="f-Ua23"),
+    ])
+    def test_twenty_random_cases(self, request, fld, reports, levels, kind,
+                                 point, pairs):
+        polys = {ell: request.getfixturevalue(f"{kind}{ell}")
+                 for ell in levels}
         rng = random.Random(23)
         checked = 0
         while checked < 20:
-            ell = rng.choice([5, 7])
+            ell = rng.choice(levels)
             a, b = rng.randrange(P), rng.randrange(P)
             if (4 * a**3 + 27 * b * b) % P == 0:
                 continue
             curve = CurveParams(fld, a, b)
             if curve.e4 == 0 or curve.e6 == 0:
                 continue
-            poly = {5: u5, 7: u7}[ell]
-            for sigma in roots(specialize(poly, curve)):
-                if sigma == 0:
+            poly = polys[ell]
+            for root in roots(specialize(poly, curve)):
+                if root == 0:
                     continue
-                bundle = derivative_bundle(poly, curve, sigma)
+                bundle = derivative_bundle(poly, curve, root)
                 if bundle.du_s % P == 0:
                     continue
-                point = sigma_point(ell, sigma, curve, bundle)
-                e4t = e4_tilde(fld, ell, sigma, bundle, curve.e4, curve.e6)
-                e6t = e6_tilde(fld, ell, sigma, bundle, curve.e4, curve.e6)
-                assert eval_mod(reports["e4t"].derived, point, P) == e4t
-                assert eval_mod(reports["e6t"].derived, point, P) == e6t
+                at = point(ell, root, curve, bundle)
+                for func, name in pairs:
+                    want = func(fld, ell, root, bundle, curve.e4, curve.e6)
+                    assert eval_mod(reports[name].derived, at, P) == want
                 checked += 1
