@@ -1,28 +1,39 @@
 """Builders for the trivariate modular polynomials and the classical
 j-polynomial used as an independent validation oracle.
 
-Every kind, Phi included, takes one chain.  conjugate_series expands the
-distinguished root r_inf(q) and the conjugate generator R(x) with
-x = q^{1/ell}; power_sums traces R^1..R^ell over the ell cosets (the
-trace is arithmetic-progression extraction: root-of-unity sums vanish off
-multiples of ell, so no cyclotomic arithmetic is needed); Newton's
-identities on those traces give the conjugates' elementary symmetric
-functions E'_k; _elementary multiplies the root in; and each e_k, up to
-sign the coefficient of X^(ell+1-k), is matched against the form basis
-E4^a E6^b of its weight (_build_at) or, for Phi, against the powers of j
-(build_classical_phi).  No series holds a power of r_inf.
+Both chains start alike.  conjugate_series expands the distinguished
+root r_inf(q) and the conjugate generator R(x) with x = q^{1/ell};
+power_sums traces R^1, R^2, ... over the ell cosets (the trace is
+arithmetic-progression extraction: root-of-unity sums vanish off
+multiples of ell, so no cyclotomic arithmetic is needed), which gives the
+power sums t_k of the ell conjugates.
 
-The traces come from baby and giant steps (power_traces): with
-m = ceil(sqrt(ell)), only R^1..R^m and R^m, R^2m, ... are formed in
-full, and the trace of R^(tm+j) is convolved from R^(tm) and R^j at the
-exponents ell divides, so the ell traces cost about 2*sqrt(ell) full
-products.  PowerSeries forms a full product as one packed integer
-product when its numerators are narrow: from ell = 23 on, that holds
-for the baby steps of U, V and W, and at every level for each step of
-Ua.  The wider giant steps, every power of Phi's j(x) and the convolved
-traces take dot products.  Every chain of powers (_powers) forms its
-even powers as squares, which PowerSeries multiplies with half the
-work.
+U, V, W and Ua (_build_at) are monic in X with coefficients in
+Q[E4, E6], so the power sum p_k = t_k + r_inf^k of all ell + 1 roots is
+a level-one form of weight 2wk (w the X-weight).  Each of p_1..p_(ell+1)
+is matched against the form basis E4^a E6^b of its weight, and Newton's
+identities run on the matched forms in Q[E4, E6] (_Form): their e_k are
+the coefficients up to sign, with no series product in Newton.
+
+Phi (build_classical_phi) keeps its chain in series, since its p_k
+would carry q^(-ell*k) poles: Newton's identities on t_1..t_ell give the
+conjugates' elementary symmetric functions E'_k, _elementary multiplies
+the root in, and _peel_j_powers peels the powers of j off each e_k.  No
+series holds a power of j(q^ell).
+
+The traces of R^1..R^k_max (k_max = ell + 1, or ell for Phi) come from
+baby and giant steps (power_traces): with
+m = max(ceil(sqrt(k_max)), ceil((k_max + 1)/3)), only R^1..R^m and the
+one giant square R^(2m) are formed in full, and the trace of R^(tm+j) is
+convolved from R^(tm) and R^j at the exponents ell divides, so the
+traces cost about k_max/3 full products, nearly all of them baby steps.
+PowerSeries forms a full product as one packed integer product when its
+numerators are narrow: up to ell = 47, that holds for every baby step
+of U, V, W and Ua, and for the giant square of U and Ua, of V from
+ell = 23 and of W from ell = 31.  The other giant squares, every power
+of Phi's j(x) and the convolved traces take dot products.  Every chain
+of powers (_powers) forms its even powers as squares, which PowerSeries
+multiplies with half the work.
 
 match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
 with b <= 1 whose i-th element starts with q^i, and rewrites the result
@@ -33,7 +44,7 @@ on e_k's own window.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .errors import BasisMatchError, BuildError, PrecisionError
 from .qseries import PowerSeries, delta_series, eisenstein_series, \
@@ -87,15 +98,17 @@ def _powers(pw: list, top: int) -> list:
 
 def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     """[trace of R^k over the ell cosets for k = 1..k_max], series in q
-    from R in x = q^{1/ell}, by about 2*sqrt(k_max) full products (the
-    baby-step/giant-step split of Paterson and Stockmeyer, 1973).
+    from R in x = q^{1/ell}, by about k_max/3 full products (a
+    baby-step/giant-step split after Paterson and Stockmeyer, 1973).
 
-    With m = ceil(sqrt(k_max)), the baby steps R^1..R^m and the giant
-    steps R^m, R^2m, ... are formed in full, the even ones as squares;
-    every other k = t*m + j is traced from R^(tm) and R^j by
-    PowerSeries.product_trace, which never forms R^k.  R^k has R's
-    window length, so its trace is exactly the full power's."""
-    m = isqrt(k_max - 1) + 1
+    With m = max(ceil(sqrt(k_max)), ceil((k_max + 1)/3)), the baby steps
+    R^1..R^m and the giant steps R^m, R^2m, ... are formed in full, the
+    even ones as squares; as k_max < 3m, R^(2m) is the only giant step
+    past R^m, and it is one square.  Every other k = t*m + j is traced
+    from R^(tm) and R^j by PowerSeries.product_trace, which never forms
+    R^k.  R^k has R's window length, so its trace is exactly the full
+    power's."""
+    m = max(isqrt(k_max - 1) + 1, (k_max + 3) // 3)
     baby = _powers([None, big_r], m)
     giant = _powers([None, baby[m]], k_max // m)
     out = []
@@ -110,11 +123,11 @@ def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     return out
 
 
-def power_sums(kind: str, ell: int, n_q: int) -> tuple:
-    """(r_inf, [t_1..t_ell]): the distinguished root and the power sums
+def power_sums(kind: str, ell: int, n_q: int, k_max: int) -> tuple:
+    """(r_inf, [t_1..t_k_max]): the distinguished root and the power sums
     t_k = trace of R^k of the ell coset conjugates."""
     r_inf, big_r = conjugate_series(kind, ell, n_q)
-    return r_inf, power_traces(big_r, ell, ell)
+    return r_inf, power_traces(big_r, ell, k_max)
 
 
 def form_basis_exponents(w: int) -> list:
@@ -192,10 +205,64 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     return {ab: Fraction(nums[ab], den) for ab in exps if nums.get(ab)}
 
 
-def _newton_elementary(sums: list, e0: PowerSeries) -> list:
-    """e_1..e_n from the power-sum series s_1..s_n by Newton's identities,
+class _Form:
+    """An element of Q[E4, E6] as integer numerators keyed by (a, b), the
+    exponents of E4^a E6^b, over one positive denominator, with only the
+    arithmetic _newton_elementary takes: +, -, and * by a form or a
+    scalar.  Sums and products are left unreduced.  A scalar product
+    brings its result into canonical form, as a PowerSeries is kept:
+    gcd(den, *nums) == 1 and no zero numerator, so zero is {} over 1.
+    Newton ends each e_k with one, so every e_k it gives is canonical."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs: dict):
+        """sum of c * E4^a E6^b over {(a, b): c}, c rational; the lcm of
+        the reduced denominators is coprime to the numerators."""
+        den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+        self.nums = {ab: int(c * den) for ab, c in coeffs.items() if c}
+        self.den = den
+
+    @staticmethod
+    def _of(nums: dict, den: int) -> "_Form":
+        out = _Form.__new__(_Form)
+        out.nums, out.den = nums, den
+        return out
+
+    def _plus(self, other: "_Form", sign: int) -> "_Form":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        nums = {ab: v * fa for ab, v in self.nums.items()}
+        for ab, v in other.nums.items():
+            nums[ab] = nums.get(ab, 0) + v * fb
+        return _Form._of(nums, den)
+
+    def __add__(self, other: "_Form") -> "_Form":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return self._plus(other, -1)
+
+    def __mul__(self, other) -> "_Form":
+        if isinstance(other, _Form):
+            nums = {}
+            for (a, b), u in self.nums.items():
+                for (c, d), v in other.nums.items():
+                    key = (a + c, b + d)
+                    nums[key] = nums.get(key, 0) + u * v
+            return _Form._of(nums, self.den * other.den)
+        c = Fraction(other)
+        nums = {ab: v * c.numerator for ab, v in self.nums.items()}
+        den = self.den * c.denominator
+        g = gcd(den, *nums.values())
+        return _Form._of({ab: v // g for ab, v in nums.items() if v},
+                         den // g)
+
+
+def _newton_elementary(sums: list, e0) -> list:
+    """e_1..e_n from the power sums s_1..s_n by Newton's identities,
     k*e_k = sum over i = 1..k of (-1)^(i-1) * e_(k-i) * s_i, exact over Q;
-    e0 is the series of e_0 = 1."""
+    e0 is e_0 = 1 in the sums' ring, series or _Form."""
     e = [e0]
     for k in range(1, len(sums) + 1):
         acc = e[k - 1] * sums[0]
@@ -222,14 +289,21 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     n = ell + 1
     w_x = KINDS[kind].x_weight
     powers = _form_powers(n_q)
+    r_inf, traces = power_sums(kind, ell, n_q, n)
+    sums = []
+    for k, (r_k, t_k) in enumerate(zip(_powers([None, r_inf], n)[1:],
+                                       traces), 1):
+        # p_k = r_inf^k + t_k.  With a positive lead (Ua) a sum's window
+        # runs past n_q, beyond the cached powers of E4 and E6; the Sturm
+        # window is all the match needs.
+        p_k = (r_k + t_k).truncate(n_q)
+        sums.append(_Form(match_to_form_basis(p_k, w_x * k, powers)))
     terms = {(n, 0, 0): Fraction(1)}
-    for k, e_k in enumerate(_elementary(*power_sums(kind, ell, n_q)), 1):
-        # the coefficient of X^(n-k) is (-1)^k e_k.  With a positive lead
-        # (Ua) a product's window runs past n_q, beyond the cached powers
-        # of E4 and E6; the Sturm window is all the match needs.
-        for (a, b), c in match_to_form_basis(e_k.truncate(n_q), w_x * k,
-                                             powers).items():
-            terms[(n - k, a, b)] = -c if k % 2 else c
+    one = _Form({(0, 0): 1})
+    for k, e_k in enumerate(_newton_elementary(sums, one), 1):
+        # the coefficient of X^(n-k) is (-1)^k e_k
+        for (a, b), v in e_k.nums.items():
+            terms[(n - k, a, b)] = Fraction(-v if k % 2 else v, e_k.den)
     return TrivariatePoly(kind, ell, "E4E6", terms).validate()
 
 
@@ -237,14 +311,12 @@ def build(kind: str, ell: int):
     """Monic degree-(ell+1) polynomial in the E4E6 basis, validated for
     homogeneity and integrality; Phi is build_classical_phi's.
 
-    Every kind takes the module's one chain: the conjugates' traces,
-    Newton, the root multiplied in, then the match.  e_k is a polynomial
-    over Q in the power sums of the ell + 1 roots, which are level-1
-    forms, so e_k is a level-1 form of weight 2wk (w the X-weight), and
-    Sturm's bound fixes it by floor(wk/6) + 1 coefficients; the window
-    covers k = ell+1 with three rows to spare.  The coefficients are
-    exact, so a matching failure is a fault, not a precision shortfall,
-    and is not retried."""
+    U, V, W and Ua take the power sums p_k of the ell + 1 roots, match
+    each, and run Newton on the matched forms.  p_k is a level-1 form of
+    weight 2wk (w the X-weight), and Sturm's bound fixes it by
+    floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
+    rows to spare.  The coefficients are exact, so a matching failure is
+    a fault, not a precision shortfall, and is not retried."""
     w_x = check_kind(kind, ell).x_weight
     if not w_x:
         # a weight-0 root is a value of j: its e_k are polynomials in j
@@ -293,9 +365,9 @@ def _peel_j_powers(e: PowerSeries, jpow: list, ell: int, k: int) -> dict:
 
 def build_classical_phi(ell: int) -> ClassicalModularPoly:
     """Phi_ell(X, j) from the roots J = j(q^ell) and the ell coset
-    conjugates of j(x), x = q^{1/ell}, by the module's one chain: the
-    traces of j(x)^k, k <= ell, whose poles are at most q^-1, Newton,
-    then J multiplied in, e_k = E'_k + J*E'_(k-1).  So no series carries
+    conjugates of j(x), x = q^{1/ell}, by the series chain: the traces
+    of j(x)^k, k <= ell, whose poles are at most q^-1, Newton, then J
+    multiplied in, e_k = E'_k + J*E'_(k-1).  So no series carries
     the q^(-ell*k) poles of the roots' power sums.  The powers of j are
     peeled off each e_k."""
     check_kind("Phi", ell)
@@ -305,7 +377,8 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     # j^m on [-m, n + n_q), past the end of every e_k
     jpow = _powers([None, j_series(n + n_q + 2)], n)
     terms = {(n, 0): 1}
-    for k, e_k in enumerate(_elementary(*power_sums("Phi", ell, n_q)), 1):
+    for k, e_k in enumerate(_elementary(*power_sums("Phi", ell, n_q, ell)),
+                            1):
         # the coefficient of X^(n-k) is (-1)^k e_k
         for m, c in _peel_j_powers(e_k, jpow, ell, k).items():
             terms[(n - k, m)] = -c if k % 2 else c

@@ -7,9 +7,9 @@ q-expansion), selftest (fast end-to-end sanity run).
 
 Exit codes are a stable contract: 0 success, 1 no result (Atkin
 prime), 2 usage error, 3 verification, builder or store failure, 4
-degenerate computation.  A command returns 0, 1 or 4 itself and raises
-for the rest; ``EXITS`` maps the error to its line and code.  Reports are
-line-oriented key=value text.
+degenerate computation, 5 out of memory.  A command returns 0, 1 or 4
+itself and raises for the rest; ``EXITS`` maps the error to its line
+and code.  Reports are line-oriented key=value text.
 """
 
 import argparse
@@ -32,6 +32,7 @@ EXITS = {
     BuildError: ("builder failure", 3),
     CCRError: ("error", 4),
     ValueError: ("usage error", 2),
+    MemoryError: ("out of memory", 5),
 }
 
 
@@ -330,7 +331,8 @@ def main(argv=None) -> int:
         # the most derived class of the error that has a row decides
         prefix, code = next(EXITS[cls] for cls in type(exc).__mro__
                             if cls in EXITS)
-        print(f"{prefix}: {exc}")
+        # a MemoryError usually carries no text
+        print(f"{prefix}: {str(exc) or type(exc).__name__}")
         return code
 
 

@@ -14,10 +14,11 @@ the same rational coefficients therefore have the same ``nums`` and
 ``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
 the integers; Fractions appear only at the edges: the constructor,
 ``coefficient()`` and the ``coeffs`` view.  A product whose numerators
-are narrow, their largest bit lengths summing to at most the window
-length, is one integer product of the two lists packed into signed
-slots (Kronecker substitution); in any other product each coefficient
-is one dot product of numerator lists (half of one for ``s * s``).
+are narrow, their largest bit lengths summing to at most twice the
+window length, is one integer product of the two lists packed into
+signed slots (Kronecker substitution); in any other product each
+coefficient is one dot product of numerator lists (half of one for
+``s * s``).
 ``product_trace`` takes only the coefficients at the exponents a given
 ell divides, each a dot product.
 
@@ -199,14 +200,15 @@ class PowerSeries:
             return NotImplemented
         size = self._product_window(other)
         a, b = self.nums, other.nums
-        # narrow slots take one packed product; wide ones lose to the dot
+        # narrow products, whose widest numerators sum to at most two
+        # bits a slot, take one packed product; wider ones lose to the dot
         # products, whose cost follows the mostly small leading numerators.
         # The top numerators' widths bound the widest from below, and
         # settle almost every wide product without a pass over the lists
         bits = a[size - 1].bit_length() + b[size - 1].bit_length()
-        if bits <= size:
+        if bits <= 2 * size:
             bits = sum(max(map(int.bit_length, x[:size])) for x in (a, b))
-        nums = (_kronecker(a, b, size, bits) if bits <= size
+        nums = (_kronecker(a, b, size, bits) if bits <= 2 * size
                 else _convolve(a, b, size, range(size)))
         return _series(nums, self.den * other.den, self.lead + other.lead)
 

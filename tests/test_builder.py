@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -100,8 +101,8 @@ class TestConjugateSeries:
 
 
 def full_power_sums(kind, ell, n_q):
-    """r_inf^k + t_k, k = 1..ell: the power sums of all ell + 1 roots."""
-    r_inf, traces = power_sums(kind, ell, n_q)
+    """r_inf^k + t_k, k = 1..ell+1: the power sums of all ell + 1 roots."""
+    r_inf, traces = power_sums(kind, ell, n_q, ell + 1)
     return [r_inf ** k + t for k, t in enumerate(traces, 1)]
 
 
@@ -136,6 +137,56 @@ def test_newton_elementary_gives_the_polynomial(roots):
     elem = builder._newton_elementary(sums, PowerSeries.constant(1, 4))
     assert [e if k % 2 == 0 else -e for k, e in enumerate(elem, 1)] \
         == coeffs[1:]
+
+
+def form_product(f, g):
+    out = {}
+    for (a, b), u in f.items():
+        for (c, d), v in g.items():
+            out[(a + c, b + d)] = out.get((a + c, b + d), 0) + u * v
+    return out
+
+
+def form_sum(*fs):
+    out = {}
+    for f in fs:
+        for ab, c in f.items():
+            out[ab] = out.get(ab, 0) + c
+    return out
+
+
+@st.composite
+def weighted_elementary(draw):
+    """e_1..e_n with e_k a weight-2wk form, as {(a, b): Fraction}
+    dicts."""
+    w, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-99, max_value=99,
+                                   max_denominator=60))
+    return [{ab: draw(coeff) for ab in form_basis_exponents(w * k)}
+            for k in range(1, n + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_elementary())
+def test_newton_on_forms_inverts_girard(elem):
+    # Girard's identities take e_1..e_n to the power sums,
+    # p_k = sum over i < k of (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k;
+    # Newton on the power sums as _Forms must give each e_k back in
+    # canonical form: the lcm of its reduced denominators, and no zero
+    sums = []
+    for k, e_k in enumerate(elem, 1):
+        terms = [{ab: (-1) ** (k - 1) * k * c for ab, c in e_k.items()}]
+        for i in range(1, k):
+            term = form_product(elem[i - 1], sums[k - i - 1])
+            terms.append({ab: (-1) ** (i - 1) * c for ab, c in term.items()})
+        sums.append(form_sum(*terms))
+    got = builder._newton_elementary([builder._Form(p) for p in sums],
+                                     builder._Form({(0, 0): 1}))
+    for e_k, form in zip(elem, got, strict=True):
+        den = math.lcm(*(c.denominator for c in e_k.values()))
+        assert (form.nums, form.den) == \
+            ({ab: int(c * den) for ab, c in e_k.items() if c}, den)
 
 
 def same_on_common_window(a, b):
@@ -259,9 +310,9 @@ class TestBuild:
 
     @pytest.mark.parametrize("kind, ell", [("U", 13), ("V", 11), ("W", 11),
                                            ("Ua", 23)])
-    def test_every_e_k_fills_the_window(self, monkeypatch, kind, ell):
-        # e_k = E'_k + r_inf*E'_(k-1) is known through n_q at every k, so
-        # the match checks every row of the Sturm window
+    def test_every_p_k_fills_the_window(self, monkeypatch, kind, ell):
+        # p_k = r_inf^k + t_k is known through n_q at every k, so the
+        # match checks every row of the Sturm window
         ends = []
         real = builder.match_to_form_basis
 

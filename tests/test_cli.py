@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -656,6 +657,7 @@ class TestExitTable:
         (BuildError("gate"), "builder failure: gate", 3),
         (DegeneratePoint("E4 = 0"), "error: E4 = 0", 4),
         (ValueError("flag"), "usage error: flag", 2),
+        (MemoryError(), "out of memory: MemoryError", 5),
     ])
     def test_row(self, monkeypatch, capsys, exc, line, code):
         def raising(args):
@@ -674,6 +676,30 @@ class TestExitTable:
         assert cli.main(["verify-symbolic", "--case", "e4t"]) == 3
         assert capsys.readouterr().out == (
             "verification failure: assertion failed at step: e4t: forced\n")
+
+
+def limit_address_space():
+    # 2 GiB of address space, set in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["series", "--name", "E4", "--prec", "10000000000"],
+        ["build", "--kind", "U", "--ell", "100000000003"],
+    ])
+    def test_one_line_and_its_code(self, tmp_path, argv):
+        # each asks for far more than the limit at once, so the child
+        # fails fast instead of exhausting the host
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{cli.CACHE_ENV: str(tmp_path)})
+        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli", *argv],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120,
+                              preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (5, "out of memory: MemoryError\n", "")
 
 
 class TestSelftest:

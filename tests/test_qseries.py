@@ -521,15 +521,15 @@ def test_product_trace_is_the_progression_of_the_product(data, ell):
 
 
 @pytest.mark.parametrize("kind, ell, baby, giant", [
-    ("U", 31, "packed", None),
-    ("W", 23, "packed", None),
-    ("Phi", 13, None, "dot"),
+    ("U", 31, "packed", "packed"),
+    ("W", 23, "packed", "dot"),
+    ("Phi", 13, "dot", "dot"),
 ])
 def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
                                               giant):
-    # in power_traces the m - 1 baby steps come first, then the
-    # ell // m - 1 giant steps, then one product_trace for every other k
-    taken, span = [], []
+    # in power_traces the m - 1 baby steps come first, then the one giant
+    # square R^(2m), then one product_trace for every other k
+    taken, span, k_maxes = [], [], []
     packed, dot, traces = qseries._kronecker, qseries._convolve, \
         builder.power_traces
 
@@ -541,9 +541,10 @@ def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
         taken.append("dot" if slots.step == 1 else f"trace {slots.step}")
         return dot(a, b, size, slots)
 
-    def spy_traces(*args):
+    def spy_traces(big_r, level, k_max):
+        k_maxes.append(k_max)
         span.append(len(taken))
-        out = traces(*args)
+        out = traces(big_r, level, k_max)
         span.append(len(taken))
         return out
 
@@ -552,16 +553,17 @@ def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
     monkeypatch.setattr(builder, "power_traces", spy_traces)
     builder.build(kind, ell)
     taken = taken[span[0]:span[1]]
-    m = builder.isqrt(ell - 1) + 1
-    n_giant = ell // m - 1
-    n_traced = sum(1 for k in range(m + 1, ell + 1) if k % m)
-    assert len(taken) == m - 1 + n_giant + n_traced
-    if baby:
-        assert taken[:m - 1] == [baby] * (m - 1)
-    if giant:
-        assert taken[m - 1:m - 1 + n_giant] == [giant] * n_giant
+    # the power sums of all ell + 1 roots for U, V, W and Ua; Phi traces
+    # only its ell conjugates
+    k_max, = k_maxes
+    assert k_max == (ell if kind == "Phi" else ell + 1)
+    m = max(builder.isqrt(k_max - 1) + 1, (k_max + 3) // 3)
+    assert k_max // m == 2
+    n_traced = sum(1 for k in range(m + 1, k_max + 1) if k % m)
+    assert len(taken) == m - 1 + 1 + n_traced
+    assert taken[:m] == [baby] * (m - 1) + [giant]
     # product_trace reads 1/ell of the slots: always dot products
-    assert taken[m - 1 + n_giant:] == [f"trace {ell}"] * n_traced
+    assert taken[m:] == [f"trace {ell}"] * n_traced
 
 
 def reference_gauss_jordan(rows, rhs, m):
