@@ -304,7 +304,7 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
         # the coefficient of X^(n-k) is (-1)^k e_k
         for (a, b), v in e_k.nums.items():
             terms[(n - k, a, b)] = Fraction(-v if k % 2 else v, e_k.den)
-    return TrivariatePoly(kind, ell, "E4E6", terms).validate()
+    return TrivariatePoly(kind, ell, terms).validate()
 
 
 def build(kind: str, ell: int):

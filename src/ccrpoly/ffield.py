@@ -506,28 +506,24 @@ def fp_table(P, fld: PrimeField) -> tuple:
     """P's terms reduced into F_p, compiled once per (P, p) and kept on P.
 
     The table is (terms, tops): one (i, a, b, c) per nonzero coefficient
-    c of X^i E4^a E6^b mod p, in the E4E6 basis whatever basis P is
-    stored in, or (i, k, 0, c) for X^i j^k of Phi, as its store lines
-    read; tops holds each slot's maximal exponent.  This is the
-    package's one reduction of a Fraction into F_p.
+    c of X^i E4^a E6^b mod p, or (i, k, 0, c) for X^i j^k of Phi, as
+    their store lines read; tops holds each slot's maximal exponent.
+    This is the package's one reduction of a Fraction into F_p.
     """
     p = fld.p
     table = P._fp.get(p)
     if table is None:
-        # imported here: trivariate imports check_level from this module
-        from .trivariate import KINDS
         if p == P.ell:
             raise ValueError("p equals the level ell")
-        row = KINDS[P.kind]
-        pad = (0,) * (3 - row.width)
         inv = {1: 1}
         terms = []
-        for key, c in P.to_basis(row.bases[0]).terms.items():
+        for key, c in P.terms.items():
             if c.denominator not in inv:
                 inv[c.denominator] = fld.inv(c.denominator)
             c = c.numerator * inv[c.denominator] % p
             if c:
-                terms.append((*key, *pad, c))
+                # Phi's (i, k) keys take a zero third exponent
+                terms.append((*key, *(0,) * (3 - len(key)), c))
         tops = tuple(map(max, zip(*terms)))[:-1]
         table = P._fp[p] = (tuple(terms), tops)
     return table
@@ -551,15 +547,15 @@ def collapse(P, fld: PrimeField, keep: int, t1: list, t2: list) -> list:
 def specialize(P, curve: CurveParams) -> UniPoly:
     """Reduce a store polynomial at a curve to a univariate in X.
 
-    A CCR kind's table is in the E4E6 basis and is read at (-A/3, -B/2),
-    the same as the AB basis read at (A, B); Phi's, in the j basis, is
-    read at the curve's j, which gives Phi(X, j).
+    A CCR kind's table, in E4 and E6, is read at (-A/3, -B/2); Phi's,
+    in j, is read at the curve's j, which gives Phi(X, j).
     """
     fld = curve.field
     _, (_, dy, dz) = fp_table(P, fld)
-    y, z = (curve.j_invariant(), 0) if P.basis == "j" else (curve.e4, curve.e6)
+    # Phi's third exponent is always 0, so its E6 power table is [1]
+    y = curve.j_invariant() if P.kind == "Phi" else curve.e4
     return UniPoly(fld, collapse(P, fld, 0, fld.powers(y, dy),
-                                 fld.powers(z, dz)))
+                                 fld.powers(curve.e6, dz)))
 
 
 def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
@@ -573,7 +569,7 @@ def derivative_bundle(P, curve: CurveParams, root: int) -> DerivativeBundle:
     Raises ValueError for Phi, which has no E4 or E6 slot, or at a point
     that is not a root: either is a caller logic error, not bad input.
     """
-    if P.basis == "j":
+    if P.kind == "Phi":
         raise ValueError("Phi has no E4, E6 partials: it is read at j")
     fld = curve.field
     p = fld.p

@@ -1,12 +1,12 @@
-"""The kind registry, the polynomials of each kind, bases, store format.
+"""The kind registry, the polynomials of each kind, displays, store format.
 
 A modular polynomial here is monic of degree ell+1 in X with coefficients
-that are polynomials in the pair (E4, E6), or equivalently (A, B) after the
-curve-normalization substitution A = -3*E4, B = -2*E6.  Terms are kept
-sparse as (i, a, b) -> Fraction meaning X^i * Y^a * Z^b with (Y, Z) the
-basis pair.
+that are polynomials in (E4, E6).  Terms are kept sparse as
+(i, a, b) -> Fraction meaning X^i * E4^a * E6^b.  The (A, B) form of the
+curve normalization A = -3*E4, B = -2*E6, and the form over powers of
+Delta, are displays of the same terms that only the store writer prints.
 
-Weighted homogeneity: (Y, Z) always weigh (2, 3); X weighs what its root
+Weighted homogeneity: (E4, E6) weigh (2, 3); X weighs what its root
 weighs, i.e. 1 for the sigma1 and eta-product kinds, 2 when the roots are
 A*-values, 3 for B*-values.  Every monomial then has weighted degree
 x_weight*(ell+1).
@@ -22,15 +22,14 @@ from itertools import accumulate
 from .errors import BuildError, StoreError
 from .ffield import check_level
 
-BASES = ("E4E6", "AB")
 # levels whose Phi_ell the builder makes and the Elkies step checks against
 PHI_ELLS = (2, 3, 5, 7, 11, 13)
 
 # The kind registry: every fact about a kind, one row each.
 #   x_weight  X's weight, that of the root it stands for: sigma1 1, A* 2,
 #             B* 3, the eta product 1, j 0
-#   bases     the bases `build` writes, the cached one first: the one
-#             the store reader takes
+#   bases     the bases `build` writes: the kind's one basis, which the
+#             polynomial holds and the store reader takes, then displays
 #   width     exponents in a term's key: (i, a, b), or (i, k) for X^i j^k
 #   smooth    denominators may be 2^x 3^y; otherwise the terms are
 #             integral in the AB basis (Phi's are integers)
@@ -38,11 +37,11 @@ PHI_ELLS = (2, 3, 5, 7, 11, 13)
 #   ells      the levels, or () for every odd prime > 3
 Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells")
 KINDS = {
-    "U": Kind(1, BASES, 3, False, None, ()),
-    "V": Kind(2, BASES, 3, False, None, ()),
-    "W": Kind(3, BASES, 3, False, None, ()),
+    "U": Kind(1, ("E4E6", "AB"), 3, False, None, ()),
+    "V": Kind(2, ("E4E6", "AB"), 3, False, None, ()),
+    "W": Kind(3, ("E4E6", "AB"), 3, False, None, ()),
     # the eta product's coefficients are printed over powers of Delta
-    "Ua": Kind(1, BASES + ("Delta",), 3, True, 11, ()),
+    "Ua": Kind(1, ("E4E6", "AB", "Delta"), 3, True, 11, ()),
     "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS),
 }
 
@@ -64,15 +63,6 @@ def check_kind(kind: str, ell: int) -> Kind:
     return row
 
 
-# E4E6 -> AB substitution is E4 = -A/3, E6 = -B/2, so a coefficient of
-# E4^a E6^b picks up (-1)^(a+b) / (3^a 2^b) when re-read on A^a B^b.
-
-
-def _convert_coeff(c: Fraction, a: int, b: int, to_ab: bool) -> Fraction:
-    scale = Fraction((-1) ** (a + b), 3 ** a * 2 ** b)
-    return c * scale if to_ab else c / scale
-
-
 def _denominator_is_smooth(c: Fraction) -> bool:
     """Whether c's denominator d is of the form 2^x 3^y, that is divides
     6^k for k = bit_length(d), which bounds x and y."""
@@ -81,17 +71,19 @@ def _denominator_is_smooth(c: Fraction) -> bool:
 
 class _KindPoly:
     """A polynomial of a kind in KINDS: terms (i, ...) -> coefficient of
-    X^i times a basis monomial, never changed after construction, so
-    ``_fp`` can cache ffield's table of them per p."""
+    X^i times a monomial in the kind's one basis, never changed after
+    construction, so ``_fp`` can cache ffield's table of them per p."""
 
-    __slots__ = ("kind", "ell", "basis", "terms", "_fp")
+    __slots__ = ("kind", "ell", "terms", "_fp")
 
-    def __init__(self, kind: str, ell: int, basis: str, terms: dict):
+    def __init__(self, kind: str, ell: int, terms: dict):
         self.kind = kind
         self.ell = ell
-        self.basis = basis
         self.terms = terms
         self._fp = {}
+
+    # the kind's one basis, read from its row: E4E6, or j for Phi
+    basis = property(lambda self: KINDS[self.kind].bases[0])
 
     def degree_x(self) -> int:
         return max((key[0] for key in self.terms), default=-1)
@@ -99,8 +91,8 @@ class _KindPoly:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.kind, self.ell, self.basis, self.terms) == \
-            (other.kind, other.ell, other.basis, other.terms)
+        return (self.kind, self.ell, self.terms) == \
+            (other.kind, other.ell, other.terms)
 
     def __repr__(self):
         return (f"{type(self).__name__}(kind={self.kind}, ell={self.ell}, "
@@ -108,18 +100,15 @@ class _KindPoly:
 
 
 class TrivariatePoly(_KindPoly):
-    """Terms (i, a, b) -> Fraction, the coefficient of X^i Y^a Z^b with
-    (Y, Z) the basis pair."""
+    """Terms (i, a, b) -> Fraction, the coefficient of X^i E4^a E6^b."""
 
     __slots__ = ()
 
-    def __init__(self, kind: str, ell: int, basis: str, terms: dict):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
+    def __init__(self, kind: str, ell: int, terms: dict):
         # Phi, whose one basis is j, is a ClassicalModularPoly
-        if basis not in BASES or basis not in KINDS[kind].bases:
-            raise ValueError(f"unknown basis {basis!r}")
-        super().__init__(kind, ell, basis,
+        if kind not in KINDS or kind == "Phi":
+            raise ValueError(f"unknown kind {kind!r}")
+        super().__init__(kind, ell,
                          {k: Fraction(v) for k, v in terms.items() if v})
 
     # -- structure --------------------------------------------------------
@@ -150,7 +139,7 @@ class TrivariatePoly(_KindPoly):
                                  f"of the form 2^x 3^y")
         # c E4^a E6^b reads (-1)^(a+b) c / (3^a 2^b) A^a B^b, an integer
         # exactly when c is one and 3^a 2^b divides it
-        elif not self.is_integral() or self.basis == "E4E6" and any(
+        elif not self.is_integral() or any(
                 c.numerator % (3 ** a * 2 ** b)
                 for (_, a, b), c in self.terms.items()):
             raise BuildError(f"{self.kind}_{self.ell}: non-integer "
@@ -160,23 +149,21 @@ class TrivariatePoly(_KindPoly):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    # -- basis change ------------------------------------------------------
+    # -- display -----------------------------------------------------------
 
-    def to_basis(self, basis: str) -> "TrivariatePoly":
-        if basis == self.basis:
-            return self
-        if basis not in BASES:
+    def to_basis(self, basis: str) -> dict:
+        """The AB display, the terms read on A^a B^b: as E4 = -A/3 and
+        E6 = -B/2, c E4^a E6^b reads (-1)^(a+b) c / (3^a 2^b) A^a B^b."""
+        if basis != "AB":
             raise ValueError(f"unknown basis {basis!r}")
-        to_ab = basis == "AB"
-        terms = {(i, a, b): _convert_coeff(c, a, b, to_ab)
-                 for (i, a, b), c in self.terms.items()}
-        return TrivariatePoly(self.kind, self.ell, basis, terms)
+        return {(i, a, b): c * Fraction((-1) ** (a + b), 3 ** a * 2 ** b)
+                for (i, a, b), c in self.terms.items()}
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, slot: int) -> "TrivariatePoly":
-        """Partial derivative in slot 0 (X), 1 (Y) or 2 (Z).  The result is
-        carried in the same kind/basis record; it is no longer monic and its
+        """Partial derivative in slot 0 (X), 1 (E4) or 2 (E6).  The result
+        is carried in the same kind record; it is no longer monic and its
         weighted degree drops by the slot weight, so validate() does not
         apply to it."""
         out: dict = {}
@@ -187,7 +174,7 @@ class TrivariatePoly(_KindPoly):
             key = tuple(v - (1 if n == slot else 0)
                         for n, v in enumerate((i, a, b)))
             out[key] = out.get(key, Fraction(0)) + c * e
-        return TrivariatePoly(self.kind, self.ell, self.basis, out)
+        return TrivariatePoly(self.kind, self.ell, out)
 
 
 class ClassicalModularPoly(_KindPoly):
@@ -198,13 +185,7 @@ class ClassicalModularPoly(_KindPoly):
     __slots__ = ()
 
     def __init__(self, ell: int, terms: dict):
-        super().__init__("Phi", ell, "j", {k: v for k, v in terms.items() if v})
-
-    def to_basis(self, basis: str) -> "ClassicalModularPoly":
-        """Phi itself: j is its one basis."""
-        if basis != self.basis:
-            raise ValueError(f"unknown basis {basis!r}")
-        return self
+        super().__init__("Phi", ell, {k: v for k, v in terms.items() if v})
 
     def is_symmetric(self) -> bool:
         return all(self.terms.get((k, i)) == c
@@ -227,13 +208,13 @@ class ClassicalModularPoly(_KindPoly):
 
 
 def delta_display_terms(poly: TrivariatePoly) -> dict:
-    """Rewrite an E4E6-basis polynomial as (i, a, b, m) -> coeff of
+    """Rewrite a polynomial in E4, E6 as (i, a, b, m) -> coeff of
     X^i E4^a E6^b Delta^m, m maximal per X-coefficient E4^a0 E6^b0 G:
     G(U, V) = sum of g_t U^(d-t) V^t with U = E4^3, V = E6^2.  As
     1728 Delta = U - V, synthetic division by U - V goes through while
     the g_t sum to 0, and leaves their partial sums."""
     coeffs: dict = {}
-    for (i, a, b), c in poly.to_basis("E4E6").terms.items():
+    for (i, a, b), c in poly.terms.items():
         coeffs.setdefault(i, {})[(a, b)] = c
     out: dict = {}
     for i, xc in coeffs.items():
@@ -255,10 +236,12 @@ def delta_display_terms(poly: TrivariatePoly) -> dict:
 # Store format.  Header `CCR kind=<U|V|W|Ua|Phi> ell=<l> basis=<basis>`, then
 # one term per line, keys strictly descending, every line ending in "\n";
 # rationals as num/den, integers bare.  The writer prints any of the kind's
-# bases in KINDS; the reader takes only the cached one (E4E6, or j for Phi),
-# and each line only as the writer prints what it parses to.  A number in
-# another form (exponents, "+", "_", ".") is refused before int or Fraction
-# sees it: Fraction("1e999999999") would expand 10**999999999.
+# bases in KINDS, by default the one the polynomial holds, the others as
+# displays of it (AB, Delta), and refuses any other basis with a
+# ValueError; the reader takes only the first, and each line only as the
+# writer prints what it parses to.  A number in another form (exponents,
+# "+", "_", ".") is refused before int or Fraction sees it:
+# Fraction("1e999999999") would expand 10**999999999.
 
 
 def _term_line(key: tuple, c) -> str:
@@ -268,11 +251,12 @@ def _term_line(key: tuple, c) -> str:
 
 
 def poly_to_text(obj, basis: str | None = None) -> str:
-    if basis == "Delta":
-        terms = delta_display_terms(obj)
-    else:
-        obj = obj.to_basis(basis) if basis else obj
-        basis, terms = obj.basis, obj.terms
+    basis = basis or obj.basis
+    if basis not in KINDS[obj.kind].bases:
+        raise ValueError(f"unknown basis {basis!r}")
+    terms = (obj.terms if basis == obj.basis
+             else delta_display_terms(obj) if basis == "Delta"
+             else obj.to_basis(basis))
     lines = [f"CCR kind={obj.kind} ell={obj.ell} basis={basis}"]
     lines += [_term_line(key, terms[key])
               for key in sorted(terms, reverse=True)]
@@ -319,4 +303,4 @@ def poly_from_text(text: str):
         last = key
     if basis == "j":
         return ClassicalModularPoly(ell, terms)
-    return TrivariatePoly(kind, ell, basis, terms)
+    return TrivariatePoly(kind, ell, terms)

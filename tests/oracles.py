@@ -5,14 +5,18 @@ Each works from the public fields of the objects (``terms``, ``vars``,
 compiled F_p tables, the integer series core or the symbolic ring it
 checks; cm_vector has its own point arithmetic and finds no roots.
 expand_delta_display is the reference inverse of the Delta display,
-which the store writes and never reads.
+which the store writes and never reads.  annihilates_at_cusp checks a
+built polynomial, not the series core: it multiplies q-series, but takes
+the root at the cusp from its definition and none of the builder's power
+sums, matching or Newton steps.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, prod
 
-from ccrpoly.trivariate import TrivariatePoly
+from ccrpoly.qseries import PowerSeries, eisenstein_series
+from ccrpoly.trivariate import KINDS, TrivariatePoly
 
 
 def evaluate(poly, *point):
@@ -54,6 +58,53 @@ def eval_mod(expr, values: dict, p: int) -> int:
     return total % p
 
 
+def _euler_product(n: int) -> list:
+    """prod over m >= 1 of (1 - q^m) mod q^n, by Euler's pentagonal
+    number theorem: the sum over all integers k of (-1)^k q^(k(3k-1)/2)."""
+    out = [0] * n
+    for k in range(-isqrt(n) - 1, isqrt(n) + 2):
+        e = k * (3 * k - 1) // 2
+        if e < n:
+            out[e] += -1 if k % 2 else 1
+    return out
+
+
+def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
+    """r_inf mod q^n, the root of X that P(X, E4, E6) has at the cusp,
+    from each kind's definition: sigma1 = (ell/2)(ell E2(q^ell) - E2(q)),
+    A* = -3 ell^4 E4(q^ell), B* = -2 ell^6 E6(q^ell), and -ell f with
+    f = (eta(tau) eta(ell tau))^2."""
+    m = n // ell + 1
+
+    def at_ell(series):
+        return series.substitute_q_power(ell).truncate(n)
+
+    if kind == "U":
+        return (at_ell(eisenstein_series(2, m)) * ell
+                - eisenstein_series(2, n)) * Fraction(ell, 2)
+    if kind == "V":
+        return at_ell(eisenstein_series(4, m)) * (-3 * ell ** 4)
+    if kind == "W":
+        return at_ell(eisenstein_series(6, m)) * (-2 * ell ** 6)
+    eta = PowerSeries(_euler_product(n)) \
+        * at_ell(PowerSeries(_euler_product(m)))
+    return PowerSeries((eta * eta).coeffs, lead=(ell + 1) // 12) * (-ell)
+
+
+def annihilates_at_cusp(poly) -> bool:
+    """P(r_inf(q), E4(q), E6(q)) = O(q^n), exactly, which proves P's
+    terms right: the value is a form of weight k = 2 w (ell + 1) on
+    Gamma0(ell), whose index in SL2(Z) is ell + 1, so by Sturm's bound it
+    is zero once its coefficients below q^n vanish, with
+    n = floor(k (ell + 1)/12) + 1."""
+    ell = poly.ell
+    k = 2 * KINDS[poly.kind].x_weight * (ell + 1)
+    n = k * (ell + 1) // 12 + 1
+    value = evaluate(poly, cusp_root(poly.kind, ell, n),
+                     eisenstein_series(4, n), eisenstein_series(6, n))
+    return zero_through(value, n)
+
+
 def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
     """The inverse of trivariate.delta_display_terms, which the store
     writes and never reads: (i, a, b, m) -> coeff of X^i E4^a E6^b
@@ -65,7 +116,7 @@ def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
             key = (i, a + 3 * (m - j), b + 2 * j)
             acc[key] = acc.get(key, 0) + Fraction(
                 (-1) ** j * comb(m, j) * c, 1728 ** m)
-    return TrivariatePoly(kind, ell, "E4E6", acc)
+    return TrivariatePoly(kind, ell, acc)
 
 
 def ref_qdiff(a):

@@ -22,7 +22,7 @@ from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
-from oracles import evaluate, zero_through
+from oracles import annihilates_at_cusp, evaluate, zero_through
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
          (1, 1, 1): -128, (0, 0, 2): -80}
@@ -279,8 +279,8 @@ class TestBasisMatch:
 
 class TestBuild:
     def test_u5_equals_printed_polynomial(self, u5):
-        assert u5.to_basis("AB").terms == {k: Fraction(v)
-                                           for k, v in U5_AB.items()}
+        assert u5.to_basis("AB") == {k: Fraction(v)
+                                     for k, v in U5_AB.items()}
 
     def test_ua11_equals_printed_polynomial(self, ua11):
         from ccrpoly.trivariate import delta_display_terms
@@ -290,7 +290,8 @@ class TestBuild:
     def test_validation_and_integrality(self, u7, v7, w7):
         for poly in (u7, v7, w7):
             poly.validate()
-            assert poly.to_basis("AB").is_integral()
+            assert all(c.denominator == 1
+                       for c in poly.to_basis("AB").values())
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -477,7 +478,8 @@ def atkin_lehner_holds(ua, n_prec):
     """Series check of the involution relation on the eta variant: the
     polynomial annihilates (-ell*f, A*, B*) where f is its own
     distinguished root series, A* = -3 ell^4 E4(q^ell) and
-    B* = -2 ell^6 E6(q^ell).  Evaluation happens in the AB basis.  It
+    B* = -2 ell^6 E6(q^ell), that is at E4* = ell^4 E4(q^ell) and
+    E6* = ell^6 E6(q^ell) in the polynomial's own E4, E6 slots.  It
     costs about ten times the build it checks, so it is a test, not a
     build gate."""
     ell = ua.ell
@@ -486,10 +488,10 @@ def atkin_lehner_holds(ua, n_prec):
     sub_prec = -(-prec // ell) + 1
     x = f_root * (-ell)
     y = eisenstein_series(4, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * (-3 * ell ** 4)
+        .truncate(prec) * ell ** 4
     z = eisenstein_series(6, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * (-2 * ell ** 6)
-    return zero_through(evaluate(ua.to_basis("AB"), x, y, z), n_prec)
+        .truncate(prec) * ell ** 6
+    return zero_through(evaluate(ua, x, y, z), n_prec)
 
 
 class TestInvolution:
@@ -500,8 +502,22 @@ class TestInvolution:
         from ccrpoly.trivariate import TrivariatePoly
         bad = dict(ua11.terms)
         bad[(6, 0, 3)] = bad.get((6, 0, 3), Fraction(0)) + 1
-        wrong = TrivariatePoly("Ua", 11, "E4E6", bad)
+        wrong = TrivariatePoly("Ua", 11, bad)
         assert not atkin_lehner_holds(wrong, 20)
+
+
+class TestSturmWindow:
+    @pytest.mark.parametrize("name", [
+        f"{kind}{ell}" for kind in ("u", "v", "w") for ell in (5, 7, 11, 13)]
+        + ["ua11", "ua23", "u31"])
+    def test_annihilates_through_the_window(self, request, name):
+        assert annihilates_at_cusp(request.getfixturevalue(name))
+
+    def test_raised_coefficient_fails(self, u13):
+        from ccrpoly.trivariate import TrivariatePoly
+        terms = dict(u13.terms)
+        terms[(12, 1, 0)] += 1
+        assert not annihilates_at_cusp(TrivariatePoly("U", 13, terms))
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -509,17 +525,21 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # sequential products, a path independent of power_traces; Phi2 and Phi3,
 # which no benchmark level covers, from a builder that formed every power
 # of j by sequential products and re-expanded each e_k on one long
-# window, so every PHI_ELLS level is pinned
-RECORDED = Path(__file__).resolve().parent / "data" / "store_sha256.json"
+# window, so every PHI_ELLS level is pinned.  The names with a basis
+# suffix are the AB and Delta displays, recorded from a writer that
+# converted through a stored AB-basis polynomial.
+RECORDED = json.loads((Path(__file__).resolve().parent / "data"
+                       / "store_sha256.json").read_text())
 
 
 def assert_store_digests(digests):
     assert digests
     for name, digest in digests.items():
-        kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
+        kind, ell, basis = re.fullmatch(r"([A-Za-z]+)(\d+)(?:_(\w+))?",
+                                        name).groups()
         poly = (build_classical_phi(int(ell)) if kind == "Phi"
                 else build(kind, int(ell)))
-        text = poly_to_text(poly)
+        text = poly_to_text(poly, basis)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
@@ -530,4 +550,11 @@ def test_store_text_matches_reference():
 
 def test_store_text_matches_recorded_sea_levels():
     # past the benchmark's levels, which stop at ell = 31
-    assert_store_digests(json.loads(RECORDED.read_text()))
+    assert_store_digests({name: digest for name, digest in RECORDED.items()
+                          if "_" not in name})
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RECORDED if "_" in n))
+def test_display_text_matches_recorded(name):
+    # the AB and Delta displays, which the writer alone prints
+    assert_store_digests({name: RECORDED[name]})

@@ -678,28 +678,73 @@ class TestExitTable:
             "verification failure: assertion failed at step: e4t: forced\n")
 
 
-def limit_address_space():
-    # 2 GiB of address space, set in the child only
+def limit_child():
+    # 2 GiB of address space and 1 s of CPU time, set in the child only
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+
+def run_limited(argv, tmp_path):
+    """The command in a fresh interpreter under limit_child, with an empty
+    store at tmp_path/cache."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{cli.CACHE_ENV: str(tmp_path / "cache")})
+    return subprocess.run([sys.executable, "-m", "ccrpoly.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_child)
 
 
 class TestOutOfMemory:
-    @pytest.mark.parametrize("argv", [
-        ["series", "--name", "E4", "--prec", "10000000000"],
-        ["build", "--kind", "U", "--ell", "100000000003"],
-    ])
-    def test_one_line_and_its_code(self, tmp_path, argv):
-        # each asks for far more than the limit at once, so the child
-        # fails fast instead of exhausting the host
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   **{cli.CACHE_ENV: str(tmp_path)})
-        proc = subprocess.run([sys.executable, "-m", "ccrpoly.cli", *argv],
-                              env=env, cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120,
-                              preexec_fn=limit_address_space)
+    @pytest.mark.parametrize("name", ["F", "sigma1"])
+    def test_one_line_and_its_code(self, tmp_path, name):
+        # series --ell is not bounded, and F at level ell spreads E2 over
+        # ell times the window at once, far more than the limit, so the
+        # child fails fast instead of exhausting the host
+        proc = run_limited(["series", "--name", name, "--ell",
+                            "100000000003", "--prec", "10"], tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (5, "out of memory: MemoryError\n", "")
+
+
+MERSENNE_89 = str(2 ** 89 - 1)    # a prime, so every level check passes
+
+
+class TestBounds:
+    @pytest.mark.parametrize("argv, flag, bound", [
+        (["series", "--name", "E4", "--prec", "10000000000"],
+         "prec", "MAX_PREC"),
+        (["series", "--name", "E4", "--prec", "1" + "0" * 20],
+         "prec", "MAX_PREC"),
+        (["series", "--name", "j", "--prec", "1" + "0" * 20],
+         "prec", "MAX_PREC"),
+        (["build", "--kind", "U", "--ell", "100000000003"], "ell", "MAX_ELL"),
+        (["build", "--kind", "U", "--ell", MERSENNE_89], "ell", "MAX_ELL"),
+        (["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell",
+          MERSENNE_89], "ell", "MAX_ELL"),
+    ])
+    def test_past_a_bound_is_one_usage_line(self, tmp_path, argv, flag,
+                                            bound):
+        # under the child's 1 s CPU limit, so a request that starts the
+        # work instead of refusing it is killed and fails here
+        proc = run_limited(argv, tmp_path)
+        value = argv[argv.index(f"--{flag}") + 1]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, f"usage error: --{flag} {value} exceeds {bound}="
+               f"{getattr(cli, bound)}\n", "")
+        assert not (tmp_path / "cache").exists()
+
+    def test_prec_at_the_bound_runs(self, capsys):
+        assert cli.main(["series", "--name", "E4", "--prec",
+                         str(cli.MAX_PREC)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == cli.MAX_PREC
+
+    def test_ell_at_the_bound_builds(self, monkeypatch):
+        from ccrpoly import builder
+        monkeypatch.setattr(builder, "build", lambda kind, ell: (kind, ell))
+        assert cli._build_poly("W", cli.MAX_ELL) == ("W", cli.MAX_ELL)
+        with pytest.raises(ValueError, match="exceeds MAX_ELL"):
+            cli._build_poly("W", cli.MAX_ELL + 2)
 
 
 class TestSelftest:

@@ -86,8 +86,15 @@ def check_contract(code, lines, stderr):
 PRIMES = st.sampled_from([1009, 10007, 2**61 - 1, 11, 13, 2**256 - 189])
 BAD_P = st.sampled_from([-7, 0, 1, 2, 3, 4, 5, 7, 15, 1001, 3215031751])
 COEFF = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
-# half the draws are levels in the store, the rest anything up to 13
-LEVEL = st.one_of(st.sampled_from(LEVELS), st.integers(-3, 13))
+# a third of the draws are levels in the store, a third anything up to
+# 13, and a third past the command line's bound on the levels it builds,
+# primes, which pass every level check, among them; a level past the
+# bound is a usage error, after whatever usage error comes first
+LEVEL = st.one_of(st.sampled_from(LEVELS), st.integers(-3, 13), st.one_of(
+    st.sampled_from([cli.MAX_ELL + 2, 83, 2**89 - 1]),
+    st.integers(cli.MAX_ELL + 1, 2**90)))
+# --prec on both sides of the bound on series length
+PREC = st.one_of(st.integers(-3, 30), st.integers(cli.MAX_PREC + 1, 2**70))
 
 
 @st.composite
@@ -120,9 +127,12 @@ class TestStepCommands:
     def test_elkies_and_atkin(self, store, data):
         before = _digest(store)
         command = data.draw(st.sampled_from(["elkies", "atkin"]))
-        argv = _mangle(data.draw, data.draw(curve_argv(command)))
-        argv += ["--poly-dir", str(store)]
-        check_contract(*run_main(argv))
+        drawn = data.draw(curve_argv(command))
+        ell = int(drawn[-1])
+        argv = _mangle(data.draw, drawn) + ["--poly-dir", str(store)]
+        code, lines, stderr = run_main(argv)
+        check_contract(code, lines, stderr)
+        assert code == 2 or ell <= cli.MAX_ELL
         assert _digest(store) == before
 
 
@@ -193,16 +203,20 @@ class TestOtherCommands:
                                        str(ell), "--basis", basis])
             code, lines, stderr = run_main(argv + ["--out", str(out)])
             check_contract(code, lines, stderr)
+            assert code == 2 or ell <= cli.MAX_ELL
             if code == 0:
                 assert len(lines) == 1 and lines[0].startswith("wrote ")
                 assert out.read_text().startswith(f"CCR kind={kind} ")
 
     @fuzz(60)
-    @given(name=st.sampled_from(_FORM_NAMES + ("E8",)),
-           prec=st.integers(-3, 30),
-           ell=st.one_of(st.none(), LEVEL), data=st.data())
+    @given(name=st.sampled_from(_FORM_NAMES + ("E8",)), prec=PREC,
+           ell=st.one_of(st.none(), st.integers(-3, 13)), data=st.data())
     def test_series(self, name, prec, ell, data):
+        # series --ell has no bound: F and sigma1 at a level far past the
+        # builder's ask for ell times the window at once
         argv = ["series", "--name", name, "--prec", str(prec)]
         if ell is not None:
             argv += ["--ell", str(ell)]
-        check_contract(*run_main(_mangle(data.draw, argv)))
+        code, lines, stderr = run_main(_mangle(data.draw, argv))
+        check_contract(code, lines, stderr)
+        assert code == 2 or prec <= cli.MAX_PREC

@@ -4,6 +4,7 @@ derivative bundles."""
 import random
 import types
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -461,8 +462,14 @@ class TestSpecialize:
         assert specialize(u5, curve13) == want
 
     def test_basis_independence(self, fld, curve13, u5, ua11):
+        # the table in E4, E6 read at (-A/3, -B/2) is the AB display read
+        # at (A, B), at ell + 2 points
         for poly in (u5, ua11):
-            assert specialize(poly, curve13) == specialize(poly.to_basis("AB"), curve13)
+            spec = specialize(poly, curve13)
+            ab = types.SimpleNamespace(terms=poly.to_basis("AB"))
+            assert [spec.evaluate(x) for x in range(poly.ell + 2)] == [
+                fraction_mod(evaluate(ab, x, curve13.A, curve13.B), P)
+                for x in range(poly.ell + 2)]
 
     def test_leading_monomial_is_pure_x(self, u5):
         # every non-leading monomial carries E4 or E6, so A=B=0 would
@@ -503,9 +510,20 @@ class TestDerivativeBundle:
         bundle = derivative_bundle(u5, curve13, 584)
         assert (bundle.du_s4, bundle.du_s6, bundle.du_46) == (44, 942, 493)
 
-    def test_ab_storage_agrees(self, curve13, u5):
-        assert derivative_bundle(u5.to_basis("AB"), curve13, 584) == \
-            derivative_bundle(u5, curve13, 584)
+    def test_ab_display_agrees(self, curve13, u5):
+        # the AB display's X, A and B partials at (584, A, B), times
+        # dA/dE4 = -3 and dB/dE6 = -2, are the bundle's first partials
+        point = (584, curve13.A, curve13.B)
+        firsts = [0, 0, 0]
+        for key, c in u5.to_basis("AB").items():
+            for slot, e in enumerate(key):
+                if e:
+                    lowered = [v - (k == slot) for k, v in enumerate(key)]
+                    firsts[slot] += c * e * prod(map(pow, point, lowered))
+        bundle = derivative_bundle(u5, curve13, 584)
+        assert [fraction_mod(f * s, P) for f, s in
+                zip(firsts, (1, -3, -2))] == \
+            [bundle.du_s, bundle.du_4, bundle.du_6]
 
     def test_atkin_root_bundle_value(self, curve13, ua11):
         assert derivative_bundle(ua11, curve13, 65).u == 0
@@ -555,25 +573,14 @@ _TABLE_PRIMES = (10007, 2**256 - 189)
 _TABLE_POLYS = ("u5", "u11", "ua11", "v7")
 
 
-def _curve_values(P, curve) -> tuple:
-    """The pair P's basis is evaluated at: (E4, E6) or (A, B)."""
-    return (curve.e4, curve.e6) if P.basis == "E4E6" else (curve.A, curve.B)
-
-
 def _oracle_bundle(P, curve, root: int) -> DerivativeBundle:
-    """The bundle from TrivariatePoly.partial and evaluate.  An AB-basis
-    P is differentiated in A and B, and the chain rule A = -3 E4,
-    B = -2 E6 turns those into E4 and E6 partials."""
-    s4, s6 = (1, 1) if P.basis == "E4E6" else (-3, -2)
+    """The bundle from TrivariatePoly.partial and evaluate."""
     px, p4, p6 = P.partial(0), P.partial(1), P.partial(2)
-    entries = ((P, 1), (px, 1), (p4, s4), (p6, s6),
-               (px.partial(1), s4), (px.partial(2), s6),
-               (p4.partial(2), s4 * s6), (px.partial(0), 1),
-               (p4.partial(1), s4 * s4), (p6.partial(2), s6 * s6))
-    vals = _curve_values(P, curve)
+    entries = (P, px, p4, p6, px.partial(1), px.partial(2), p4.partial(2),
+               px.partial(0), p4.partial(1), p6.partial(2))
     return DerivativeBundle(*(
-        fraction_mod(scale * evaluate(q, root, *vals), curve.field.p)
-        for q, scale in entries))
+        fraction_mod(evaluate(q, root, curve.e4, curve.e6), curve.field.p)
+        for q in entries))
 
 
 def _check_specialize(P, curve):
@@ -581,10 +588,9 @@ def _check_specialize(P, curve):
     a polynomial of degree ell + 1."""
     spec = specialize(P, curve)
     assert spec.degree == P.ell + 1
-    vals = _curve_values(P, curve)
     for x in range(P.ell + 2):
-        assert spec.evaluate(x) == fraction_mod(evaluate(P, x, *vals),
-                                                curve.field.p)
+        assert spec.evaluate(x) == fraction_mod(
+            evaluate(P, x, curve.e4, curve.e6), curve.field.p)
     return spec
 
 
@@ -597,30 +603,30 @@ def _table_curves(draw):
 
 
 def _ab_slot_poly(field, ua, x_val: int, a_val: int) -> UniPoly:
-    """The B-slot polynomial read off the AB basis over Fractions."""
+    """The B-slot polynomial read off the AB display over Fractions."""
     ab = ua.to_basis("AB")
-    out = [Fraction(0)] * (max(b for _, _, b in ab.terms) + 1)
-    for (i, a, b), c in ab.terms.items():
+    out = [Fraction(0)] * (max(b for _, _, b in ab) + 1)
+    for (i, a, b), c in ab.items():
         out[b] += c * x_val ** i * a_val ** a
     return UniPoly(field, [fraction_mod(c, field.p) for c in out])
 
 
 class TestCompiledTables:
-    @pytest.mark.parametrize("basis", ("E4E6", "AB"))
     @pytest.mark.parametrize("name", _TABLE_POLYS)
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(curve=_table_curves())
     def test_specialize_and_bundle_match_exact_partials(
-            self, request, name, basis, curve):
-        P = request.getfixturevalue(name).to_basis(basis)
+            self, request, name, curve):
+        P = request.getfixturevalue(name)
         spec = _check_specialize(P, curve)
         for root in roots(spec):
             assert derivative_bundle(P, curve, root) == \
                 _oracle_bundle(P, curve, root)
 
     def test_second_call_compiles_nothing(self, u5, monkeypatch):
-        P = u5.to_basis("AB")
+        # a fresh copy, so the table is compiled here
+        P = TrivariatePoly("U", 5, u5.terms)
         curve = CurveParams(PrimeField(10007), 1, 1)
         calls = []
 
@@ -635,17 +641,19 @@ class TestCompiledTables:
         for name in ("to_basis", "partial"):
             monkeypatch.setattr(TrivariatePoly, name, counted(name))
         spec = specialize(P, curve)
-        assert calls == ["to_basis"]
+        table = P._fp[10007]
         rs = roots(spec)
         assert rs
         for _ in range(2):
             specialize(P, curve)
             for root in rs:
                 derivative_bundle(P, curve, root)
-        assert calls == ["to_basis"]
+        # no conversion, and the one table compiled at the first call
+        assert calls == []
+        assert list(P._fp) == [10007] and P._fp[10007] is table
 
     def test_one_polynomial_two_primes(self, u11):
-        P = TrivariatePoly("U", 11, "E4E6", u11.terms)
+        P = TrivariatePoly("U", 11, u11.terms)
         curves = [CurveParams(PrimeField(p), 3, 5) for p in _TABLE_PRIMES]
         for curve in curves + curves:
             _check_specialize(P, curve)
@@ -653,27 +661,24 @@ class TestCompiledTables:
         small, big = (P._fp[p] for p in _TABLE_PRIMES)
         assert small != big
 
-    @pytest.mark.parametrize("basis", ("E4E6", "AB"))
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(curve=_table_curves(), x=st.integers(0, 2**256),
            a_val=st.integers(0, 2**256))
-    def test_b_star_matches_ab_slot_polynomial(self, ua11, basis, curve,
-                                               x, a_val):
-        ua = ua11.to_basis(basis)
+    def test_b_star_matches_ab_slot_polynomial(self, ua11, curve, x, a_val):
         fld = curve.field
         x, a_val = x % fld.p, a_val % fld.p
-        assert isogeny._ua_b_slot_poly(fld, ua, x, a_val) == \
-            _ab_slot_poly(fld, ua, x, a_val)
+        assert isogeny._ua_b_slot_poly(fld, ua11, x, a_val) == \
+            _ab_slot_poly(fld, ua11, x, a_val)
 
         def b_stars():
             out = []
-            for f in roots(specialize(ua, curve)):
+            for f in roots(specialize(ua11, curve)):
                 try:
-                    out.append(isogeny.atkin_b_star(11, f, a_val, curve, ua))
+                    out.append(isogeny.atkin_b_star(11, f, a_val, curve, ua11))
                 except (GcdDegreeTwo, VerificationError) as exc:
                     out.append(type(exc))
-            for r in isogeny.atkin_step(curve, 11, ua):
+            for r in isogeny.atkin_step(curve, 11, ua11):
                 out.append(r.b_star)
             return out
 

@@ -481,7 +481,8 @@ class TestAtkinBStar:
         delta = (pow(e4, 3, P) - e6 * e6) % P * pow(1728, P - 2, P) % P
         c0 = (6912 * pow(f, 12, P) * pow(delta, P - 2, P)
               + 4 * pow(a_star, 3, P) * pow(27, P - 2, P)) % P
-        fake = TrivariatePoly("Ua", 11, "AB", {(0, 0, 2): 1, (0, 0, 0): c0})
+        # B^2 + c0 in E4, E6: B = -2 E6, so B^2 = 4 E6^2
+        fake = TrivariatePoly("Ua", 11, {(0, 0, 2): 4, (0, 0, 0): c0})
         with pytest.raises(GcdDegreeTwo):
             atkin_b_star(11, f, a_star, curve13, fake)
 

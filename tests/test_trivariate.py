@@ -1,4 +1,4 @@
-"""Trivariate polynomial container: bases, homogeneity, display, store."""
+"""Trivariate polynomial container: displays, homogeneity, store."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from ccrpoly.trivariate import (KINDS, ClassicalModularPoly, TrivariatePoly,
                                 poly_from_text, poly_to_text)
 from oracles import evaluate, expand_delta_display
 
-# degree-6 polynomial for ell=5 in both bases, checked elsewhere against the
-# series builder; used here as a fixed fixture
+# degree-6 polynomial for ell=5 and its AB display, checked elsewhere
+# against the series builder; used here as a fixed fixture
 U5_E4E6 = {(6, 0, 0): 1, (4, 1, 0): -60, (3, 0, 1): -320, (2, 2, 0): -720,
            (1, 1, 1): -768, (0, 0, 2): -320}
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
@@ -27,30 +27,38 @@ UA11_DELTA = {(12, 0, 0, 0): 1, (6, 0, 0, 1): -990, (4, 1, 0, 1): 440,
 
 
 def u5():
-    return TrivariatePoly("U", 5, "E4E6", U5_E4E6)
+    return TrivariatePoly("U", 5, U5_E4E6)
 
 
 class TestBasisConversion:
     def test_e4e6_to_ab_matches_fixture(self):
         got = u5().to_basis("AB")
-        assert got.terms == {k: Fraction(v) for k, v in U5_AB.items()}
-
-    def test_conversion_round_trips(self):
-        p = u5()
-        assert p.to_basis("AB").to_basis("E4E6") == p
-        assert p.to_basis("E4E6") is p
+        assert got == {k: Fraction(v) for k, v in U5_AB.items()}
 
     def test_single_term_scaling(self):
         # E4 E6 -> (A/-3)(B/-2) = AB/6
-        p = TrivariatePoly("U", 5, "E4E6", {(1, 1, 1): 6, (6, 0, 0): 1})
-        q = p.to_basis("AB")
-        assert q.terms[(1, 1, 1)] == 1
+        p = TrivariatePoly("U", 5, {(1, 1, 1): 6, (6, 0, 0): 1})
+        assert p.to_basis("AB")[(1, 1, 1)] == 1
 
     def test_unknown_basis_rejected(self):
-        with pytest.raises(ValueError):
-            u5().to_basis("j")
-        with pytest.raises(ValueError):
-            TrivariatePoly("U", 5, "j", {(6, 0, 0): 1})
+        # a polynomial holds its kind's one basis: AB is its one display
+        for basis in ("j", "E4E6", "Delta"):
+            with pytest.raises(ValueError):
+                u5().to_basis(basis)
+
+    def test_refusals_hold(self, phi5):
+        # a basis outside the kind's row of KINDS, and Phi, whose one
+        # basis is j, as a trivariate polynomial
+        with pytest.raises(ValueError, match="unknown basis 'AB'"):
+            poly_to_text(phi5, "AB")
+        with pytest.raises(ValueError, match="unknown basis 'j'"):
+            poly_to_text(u5(), "j")
+        with pytest.raises(ValueError, match="unknown kind 'Phi'"):
+            TrivariatePoly("Phi", 5, {(6, 0, 0): 1})
+
+    def test_basis_is_the_kinds_first(self, phi5):
+        assert (u5().basis, phi5.basis) == ("E4E6", "j")
+        assert TrivariatePoly("Ua", 11, {(12, 0, 0): 1}).basis == "E4E6"
 
 
 class TestKindRegistry:
@@ -76,7 +84,7 @@ class TestKindRegistry:
         assert (row.x_weight, row.bases) == (x_weight, bases)
         if x_weight:
             n = ell + 1
-            poly = TrivariatePoly(kind, ell, "E4E6", {(n, 0, 0): 1})
+            poly = TrivariatePoly(kind, ell, {(n, 0, 0): 1})
             assert poly.validate().weighted_degree == x_weight * n
         with pytest.raises(ValueError) as exc:
             check_kind(kind, bad_ell)
@@ -95,7 +103,7 @@ class TestValidate:
         assert p.is_integral()
 
     def test_wrong_degree_rejected(self):
-        p = TrivariatePoly("U", 7, "E4E6", U5_E4E6)
+        p = TrivariatePoly("U", 7, U5_E4E6)
         with pytest.raises(BuildError):
             p.validate()
 
@@ -103,27 +111,25 @@ class TestValidate:
         bad = dict(U5_E4E6)
         bad[(6, 0, 0)] = 2
         with pytest.raises(BuildError):
-            TrivariatePoly("U", 5, "E4E6", bad).validate()
+            TrivariatePoly("U", 5, bad).validate()
 
     def test_broken_homogeneity_rejected(self):
         bad = dict(U5_E4E6)
         bad[(3, 1, 0)] = 17          # 3 + 2 != 6
         with pytest.raises(BuildError):
-            TrivariatePoly("U", 5, "E4E6", bad).validate()
+            TrivariatePoly("U", 5, bad).validate()
 
-    @pytest.mark.parametrize("basis, key, coeff", [
-        ("E4E6", (4, 1, 0), Fraction(-60, 7)),
-        ("E4E6", (4, 1, 0), -61),       # -61/3 on A*X^4
-        ("E4E6", (0, 0, 2), -322),      # -322/4 on B^2
-        ("AB", (4, 1, 0), Fraction(20, 3)),
+    @pytest.mark.parametrize("key, coeff", [
+        ((4, 1, 0), Fraction(-60, 7)),
+        ((4, 1, 0), -61),       # -61/3 on A*X^4
+        ((0, 0, 2), -322),      # -322/4 on B^2
     ])
-    def test_non_integer_ab_coefficient_rejected(self, basis, key, coeff):
-        terms = dict(U5_E4E6 if basis == "E4E6" else U5_AB)
+    def test_non_integer_ab_coefficient_rejected(self, key, coeff):
+        terms = dict(U5_E4E6)
         terms[key] = coeff
         with pytest.raises(BuildError, match="non-integer coefficients"):
-            TrivariatePoly("U", 5, basis, terms).validate()
-        TrivariatePoly("U", 5, basis, U5_AB if basis == "AB"
-                       else U5_E4E6).validate()
+            TrivariatePoly("U", 5, terms).validate()
+        TrivariatePoly("U", 5, U5_E4E6).validate()
 
     @pytest.mark.parametrize("den", [5, 1009, 2 * 7])
     def test_ua_denominator_must_be_smooth(self, den):
@@ -131,13 +137,11 @@ class TestValidate:
         terms = dict(ua.terms)
         terms[(1, 4, 1)] = Fraction(1, den)
         with pytest.raises(BuildError, match="2\\^x 3\\^y"):
-            TrivariatePoly("Ua", 11, "E4E6", terms).validate()
-        for basis in ("E4E6", "AB"):
-            ua.to_basis(basis).validate()
+            TrivariatePoly("Ua", 11, terms).validate()
+        ua.validate()
 
     def test_is_integral_sees_denominators(self):
-        p = TrivariatePoly("U", 5, "E4E6",
-                           {(6, 0, 0): 1, (0, 0, 2): Fraction(1, 2)})
+        p = TrivariatePoly("U", 5, {(6, 0, 0): 1, (0, 0, 2): Fraction(1, 2)})
         assert not p.is_integral()
 
 
@@ -203,7 +207,7 @@ class TestStoreFormat:
             poly_from_text(txt)
 
     def test_rational_coefficients_survive(self):
-        p = TrivariatePoly("Ua", 11, "E4E6",
+        p = TrivariatePoly("Ua", 11,
                            {(12, 0, 0): 1, (0, 0, 4): Fraction(-11, 4096)})
         assert poly_from_text(poly_to_text(p)) == p
 
