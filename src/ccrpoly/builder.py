@@ -64,19 +64,18 @@ def conjugate_series(kind: str, ell: int, n_q: int):
         r_inf = sigma1_series(ell, n_q)
         r_x = fn_series(ell, n_x) * Fraction(1, 2)
     elif kind == "V":
-        r_inf = eisenstein_series(4, n_q).substitute_q_power(ell) \
-            .truncate(n_q) * (-3 * ell ** 4)
+        r_inf = eisenstein_series(4, n_q).substitute_q_power(ell, n_q) \
+            * (-3 * ell ** 4)
         r_x = eisenstein_series(4, n_x) * (-3)
     elif kind == "W":
-        r_inf = eisenstein_series(6, n_q).substitute_q_power(ell) \
-            .truncate(n_q) * (-2 * ell ** 6)
+        r_inf = eisenstein_series(6, n_q).substitute_q_power(ell, n_q) \
+            * (-2 * ell ** 6)
         r_x = eisenstein_series(6, n_x) * (-2)
     elif kind == "Phi":
         # j(x)^k, k <= ell, is known below x^(ell*n_q - k): every trace
         # ends at q^n_q.  r_inf = j(q^ell) on [-ell, n_q)
         r_x = j_series(ell * n_q + 2)
-        r_inf = r_x.truncate(-(-n_q // ell)).substitute_q_power(ell) \
-            .truncate(n_q)
+        r_inf = r_x.substitute_q_power(ell, n_q)
     elif kind == "Ua":
         # distinguished root -ell*f; each coset contributes the same eta
         # shape in x (the twist leaves the (1-x^(ell*n)) factors alone)

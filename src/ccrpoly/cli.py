@@ -3,7 +3,8 @@
 Commands: build (write one polynomial store file), elkies (sigma-chart
 isogeny step), atkin (f-chart step for ell = 11 mod 12),
 verify-symbolic (replay the formula derivations), series (dump a named
-q-expansion), selftest (fast end-to-end sanity run).
+q-expansion), selftest (fast end-to-end sanity run).  elkies and atkin
+share one runner, _run_step, and print only their own result lines.
 
 Exit codes are a stable contract: 0 success, 1 no result (Atkin
 prime), 2 usage error, 3 verification, builder or store failure, 4
@@ -152,22 +153,26 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_elkies(args) -> int:
-    curve = _parse_curve(args, "U")
-    ell = args.ell
+def _run_step(args, kind: str, step, others: tuple) -> tuple:
+    """Parse the curve, load the kind's polynomial and then the others,
+    print the header, run the step and print its diagnostics; return the
+    results and whether any root was skipped."""
+    curve = _parse_curve(args, kind)
     directory = args.poly_dir or _cache_dir()
-    u = load_or_build("U", ell, directory, rebuild=args.rebuild)
-    v = load_or_build("V", ell, directory, rebuild=args.rebuild)
-    w = load_or_build("W", ell, directory, rebuild=args.rebuild)
-    phi = (load_or_build("Phi", ell, directory, rebuild=args.rebuild)
-           if ell in PHI_ELLS else None)
-    print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={ell} "
+    polys = [load_or_build(k, args.ell, directory, rebuild=args.rebuild)
+             for k in (kind,) + others]
+    print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={args.ell} "
           f"j={curve.j_invariant()}")
     diagnostics = []
-    results = elkies_step(curve, ell, u, v=v, w=w, phi=phi,
-                          diagnostics=diagnostics)
+    results = step(curve, args.ell, *polys, diagnostics=diagnostics)
     for root, message in diagnostics:
         print(f"diagnostic: root={root} skipped: {message}")
+    return results, bool(diagnostics)
+
+
+def cmd_elkies(args) -> int:
+    phi = ("Phi",) if args.ell in PHI_ELLS else ()
+    results, skipped = _run_step(args, "U", elkies_step, ("V", "W") + phi)
     for r in results:
         flags = r.validated
         print(f"sigma={r.sigma} Astar={r.a_star} Bstar={r.b_star} "
@@ -175,7 +180,7 @@ def cmd_elkies(args) -> int:
               f"sigma0={r.sigma0} sigma2={r.sigma2} sigma3={r.sigma3} "
               f"v_root={flags.v_root} w_root={flags.w_root} "
               f"phi_match={flags.phi_match}")
-    if not results and not diagnostics:
+    if not results and not skipped:
         print("Atkin prime: no roots")
         return 1
     if not results:
@@ -187,15 +192,7 @@ def cmd_elkies(args) -> int:
 
 
 def cmd_atkin(args) -> int:
-    curve = _parse_curve(args, "Ua")
-    directory = args.poly_dir or _cache_dir()
-    ua = load_or_build("Ua", args.ell, directory, rebuild=args.rebuild)
-    print(f"p={curve.field.p} A={curve.A} B={curve.B} ell={args.ell} "
-          f"j={curve.j_invariant()}")
-    diagnostics = []
-    results = atkin_step(curve, args.ell, ua, diagnostics=diagnostics)
-    for root, message in diagnostics:
-        print(f"diagnostic: root={root} skipped: {message}")
+    results, skipped = _run_step(args, "Ua", atkin_step, ())
     for r in results:
         if r.b_star is None:
             print(f"f={r.f} sigma={r.sigma} E4t={r.e4t} Bstar=unavailable "
@@ -203,7 +200,7 @@ def cmd_atkin(args) -> int:
         else:
             print(f"f={r.f} sigma={r.sigma} E4t={r.e4t} Bstar={r.b_star} "
                   f"Astar={r.a_star} gcd_degree=1")
-    if not results and not diagnostics:
+    if not results and not skipped:
         print("Atkin-variant polynomial has no roots")
         return 1
     if not any(r.b_star is not None for r in results):

@@ -6,7 +6,8 @@ partials at that root; scaling by -3*ell^4 and -2*ell^6 turns these
 into the isogenous curve coefficients (A*, B*).  The f chart covers the
 eta-variant polynomial for ell = 11 mod 12, where sigma and E4(q^ell)
 come from partials at a root f, and B* is cut out by a two-polynomial
-gcd.
+gcd.  Each step hands its chart's work to _walk, the one loop over the
+roots, which ends every root in a result or a diagnostic.
 
 The recovery formulas live in formulas.py, shared verbatim with the
 symbolic verifier, each as a (num, den) pair; this module evaluates them
@@ -118,6 +119,25 @@ def elkies_power_sums(field, a: int, b: int, a_star: int, b_star: int,
     return s0, s2, s3
 
 
+def _walk(curve: CurveParams, P, found, diagnostics, work) -> list:
+    """Each root in found, the ascending roots of P at the curve, as the
+    chart's work(root, bundle, note) returns it.  A zero guard skips its
+    root with a (root, message) diagnostic; note appends one, and only
+    when a list is supplied."""
+    def note(root, message):
+        if diagnostics is not None:
+            diagnostics.append((root, str(message)))
+
+    out = []
+    for root in found:
+        bundle = derivative_bundle(P, curve, root)
+        try:
+            out.append(work(root, bundle, note))
+        except (DegenerateDerivative, DegeneratePoint) as exc:
+            note(root, exc)
+    return out
+
+
 def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
                 diagnostics=None) -> list:
     """Work every root of the specialized U polynomial into an
@@ -137,24 +157,14 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
         if P is not None:
             _check_poly(P, kind, ell)
     p = field.p
-
-    def note(root, exc):
-        if diagnostics is not None:
-            diagnostics.append((root, str(exc)))
-
-    out = []
     e4, e6 = curve.e4, curve.e6
     sigmas = roots(specialize(u, curve))
     v_at, w_at, phi_at = (specialize(P, curve) if sigmas and P is not None
                           else None for P in (v, w, phi))
-    for sigma in sigmas:
-        bundle = derivative_bundle(u, curve, sigma)
-        try:
-            e4t = e4_tilde(field, ell, sigma, bundle, e4, e6)
-            e6t = e6_tilde(field, ell, sigma, bundle, e4, e6)
-        except DegenerateDerivative as exc:
-            note(sigma, exc)
-            continue
+
+    def work(sigma, bundle, note):
+        e4t = e4_tilde(field, ell, sigma, bundle, e4, e6)
+        e6t = e6_tilde(field, ell, sigma, bundle, e4, e6)
         a_star = -3 * pow(ell, 4, p) * e4t % p
         b_star = -2 * pow(ell, 6, p) * e6t % p
         v_ok = v_at.evaluate(a_star) == 0 if v_at is not None else None
@@ -170,12 +180,13 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
                 note(sigma, "isogenous curve has zero discriminant")
         s0, s2, s3 = elkies_power_sums(field, curve.A, curve.B,
                                        a_star, b_star, sigma, ell)
-        out.append(IsogenyStepResult(
+        return IsogenyStepResult(
             ell=ell, sigma=sigma, e4t=e4t, e6t=e6t,
             a_star=a_star, b_star=b_star,
             sigma0=s0, sigma2=s2, sigma3=s3,
-            validated=ValidationFlags(v_ok, w_ok, phi_ok)))
-    return out
+            validated=ValidationFlags(v_ok, w_ok, phi_ok))
+
+    return _walk(curve, u, sigmas, diagnostics, work)
 
 
 def atkin_sigma(field, ell: int, f_root: int, bundle, e4: int, e6: int) -> int:
@@ -249,23 +260,18 @@ def atkin_step(curve: CurveParams, ell: int, ua, diagnostics=None) -> list:
     check_kind("Ua", ell)
     _check_poly(ua, "Ua", ell)
     p = field.p
-    out = []
     e4, e6 = curve.e4, curve.e6
-    for f in roots(specialize(ua, curve)):
-        bundle = derivative_bundle(ua, curve, f)
-        try:
-            sigma = atkin_sigma(field, ell, f, bundle, e4, e6)
-            e4t = atkin_e4_tilde(field, ell, f, bundle, e4, e6)
-        except (DegenerateDerivative, DegeneratePoint) as exc:
-            if diagnostics is not None:
-                diagnostics.append((f, str(exc)))
-            continue
+
+    def work(f, bundle, note):
+        sigma = atkin_sigma(field, ell, f, bundle, e4, e6)
+        e4t = atkin_e4_tilde(field, ell, f, bundle, e4, e6)
         a_star = -3 * pow(ell, 4, p) * e4t % p
         try:
             b_star = atkin_b_star(ell, f, a_star, curve, ua)
             err = None
         except GcdDegreeTwo as exc:
             b_star, err = None, str(exc)
-        out.append(AtkinStepResult(ell=ell, f=f, sigma=sigma, e4t=e4t,
-                                   a_star=a_star, b_star=b_star, error=err))
-    return out
+        return AtkinStepResult(ell=ell, f=f, sigma=sigma, e4t=e4t,
+                               a_star=a_star, b_star=b_star, error=err)
+
+    return _walk(curve, ua, roots(specialize(ua, curve)), diagnostics, work)

@@ -305,14 +305,18 @@ class PowerSeries:
 
     # -- q-operators ------------------------------------------------------
 
-    def substitute_q_power(self, m):
-        """Replace x by x**m, i.e. multiply every exponent by m."""
+    def substitute_q_power(self, m, end):
+        """Replace x by x**m, i.e. multiply every exponent by m, on the
+        window that ends at x**end, reading only exponents below end/m."""
         if m < 1:
             raise ValueError("substitution power must be positive")
-        nums = [0] * (m * len(self.nums))
-        nums[::m] = self.nums
+        lead = m * self.lead
         # known mod x^end before means known mod x^(m*end) after
-        return _series(nums, self.den, m * self.lead)
+        if not lead < end <= m * self.end:
+            raise PrecisionError("substitution window is empty or unknown")
+        nums = [0] * (end - lead)
+        nums[::m] = self.nums[:-(-(end - lead) // m)]
+        return _series(nums, self.den, lead)
 
     def extract_progression(self, ell):
         """Read the series in x = q**(1/ell): keep the exponents ell
@@ -373,7 +377,7 @@ def j_series(precision):
 def fn_series(n, precision):
     """E2(q) - n*E2(q^n), the weight-two form attached to the n-isogeny."""
     e2 = eisenstein_series(2, precision)
-    return (e2 - n * e2.substitute_q_power(n)).truncate(precision)
+    return e2 - n * e2.substitute_q_power(n, precision)
 
 
 def sigma1_series(ell, precision):

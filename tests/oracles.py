@@ -77,7 +77,7 @@ def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
     m = n // ell + 1
 
     def at_ell(series):
-        return series.substitute_q_power(ell).truncate(n)
+        return series.substitute_q_power(ell, n)
 
     if kind == "U":
         return (at_ell(eisenstein_series(2, m)) * ell

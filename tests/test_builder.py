@@ -395,7 +395,7 @@ class TestClassicalPhi:
             # the X^ell j^ell cross term costs ell^2 + ell of window
             prec = 34 + ell * (ell + 1)
             j = j_series(prec)
-            jl = j_series(prec // ell + 6).substitute_q_power(ell)
+            jl = j_series(prec // ell + 6).substitute_q_power(ell, prec)
             assert zero_through(evaluate(phi, j, jl), 30)
 
     def test_symmetry(self, phi5):
@@ -487,10 +487,10 @@ def atkin_lehner_holds(ua, n_prec):
     f_root, _ = conjugate_series("Ua", ell, prec)
     sub_prec = -(-prec // ell) + 1
     x = f_root * (-ell)
-    y = eisenstein_series(4, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * ell ** 4
-    z = eisenstein_series(6, sub_prec).substitute_q_power(ell) \
-        .truncate(prec) * ell ** 6
+    y = eisenstein_series(4, sub_prec).substitute_q_power(ell, prec) \
+        * ell ** 4
+    z = eisenstein_series(6, sub_prec).substitute_q_power(ell, prec) \
+        * ell ** 6
     return zero_through(evaluate(ua, x, y, z), n_prec)
 
 

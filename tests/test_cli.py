@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from ccrpoly import cli, symbolic
 from ccrpoly.errors import (BuildError, DegeneratePoint, StoreError,
                             VerificationError)
-from ccrpoly.qseries import _FORM_NAMES
+from ccrpoly.qseries import _FORM_NAMES, eisenstein_series
 
 ELKIES_ARGS = ["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell", "5"]
 ATKIN_ARGS = ["atkin", "--p", "1009", "--a", "1", "--b", "3", "--ell", "11"]
@@ -684,30 +685,47 @@ def limit_child():
     resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
 
 
-def run_limited(argv, tmp_path):
+def run_limited(argv, tmp_path, launch=("-m", "ccrpoly.cli")):
     """The command in a fresh interpreter under limit_child, with an empty
-    store at tmp_path/cache."""
+    store at tmp_path/cache; launch is what the interpreter runs."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src),
                **{cli.CACHE_ENV: str(tmp_path / "cache")})
-    return subprocess.run([sys.executable, "-m", "ccrpoly.cli", *argv],
+    return subprocess.run([sys.executable, *launch, *argv],
                           env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=120, preexec_fn=limit_child)
 
 
 class TestOutOfMemory:
-    @pytest.mark.parametrize("name", ["F", "sigma1"])
-    def test_one_line_and_its_code(self, tmp_path, name):
-        # series --ell is not bounded, and F at level ell spreads E2 over
-        # ell times the window at once, far more than the limit, so the
-        # child fails fast instead of exhausting the host
-        proc = run_limited(["series", "--name", name, "--ell",
-                            "100000000003", "--prec", "10"], tmp_path)
+    def test_one_line_and_its_code(self, tmp_path):
+        # the expansion is made to spread E2 over ell times the window at
+        # once, far more than the limit, so the child fails fast instead
+        # of exhausting the host
+        spread = ("import ccrpoly.cli as c, ccrpoly.qseries as q; "
+                  "q.PowerSeries.substitute_q_power = "
+                  "lambda s, m, end: [0] * (m * len(s.nums)); c.run()")
+        proc = run_limited(["series", "--name", "F", "--ell", "100000000003",
+                            "--prec", "10"], tmp_path, launch=("-c", spread))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (5, "out of memory: MemoryError\n", "")
 
 
 MERSENNE_89 = str(2 ** 89 - 1)    # a prime, so every level check passes
+
+
+class TestSeriesAtAnyLevel:
+    @pytest.mark.parametrize("name, ell", [
+        ("F", "100000000003"), ("sigma1", "100000000003"), ("F", MERSENNE_89)])
+    def test_costs_the_window_not_the_level(self, tmp_path, name, ell):
+        # under the child's limits; past the window, F = E2(q) - ell
+        # E2(q^ell) is E2 but for its constant term 1 - ell
+        proc = run_limited(["series", "--name", name, "--ell", ell,
+                            "--prec", "10"], tmp_path)
+        f = eisenstein_series(2, 10).coeffs
+        f[0] -= int(ell)
+        scale = Fraction(-int(ell), 2) if name == "sigma1" else 1
+        want = "".join(f"{n} {c * scale}\n" for n, c in enumerate(f))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 class TestBounds:

@@ -210,10 +210,10 @@ class TestOtherCommands:
 
     @fuzz(60)
     @given(name=st.sampled_from(_FORM_NAMES + ("E8",)), prec=PREC,
-           ell=st.one_of(st.none(), st.integers(-3, 13)), data=st.data())
+           ell=st.one_of(st.none(), LEVEL), data=st.data())
     def test_series(self, name, prec, ell, data):
-        # series --ell has no bound: F and sigma1 at a level far past the
-        # builder's ask for ell times the window at once
+        # series --ell has no bound: F and sigma1 cost their window at a
+        # level far past the builder's
         argv = ["series", "--name", name, "--prec", str(prec)]
         if ell is not None:
             argv += ["--ell", str(ell)]

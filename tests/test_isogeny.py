@@ -236,6 +236,22 @@ class TestElkiesStep:
         assert [r.validated for r in res] == [(v_ok, w_ok, None)] * 2
         assert sink == []
 
+    @pytest.mark.parametrize("b, kinds, found", [
+        (3, ["U"], 0), (6, ["U", "V", "W", "Phi"], 2)])
+    def test_checks_specialized_only_when_u_has_a_root(
+            self, monkeypatch, fld, u13, v13, w13, phi13, b, kinds, found):
+        # y^2 = x^3 + x + 3 has no 13-isogeny over F_1009 and
+        # y^2 = x^3 + x + 6 has two: V, W and Phi cost only the second
+        seen = []
+
+        def spy(P, curve):
+            seen.append(P.kind)
+            return specialize(P, curve)
+
+        monkeypatch.setattr(isogeny, "specialize", spy)
+        res = elkies_step(CurveParams(fld, 1, b), 13, u13, v13, w13, phi13)
+        assert (seen, len(res)) == (kinds, found)
+
     def test_level_gates(self, curve13, u5):
         with pytest.raises(ValueError):
             elkies_step(curve13, 4, u5)

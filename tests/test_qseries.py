@@ -90,13 +90,25 @@ def test_qdiff_basics():
 
 def test_substitute_q_power_and_extract_roundtrip():
     s = PowerSeries([2, 3, 5, 7])
-    sub = s.substitute_q_power(3)
+    sub = s.substitute_q_power(3, 12)
     assert sub.coefficient(0) == 2
     assert sub.coefficient(3) == 3
     assert sub.coefficient(4) == 0
     assert sub.end == 12
     back = sub.extract_progression(3)
     assert [back.coefficient(n) for n in range(4)] == [6, 9, 15, 21]
+
+
+def test_substitute_q_power_costs_its_window():
+    s = PowerSeries([2, 3, 5, 7], lead=-1)
+    assert s.substitute_q_power(3, 4).coeffs == [2, 0, 0, 3, 0, 0, 5]
+    with pytest.raises(PrecisionError):
+        s.substitute_q_power(3, 10)     # past x^(3 * 3)
+    with pytest.raises(PrecisionError):
+        s.substitute_q_power(3, -3)     # empty
+    # at 2^89 - 1 only the constant term falls inside the window
+    far = PowerSeries([2, 3]).substitute_q_power(2 ** 89 - 1, 10)
+    assert far.coeffs == [2] + [0] * 9
 
 
 def test_extract_progression_drops_other_residues():
@@ -116,7 +128,7 @@ def test_eisenstein_leading_coefficients():
 
 
 def test_e2_at_q_squared():
-    s = eisenstein_series(2, 4).substitute_q_power(2)
+    s = eisenstein_series(2, 4).substitute_q_power(2, 8)
     assert [s.coefficient(n) for n in range(5)] == [1, 0, -24, 0, -72]
 
 
@@ -208,7 +220,7 @@ def test_eta_squared_product_twelfth_power():
     n = 26
     f = eta_squared_product(11, n)
     lhs = f ** 12
-    rhs = delta_series(n) * delta_series(3).substitute_q_power(11)
+    rhs = delta_series(n) * delta_series(3).substitute_q_power(11, 33)
     assert zero_through(lhs - rhs, 24)
 
 
@@ -308,6 +320,12 @@ def ref_truncate(a, end):
     if end <= a.lead:
         raise PrecisionError("empty window")
     return Ref(a.coeffs[:end - a.lead], a.lead)
+
+
+def ref_substitute(a, m, end):
+    if not m * a.lead < end <= m * a.end:
+        raise PrecisionError("window past the known one, or empty")
+    return ref_truncate(a.rescale(m), end)
 
 
 def ref_extract(a, ell):
@@ -413,7 +431,8 @@ class TestIntegerCore:
         agree(a.inverse, lambda: ref_inverse(ra))
         agree(lambda: a ** k, lambda: ref_pow(ra, k))
         agree(lambda: a.truncate(end), lambda: ref_truncate(ra, end))
-        agree(lambda: a.substitute_q_power(m), lambda: ra.rescale(m))
+        agree(lambda: a.substitute_q_power(m, end),
+              lambda: ref_substitute(ra, m, end))
         agree(lambda: a.extract_progression(ell),
               lambda: ref_extract(ra, ell))
 
@@ -500,8 +519,8 @@ def trace_factors(draw):
     substituting x^m."""
     coeffs = draw(st.lists(st.one_of(st.just(0), coefficients), max_size=24))
     lead, m = draw(st.integers(-9, 9)), draw(st.integers(1, 3))
-    return (PowerSeries(coeffs, lead=lead).substitute_q_power(m),
-            Ref(coeffs, lead).rescale(m))
+    ref = Ref(coeffs, lead).rescale(m)
+    return PowerSeries(ref.coeffs, lead=ref.lead), ref
 
 
 @settings(max_examples=300, deadline=None)
