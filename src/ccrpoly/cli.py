@@ -153,10 +153,12 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _run_step(args, kind: str, step, others: tuple) -> tuple:
+def _run_step(args, kind: str, step, others: tuple, root: str) -> tuple:
     """Parse the curve, load the kind's polynomial and then the others,
     print the header, run the step and print its diagnostics; return the
-    results and whether any root was skipped."""
+    results and whether any root was skipped.  root names the results'
+    root field: a diagnostic on a root with no result reads skipped, a
+    note on an answered root does not."""
     curve = _parse_curve(args, kind)
     directory = args.poly_dir or _cache_dir()
     polys = [load_or_build(k, args.ell, directory, rebuild=args.rebuild)
@@ -165,14 +167,17 @@ def _run_step(args, kind: str, step, others: tuple) -> tuple:
           f"j={curve.j_invariant()}")
     diagnostics = []
     results = step(curve, args.ell, *polys, diagnostics=diagnostics)
-    for root, message in diagnostics:
-        print(f"diagnostic: root={root} skipped: {message}")
-    return results, bool(diagnostics)
+    answered = {getattr(r, root) for r in results}
+    for r, message in diagnostics:
+        status = "" if r in answered else "skipped: "
+        print(f"diagnostic: root={r} {status}{message}")
+    return results, any(r not in answered for r, _ in diagnostics)
 
 
 def cmd_elkies(args) -> int:
     phi = ("Phi",) if args.ell in PHI_ELLS else ()
-    results, skipped = _run_step(args, "U", elkies_step, ("V", "W") + phi)
+    results, skipped = _run_step(args, "U", elkies_step, ("V", "W") + phi,
+                                  "sigma")
     for r in results:
         flags = r.validated
         print(f"sigma={r.sigma} Astar={r.a_star} Bstar={r.b_star} "
@@ -192,7 +197,7 @@ def cmd_elkies(args) -> int:
 
 
 def cmd_atkin(args) -> int:
-    results, skipped = _run_step(args, "Ua", atkin_step, ())
+    results, skipped = _run_step(args, "Ua", atkin_step, (), "f")
     for r in results:
         if r.b_star is None:
             print(f"f={r.f} sigma={r.sigma} E4t={r.e4t} Bstar=unavailable "

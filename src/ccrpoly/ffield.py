@@ -28,7 +28,10 @@ each, the integers are multiplied, and the slots of the product are
 the coefficients of the polynomial product, reduced mod p.  Slots of up
 to 8 bytes are packed as machine words, one C call each way.  Division
 and Euclid's gcd run on plain coefficient lists, counted in the units
-above.
+above; division takes two quotient digits per pass over the remainder,
+so a Euclid step, whose quotient mostly has two digits, is one pass.
+roots makes its splitting generator only when a factor splits, which
+few calls reach.
 """
 
 import operator
@@ -36,7 +39,7 @@ import random
 import sys
 from array import array
 from collections import namedtuple
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import isqrt
 
 from .errors import SingularCurve
@@ -231,7 +234,14 @@ def _unpack(v: int, width: int, n: int) -> list:
 
 def _divmod_lists(fld: PrimeField, a: list, b: list) -> tuple:
     """(quotient, stripped remainder) of coefficient lists, b stripped
-    and nonzero, counted by the PrimeField rule for a reduction."""
+    and nonzero, counted by the PrimeField rule for a reduction.
+
+    Quotient digits come two at a time: the upper digit c1 is read from
+    the top slot, the lower c0 from the slot under it as c1 leaves it,
+    and one pass subtracts both, r_j - c1*b_(j-1) - c0*b_j.  A leftover
+    odd digit takes a one-digit pass, so a Euclid step whose divisor is
+    one degree lower walks its remainder once.
+    """
     p = fld.p
     db = len(b) - 1
     r = list(a)
@@ -241,12 +251,25 @@ def _divmod_lists(fld: PrimeField, a: list, b: list) -> tuple:
     steps = len(r) - db
     fld.mul_count += steps * db + (steps if inv_lead != 1 else 0)
     q = [0] * steps
-    for k in range(steps - 1, -1, -1):
-        c = r[k + db] * inv_lead % p
+    # b's next-to-leading coefficient: c1 times it lands in c0's slot
+    b_next = b[db - 1] if db else 0
+    k = steps - 1
+    while k > 0:
+        c1 = r[k + db] * inv_lead % p
+        c0 = (r[k + db - 1] - c1 * b_next) * inv_lead % p
+        q[k - 1:k + 1] = c0, c1
+        if c1 or c0:
+            # zip stops at db: c0's slots below its top, which it clears
+            r[k - 1:k - 1 + db] = [
+                (u - c1 * s - c0 * v) % p
+                for u, s, v in zip(r[k - 1:k - 1 + db], chain((0,), b), b)]
+        k -= 2
+    if k == 0:
+        c = r[db] * inv_lead % p
         if c:
-            q[k] = c
+            q[0] = c
             # zip stops at db, before b's leading coefficient
-            r[k:k + db] = [(u - c * v) % p for u, v in zip(r[k:k + db], b)]
+            r[:db] = [(u - c * v) % p for u, v in zip(r[:db], b)]
     del r[db:]
     while r and r[-1] == 0:
         r.pop()
@@ -348,7 +371,8 @@ class UniPoly:
         rows = [_pack(row, width)]
         for _ in range(d - 2):
             lead = row[-1]
-            row = [(a + lead * b) % p for a, b in zip([0] + row[:-1], row0)]
+            row = [(a + lead * b) % p
+                   for a, b in zip(chain((0,), row), row0)]
             rows.append(_pack(row, width))
         units = 0
 
@@ -418,7 +442,8 @@ def roots(f: UniPoly) -> list:
     formula, the square root of its discriminant taken as disc^((p+1)/4);
     every other factor goes through equal-degree splitting, whose random
     shifts come from a generator seeded with the constant 0, so every
-    call on the same f takes the same path.
+    call on the same f takes the same path.  The generator is made on
+    the first factor that splits.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -428,8 +453,7 @@ def roots(f: UniPoly) -> list:
     if f.degree == 0:
         return []
     lin = (x.powmod(p, f) - x).gcd(f)
-    rng = random.Random(0)
-    one = UniPoly(fld, [1])
+    rng = None
     found = []
     stack = [lin]
     while stack:
@@ -452,6 +476,10 @@ def roots(f: UniPoly) -> list:
             found += [(s - b) * half % p, (-s - b) * half % p]
             fld.mul_count += 4
             continue
+        if rng is None:
+            # made on the first factor that splits: most calls have none
+            rng = random.Random(0)
+            one = UniPoly(fld, [1])
         while True:
             shift = UniPoly(fld, [rng.randrange(p), 1])
             g = (shift.powmod((p - 1) // 2, h) - one).gcd(h)

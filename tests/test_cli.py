@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrpoly import cli, symbolic
+from ccrpoly import cli, isogeny, symbolic
 from ccrpoly.errors import (BuildError, DegeneratePoint, StoreError,
                             VerificationError)
 from ccrpoly.qseries import _FORM_NAMES, eisenstein_series
@@ -157,7 +157,26 @@ class TestElkies:
                        "--ell", "7"])
         assert rc == 4
         out = capsys.readouterr().out
-        assert "diagnostic:" in out
+        assert "diagnostic:" in out and "skipped:" in out
+
+    def test_note_on_an_answered_root_is_not_skipped(self, cache, capsys,
+                                                     monkeypatch):
+        """E4(q^ell) = E6(q^ell) = 1 gives an isogenous curve of zero
+        discriminant: each root still prints its result line, with
+        phi_match=False, so its diagnostic does not read skipped."""
+        for name in ("e4_tilde", "e6_tilde"):
+            monkeypatch.setattr(isogeny, name, lambda *args: 1)
+        assert cli.main(ELKIES_ARGS) == 3
+        lines = capsys.readouterr().out.splitlines()
+        message = "isogenous curve has zero discriminant"
+        assert [ln for ln in lines if ln.startswith("diagnostic:")] == [
+            f"diagnostic: root=584 {message}",
+            f"diagnostic: root=664 {message}"]
+        assert [ln.split()[0] for ln in lines if ln.startswith("sigma=")] \
+            == ["sigma=584", "sigma=664"]
+        assert all("phi_match=False" in ln for ln in lines
+                   if ln.startswith("sigma="))
+        assert lines[-1] == "verification failure: no validated result"
 
     def test_cache_reuse_and_rebuild(self, cache, capsys):
         assert cli.main(ELKIES_ARGS) == 0

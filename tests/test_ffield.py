@@ -260,34 +260,59 @@ def _powmod_cases(draw):
     return p, mod, base, e
 
 
+def _long_division(a, b, p):
+    """(quotient, remainder, mul units, inversions) of a by b, b nonzero,
+    by schoolbook long division one digit at a time: the reference for
+    UniPoly division.  A division of length n by degree d adds
+    (n - d)*d, plus n - d and one inversion when the divisor is not
+    monic."""
+    d = len(b) - 1
+    a = list(a)
+    if len(a) <= d:
+        return [], a, 0, 0
+    n = len(a) - d
+    inv = pow(b[-1], -1, p)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        q[k] = c = a[k + d] * inv % p
+        for i in range(d + 1):
+            a[k + i] = (a[k + i] - c * b[i]) % p
+    monic = b[-1] == 1
+    return (_strip(q), _strip(a[:d]), n * d + (0 if monic else n),
+            0 if monic else 1)
+
+
 def _euclid(a, b, p):
     """(coefficients, mul units, inversions) of the monic gcd of a and b
-    by schoolbook Euclid: the reference for UniPoly.gcd.  A division of
-    length n by degree d adds (n - d)*d, plus n - d and one inversion
-    when the divisor is not monic; making the result monic adds its
+    by schoolbook Euclid: the reference for UniPoly.gcd.  Each division
+    counts as _long_division does; making the result monic adds its
     length and one inversion."""
     muls = invs = 0
     while b:
-        d = len(b) - 1
-        a = list(a)
-        if len(a) > d:
-            inv = pow(b[-1], -1, p)
-            if b[-1] != 1:
-                invs += 1
-                muls += len(a) - d
-            muls += (len(a) - d) * d
-            for k in range(len(a) - 1, d - 1, -1):
-                c = a[k] * inv % p
-                for i in range(d + 1):
-                    a[k - d + i] = (a[k - d + i] - c * b[i]) % p
-            a = _strip(a[:d])
-        a, b = b, a
+        _, r, m, i = _long_division(a, b, p)
+        muls, invs = muls + m, invs + i
+        a, b = b, r
     if a and a[-1] != 1:
         invs += 1
         muls += len(a)
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a, muls, invs
+
+
+@st.composite
+def _division_cases(draw):
+    """(p, a, b): a divisor b of degree 0 to 8, monic or not, and a
+    dividend a whose quotient has 1 to 9 digits, so both the two-digit
+    passes and a leftover one-digit pass are reached."""
+    p = draw(st.sampled_from(_PRIMES))
+    residue = st.integers(0, p - 1)
+    db = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 9))
+    lead = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+    b = draw(st.lists(residue, min_size=db, max_size=db)) + [lead]
+    a = draw(st.lists(residue, min_size=db + n - 1, max_size=db + n - 1))
+    return p, a + [draw(st.integers(1, p - 1))], b
 
 
 @st.composite
@@ -348,6 +373,18 @@ class TestPackedArithmetic:
             == [8, 8, 9]
         assert ffield._slot_bytes(101, 1) == 8
         assert ffield._slot_bytes(2**256 - 189, 1) == 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(_division_cases())
+    def test_divmod_matches_long_division(self, case):
+        p, a, b = case
+        fld = PrimeField(p)
+        want_q, want_r, muls, invs = _long_division(a, b, p)
+        f, g = UniPoly(fld, a), UniPoly(fld, b)
+        q, r = divmod(f, g)
+        assert (q.coeffs, r.coeffs) == (want_q, want_r)
+        assert (fld.mul_count, fld.inv_count) == (muls, invs)
+        assert f // g == q and f % g == r
 
     @settings(max_examples=200, deadline=None)
     @given(_gcd_cases())
@@ -415,6 +452,38 @@ class TestRoots:
         monkeypatch.setattr(ffield, "random", types.SimpleNamespace(
             Random=lambda _: random.Random(seed)))
         assert roots(f) == baseline
+
+    def test_splitting_generator_made_only_when_a_factor_splits(
+            self, monkeypatch):
+        """At p = 10007, 3 (mod 4), no root, one root and two roots need
+        no splitting and make no generator; four or more roots make it
+        once, with the same roots and counts as a generator made on
+        every call."""
+        made = []
+
+        def counting_random(seed):
+            made.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(ffield, "random", types.SimpleNamespace(
+            Random=counting_random))
+        fld = PrimeField(10007)
+        # X^2 + 1 and X^2 + 4 have no root at p = 3 (mod 4); X^3 + 3 has
+        # one, since cubing permutes F_p at p = 2 (mod 3)
+        no_root, no_root4, one_root = [1, 0, 1], [4, 0, 1], [3, 0, 0, 1]
+        for factors, n in (([no_root], 0), ([no_root, no_root4], 0),
+                           ([one_root, no_root], 1), ([[-5, 1], no_root], 1),
+                           ([[-5, 1], [-17, 1], no_root], 2)):
+            assert len(roots(_product(fld, *factors))) == n
+        assert made == []
+        for rs, counts in (((5, 17, 29, 4001), (1307, 6)),
+                           ((0, 1, 2, 3, 9999, 5000, 77), (3553, 12))):
+            fld = PrimeField(10007)
+            f = _product(fld, *([-r, 1] for r in rs), no_root)
+            assert roots(f) == sorted(rs)
+            assert (fld.mul_count, fld.inv_count) == counts
+            assert made == [0]
+            made.clear()
 
     def test_repeated_factors_and_zero_root(self, fld):
         f = _product(fld, [0, 1], [-3, 1], [-3, 1], [-5, 1])
