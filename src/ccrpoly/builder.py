@@ -23,17 +23,20 @@ series holds a power of j(q^ell).
 
 The traces of R^1..R^k_max (k_max = ell + 1, or ell for Phi) come from
 baby and giant steps (power_traces): with
-m = max(ceil(sqrt(k_max)), ceil((k_max + 1)/3)), only R^1..R^m and the
-one giant square R^(2m) are formed in full, and the trace of R^(tm+j) is
-convolved from R^(tm) and R^j at the exponents ell divides, so the
-traces cost about k_max/3 full products, nearly all of them baby steps.
+m = max(ceil(sqrt(k_max)), ceil(k_max/3)), only R^1..R^m and the one
+giant square R^(2m) are formed in full, and the trace of R^(tm+j),
+1 <= j <= m, is convolved from R^(tm) and R^j at the exponents ell
+divides, so the traces cost about k_max/3 full products, nearly all of
+them baby steps.  When R's numerators off x^0 share a factor g > 1 (U,
+V and W), the chain runs on R re-centred, T = (den*R - c0)/g with c0
+R's x^0 numerator, and the traces of R^k are binomial sums of T's.
 PowerSeries forms a full product as one packed integer product when its
-numerators are narrow: up to ell = 47, that holds for every baby step
-of U, V, W and Ua, and for the giant square of U and Ua, of V from
-ell = 23 and of W from ell = 31.  The other giant squares, every power
-of Phi's j(x) and the convolved traces take dot products.  Every chain
-of powers (_powers) forms its even powers as squares, which PowerSeries
-multiplies with half the work.
+numerators are narrow: up to ell = 47, that holds for every product of
+the chain of U, V, W and Ua but two, W's T^3 at ell = 5 and its giant
+square at ell = 7.  Those two, every power of Phi's j(x) and the
+convolved traces take dot products.  Every chain of powers (_powers)
+forms its even powers as squares, which PowerSeries multiplies with half
+the work.
 
 match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
 with b <= 1 whose i-th element starts with q^i, and rewrites the result
@@ -45,10 +48,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from .errors import BasisMatchError, BuildError, PrecisionError
-from .qseries import PowerSeries, delta_series, eisenstein_series, \
-    eta_squared_product, fn_series, j_series, sigma1_series
+from .qseries import PowerSeries, _series, delta_series, \
+    eisenstein_series, eta_squared_product, fn_series, j_series, \
+    sigma1_series
 from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
     check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -95,30 +100,75 @@ def _powers(pw: list, top: int) -> list:
     return pw
 
 
-def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
-    """[trace of R^k over the ell cosets for k = 1..k_max], series in q
-    from R in x = q^{1/ell}, by about k_max/3 full products (a
-    baby-step/giant-step split after Paterson and Stockmeyer, 1973).
-
-    With m = max(ceil(sqrt(k_max)), ceil((k_max + 1)/3)), the baby steps
-    R^1..R^m and the giant steps R^m, R^2m, ... are formed in full, the
-    even ones as squares; as k_max < 3m, R^(2m) is the only giant step
-    past R^m, and it is one square.  Every other k = t*m + j is traced
-    from R^(tm) and R^j by PowerSeries.product_trace, which never forms
-    R^k.  R^k has R's window length, so its trace is exactly the full
-    power's."""
-    m = max(isqrt(k_max - 1) + 1, (k_max + 3) // 3)
+def _chain_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
+    """[trace of R^k for k = 1..k_max] by baby and giant steps, after
+    Paterson and Stockmeyer, 1973.  With
+    m = max(ceil(sqrt(k_max)), ceil(k_max/3)) and k = t*m + j,
+    1 <= j <= m, the baby steps R^1..R^m are formed in full, the even
+    ones as squares, and so is R^(2m) when some k passes 2m: as
+    k_max <= 3m, it is the one giant step past R^m.  A k that is a formed
+    power is read off it; every other k is traced from R^(tm) and R^j by
+    PowerSeries.product_trace, which never forms R^k.  R^k has R's
+    window length, so its trace is exactly the full power's."""
+    m = max(isqrt(k_max - 1) + 1, -(-k_max // 3))
     baby = _powers([None, big_r], m)
-    giant = _powers([None, baby[m]], k_max // m)
+    giant = _powers([None, baby[m]], (k_max - 1) // m)
     out = []
     for k in range(1, k_max + 1):
-        t, j = divmod(k, m)
-        if not j:
-            out.append(giant[t].extract_progression(ell))
+        t, j = divmod(k - 1, m)
+        j += 1
+        if j == m and t + 1 < len(giant):
+            out.append(giant[t + 1].extract_progression(ell))
         elif not t:
             out.append(baby[j].extract_progression(ell))
         else:
             out.append(giant[t].product_trace(baby[j], ell))
+    return out
+
+
+def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
+    """[trace of R^k over the ell cosets for k = 1..k_max], series in q
+    from R in x = q^{1/ell}, by about k_max/3 full products, nearly all
+    of them baby steps (_chain_traces).
+
+    When R has a nonzero x^0 numerator c0 and its other numerators share
+    a factor g > 1, as those of U, V and W do (12, 720 and 1008), the
+    chain runs on a smaller generator: R = (c0 + g*T)/den, with T on R's
+    window and 0 at x^0.  Then T^i has R^i's window, its numerators
+    carry neither c0 nor g, and
+    den^k Tr(R^k) = sum over i = 0..k of C(k, i) c0^(k-i) g^i Tr(T^i),
+    in integers, with Tr(T^0) = ell at q^0.  As x^0 is on R's window,
+    R's lead is at most 0, so Tr(T^i), exact zeros below its lead,
+    starts and ends at or past Tr(R^k)'s lead and end for i <= k.
+    Phi's j(x) and Ua's eta product have g = 1 and run the chain on R
+    itself.
+
+    A product of the chain packs (PowerSeries) when its numerators are
+    narrow: up to ell = 47 every one of U, V, W and Ua does but two,
+    W's T^3 at ell = 5 and its giant square T^6 at ell = 7."""
+    lead, nums = big_r.lead, big_r.nums
+    c0 = nums[-lead] if 0 <= -lead < len(nums) else 0
+    g = gcd(*nums[:-lead], *nums[1 - lead:]) if c0 else 1
+    if g <= 1:
+        return _chain_traces(big_r, ell, k_max)
+    t_nums = [v // g for v in nums]
+    t_nums[-lead] = 0
+    t_traces = _chain_traces(_series(t_nums, 1, lead), ell, k_max)
+    # Tr(T^k) has Tr(R^k)'s window.  Row i is Tr(T^i) from Tr(T^k_max)'s
+    # lead, the lowest; the rows shorten as i grows, so the column of a
+    # slot of Tr(R^k) holds Tr(T^0..T^k) there, and more
+    base = t_traces[-1].lead
+    rows = [[0] * (tr.lead - base) + tr.nums for tr in t_traces]
+    rows.insert(0, [0] * len(rows[0]))
+    rows[0][-base] = ell
+    cols = [[r[s] for r in rows if s < len(r)] for s in range(len(rows[0]))]
+    out = []
+    for k, tr in enumerate(t_traces, 1):
+        coef = [comb(k, i) * c0 ** (k - i) * g ** i for i in range(k + 1)]
+        at = tr.lead - base
+        out.append(_series([sum(map(mul, coef, col))
+                            for col in cols[at:at + len(tr.nums)]],
+                           big_r.den ** k, tr.lead))
     return out
 
 

@@ -28,7 +28,7 @@ precision bookkeeping never has to be done by callers.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import PrecisionError
@@ -391,27 +391,26 @@ def sigma1_series(ell, precision):
 def eta_squared_product(ell, precision):
     """f = q^((ell+1)/12) * prod((1-q^n)^2 (1-q^(ell*n))^2) for ell = 11 mod 12.
 
-    Expanded factor by factor so only integer q-exponents ever appear; the
-    congruence on ell makes the leading exponent integral.
+    By Euler's pentagonal number theorem, prod(1-q^n) is the sum over all
+    integers k of (-1)^k q^(k(3k-1)/2), whose coefficients are 0 and +-1.
+    Its square s is a narrow series, and f = q^((ell+1)/12) s(q) s(q^ell):
+    two narrow products.  The congruence on ell makes the leading
+    exponent integral.
     """
     if ell % 12 != 11:
         raise ValueError("eta-square product needs ell = 11 (mod 12)")
     if ell < 11 or precision < 1:
         raise ValueError("eta-square product needs ell >= 11 and "
                          "precision at least 1")
-    shift = (ell + 1) // 12
-    prod = [1] + [0] * (precision - 1)
-    for n in range(1, precision):
-        for m in (n, ell * n):
-            if m >= precision:
-                break
-            # multiply in place by (1 - q^m)^2 = 1 - 2q^m + q^(2m)
-            for i in range(precision - 1, m - 1, -1):
-                v = prod[i] - 2 * prod[i - m]
-                if i >= 2 * m:
-                    v += prod[i - 2 * m]
-                prod[i] = v
-    return PowerSeries(prod, lead=shift)
+    eta = [0] * precision
+    for k in range(-isqrt(precision) - 1, isqrt(precision) + 2):
+        e = k * (3 * k - 1) // 2
+        if e < precision:
+            eta[e] = -1 if k % 2 else 1
+    s = _series(eta, 1, 0)
+    s = s * s
+    return _series((s * s.substitute_q_power(ell, precision)).nums, 1,
+                   (ell + 1) // 12)
 
 
 _FORM_NAMES = ("E2", "E4", "E6", "Delta", "j", "F", "sigma1", "f")

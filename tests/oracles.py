@@ -58,14 +58,17 @@ def eval_mod(expr, values: dict, p: int) -> int:
     return total % p
 
 
-def _euler_product(n: int) -> list:
-    """prod over m >= 1 of (1 - q^m) mod q^n, by Euler's pentagonal
-    number theorem: the sum over all integers k of (-1)^k q^(k(3k-1)/2)."""
-    out = [0] * n
-    for k in range(-isqrt(n) - 1, isqrt(n) + 2):
-        e = k * (3 * k - 1) // 2
-        if e < n:
-            out[e] += -1 if k % 2 else 1
+def eta_squared_loop(ell: int, n: int) -> list:
+    """The numerators of prod over m >= 1 of (1 - q^m)^2 (1 - q^(ell m))^2
+    mod q^n, multiplied in one factor (1 - q^m)^2 = 1 - 2q^m + q^(2m) at
+    a time, in place: not the pentagonal series the library expands."""
+    out = [1] + [0] * (n - 1)
+    for m in [*range(1, n), *range(ell, n, ell)]:
+        for i in range(n - 1, m - 1, -1):
+            v = out[i] - 2 * out[i - m]
+            if i >= 2 * m:
+                v += out[i - 2 * m]
+            out[i] = v
     return out
 
 
@@ -86,9 +89,8 @@ def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
         return at_ell(eisenstein_series(4, m)) * (-3 * ell ** 4)
     if kind == "W":
         return at_ell(eisenstein_series(6, m)) * (-2 * ell ** 6)
-    eta = PowerSeries(_euler_product(n)) \
-        * at_ell(PowerSeries(_euler_product(m)))
-    return PowerSeries((eta * eta).coeffs, lead=(ell + 1) // 12) * (-ell)
+    return PowerSeries(eta_squared_loop(ell, n), lead=(ell + 1) // 12) \
+        * (-ell)
 
 
 def annihilates_at_cusp(poly) -> bool:

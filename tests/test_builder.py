@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccrpoly import builder
@@ -51,6 +51,12 @@ class TestPowerTraces:
     # every k_max in 1..40 passes each square m^2 and m^2 +- 1
     K_MAX = 40
 
+    def assert_matches_sequential(self, big_r, ell):
+        expected = sequential_traces(big_r, ell, self.K_MAX)
+        for k_max in range(1, self.K_MAX + 1):
+            assert_same_traces(builder.power_traces(big_r, ell, k_max),
+                               expected[:k_max])
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]),
            st.lists(st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4),
@@ -59,18 +65,50 @@ class TestPowerTraces:
                     min_size=1, max_size=14),
            st.integers(-4, 4))
     def test_matches_sequential_powers(self, ell, coeffs, lead):
-        big_r = PowerSeries(coeffs, lead=lead)
-        expected = sequential_traces(big_r, ell, self.K_MAX)
-        for k_max in range(1, self.K_MAX + 1):
-            assert_same_traces(builder.power_traces(big_r, ell, k_max),
-                               expected[:k_max])
+        self.assert_matches_sequential(PowerSeries(coeffs, lead=lead), ell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(-4, 4),
+           st.integers(-50, 50), st.sampled_from([2, 4, 12, 1008]),
+           st.sampled_from([1, 3, 5, 9]),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=13))
+    def test_shared_factor_off_the_constant_term(self, ell, lead, c0, g,
+                                                 den, rest):
+        # R = (c0 + g*T)/den with g > 1: den is odd and g even, so the
+        # canonical numerators off x^0 keep a factor 2 of g, and the
+        # traces take the re-centred chain when c0 != 0 lies on the window
+        assume(any(rest))
+        nums = [g * v for v in rest]
+        if 0 <= -lead <= len(nums):
+            nums.insert(-lead, c0)
+        self.assert_matches_sequential(
+            PowerSeries(nums, lead=lead) * Fraction(1, den), ell)
+
+    @pytest.mark.parametrize("coeffs, lead", [
+        # constant R: no numerator off x^0, so no factor g to take out
+        ([6] + [0] * 8, 0),
+        ([Fraction(5, 3)] + [0] * 4, 0),
+        ([0, 0, -7, 0], -2),
+        # the window ends at or below x^0, so c0 is 0
+        ([4, -6, 10], -3),
+        ([Fraction(4, 3), 0, -2], -5),
+        # den = 5 over the numerators -2 + 3*(2x - 4x^3 + 5x^4)
+        ([Fraction(-2, 5), Fraction(6, 5), 0, Fraction(-12, 5), 3], 0),
+        # c0 = 9 and g = 3, with x^0 at the window's start and inside it
+        ([9, 6, 0, -3], 0),
+        ([3, 9, 6, 0, -3], -1),
+    ])
+    def test_recentring_edge_cases(self, coeffs, lead):
+        for ell in (2, 3, 5):
+            self.assert_matches_sequential(PowerSeries(coeffs, lead=lead),
+                                           ell)
 
     def test_negative_lead_j_series_of_phi(self):
-        big_r = j_series(24)
-        expected = sequential_traces(big_r, 5, self.K_MAX)
-        for k_max in range(1, self.K_MAX + 1):
-            assert_same_traces(builder.power_traces(big_r, 5, k_max),
-                               expected[:k_max])
+        self.assert_matches_sequential(j_series(24), 5)
+
+    def test_j_series_with_a_shared_factor(self):
+        # 6j = 6/q + 4464 + ...: c0 = 4464 and g = 6 at a negative lead
+        self.assert_matches_sequential(j_series(24) * 6, 5)
 
 
 class TestConjugateSeries:

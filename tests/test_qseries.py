@@ -15,7 +15,7 @@ from ccrpoly.errors import BasisMatchError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              eta_squared_product, expand, fn_series, j_series,
                              sigma1_series)
-from oracles import ref_qdiff, zero_through
+from oracles import eta_squared_loop, ref_qdiff, zero_through
 
 
 def geometric(precision):
@@ -222,6 +222,19 @@ def test_eta_squared_product_twelfth_power():
     lhs = f ** 12
     rhs = delta_series(n) * delta_series(3).substitute_q_power(11, 33)
     assert zero_through(lhs - rhs, 24)
+
+
+@pytest.mark.parametrize("ell, top", [(11, 300), (23, 300), (47, 300),
+                                      (71, 300), (11, 5000)])
+def test_eta_squared_product_matches_the_factor_loop(ell, top):
+    # the pentagonal expansion against the product multiplied in factor by
+    # factor; the loop's coefficients below q^n do not depend on n, so one
+    # loop serves every precision up to top (only top itself at 5000)
+    ref = eta_squared_loop(ell, top)
+    shift = (ell + 1) // 12
+    for n in range(1, top + 1) if top <= 300 else [top]:
+        f = eta_squared_product(ell, n)
+        assert (f.lead, f.den, f.nums) == (shift, 1, ref[:n])
 
 
 @pytest.mark.parametrize("make", [
@@ -541,13 +554,19 @@ def test_product_trace_is_the_progression_of_the_product(data, ell):
 
 @pytest.mark.parametrize("kind, ell, baby, giant", [
     ("U", 31, "packed", "packed"),
-    ("W", 23, "packed", "dot"),
+    ("V", 23, "packed", "packed"),
+    # the chain runs on W's re-centred generator, whose numerators carry
+    # neither the constant term nor the factor 1008, so even the giant
+    # square packs
+    ("W", 23, "packed", "packed"),
     ("Phi", 13, "dot", "dot"),
 ])
 def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
                                               giant):
-    # in power_traces the m - 1 baby steps come first, then the one giant
-    # square R^(2m), then one product_trace for every other k
+    # in the trace chain the m - 1 baby steps T^2..T^m come first, then
+    # the one giant square T^(2m), then one product_trace for every k
+    # that is no formed power; T is R re-centred for U, V and W, and R
+    # itself for Phi
     taken, span, k_maxes = [], [], []
     packed, dot, traces = qseries._kronecker, qseries._convolve, \
         builder.power_traces
@@ -576,9 +595,11 @@ def test_power_traces_route_products_by_width(monkeypatch, kind, ell, baby,
     # only its ell conjugates
     k_max, = k_maxes
     assert k_max == (ell if kind == "Phi" else ell + 1)
-    m = max(builder.isqrt(k_max - 1) + 1, (k_max + 3) // 3)
-    assert k_max // m == 2
-    n_traced = sum(1 for k in range(m + 1, k_max + 1) if k % m)
+    m = max(builder.isqrt(k_max - 1) + 1, -(-k_max // 3))
+    # k = t*m + j with 1 <= j <= m reaches k_max in one giant step
+    assert (k_max - 1) // m == 2
+    # every k past m but 2m, the one formed giant step, is traced
+    n_traced = k_max - m - 1
     assert len(taken) == m - 1 + 1 + n_traced
     assert taken[:m] == [baby] * (m - 1) + [giant]
     # product_trace reads 1/ell of the slots: always dot products
