@@ -26,9 +26,9 @@ from .trivariate import PHI_ELLS, check_kind, poly_from_text, poly_to_text
 CACHE_ENV = "CCR_CACHE_DIR"
 # The largest level the command line builds and the longest series it
 # expands; library callers are not bounded.  Raw single runs on a 2-vCPU
-# host: W71, the slowest kind at 71, built in 7.5-7.8 s (14.6-15.6 s, and
-# W101 in 93.9 s, before the power sums re-centred their generator); j,
-# the slowest series, took 3.7-5.1 s at 5000 terms and 122 s at 20000.
+# host: W71, the slowest kind at 71, built in 7.5-12.2 s and W101 in
+# 70-82 s; j, the slowest series, took 3.7-5.1 s at 5000 terms and 122 s
+# at 20000.
 MAX_ELL = 71
 MAX_PREC = 5000
 

@@ -122,6 +122,12 @@ class PowerSeries:
         return [Fraction(v, self.den) for v in self.nums]
 
     @classmethod
+    def from_numerators(cls, nums, den=1, lead=0):
+        """The series sum(nums[k]/den * x**(lead+k)) from a list of integer
+        numerators, which it keeps, and a nonzero integer den."""
+        return _series(nums, den, lead)
+
+    @classmethod
     def constant(cls, value, precision):
         c = _as_fraction(value)
         return _series([c.numerator] + [0] * (precision - 1), c.denominator,
