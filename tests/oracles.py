@@ -231,3 +231,29 @@ def cm_vector(disc: int, ell: int) -> tuple:
         sigma, v, w = sigma + xq, v + vq, w + 4 * yq * yq + xq * vq
         q = _ec_add(q, r, a, p)
     return p, a, b, sigma % p, (a - 5 * v) % p, (b - 7 * w) % p
+
+
+def vanishes_at_cm_vector(poly, disc: int) -> bool:
+    """Whether the U, V, W or Ua polynomial poly has the root of
+    cm_vector(disc, ell) at that curve: U at sigma, V at A* and W at B*.
+    Ua's root f is known only through f^12 = c, with
+    c = -Delta (B*^2 + 4A*^3/27)/6912 and 1728 Delta = E4^3 - E6^2 (the
+    relation atkin_b_star solves for B*), so Ua(X) must share a root with
+    X^12 - c.  poly is read from its
+    terms at E4 = -A/3, E6 = -B/2; only the gcd is the library's."""
+    from ccrpoly.ffield import PrimeField, UniPoly
+    p, a, b, *root = cm_vector(disc, poly.ell)
+    e4, e6 = fraction_mod(Fraction(-a, 3), p), fraction_mod(Fraction(-b, 2), p)
+    coeffs = [0] * (poly.ell + 2)
+    for (i, ea, eb), c in poly.terms.items():
+        coeffs[i] += fraction_mod(c, p) * pow(e4, ea, p) * pow(e6, eb, p)
+    if poly.kind != "Ua":
+        x = root["UVW".index(poly.kind)]
+        return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0
+    _, a_star, b_star = root
+    delta = fraction_mod(Fraction(e4 ** 3 - e6 ** 2, 1728), p)
+    c = fraction_mod(Fraction(-delta * (b_star ** 2 * 27 + 4 * a_star ** 3),
+                              27 * 6912), p)
+    fld = PrimeField(p)
+    x12 = UniPoly(fld, [-c] + [0] * 11 + [1])
+    return UniPoly(fld, coeffs).gcd(x12).degree > 0

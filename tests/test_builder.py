@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,8 @@ from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
-from oracles import annihilates_at_cusp, evaluate, zero_through
+from oracles import (annihilates_at_cusp, evaluate, vanishes_at_cm_vector,
+                     zero_through)
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
          (1, 1, 1): -128, (0, 0, 2): -80}
@@ -596,3 +598,28 @@ def test_store_text_matches_recorded_sea_levels():
 def test_display_text_matches_recorded(name):
     # the AB and Delta displays, which the writer alone prints
     assert_store_digests({name: RECORDED[name]})
+
+
+# SEA-size levels, recorded from the builder of the re-centred power sums
+# before anything else changed how they are built; U101 and U131 are past
+# the CLI's levels.  Rebuilding all ten takes about half a minute, so
+# they run only when CCR_SEA_STORES is set
+SEA_STORES = json.loads((Path(__file__).resolve().parent / "data"
+                         / "sea_store_sha256.json").read_text())
+
+
+@pytest.mark.skipif(not os.environ.get("CCR_SEA_STORES"),
+                    reason="set CCR_SEA_STORES=1 to rebuild the SEA-level "
+                           "stores")
+def test_sea_level_stores_match_recorded_and_cm_vectors():
+    # each digest, and each polynomial at the D = -7 and -8 supersingular
+    # CM vectors, a check that shares no step with the builder
+    failed = []
+    for name, digest in SEA_STORES.items():
+        kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
+        poly = build(kind, int(ell))
+        if hashlib.sha256(poly_to_text(poly).encode()).hexdigest() != digest:
+            failed.append(f"{name} digest")
+        failed += [f"{name} at D = {disc}" for disc in (-7, -8)
+                   if not vanishes_at_cm_vector(poly, disc)]
+    assert not failed
