@@ -2,8 +2,9 @@
 j-polynomial used as an independent validation oracle.
 
 Both chains start alike.  conjugate_series expands the distinguished
-root r_inf(q) and the conjugate generator R(x) with x = q^{1/ell};
-power_sums traces R^1, R^2, ... over the ell cosets (the trace is
+root r_inf(q) and the conjugate generator R(x) with x = q^{1/ell}, for
+U, V, W and Ua just past x^(ell*(n_q - 1)), the last exponent a trace on
+the q-window [.., n_q) reads; power_sums traces R^1, R^2, ... over the ell cosets (the trace is
 arithmetic-progression extraction: root-of-unity sums vanish off
 multiples of ell, so no cyclotomic arithmetic is needed), which gives the
 power sums t_k of the ell conjugates.
@@ -32,15 +33,16 @@ V and W), the chain runs on R re-centred, T = (den*R - c0)/g with c0
 R's x^0 numerator, and the traces of R^k are binomial sums of T's.
 PowerSeries forms a full product as one packed integer product when its
 numerators are narrow: up to ell = 47, that holds for every product of
-the chain of U, V, W and Ua but two, W's T^3 at ell = 5 and its giant
-square at ell = 7.  Those two, every power of Phi's j(x) and the
-convolved traces take dot products.  Every chain of powers (_powers)
+the chain of U, V, W and Ua but five, W's T^3 at ell = 5 and the giant
+squares of V7, W7, W11 and W13.  Those five, every power of Phi's j(x)
+and the convolved traces take dot products.  Every chain of powers (_powers)
 forms its even powers as squares, which PowerSeries multiplies with half
 the work.
 
-match_to_form_basis solves triangularly, in the basis Delta^i E4^a E6^b
-with b <= 1 whose i-th element starts with q^i, and rewrites the result
-in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k in integers
+match_to_form_basis divides p_k once by f = E4^a0 E6^b0, the basis
+element of its weight with no Delta, solves triangularly in the powers
+tau^i of tau = Delta/E4^3 = 1/j that every weight shares, and rewrites
+the result in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k in integers
 on e_k's own window.
 """
 
@@ -62,8 +64,10 @@ from .trivariate import _denominator_is_smooth  # noqa: F401
 
 def conjugate_series(kind: str, ell: int, n_q: int):
     """r_inf, a series in q, and the conjugate generator R, a series in
-    x = q^{1/ell}: the one series of the builder that is not in q."""
-    n_x = ell * n_q
+    x = q^{1/ell}: the one series of the builder that is not in q.  For
+    U, V, W and Ua, R ends just past x^(ell*(n_q - 1)), the last exponent
+    a trace on [.., n_q) reads."""
+    n_x = ell * (n_q - 1) + 1
     if kind == "U":
         r_inf = sigma1_series(ell, n_q)
         r_x = fn_series(ell, n_x) * Fraction(1, 2)
@@ -143,8 +147,9 @@ def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     itself.
 
     A product of the chain packs (PowerSeries) when its numerators are
-    narrow: up to ell = 47 every one of U, V, W and Ua does but two,
-    W's T^3 at ell = 5 and its giant square T^6 at ell = 7."""
+    narrow: up to ell = 47 every one of U, V, W and Ua does but five,
+    W's T^3 at ell = 5 and the giant squares T^6 of V7 and W7, T^8 of
+    W11 and T^10 of W13."""
     lead, nums = big_r.lead, big_r.nums
     c0 = nums[-lead] if 0 <= -lead < len(nums) else 0
     g = gcd(*nums[:-lead], *nums[1 - lead:]) if c0 else 1
@@ -192,13 +197,15 @@ def form_basis_exponents(w: int) -> list:
 
 
 def _form_powers(end: int) -> tuple:
-    """([1, E4], E6, [1, Delta]) on the q-window [0, end).
-    match_to_form_basis appends higher powers of E4 and Delta to the
-    lists as the weights it is asked for grow, so one triple serves every
-    match of a build."""
+    """([1, 1/E4], 1/E6, [1, tau]) on the q-window [0, end), with
+    tau = Delta/E4^3 = 1/j = q - 744q^2 + ...: all three have integer
+    coefficients.  match_to_form_basis appends higher powers of 1/E4 and
+    tau to the lists as the weights it is asked for grow, so one triple
+    serves every match of a build."""
     one = PowerSeries.constant(1, end)
-    return ([one, eisenstein_series(4, end)], eisenstein_series(6, end),
-            [one, delta_series(end)])
+    e4inv = eisenstein_series(4, end).inverse()
+    return ([one, e4inv], eisenstein_series(6, end).inverse(),
+            [one, delta_series(end) * e4inv ** 3])
 
 
 def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
@@ -208,12 +215,13 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     w//6 + 1 coefficients of Sturm's bound for weight 2w, and
     BasisMatchError when s has a pole or is no such sum.
 
-    The solve runs in the basis Delta^i E4^a E6^b with 6i + 2a + 3b = w
-    and b <= 1, one element for each i with w - 6i != 1.  Element i
-    starts with 1*q^i and has integer coefficients, so for i = 0, 1, ...
-    its multiple is the q^i coefficient of the integer residual, starting
-    from s.nums, and is subtracted; the residual must then vanish on the
-    whole window.  The multiples are rewritten in E4^a E6^b through
+    Every b has w's parity, so the solve runs in the basis
+    Delta^i E4^(a0-3i) E6^b0 = f tau^i, i = 0..a0//3, with b0 = w mod 2,
+    a0 = (w - 3b0)/2, f = E4^a0 E6^b0 and tau = Delta/E4^3, which starts
+    with 1*q.  s is multiplied once by 1/f; then for i = 0, 1, ... the
+    q^i coefficient of the integer residual is the multiple of tau^i,
+    which is subtracted, and the residual must vanish on the whole
+    window.  The multiples are rewritten in E4^a E6^b by Horner's rule in
     Delta = (E4^3 - E6^2)/1728 and divided by s.den.  The powers come
     from ``powers`` (see _form_powers), whose window must cover s's, or
     from a fresh triple."""
@@ -230,30 +238,36 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     below = max(-s.lead, 0)
     if any(s.nums[:below]):
         raise BasisMatchError("pole in a series matched to E4E6 forms")
-    p4, e6, pd = powers or _form_powers(end)
-    res = [0] * s.lead + s.nums[below:]         # on [0, end)
-    top = w // 6
-    nums = {}                       # over 1728**top * s.den
+    p4inv, e6inv, ptau = powers or _form_powers(end)
+    b0 = w % 2
+    a0 = (w - 3 * b0) // 2
+    top = a0 // 3
+    f_inv = _powers(p4inv, a0)[a0]
+    if b0:
+        f_inv = f_inv * e6inv
+    # s/f on [0, end), over s.den
+    res = (PowerSeries.from_numerators([0] * s.lead + s.nums[below:])
+           * f_inv).nums
+    mult = []
     for i in range(top + 1):
-        b = (w - 6 * i) % 2
-        a = (w - 6 * i - 3 * b) // 2
         c = res[i]
-        if not c or a < 0:      # no element for w - 6i == 1
-            continue
-        elem = _powers(p4, a)[a] * _powers(pd, i)[i]
-        if b:
-            elem = elem * e6
-        res[i:] = [u - c * v for u, v in zip(res[i:], elem.nums[i:end],
-                                              strict=True)]
-        # Delta^i = sum over j of C(i, j) (-E6^2)^j E4^(3(i-j)) / 1728^i
-        c *= 1728 ** (top - i)
-        for j in range(i + 1):
-            ab = (a + 3 * (i - j), b + 2 * j)
-            nums[ab] = nums.get(ab, 0) + (-1) ** j * comb(i, j) * c
+        mult.append(c)
+        if c:
+            res[i:] = [u - c * v for u, v in zip(
+                res[i:], _powers(ptau, i)[i].nums[i:end], strict=True)]
     if any(res):
         raise BasisMatchError("inconsistent basis system")
+    # 1728^top * sum of c_i f tau^i
+    #   = sum of c_i (1728 E4^3)^(top-i) (E4^3 - E6^2)^i E4^(a0-3top) E6^b0
+    # by Horner's rule from i = top down; nums[j] is the numerator of
+    # E4^(a0-3j) E6^(b0+2j)
+    nums = []
+    for i in range(top, -1, -1):
+        nums = [u - v for u, v in zip(nums + [0], [0] + nums)]
+        nums[0] += mult[i] * 1728 ** (top - i)
     den = 1728 ** top * s.den
-    return {ab: Fraction(nums[ab], den) for ab in exps if nums.get(ab)}
+    return {(a0 - 3 * j, b0 + 2 * j): Fraction(v, den)
+            for j, v in enumerate(nums) if v}
 
 
 class _Form:

@@ -20,7 +20,10 @@ signed slots (Kronecker substitution); in any other product each
 coefficient is one dot product of numerator lists (half of one for
 ``s * s``).
 ``product_trace`` takes only the coefficients at the exponents a given
-ell divides, each a dot product.
+ell divides, each a dot product.  A quotient ``a / b``, and the inverse
+as 1 / b, is one forward substitution in the integers, each coefficient
+a dot product against the ones before it and the u0 powers kept until
+one denominator at the end (u0 b's first nonzero numerator).
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -239,35 +242,18 @@ class PowerSeries:
         return _series([ell * v for v in kept], self.den * other.den, qlead)
 
     def inverse(self):
-        """Multiplicative inverse, window matched to the known coefficients.
-
-        With u the integer numerators from the first nonzero one on, the
-        inverse of u is d_k = t_k / u0**(k+1), where t_0 = 1 and
-        t_k = -sum_{i=1..k} u_i u0**(i-1) t_(k-i): integers throughout,
-        one division at the end."""
-        first = self.effective_lead()
-        if first is None:
-            raise ZeroDivisionError("inverse of a zero series")
-        u = self.nums[first - self.lead:]
-        u0 = u[0]
-        scaled = []
-        p = 1
-        for ui in u[1:]:
-            scaled.append(ui * p)
-            p *= u0
-        t = [1]
-        for k in range(1, len(u)):
-            t.append(-sum(map(mul, scaled[:k], reversed(t))))
-        nums = []
-        p = self.den
-        for tk in reversed(t):
-            nums.append(tk * p)
-            p *= u0
-        # p is now den * u0**len(u); nums[k] carries den * u0**(len-1-k)
-        nums.reverse()
-        return _series(nums, p // self.den, -first)
+        """Multiplicative inverse, window matched to the known coefficients
+        from the first nonzero one on: 1 divided by self."""
+        return PowerSeries.constant(1, len(self.nums)) / self
 
     def __truediv__(self, other):
+        """self/other by one forward substitution in the integers, on the
+        shorter of self's window and other's from its first nonzero
+        numerator u0 on.  With a self's numerators and u other's from u0
+        on, the quotient's k-th coefficient is
+        (other.den/self.den) * t_k / u0**(k+1), where
+        t_k = a_k u0**k - sum_{i=1..k} u_i u0**(i-1) t_(k-i): integers
+        throughout, one denominator at the end."""
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
@@ -275,7 +261,31 @@ class PowerSeries:
             return self * (1 / c)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self * other.inverse()
+        first = other.effective_lead()
+        if first is None:
+            raise ZeroDivisionError("division by a zero series")
+        u = other.nums[first - other.lead:][:len(self.nums)]
+        u0 = u[0]
+        scaled = []
+        p = 1
+        for ui in u[1:]:
+            scaled.append(ui * p)
+            p *= u0
+        t = []
+        p = 1
+        for ak in self.nums[:len(u)]:
+            # map stops at the k terms of t
+            t.append(ak * p - sum(map(mul, scaled, reversed(t))))
+            p *= u0
+        nums = []
+        p = other.den
+        for tk in reversed(t):
+            nums.append(tk * p)
+            p *= u0
+        # p is now other.den * u0**len(t); nums[k] carries
+        # other.den * u0**(len(t)-1-k)
+        nums.reverse()
+        return _series(nums, self.den * (p // other.den), self.lead - first)
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -4,6 +4,7 @@ Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
 checks; cm_vector has its own point arithmetic and finds no roots.
+long_division divides series by the schoolbook recurrence in Fractions.
 expand_delta_display is the reference inverse of the Delta display,
 which the store writes and never reads.  annihilates_at_cusp checks a
 built polynomial, not the series core: it multiplies q-series, but takes
@@ -33,6 +34,24 @@ def evaluate(poly, *point):
 
     return sum((prod((power(k, e) for k, e in enumerate(key) if e), start=c)
                 for key, c in poly.terms.items()), 0)
+
+
+def long_division(a, b) -> tuple:
+    """(lead, coefficients) of the series quotient a/b by Fraction long
+    division, from the public ``coeffs`` and ``lead``: with u b's
+    coefficients from its first nonzero one u0 on,
+    y_k = (a_k - sum over i = 1..k of u_i y_(k-i)) / u0, on the shorter
+    of a's window and u's.  ZeroDivisionError when b is zero."""
+    u = b.coeffs
+    first = next((k for k, c in enumerate(u) if c), None)
+    if first is None:
+        raise ZeroDivisionError("zero divisor")
+    u = u[first:]
+    y = []
+    for a_k in a.coeffs[:len(u)]:
+        y.append((a_k - sum(u[i] * y[-i] for i in range(1, len(y) + 1)))
+                 / u[0])
+    return a.lead - b.lead - first, y
 
 
 def fraction_mod(v, p: int) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccrpoly import builder, cli, qseries
@@ -15,7 +15,7 @@ from ccrpoly.errors import BasisMatchError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              eta_squared_product, expand, fn_series, j_series,
                              sigma1_series)
-from oracles import eta_squared_loop, ref_qdiff, zero_through
+from oracles import eta_squared_loop, long_division, ref_qdiff, zero_through
 
 
 def geometric(precision):
@@ -70,6 +70,48 @@ def test_division_by_zero_series():
     z = PowerSeries([0, 0, 0])
     with pytest.raises(ZeroDivisionError):
         z.inverse()
+
+
+@st.composite
+def divisions(draw):
+    """(a, b, k): a numerator and a divisor series of either lead and of
+    windows of their own lengths, signed coefficients, and up to three
+    zero numerators in b before its first nonzero one u0, an integer or
+    a Fraction; and a power k for b ** -k."""
+    coeffs = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.fractions(-50, 50, max_denominator=36))
+    u0 = draw(st.one_of(st.integers(-40, 40),
+                        st.fractions(-9, 9, max_denominator=12))
+              .filter(bool))
+    b = [0] * draw(st.integers(0, 3)) + [u0] + draw(st.lists(coeffs,
+                                                             max_size=12))
+    a = draw(st.lists(coeffs, min_size=1, max_size=14))
+    return (PowerSeries(a, lead=draw(st.integers(-4, 4))),
+            PowerSeries(b, lead=draw(st.integers(-4, 4))),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+@example((PowerSeries([5, -7, 3], lead=-2),
+          PowerSeries([0, 0, Fraction(3, 2), -1, 4, 2], lead=1), 2))
+@example((PowerSeries([1, 2, 3, 4, 5, 6], lead=3),
+          PowerSeries([-6, 1], lead=-1), 3))
+def test_division_matches_fraction_long_division(case):
+    a, b, k = case
+    quotient = a / b
+    assert (quotient.lead, quotient.coeffs) == long_division(a, b)
+    assert quotient.den > 0 and gcd(quotient.den, *quotient.nums) == 1
+    one = PowerSeries.constant(1, len(b.nums))
+    inv = b.inverse()
+    assert (inv.lead, inv.coeffs) == long_division(one, b)
+    power = one
+    for _ in range(k):
+        lead, coeffs = long_division(power, b)
+        power = PowerSeries(coeffs, lead=lead)
+    assert b ** -k == power
+    with pytest.raises(ZeroDivisionError):
+        a / PowerSeries([0] * len(b.nums), lead=b.lead)
 
 
 def test_pow_matches_repeated_multiplication():
