@@ -4,10 +4,10 @@ j-polynomial used as an independent validation oracle.
 Both chains start alike.  conjugate_series expands the distinguished
 root r_inf(q) and the conjugate generator R(x) with x = q^{1/ell}, for
 U, V, W and Ua just past x^(ell*(n_q - 1)), the last exponent a trace on
-the q-window [.., n_q) reads; power_sums traces R^1, R^2, ... over the ell cosets (the trace is
-arithmetic-progression extraction: root-of-unity sums vanish off
-multiples of ell, so no cyclotomic arithmetic is needed), which gives the
-power sums t_k of the ell conjugates.
+the q-window [.., n_q) reads; power_sums traces R^1, R^2, ... over the
+ell cosets (the trace is arithmetic-progression extraction: root-of-unity
+sums vanish off multiples of ell, so no cyclotomic arithmetic is needed),
+which gives the power sums t_k of the ell conjugates.
 
 U, V, W and Ua (_build_at) are monic in X with coefficients in
 Q[E4, E6], so the power sum p_k = t_k + r_inf^k of all ell + 1 roots is
@@ -35,15 +35,15 @@ PowerSeries forms a full product as one packed integer product when its
 numerators are narrow: up to ell = 47, that holds for every product of
 the chain of U, V, W and Ua but five, W's T^3 at ell = 5 and the giant
 squares of V7, W7, W11 and W13.  Those five, every power of Phi's j(x)
-and the convolved traces take dot products.  Every chain of powers (_powers)
-forms its even powers as squares, which PowerSeries multiplies with half
-the work.
+and the convolved traces take dot products.  Every chain of powers
+(_powers) forms its even powers as squares, which PowerSeries multiplies
+with half the work.
 
 match_to_form_basis divides p_k once by f = E4^a0 E6^b0, the basis
 element of its weight with no Delta, solves triangularly in the powers
 tau^i of tau = Delta/E4^3 = 1/j that every weight shares, and rewrites
-the result in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k in integers
-on e_k's own window.
+the result in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k
+in integers on e_k's own window.
 """
 
 from __future__ import annotations
@@ -257,10 +257,9 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
                 res[i:], _powers(ptau, i)[i].nums[i:end], strict=True)]
     if any(res):
         raise BasisMatchError("inconsistent basis system")
-    # 1728^top * sum of c_i f tau^i
-    #   = sum of c_i (1728 E4^3)^(top-i) (E4^3 - E6^2)^i E4^(a0-3top) E6^b0
-    # by Horner's rule from i = top down; nums[j] is the numerator of
-    # E4^(a0-3j) E6^(b0+2j)
+    # 1728^top * sum of c_i f tau^i is E4^(a0-3top) E6^b0 times
+    # sum of c_i (1728 E4^3)^(top-i) (E4^3 - E6^2)^i, by Horner's rule
+    # from i = top down; nums[j] is the numerator of E4^(a0-3j) E6^(b0+2j)
     nums = []
     for i in range(top, -1, -1):
         nums = [u - v for u, v in zip(nums + [0], [0] + nums)]
@@ -359,8 +358,8 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
     for k, (r_k, t_k) in enumerate(zip(_powers([None, r_inf], n)[1:],
                                        traces), 1):
         # p_k = r_inf^k + t_k.  With a positive lead (Ua) a sum's window
-        # runs past n_q, beyond the cached powers of E4 and E6; the Sturm
-        # window is all the match needs.
+        # can run past n_q, beyond the cached powers of 1/E4 and tau; the
+        # Sturm window is all the match needs.
         p_k = (r_k + t_k).truncate(n_q)
         sums.append(_Form(match_to_form_basis(p_k, w_x * k, powers)))
     terms = {(n, 0, 0): Fraction(1)}

@@ -264,7 +264,8 @@ class PowerSeries:
         first = other.effective_lead()
         if first is None:
             raise ZeroDivisionError("division by a zero series")
-        u = other.nums[first - other.lead:][:len(self.nums)]
+        # u cut to the quotient's window; an empty self raises there
+        u = other.nums[first - other.lead:][:self._product_window(other)]
         u0 = u[0]
         scaled = []
         p = 1

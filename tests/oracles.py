@@ -3,7 +3,9 @@
 Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
-checks; cm_vector has its own point arithmetic and finds no roots.
+checks; cm_vector has its own point arithmetic and finds no roots, and
+vanishes_at_cm_vector reads a polynomial at its vector from the terms,
+with only Ua's gcd from the library.
 long_division divides series by the schoolbook recurrence in Fractions.
 expand_delta_display is the reference inverse of the Delta display,
 which the store writes and never reads.  annihilates_at_cusp checks a
@@ -16,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, prod
 
+from ccrpoly.ffield import PrimeField, UniPoly
 from ccrpoly.qseries import PowerSeries, eisenstein_series
 from ccrpoly.trivariate import KINDS, TrivariatePoly
 
@@ -258,9 +261,8 @@ def vanishes_at_cm_vector(poly, disc: int) -> bool:
     Ua's root f is known only through f^12 = c, with
     c = -Delta (B*^2 + 4A*^3/27)/6912 and 1728 Delta = E4^3 - E6^2 (the
     relation atkin_b_star solves for B*), so Ua(X) must share a root with
-    X^12 - c.  poly is read from its
-    terms at E4 = -A/3, E6 = -B/2; only the gcd is the library's."""
-    from ccrpoly.ffield import PrimeField, UniPoly
+    X^12 - c.  poly is read from its terms at E4 = -A/3, E6 = -B/2; only
+    the gcd is the library's."""
     p, a, b, *root = cm_vector(disc, poly.ell)
     e4, e6 = fraction_mod(Fraction(-a, 3), p), fraction_mod(Fraction(-b, 2), p)
     coeffs = [0] * (poly.ell + 2)

@@ -297,9 +297,9 @@ class TestBasisMatch:
         assert match_to_form_basis(s, 2) == {(1, 0): 1}
 
     def test_e6_delta_over_e4_is_no_form(self):
-        # E6 Delta / E4 = E4^2 E6 tau, the weight-7 basis element f tau
-        # times tau: a q-series with integer coefficients, but E4's zero
-        # makes it no form.  At w = 7, tau^1 has no element
+        # E6 Delta / E4 = f tau with f = E4^2 E6, the weight-7 element
+        # with no Delta: a q-series with integer coefficients, but E4's
+        # zero makes it no form, and at w = 7 tau^1 has no element
         s = eisenstein_series(6, 12) * delta_series(12) \
             / eisenstein_series(4, 12)
         with pytest.raises(BasisMatchError):

@@ -112,6 +112,8 @@ def test_division_matches_fraction_long_division(case):
     assert b ** -k == power
     with pytest.raises(ZeroDivisionError):
         a / PowerSeries([0] * len(b.nums), lead=b.lead)
+    with pytest.raises(PrecisionError):
+        PowerSeries([], lead=a.lead) / b
 
 
 def test_pow_matches_repeated_multiplication():
