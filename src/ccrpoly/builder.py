@@ -12,8 +12,8 @@ which gives the power sums t_k of the ell conjugates.
 U, V, W and Ua (_build_at) are monic in X with coefficients in
 Q[E4, E6], so the power sum p_k = t_k + r_inf^k of all ell + 1 roots is
 a level-one form of weight 2wk (w the X-weight).  Each of p_1..p_(ell+1)
-is matched against the form basis E4^a E6^b of its weight, and Newton's
-identities run on the matched forms in Q[E4, E6] (_Form): their e_k are
+is matched against the form basis E4^a E6^b of its weight as integer
+rows (_Form), and Newton's identities run on those rows: their e_k are
 the coefficients up to sign, with no series product in Newton.
 
 Phi (build_classical_phi) keeps its chain in series, since its p_k
@@ -42,8 +42,8 @@ with half the work.
 match_to_form_basis divides p_k once by f = E4^a0 E6^b0, the basis
 element of its weight with no Delta, solves triangularly in the powers
 tau^i of tau = Delta/E4^3 = 1/j that every weight shares, and rewrites
-the result in E4^a E6^b.  _peel_j_powers peels the powers of j off e_k
-in integers on e_k's own window.
+the result as rows in E4^a E6^b.  _peel_j_powers peels the powers of j
+off e_k in integers on e_k's own window.
 """
 
 from __future__ import annotations
@@ -186,14 +186,13 @@ def power_sums(kind: str, ell: int, n_q: int, k_max: int) -> tuple:
     return r_inf, power_traces(big_r, ell, k_max)
 
 
-def form_basis_exponents(w: int) -> list:
-    """(a, b) with 2a + 3b = w, descending in a."""
-    out = []
-    for a in range(w // 2, -1, -1):
-        r = w - 2 * a
-        if r % 3 == 0:
-            out.append((a, r // 3))
-    return out
+def _weight_rows(w: int) -> tuple:
+    """(a0, b0, rows) for weight w >= 0: every E4^a E6^b with 2a + 3b = w
+    is E4^(a0-3j) E6^(b0+2j) for one j in range(rows), with b0 = w mod 2
+    and a0 = (w - 3b0)/2; w = 1 has a0 = -1 and no row."""
+    b0 = w % 2
+    a0 = (w - 3 * b0) // 2
+    return a0, b0, a0 // 3 + 1
 
 
 def _form_powers(end: int) -> tuple:
@@ -208,29 +207,27 @@ def _form_powers(end: int) -> tuple:
             [one, delta_series(end) * e4inv ** 3])
 
 
-def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
-    """Write the q-series s exactly as sum of c_{a,b} E4^a E6^b over
-    2a + 3b = w; every known coefficient is verified.  {} for the zero
-    series.  Raises PrecisionError when s is known to fewer than the
-    w//6 + 1 coefficients of Sturm's bound for weight 2w, and
-    BasisMatchError when s has a pole or is no such sum.
+def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> "_Form":
+    """The q-series s exactly as the weight-w _Form, sum of c_{a,b}
+    E4^a E6^b over 2a + 3b = w; every known coefficient is verified.
+    Raises PrecisionError when s is known to fewer than the w//6 + 1
+    coefficients of Sturm's bound for weight 2w, and BasisMatchError when
+    s has a pole or is no such sum.
 
-    Every b has w's parity, so the solve runs in the basis
-    Delta^i E4^(a0-3i) E6^b0 = f tau^i, i = 0..a0//3, with b0 = w mod 2,
-    a0 = (w - 3b0)/2, f = E4^a0 E6^b0 and tau = Delta/E4^3, which starts
-    with 1*q.  s is multiplied once by 1/f; then for i = 0, 1, ... the
-    q^i coefficient of the integer residual is the multiple of tau^i,
-    which is subtracted, and the residual must vanish on the whole
-    window.  The multiples are rewritten in E4^a E6^b by Horner's rule in
-    Delta = (E4^3 - E6^2)/1728 and divided by s.den.  The powers come
-    from ``powers`` (see _form_powers), whose window must cover s's, or
-    from a fresh triple."""
-    exps = form_basis_exponents(w)
+    The solve runs in the basis Delta^i E4^(a0-3i) E6^b0 = f tau^i for
+    i < rows (_weight_rows), f = E4^a0 E6^b0, tau = Delta/E4^3 = q + ...:
+    s is multiplied once by 1/f; then for i = 0, 1, ... the q^i
+    coefficient of the integer residual is the multiple of tau^i, which is
+    subtracted, and the residual must vanish on the whole window.  Horner's
+    rule in Delta = (E4^3 - E6^2)/1728 turns the multiples into the rows,
+    over 1728^(rows-1) * s.den.  The powers come from ``powers`` (see
+    _form_powers), whose window must cover s's, or from a fresh triple."""
+    a0, b0, rows = _weight_rows(w)
     end = s.end
-    if not exps:
+    if a0 < 0:
         if not s.is_zero():
             raise BasisMatchError(f"nonzero series but empty weight-{w} basis")
-        return {}
+        return _Form(w, [], 1)
     sturm = w // 6 + 1
     # s and its fit are weight-2w forms: by Sturm, exact rows prove s == fit
     if end < sturm:
@@ -239,9 +236,6 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     if any(s.nums[:below]):
         raise BasisMatchError("pole in a series matched to E4E6 forms")
     p4inv, e6inv, ptau = powers or _form_powers(end)
-    b0 = w % 2
-    a0 = (w - 3 * b0) // 2
-    top = a0 // 3
     f_inv = _powers(p4inv, a0)[a0]
     if b0:
         f_inv = f_inv * e6inv
@@ -249,7 +243,7 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
     res = (PowerSeries.from_numerators([0] * s.lead + s.nums[below:])
            * f_inv).nums
     mult = []
-    for i in range(top + 1):
+    for i in range(rows):
         c = res[i]
         mult.append(c)
         if c:
@@ -257,49 +251,41 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> dict:
                 res[i:], _powers(ptau, i)[i].nums[i:end], strict=True)]
     if any(res):
         raise BasisMatchError("inconsistent basis system")
-    # 1728^top * sum of c_i f tau^i is E4^(a0-3top) E6^b0 times
-    # sum of c_i (1728 E4^3)^(top-i) (E4^3 - E6^2)^i, by Horner's rule
-    # from i = top down; nums[j] is the numerator of E4^(a0-3j) E6^(b0+2j)
+    # with t = rows - 1, 1728^t * sum of c_i f tau^i is E4^(a0-3t) E6^b0
+    # times sum of c_i (1728 E4^3)^(t-i) (E4^3 - E6^2)^i, by Horner's rule
+    # from i = t down; nums[j] is row j's numerator
     nums = []
-    for i in range(top, -1, -1):
+    for i in reversed(range(rows)):
         nums = [u - v for u, v in zip(nums + [0], [0] + nums)]
-        nums[0] += mult[i] * 1728 ** (top - i)
-    den = 1728 ** top * s.den
-    return {(a0 - 3 * j, b0 + 2 * j): Fraction(v, den)
-            for j, v in enumerate(nums) if v}
+        nums[0] += mult[i] * 1728 ** (rows - 1 - i)
+    return _Form(w, nums, 1728 ** (rows - 1) * s.den)
 
 
 class _Form:
-    """An element of Q[E4, E6] as integer numerators keyed by (a, b), the
-    exponents of E4^a E6^b, over one positive denominator, with only the
-    arithmetic _newton_elementary takes: +, -, and * by a form or a
-    scalar.  Sums and products are left unreduced.  A scalar product
-    brings its result into canonical form, as a PowerSeries is kept:
-    gcd(den, *nums) == 1 and no zero numerator, so zero is {} over 1.
-    Newton ends each e_k with one, so every e_k it gives is canonical."""
+    """A weight-w form in Q[E4, E6] as rows: nums[j]/den, den > 0, is the
+    coefficient of E4^(a0-3j) E6^(b0+2j), (a0, b0, len(nums)) being
+    _weight_rows(w).  Only Newton's arithmetic: + and - row by row at one
+    weight, * by a form (the rows convolved) or by a scalar.  Only the
+    scalar product reduces, to gcd(den, *nums) == 1 (zero is all zeros
+    over 1), and Newton ends each e_k with one, so every e_k is canonical."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("w", "nums", "den")
 
-    def __init__(self, coeffs: dict):
-        """sum of c * E4^a E6^b over {(a, b): c}, c rational; the lcm of
-        the reduced denominators is coprime to the numerators."""
-        den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
-        self.nums = {ab: int(c * den) for ab, c in coeffs.items() if c}
-        self.den = den
+    def __init__(self, w: int, nums: list, den: int):
+        self.w, self.nums, self.den = w, nums, den
 
-    @staticmethod
-    def _of(nums: dict, den: int) -> "_Form":
-        out = _Form.__new__(_Form)
-        out.nums, out.den = nums, den
-        return out
+    def items(self):
+        """((a, b), c) for each nonzero coefficient c of E4^a E6^b, as a
+        Fraction, in descending a."""
+        a0, b0, _ = _weight_rows(self.w)
+        return [((a0 - 3 * j, b0 + 2 * j), Fraction(v, self.den))
+                for j, v in enumerate(self.nums) if v]
 
     def _plus(self, other: "_Form", sign: int) -> "_Form":
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        nums = {ab: v * fa for ab, v in self.nums.items()}
-        for ab, v in other.nums.items():
-            nums[ab] = nums.get(ab, 0) + v * fb
-        return _Form._of(nums, den)
+        return _Form(self.w, [u * fa + v * fb for u, v in zip(
+            self.nums, other.nums, strict=True)], den)
 
     def __add__(self, other: "_Form") -> "_Form":
         return self._plus(other, 1)
@@ -309,24 +295,26 @@ class _Form:
 
     def __mul__(self, other) -> "_Form":
         if isinstance(other, _Form):
-            nums = {}
-            for (a, b), u in self.nums.items():
-                for (c, d), v in other.nums.items():
-                    key = (a + c, b + d)
-                    nums[key] = nums.get(key, 0) + u * v
-            return _Form._of(nums, self.den * other.den)
+            w = self.w + other.w
+            # rows j and l meet at row j + l, or one row up when both
+            # weights are odd: E6 * E6 is the next row's E6^2
+            shift = self.w & other.w & 1
+            nums = [0] * _weight_rows(w)[2]
+            for j, u in enumerate(self.nums, shift):
+                for l, v in enumerate(other.nums, j):
+                    nums[l] += u * v
+            return _Form(w, nums, self.den * other.den)
         c = Fraction(other)
-        nums = {ab: v * c.numerator for ab, v in self.nums.items()}
+        nums = [v * c.numerator for v in self.nums]
         den = self.den * c.denominator
-        g = gcd(den, *nums.values())
-        return _Form._of({ab: v // g for ab, v in nums.items() if v},
-                         den // g)
+        g = gcd(den, *nums)
+        return _Form(self.w, [v // g for v in nums], den // g)
 
 
 def _newton_elementary(sums: list, e0) -> list:
     """e_1..e_n from the power sums s_1..s_n by Newton's identities,
     k*e_k = sum over i = 1..k of (-1)^(i-1) * e_(k-i) * s_i, exact over Q;
-    e0 is e_0 = 1 in the sums' ring, series or _Form."""
+    e0 is e_0 = 1 in the sums' ring: a series, or _Form(0, [1], 1)."""
     e = [e0]
     for k in range(1, len(sums) + 1):
         acc = e[k - 1] * sums[0]
@@ -361,13 +349,12 @@ def _build_at(kind: str, ell: int, n_q: int) -> TrivariatePoly:
         # can run past n_q, beyond the cached powers of 1/E4 and tau; the
         # Sturm window is all the match needs.
         p_k = (r_k + t_k).truncate(n_q)
-        sums.append(_Form(match_to_form_basis(p_k, w_x * k, powers)))
+        sums.append(match_to_form_basis(p_k, w_x * k, powers))
     terms = {(n, 0, 0): Fraction(1)}
-    one = _Form({(0, 0): 1})
-    for k, e_k in enumerate(_newton_elementary(sums, one), 1):
+    for k, e_k in enumerate(_newton_elementary(sums, _Form(0, [1], 1)), 1):
         # the coefficient of X^(n-k) is (-1)^k e_k
-        for (a, b), v in e_k.nums.items():
-            terms[(n - k, a, b)] = Fraction(-v if k % 2 else v, e_k.den)
+        for (a, b), c in e_k.items():
+            terms[(n - k, a, b)] = -c if k % 2 else c
     return TrivariatePoly(kind, ell, terms).validate()
 
 

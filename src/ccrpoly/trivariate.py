@@ -264,8 +264,10 @@ def poly_to_text(obj, basis: str | None = None) -> str:
 
 
 # a header and a term line in the writer's form; digits only, so no other
-# number form reaches int or Fraction
-_HEADER = re.compile(r"CCR kind=(\S+) ell=(0|[1-9][0-9]*) basis=(\S+)")
+# number form reaches int or Fraction.  A level has at most 9 digits, far
+# past any the package builds, so no interpreter's digit limit on int()
+# is reached outside the reader's error mapping
+_HEADER = re.compile(r"CCR kind=(\S+) ell=(0|[1-9][0-9]{0,8}) basis=(\S+)")
 _TERM = re.compile(r"([0-9]+ ){3}-?[0-9]+(/[0-9]+)?")
 
 

@@ -1,0 +1,151 @@
+"""The standing mutation gate: each mutant breaks the package in one
+place, and the tests it names must then fail.
+
+Run from anywhere, with pytest and Hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the script copies src/ to a temporary directory, replaces
+the mutant's snippet, which must occur exactly once in its file, and runs
+pytest on the mutant's targets with that copy in place of src/ (pytest's
+``pythonpath`` setting and PYTHONPATH both point at it).  A mutant is
+killed when every target reports a failure; a target that passes, or a
+run that ends in a collection or usage error, lets it survive.  First, all
+targets run once on an unmutated copy and must pass, so that a test that
+already fails kills nothing.  The script prints one line per mutant and
+exits 1 when a mutant survives or a snippet does not occur once.
+
+KNOWN_SURVIVORS names what no test kills yet, each with the ROADMAP item
+that is to kill it; the script lists them and runs none.  pytest does not
+collect this file, which is no test_*.py.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+REPO = Path(__file__).resolve().parents[1]
+
+BUILDER = "src/ccrpoly/builder.py"
+
+# name: (file, snippet, replacement, target node IDs that must fail)
+MUTANTS = {
+    # a product of two odd-weight forms left on row j + l: E6 * E6 is the
+    # next row's E6^2
+    "odd_times_odd_one_row_low": (
+        BUILDER, "shift = self.w & other.w & 1", "shift = 0",
+        ["tests/test_builder.py::test_form_product_matches_dict_product",
+         "tests/test_builder.py::test_store_text_matches_reference"]),
+    # every term read as if its weight were even
+    "items_reads_b0_as_0": (
+        BUILDER, "((a0 - 3 * j, b0 + 2 * j), Fraction(v, self.den))",
+        "((a0 - 3 * j, 2 * j), Fraction(v, self.den))",
+        ["tests/test_builder.py::test_rows_list_each_exponent_once",
+         "tests/test_builder.py::test_store_text_matches_reference"]),
+    # Horner's rule scales the rows by 1728^(rows-1); dropping it from the
+    # denominator multiplies every form with two rows or more
+    "match_den_without_1728_power": (
+        BUILDER, "return _Form(w, nums, 1728 ** (rows - 1) * s.den)",
+        "return _Form(w, nums, s.den)",
+        ["tests/test_builder.py::TestBasisMatch::"
+         "test_delta_matches_cusp_form",
+         "tests/test_qseries.py::"
+         "test_match_to_form_basis_matches_fraction_gauss_jordan"]),
+    # the binomial sum's i = 0 term: Tr(T^0) = ell at q^0
+    "trace_of_t0_is_zero": (
+        BUILDER, "rows[0][-base] = ell", "rows[0][-base] = 0",
+        ["tests/test_builder.py::TestPowerTraces::"
+         "test_shared_factor_off_the_constant_term"]),
+    # den^k Tr(R^k) is the binomial sum, so Tr(R^k) is over den^k
+    "trace_den_power_is_one": (
+        BUILDER, "big_r.den ** k,", "1,",
+        ["tests/test_builder.py::TestPowerTraces::"
+         "test_shared_factor_off_the_constant_term"]),
+    # the x-window one slot short of x^(ell*(n_q - 1))
+    "x_window_one_slot_short": (
+        BUILDER, "n_x = ell * (n_q - 1) + 1", "n_x = ell * (n_q - 1)",
+        ["tests/test_builder.py::TestPowerSums::"
+         "test_first_sum_vanishes_for_sigma_kind",
+         "tests/test_builder.py::TestPowerSums::test_second_sum_is_120_e4"]),
+}
+
+# name: (what the mutant does, the ROADMAP item that is to kill it)
+KNOWN_SURVIVORS = {
+    "store_term_deleted": (
+        "one non-leading term line deleted from a cached U_13_E4E6.txt: "
+        "the reader and validate() accept it, and a step can report a "
+        "false Atkin prime", "ROADMAP item 1"),
+}
+
+
+def _pytest(src: Path, work: Path, targets: list) -> tuple:
+    """(exit code, output) of pytest on targets, with src as the
+    package's source and work as the working directory."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         "--rootdir", str(REPO), "-c", str(REPO / "pyproject.toml"),
+         "-o", f"pythonpath={src}", *(str(REPO / t) for t in targets)],
+        cwd=work, env=env, capture_output=True, encoding="utf-8")
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _failed(output: str, target: str) -> bool:
+    """Whether pytest's summary names a failure at or under target; it
+    writes the node IDs relative to the working directory."""
+    return any(re.match(rf"FAILED (\S*/)?{re.escape(target)}(\W|$)", line)
+               for line in output.splitlines())
+
+
+def run(names: list) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        src = work / "src"
+        targets = sorted({t for n in names for t in MUTANTS[n][3]})
+        shutil.copytree(REPO / "src", src)
+        start = perf_counter()
+        code, out = _pytest(src, work, targets)
+        if code:
+            print(out)
+            print(f"targets fail on the unmutated source (exit {code})")
+            return 1
+        print(f"baseline: {len(targets)} targets pass "
+              f"({perf_counter() - start:.1f} s)")
+        survivors = 0
+        for name in names:
+            path, old, new, wants = MUTANTS[name]
+            text = (REPO / path).read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{name}: snippet occurs {text.count(old)} times "
+                      f"in {path}")
+                survivors += 1
+                continue
+            shutil.rmtree(src)
+            shutil.copytree(REPO / "src", src)
+            (work / path).write_text(text.replace(old, new), encoding="utf-8")
+            start = perf_counter()
+            code, out = _pytest(src, work, wants)
+            alive = [t for t in wants if not _failed(out, t)]
+            killed = code == 1 and not alive
+            survivors += not killed
+            print(f"{name}: {'killed' if killed else 'SURVIVED'} "
+                  f"({perf_counter() - start:.1f} s)")
+            if not killed:
+                print(f"  exit {code}; not failed: {', '.join(alive)}")
+    for name, (what, item) in KNOWN_SURVIVORS.items():
+        print(f"{name}: known survivor, not run ({item}): {what}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:] or list(MUTANTS)))

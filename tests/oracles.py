@@ -8,7 +8,9 @@ vanishes_at_cm_vector reads a polynomial at its vector from the terms,
 with only Ua's gcd from the library.
 long_division divides series by the schoolbook recurrence in Fractions.
 expand_delta_display is the reference inverse of the Delta display,
-which the store writes and never reads.  annihilates_at_cusp checks a
+which the store writes and never reads.  form_basis_exponents lists the
+E4^a E6^b of a weight by search, the reference for the builder's form
+rows.  annihilates_at_cusp checks a
 built polynomial, not the series core: it multiplies q-series, but takes
 the root at the cusp from its definition and none of the builder's power
 sums, matching or Newton steps.
@@ -37,6 +39,16 @@ def evaluate(poly, *point):
 
     return sum((prod((power(k, e) for k, e in enumerate(key) if e), start=c)
                 for key, c in poly.terms.items()), 0)
+
+
+def form_basis_exponents(w: int) -> list:
+    """(a, b) with 2a + 3b = w, descending in a."""
+    out = []
+    for a in range(w // 2, -1, -1):
+        r = w - 2 * a
+        if r % 3 == 0:
+            out.append((a, r // 3))
+    return out
 
 
 def long_division(a, b) -> tuple:

@@ -11,20 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccrpoly import builder
 from ccrpoly.builder import (_build_at, build, build_classical_phi,
-                             conjugate_series, form_basis_exponents,
-                             match_to_form_basis, power_sums)
+                             conjugate_series, match_to_form_basis,
+                             power_sums)
 from ccrpoly.errors import BasisMatchError, BuildError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
-from oracles import (annihilates_at_cusp, evaluate, vanishes_at_cm_vector,
-                     zero_through)
+from oracles import (annihilates_at_cusp, evaluate, form_basis_exponents,
+                     vanishes_at_cm_vector, zero_through)
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
          (1, 1, 1): -128, (0, 0, 2): -80}
@@ -187,6 +187,18 @@ def form_product(f, g):
     return out
 
 
+def row_form(w, coeffs):
+    """The _Form of weight w with coefficients {(a, b): c}, in canonical
+    form: rows in the oracle's order, over the lcm of the denominators."""
+    cs = [Fraction(coeffs.get(ab, 0)) for ab in form_basis_exponents(w)]
+    den = math.lcm(*(c.denominator for c in cs))
+    return builder._Form(w, [int(c * den) for c in cs], den)
+
+
+def form_dict(form):
+    return dict(form.items())
+
+
 def form_sum(*fs):
     out = {}
     for f in fs:
@@ -195,25 +207,57 @@ def form_sum(*fs):
     return out
 
 
+form_coeffs = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-99, max_value=99,
+                                    max_denominator=60))
+
+
+@st.composite
+def weighted_forms(draw, weights):
+    """(w, {(a, b): Fraction}): a form of a weight drawn from weights."""
+    w = draw(weights)
+    return w, {ab: draw(form_coeffs) for ab in form_basis_exponents(w)}
+
+
 @st.composite
 def weighted_elementary(draw):
-    """e_1..e_n with e_k a weight-2wk form, as {(a, b): Fraction}
+    """(w, [e_1..e_n]) with e_k a weight-2wk form, as {(a, b): Fraction}
     dicts."""
     w, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    coeff = st.one_of(st.just(Fraction(0)),
-                      st.fractions(min_value=-99, max_value=99,
-                                   max_denominator=60))
-    return [{ab: draw(coeff) for ab in form_basis_exponents(w * k)}
-            for k in range(1, n + 1)]
+    return w, [{ab: draw(form_coeffs) for ab in form_basis_exponents(w * k)}
+               for k in range(1, n + 1)]
+
+
+def test_rows_list_each_exponent_once():
+    # a form with every row 1 lists each E4^a E6^b of its weight once
+    for w in range(61):
+        rows = builder._weight_rows(w)[2]
+        form = builder._Form(w, [1] * rows, 1)
+        assert [ab for ab, _ in form.items()] == form_basis_exponents(w), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_forms(st.integers(0, 20)), weighted_forms(st.integers(0, 20)))
+@example((7, {(2, 1): Fraction(3)}), (9, {(3, 1): Fraction(1, 2),
+                                          (0, 3): Fraction(-5)}))
+def test_form_product_matches_dict_product(f, g):
+    # convolved rows, odd times odd one row up, are the product of the
+    # coefficient dicts
+    product = row_form(*f) * row_form(*g)
+    assert product.w == f[0] + g[0]
+    assert len(product.nums) == len(form_basis_exponents(product.w))
+    assert form_dict(product) == \
+        {ab: c for ab, c in form_product(f[1], g[1]).items() if c}
 
 
 @settings(max_examples=100, deadline=None)
 @given(weighted_elementary())
-def test_newton_on_forms_inverts_girard(elem):
+def test_newton_on_forms_inverts_girard(case):
     # Girard's identities take e_1..e_n to the power sums,
     # p_k = sum over i < k of (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k;
-    # Newton on the power sums as _Forms must give each e_k back in
-    # canonical form: the lcm of its reduced denominators, and no zero
+    # Newton on the power sums as row _Forms must give each e_k back in
+    # canonical form: its rows over the lcm of its reduced denominators
+    w, elem = case
     sums = []
     for k, e_k in enumerate(elem, 1):
         terms = [{ab: (-1) ** (k - 1) * k * c for ab, c in e_k.items()}]
@@ -221,12 +265,12 @@ def test_newton_on_forms_inverts_girard(elem):
             term = form_product(elem[i - 1], sums[k - i - 1])
             terms.append({ab: (-1) ** (i - 1) * c for ab, c in term.items()})
         sums.append(form_sum(*terms))
-    got = builder._newton_elementary([builder._Form(p) for p in sums],
-                                     builder._Form({(0, 0): 1}))
-    for e_k, form in zip(elem, got, strict=True):
-        den = math.lcm(*(c.denominator for c in e_k.values()))
-        assert (form.nums, form.den) == \
-            ({ab: int(c * den) for ab, c in e_k.items() if c}, den)
+    got = builder._newton_elementary(
+        [row_form(w * k, p) for k, p in enumerate(sums, 1)],
+        row_form(0, {(0, 0): 1}))
+    for k, (e_k, form) in enumerate(zip(elem, got, strict=True), 1):
+        want = row_form(w * k, e_k)
+        assert (form.w, form.nums, form.den) == (want.w, want.nums, want.den)
 
 
 def same_on_common_window(a, b):
@@ -273,12 +317,14 @@ class TestBasisMatch:
 
     def test_delta_matches_cusp_form(self):
         s = delta_series(12) * 1728
-        assert match_to_form_basis(s, 6) == {(3, 0): 1, (0, 2): -1}
+        assert form_dict(match_to_form_basis(s, 6)) == {(3, 0): 1, (0, 2): -1}
 
     def test_zero_series_empty_result(self):
         z = PowerSeries([0] * 12)
-        assert match_to_form_basis(z, 6) == {}
-        assert match_to_form_basis(z, 1) == {}
+        assert form_dict(match_to_form_basis(z, 6)) == {}
+        # w = 1 has no E4^a E6^b: the zero series is the form with no row
+        empty = match_to_form_basis(z, 1)
+        assert (empty.w, empty.nums) == (1, [])
 
     def test_unmatchable_series_raises(self):
         # q is not a weight-4 Eisenstein multiple
@@ -294,7 +340,7 @@ class TestBasisMatch:
 
     def test_zeros_below_q0_are_no_pole(self):
         s = PowerSeries([0, 0] + eisenstein_series(4, 8).coeffs, lead=-2)
-        assert match_to_form_basis(s, 2) == {(1, 0): 1}
+        assert form_dict(match_to_form_basis(s, 2)) == {(1, 0): 1}
 
     def test_e6_delta_over_e4_is_no_form(self):
         # E6 Delta / E4 = f tau with f = E4^2 E6, the weight-7 element
@@ -320,8 +366,8 @@ class TestBasisMatch:
         f = PowerSeries([0] * sturm)
         for k, (a, b) in enumerate(exps, 1):
             f = f + (e4 ** a) * (e6 ** b) * k
-        assert match_to_form_basis(f, w) == {ab: k for k, ab
-                                             in enumerate(exps, 1)}
+        assert form_dict(match_to_form_basis(f, w)) == \
+            {ab: k for k, ab in enumerate(exps, 1)}
         with pytest.raises(PrecisionError):
             match_to_form_basis(f.truncate(sturm - 1), w)
 

@@ -320,6 +320,11 @@ class TestStoreErrors:
         "header_level_leading_zero": (
             "U_5_E4E6.txt", ELKIES_ARGS, _sub("ell=5", "ell=05"),
             "malformed store header 'CCR kind=U ell=05 basis=E4E6'\n"),
+        # 5000 digits pass Python 3.11's int() limit of 4300; the level's
+        # digit bound makes that a store error on every version
+        "header_level_too_long": (
+            "U_5_E4E6.txt", ELKIES_ARGS, _sub("ell=5", "ell=" + "9" * 5000),
+            "malformed store header 'CCR kind=U ell=999"),
         "leading_blank_line": (
             "U_5_E4E6.txt", ELKIES_ARGS, _sub("CCR", "\nCCR"),
             "malformed store header ''\n"),

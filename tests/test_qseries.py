@@ -15,7 +15,8 @@ from ccrpoly.errors import BasisMatchError, PrecisionError
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              eta_squared_product, expand, fn_series, j_series,
                              sigma1_series)
-from oracles import eta_squared_loop, long_division, ref_qdiff, zero_through
+from oracles import (eta_squared_loop, form_basis_exponents, long_division,
+                     ref_qdiff, zero_through)
 
 
 def geometric(precision):
@@ -673,8 +674,8 @@ def reference_gauss_jordan(rows, rhs, m):
 def weighted_forms(draw):
     """(w, drawn c_ab, window end): a weight with a nonempty E4E6 basis,
     rational coefficients for it, and Sturm to Sturm + 4 known rows."""
-    w = draw(st.integers(0, 30).filter(builder.form_basis_exponents))
-    exps = builder.form_basis_exponents(w)
+    w = draw(st.integers(0, 30).filter(form_basis_exponents))
+    exps = form_basis_exponents(w)
     cs = draw(st.lists(st.one_of(st.just(0), scalars),
                        min_size=len(exps), max_size=len(exps)))
     end = w // 6 + 1 + draw(st.integers(0, 4))
@@ -695,7 +696,7 @@ def test_match_to_form_basis_matches_fraction_gauss_jordan(form, data):
     rows = [[f.nums[n] for f in monomials] for n in range(end)]
     oracle = reference_gauss_jordan(rows, s.coeffs, len(exps))
     assert {ab: c for ab, c in zip(exps, oracle) if c} == expected
-    assert builder.match_to_form_basis(s, w) == expected
+    assert dict(builder.match_to_form_basis(s, w).items()) == expected
     # the first len(exps) rows fix the fit; every later one is checked
     if end > len(exps):
         row = data.draw(st.integers(len(exps), end - 1))
