@@ -52,6 +52,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
+from .certify import check_at_cm_vectors
 from .errors import BasisMatchError, BuildError, PrecisionError
 from .qseries import PowerSeries, delta_series, eisenstein_series, \
     eta_squared_product, fn_series, j_series, sigma1_series
@@ -367,16 +368,19 @@ def build(kind: str, ell: int):
     weight 2wk (w the X-weight), and Sturm's bound fixes it by
     floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
     rows to spare.  The coefficients are exact, so a matching failure is
-    a fault, not a precision shortfall, and is not retried."""
+    a fault, not a precision shortfall, and is not retried.  The result
+    is certified at the CM vectors (check_at_cm_vectors), where a wrong
+    polynomial is a BuildError."""
     w_x = check_kind(kind, ell).x_weight
     if not w_x:
         # a weight-0 root is a value of j: its e_k are polynomials in j
         return build_classical_phi(ell)
     n_q = w_x * (ell + 1) // 6 + 4
     try:
-        return _build_at(kind, ell, n_q)
+        poly = _build_at(kind, ell, n_q)
     except (BasisMatchError, PrecisionError) as exc:
         raise BuildError(f"{kind}_{ell}: matching failed") from exc
+    return check_at_cm_vectors(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -433,4 +437,4 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
         # the coefficient of X^(n-k) is (-1)^k e_k
         for m, c in _peel_j_powers(e_k, jpow, ell, k).items():
             terms[(n - k, m)] = -c if k % 2 else c
-    return ClassicalModularPoly(ell, terms).validate()
+    return check_at_cm_vectors(ClassicalModularPoly(ell, terms).validate())

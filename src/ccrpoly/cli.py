@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 
+from .certify import check_at_cm_vectors
 from .errors import (BuildError, CCRError, SingularCurve, StoreError,
                      VerificationError)
 from .ffield import CurveParams, PrimeField, is_probable_prime
@@ -91,7 +92,9 @@ def load_or_build(kind: str, ell: int, directory: str,
                 raise StoreError(f"holds kind={found.kind} ell={found.ell} "
                                  f"basis={found.basis}, not the requested "
                                  f"kind={kind} ell={ell} basis={basis}")
-            return found.validate()
+            # a build checks both CM vectors; a read checks D = -7 alone,
+            # which refuses every single-term deletion the tests make
+            return check_at_cm_vectors(found.validate(), (-7,))
         except (StoreError, BuildError) as exc:
             raise StoreError(f"{path}: {exc}") from None
     poly = _build_poly(kind, ell)

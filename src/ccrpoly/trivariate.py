@@ -35,14 +35,17 @@ PHI_ELLS = (2, 3, 5, 7, 11, 13)
 #             integral in the AB basis (Phi's are integers)
 #   mod12     the residue mod 12 the level must have, or None
 #   ells      the levels, or () for every odd prime > 3
-Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells")
+#   root      (value, e): the polynomial has a root whose e-th power is
+#             that value of certify.CMVector; Ua's root f is known only
+#             through f^12
+Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells root")
 KINDS = {
-    "U": Kind(1, ("E4E6", "AB"), 3, False, None, ()),
-    "V": Kind(2, ("E4E6", "AB"), 3, False, None, ()),
-    "W": Kind(3, ("E4E6", "AB"), 3, False, None, ()),
+    "U": Kind(1, ("E4E6", "AB"), 3, False, None, (), ("sigma", 1)),
+    "V": Kind(2, ("E4E6", "AB"), 3, False, None, (), ("a_star", 1)),
+    "W": Kind(3, ("E4E6", "AB"), 3, False, None, (), ("b_star", 1)),
     # the eta product's coefficients are printed over powers of Delta
-    "Ua": Kind(1, ("E4E6", "AB", "Delta"), 3, True, 11, ()),
-    "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS),
+    "Ua": Kind(1, ("E4E6", "AB", "Delta"), 3, True, 11, (), ("f12", 12)),
+    "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS, ("j_star", 1)),
 }
 
 

@@ -33,6 +33,7 @@ from time import perf_counter
 REPO = Path(__file__).resolve().parents[1]
 
 BUILDER = "src/ccrpoly/builder.py"
+CLI = "src/ccrpoly/cli.py"
 
 # name: (file, snippet, replacement, target node IDs that must fail)
 MUTANTS = {
@@ -73,15 +74,17 @@ MUTANTS = {
         ["tests/test_builder.py::TestPowerSums::"
          "test_first_sum_vanishes_for_sigma_kind",
          "tests/test_builder.py::TestPowerSums::test_second_sum_is_120_e4"]),
+    # the store read without its check at the CM vector: a U13 store with
+    # one term line deleted passes validate(), and the step then reports
+    # a false Atkin prime on some curves
+    "read_check_dropped": (
+        CLI, "return check_at_cm_vectors(found.validate(), (-7,))",
+        "return found.validate()",
+        ["tests/test_cli.py::TestDeletedTermLine::test_each_line_of_u13"]),
 }
 
 # name: (what the mutant does, the ROADMAP item that is to kill it)
-KNOWN_SURVIVORS = {
-    "store_term_deleted": (
-        "one non-leading term line deleted from a cached U_13_E4E6.txt: "
-        "the reader and validate() accept it, and a step can report a "
-        "false Atkin prime", "ROADMAP item 1"),
-}
+KNOWN_SURVIVORS = {}
 
 
 def _pytest(src: Path, work: Path, targets: list) -> tuple:

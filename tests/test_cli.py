@@ -1,11 +1,14 @@
 """Exit codes and report text of the command-line front end."""
 
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import resource
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +22,7 @@ from ccrpoly import cli, isogeny, symbolic
 from ccrpoly.errors import (BuildError, DegeneratePoint, StoreError,
                             VerificationError)
 from ccrpoly.qseries import _FORM_NAMES, eisenstein_series
+from ccrpoly.trivariate import poly_to_text
 
 ELKIES_ARGS = ["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell", "5"]
 ATKIN_ARGS = ["atkin", "--p", "1009", "--a", "1", "--b", "3", "--ell", "11"]
@@ -364,6 +368,13 @@ class TestStoreErrors:
         "oversize_number": (
             "U_5_E4E6.txt", ELKIES_ARGS,
             _sub(" -60\n", " -" + "1" * 5000 + "\n"), ""),
+        # under int's 4300-digit limit, and a multiple of 3, so it parses
+        # and passes validate() on every version: the read check at the
+        # CM vector refuses it
+        "oversize_number_that_parses": (
+            "U_5_E4E6.txt", ELKIES_ARGS,
+            _sub(" -60\n", " -" + "3" * 4000 + "\n"),
+            "U_5: no root at the D = -7 CM vector\n"),
         # the displays build --basis writes are never read
         "ab_file_at_cache_path": (
             "U_5_E4E6.txt", ELKIES_ARGS, _written_by_build("U", 5, "AB"),
@@ -512,6 +523,88 @@ class TestStoreErrors:
         assert os.listdir(tmp_path) == ["plain-file"]
 
 
+def seeded_curves(p: int, count: int, seed: int) -> list:
+    """count nonsingular curves (a, b) over F_p drawn from one seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a ** 3 + 27 * b * b) % p:
+            out.append((a, b))
+    return out
+
+
+class TestDeletedTermLine:
+    """A store with one term line deleted parses and passes validate(),
+    and a step on it once answered wrongly: at p = 10007, U13 without one
+    line printed "Atkin prime: no roots" (exit 1) on curves where the
+    intact store finds roots.  The read check at the D = -7 CM vector
+    refuses every such store, whatever the curve."""
+
+    CURVES = seeded_curves(10007, 40, seed=13)
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory, u13, v13, w13, phi13, ua11):
+        directory = tmp_path_factory.mktemp("intact")
+        for poly in (u13, v13, w13, phi13, ua11):
+            path = cli._store_path(str(directory), poly.kind, poly.ell,
+                                   poly.basis)
+            Path(path).write_text(poly_to_text(poly))
+        return directory
+
+    def exits(self, store, tmp_path, name, index, command, ell):
+        """{exit code: count} and the last lines of the command on every
+        curve, with line ``index`` of the store file ``name`` deleted."""
+        directory = tmp_path / f"{name}-{index}"
+        shutil.copytree(store, directory)
+        path = directory / name
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[index]
+        path.write_text("".join(lines))
+        codes, last = collections.Counter(), set()
+        for a, b in self.CURVES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes[cli.main([command, "--p", "10007", "--a", str(a),
+                                "--b", str(b), "--ell", str(ell),
+                                "--poly-dir", str(directory)])] += 1
+            last.add(out.getvalue().splitlines()[-1])
+        return dict(codes), last
+
+    def test_each_line_of_u13(self, store, tmp_path):
+        count = len((store / "U_13_E4E6.txt").read_text().splitlines())
+        for index in range(2, count):
+            codes, last = self.exits(store, tmp_path, "U_13_E4E6.txt", index,
+                                     "elkies", 13)
+            assert codes == {3: len(self.CURVES)}, index
+            path = tmp_path / f"U_13_E4E6.txt-{index}" / "U_13_E4E6.txt"
+            assert last == {f"store error: {path}: U_13: no root at the "
+                            f"D = -7 CM vector"}, index
+
+    # store file, the command that reads it and its level, and which term
+    # line to delete: for Phi13 one of X^i j^i, whose loss keeps Phi
+    # symmetric, so that validate() passes the store
+    ONE_LINE = {
+        "V13": ("V_13_E4E6.txt", "elkies", 13, lambda lines: 5),
+        "W13": ("W_13_E4E6.txt", "elkies", 13, lambda lines: 5),
+        "Ua11": ("Ua_11_E4E6.txt", "atkin", 11, lambda lines: 5),
+        "Phi13": ("Phi_13_j.txt", "elkies", 13, lambda lines: next(
+            i for i, ln in enumerate(lines[2:], 2)
+            if ln.split()[0] == ln.split()[1])),
+    }
+
+    @pytest.mark.parametrize("which", sorted(ONE_LINE))
+    def test_one_line(self, store, tmp_path, which):
+        name, command, ell, pick = self.ONE_LINE[which]
+        index = pick((store / name).read_text().splitlines())
+        codes, last = self.exits(store, tmp_path, name, index, command, ell)
+        assert codes == {3: len(self.CURVES)}
+        kind_ell = name.rsplit("_", 1)[0]
+        path = tmp_path / f"{name}-{index}" / name
+        assert last == {f"store error: {path}: {kind_ell}: no root at the "
+                        f"D = -7 CM vector"}
+
+
 class TestAtkin:
     def test_worked_example(self, cache, capsys):
         assert cli.main(ATKIN_ARGS) == 0
@@ -521,10 +614,11 @@ class TestAtkin:
         assert "f=333 sigma=681 E4t=430 Bstar=584" in out
 
     @pytest.mark.parametrize("line", [5, 6, 8])
-    def test_store_missing_a_term_is_a_verification_failure(
+    def test_store_missing_a_term_is_a_store_error(
             self, cache, tmp_path, capsys, line):
-        """A Ua store with one term line dropped still parses, but its f
-        roots give an A* that no B* fits: exit 3, not a usage error."""
+        """A Ua store with one term line dropped still parses and passes
+        validate(), but has no root at the CM vector: one store error
+        line and exit 3, before the step runs."""
         assert cli.main(ATKIN_ARGS) == 0
         capsys.readouterr()
         path = cache / "Ua_11_E4E6.txt"
@@ -533,11 +627,8 @@ class TestAtkin:
         proc = run_cli(ATKIN_ARGS, cache, tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == ""
-        assert "usage error" not in proc.stdout
-        assert [ln for ln in proc.stdout.splitlines()
-                if ln.startswith("verification failure: ")] == [
-            "verification failure: constraint polynomials share no root; "
-            "A* is inconsistent with the f root"]
+        assert proc.stdout == (f"store error: {path}: Ua_11: no root at the "
+                               f"D = -7 CM vector\n")
 
     def test_wrong_residue_class_rejected(self, cache, capsys):
         assert cli.main(["atkin", "--p", "1009", "--a", "1", "--b", "3",
