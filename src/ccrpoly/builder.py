@@ -196,6 +196,12 @@ def _weight_rows(w: int) -> tuple:
     return a0, b0, a0 // 3 + 1
 
 
+def _sturm_window(w: int) -> int:
+    """Sturm's bound: a level-one form of weight 2w is fixed by its first
+    floor(2w/12) + 1 = w//6 + 1 coefficients, q^0..q^(w//6)."""
+    return w // 6 + 1
+
+
 def _form_powers(end: int) -> tuple:
     """([1, 1/E4], 1/E6, [1, tau]) on the q-window [0, end), with
     tau = Delta/E4^3 = 1/j = q - 744q^2 + ...: all three have integer
@@ -229,7 +235,7 @@ def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> "_Form":
         if not s.is_zero():
             raise BasisMatchError(f"nonzero series but empty weight-{w} basis")
         return _Form(w, [], 1)
-    sturm = w // 6 + 1
+    sturm = _sturm_window(w)
     # s and its fit are weight-2w forms: by Sturm, exact rows prove s == fit
     if end < sturm:
         raise PrecisionError(f"need {sturm} coefficients, have {end}")
@@ -366,16 +372,17 @@ def build(kind: str, ell: int):
     U, V, W and Ua take the power sums p_k of the ell + 1 roots, match
     each, and run Newton on the matched forms.  p_k is a level-1 form of
     weight 2wk (w the X-weight), and Sturm's bound fixes it by
-    floor(wk/6) + 1 coefficients; the window covers k = ell+1 with three
-    rows to spare.  The coefficients are exact, so a matching failure is
-    a fault, not a precision shortfall, and is not retried.  The result
-    is certified at the CM vectors (check_at_cm_vectors), where a wrong
-    polynomial is a BuildError."""
+    floor(wk/6) + 1 coefficients.  The window is that of k = ell+1, the
+    widest, and has no row to spare: the coefficients are exact, so a
+    matching failure is a fault, not a precision shortfall, and is not
+    retried, and no surplus row re-checks the match.  The result is
+    certified at the CM vectors instead (check_at_cm_vectors), where a
+    wrong polynomial is a BuildError."""
     w_x = check_kind(kind, ell).x_weight
     if not w_x:
         # a weight-0 root is a value of j: its e_k are polynomials in j
         return build_classical_phi(ell)
-    n_q = w_x * (ell + 1) // 6 + 4
+    n_q = _sturm_window(w_x * (ell + 1))
     try:
         poly = _build_at(kind, ell, n_q)
     except (BasisMatchError, PrecisionError) as exc:

@@ -74,6 +74,15 @@ MUTANTS = {
         ["tests/test_builder.py::TestPowerSums::"
          "test_first_sum_vanishes_for_sigma_kind",
          "tests/test_builder.py::TestPowerSums::test_second_sum_is_120_e4"]),
+    # the top trace's last slot shifted, keeping every coefficient
+    # integral: with no row past Sturm's window the match takes it in, and
+    # only the build-end check at the CM vectors refuses U13..U31
+    "top_trace_slot_shifted": (
+        BUILDER, "r_inf, traces = power_sums(kind, ell, n_q, n)",
+        "r_inf, traces = power_sums(kind, ell, n_q, n); "
+        "traces[-1].nums[-1] += traces[-1].den "
+        "* __import__('math').factorial(n) * 6 ** 60 * 1728 ** 20",
+        ["tests/test_certify.py::test_builds_pass_the_build_end_check"]),
     # the store read without its check at the CM vector: a U13 store with
     # one term line deleted passes validate(), and the step then reports
     # a false Atkin prime on some curves

@@ -1,8 +1,10 @@
 """The check of every polynomial at the supersingular CM vectors."""
 
+import math
+
 import pytest
 
-from ccrpoly import certify
+from ccrpoly import builder, certify
 from ccrpoly.builder import build
 from ccrpoly.certify import check_at_cm_vectors, cm_vector
 from ccrpoly.errors import BuildError
@@ -45,7 +47,8 @@ def test_built_polynomials_pass(request, name):
     assert check_at_cm_vectors(poly) is poly
 
 
-# the levels where a corrupted top trace once ended in a matching failure
+# the levels where a corrupted top trace ended in a matching failure
+# while the build window had rows past Sturm's bound
 CORRUPTED_TOP_TRACE = [("U", 13), ("V", 13), ("W", 13), ("U", 17),
                        ("W", 17), ("U", 31)]
 
@@ -56,6 +59,30 @@ def test_builds_pass_the_build_end_check(kind, ell):
     # fails this test; the oracle reads the terms without specialize
     poly = build(kind, ell)
     assert all(vanishes_at_cm_vector(poly, disc) for disc in (-7, -8))
+
+
+@pytest.mark.parametrize("kind, ell", CORRUPTED_TOP_TRACE)
+def test_corrupt_top_trace_is_refused_by_the_check_alone(monkeypatch, kind,
+                                                         ell):
+    # the top trace's last slot shifted by den (ell+1)! 6^60 1728^20, so
+    # that every coefficient stays integral: with no surplus row past
+    # Sturm's window, the match takes it in, and only the check refuses
+    # the polynomial that results
+    good = build(kind, ell)
+    real = builder.power_sums
+
+    def corrupt(*args):
+        r_inf, traces = real(*args)
+        top = traces[-1]
+        top.nums[-1] += top.den * math.factorial(ell + 1) * 6 ** 60 \
+            * 1728 ** 20
+        return r_inf, traces
+
+    monkeypatch.setattr(builder, "power_sums", corrupt)
+    with pytest.raises(BuildError, match="no root at the D = -7 CM vector"):
+        build(kind, ell)
+    monkeypatch.setattr(builder, "check_at_cm_vectors", lambda poly: poly)
+    assert build(kind, ell) != good            # and validate() passed it
 
 
 @pytest.mark.parametrize("disc", [-7, -8])
