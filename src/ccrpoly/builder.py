@@ -434,13 +434,15 @@ def build_classical_phi(ell: int) -> ClassicalModularPoly:
     peeled off each e_k."""
     check_kind("Phi", ell)
     n = ell + 1
-    tail = 4                       # checked surplus coefficients past q^0
-    n_q = tail + ell + 2           # the traces' window end
+    # e_k is a polynomial in j of degree at most n, so its rows q^-n..q^0
+    # fix it; as J's pole is at q^-ell, e_k = E'_k + J*E'_(k-1) is known
+    # through q^0 once the traces are known through q^ell, and no further
+    n_q = ell + 1
     # j^m on [-m, n + n_q), past the end of every e_k
     jpow = _powers([None, j_series(n + n_q + 2)], n)
     terms = {(n, 0): 1}
-    for k, e_k in enumerate(_elementary(*power_sums("Phi", ell, n_q, ell)),
-                            1):
+    r_inf, traces = power_sums("Phi", ell, n_q, ell)
+    for k, e_k in enumerate(_elementary(r_inf, traces), 1):
         # the coefficient of X^(n-k) is (-1)^k e_k
         for m, c in _peel_j_powers(e_k, jpow, ell, k).items():
             terms[(n - k, m)] = -c if k % 2 else c

@@ -83,6 +83,15 @@ MUTANTS = {
         "traces[-1].nums[-1] += traces[-1].den "
         "* __import__('math').factorial(n) * 6 ** 60 * 1728 ** 20",
         ["tests/test_certify.py::test_builds_pass_the_build_end_check"]),
+    # the same shift in Phi's top trace moves only Phi's constant term,
+    # which keeps it symmetric: the rows past q^0 that the Phi build once
+    # checked refused it, and now only the build-end check does
+    "phi_top_trace_slot_shifted": (
+        BUILDER, 'r_inf, traces = power_sums("Phi", ell, n_q, ell)',
+        'r_inf, traces = power_sums("Phi", ell, n_q, ell); '
+        "traces[-1].nums[-1] += traces[-1].den "
+        "* __import__('math').factorial(ell) * 6 ** 60 * 1728 ** 20",
+        ["tests/test_certify.py::test_phi_builds_pass_the_build_end_check"]),
     # the store read without its check at the CM vector: a U13 store with
     # one term line deleted passes validate(), and the step then reports
     # a false Atkin prime on some curves

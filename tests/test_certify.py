@@ -5,13 +5,13 @@ import math
 import pytest
 
 from ccrpoly import builder, certify
-from ccrpoly.builder import build
+from ccrpoly.builder import build, build_classical_phi
 from ccrpoly.certify import check_at_cm_vectors, cm_vector
 from ccrpoly.errors import BuildError
 from ccrpoly.ffield import CurveParams, PrimeField, is_probable_prime
 from ccrpoly.trivariate import KINDS, TrivariatePoly
 from oracles import cm_vector as oracle_vector
-from oracles import vanishes_at_cm_vector
+from oracles import evaluate, vanishes_at_cm_vector
 
 ELLS = [ell for ell in range(5, 132) if is_probable_prime(ell)]
 
@@ -59,6 +59,17 @@ def test_builds_pass_the_build_end_check(kind, ell):
     # fails this test; the oracle reads the terms without specialize
     poly = build(kind, ell)
     assert all(vanishes_at_cm_vector(poly, disc) for disc in (-7, -8))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_phi_builds_pass_the_build_end_check(ell):
+    # Phi(j*, j) = 0 read exactly from the terms at the oracle's vectors
+    phi = build_classical_phi(ell)
+    for disc in (-7, -8):
+        p, a, b, _, a_star, b_star = oracle_vector(disc, ell)
+        j, j_star = (1728 * 4 * u ** 3 * pow(4 * u ** 3 + 27 * v * v, -1, p)
+                     for u, v in ((a, b), (a_star, b_star)))
+        assert evaluate(phi, j_star, j) % p == 0
 
 
 @pytest.mark.parametrize("kind, ell", CORRUPTED_TOP_TRACE)
