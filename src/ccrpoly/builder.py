@@ -32,12 +32,17 @@ them baby steps.  When R's numerators off x^0 share a factor g > 1 (U,
 V and W), the chain runs on R re-centred, T = (den*R - c0)/g with c0
 R's x^0 numerator, and the traces of R^k are binomial sums of T's.
 PowerSeries forms a full product as one packed integer product when its
-numerators are narrow: up to ell = 47, that holds for every product of
-the chain of U, V, W and Ua but five, W's T^3 at ell = 5 and the giant
-squares of V7, W7, W11 and W13.  Those five, every power of Phi's j(x)
+numerators are narrow: up to ell = 47, on Sturm's window, that holds for
+every product of the chain of U, V, W and Ua but fourteen, all at
+ell <= 19 (power_traces lists them).  Those, every power of Phi's j(x)
 and the convolved traces take dot products.  Every chain of powers
 (_powers) forms its even powers as squares, which PowerSeries multiplies
 with half the work.
+
+Both windows are a theorem's and no wider: Sturm's bound for U, V, W
+and Ua (_sturm_window), the j-degree bound ell + 1 for Phi.  No row past
+them re-checks a build; check_at_cm_vectors certifies every result at
+the supersingular CM vectors instead.
 
 match_to_form_basis divides p_k once by f = E4^a0 E6^b0, the basis
 element of its weight with no Delta, solves triangularly in the powers
@@ -148,9 +153,10 @@ def power_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
     itself.
 
     A product of the chain packs (PowerSeries) when its numerators are
-    narrow: up to ell = 47 every one of U, V, W and Ua does but five,
-    W's T^3 at ell = 5 and the giant squares T^6 of V7 and W7, T^8 of
-    W11 and T^10 of W13."""
+    narrow: up to ell = 47, on Sturm's window, every one of U, V, W and
+    Ua does but fourteen, the baby steps T^3 of V5, V7 and W7 and T^2
+    and T^3 of W5, and the giant squares T^6 of U7, V7 and W7, T^8 of
+    V11 and W11, T^10 of V13 and W13, T^12 of W17 and T^14 of W19."""
     lead, nums = big_r.lead, big_r.nums
     c0 = nums[-lead] if 0 <= -lead < len(nums) else 0
     g = gcd(*nums[:-lead], *nums[1 - lead:]) if c0 else 1

@@ -102,15 +102,22 @@ def cm_vector(disc: int, ell: int) -> CMVector:
     return CMVector(p, a, b, sigma % p, a_star, b_star, j_star, f12)
 
 
+@lru_cache(maxsize=None)
+def _curve(p: int, a: int, b: int) -> CurveParams:
+    # one per vector, shared by every polynomial read there
+    return CurveParams(PrimeField(p), a, b)
+
+
 def check_at_cm_vectors(poly, discs=(-7, -8)):
     """poly, once it has its kind's root at the CM vector of each disc;
     BuildError naming the first vector where it has none."""
     name, power = KINDS[poly.kind].root
     for disc in discs:
         vec = cm_vector(disc, poly.ell)
-        fld = PrimeField(vec.p)
-        at = specialize(poly, CurveParams(fld, vec.a, vec.b))
-        root = UniPoly(fld, [-getattr(vec, name)] + [0] * (power - 1) + [1])
+        curve = _curve(*vec[:3])
+        at = specialize(poly, curve)
+        root = UniPoly(curve.field,
+                       [-getattr(vec, name)] + [0] * (power - 1) + [1])
         if not at.gcd(root).degree:
             raise BuildError(f"{poly.kind}_{poly.ell}: no root at the "
                              f"D = {disc} CM vector")

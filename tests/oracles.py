@@ -3,7 +3,8 @@
 Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
-checks; cm_vector has its own point arithmetic and finds no roots, and
+checks; cm_vector has its own point arithmetic and prime search and
+finds no roots, the reference for certify.cm_vector, and
 vanishes_at_cm_vector reads a polynomial at its vector from the terms,
 with only Ua's gcd from the library.
 long_division divides series by the schoolbook recurrence in Fractions.
