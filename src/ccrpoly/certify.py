@@ -30,7 +30,8 @@ from .trivariate import KINDS
 # j-invariants of the orders of discriminant -7 and -8
 CM_J = {-7: -3375, -8: 8000}
 
-CMVector = namedtuple("CMVector", "p a b sigma a_star b_star j_star f12")
+# the curve E over F_P, and the values each kind's root takes there
+CMVector = namedtuple("CMVector", "curve sigma a_star b_star j_star f12")
 
 
 def _add(pt, qt, a: int, p: int):
@@ -70,13 +71,13 @@ def cm_vector(disc: int, ell: int) -> CMVector:
     p = (2 ** 30 // m + 1) * m - 1
     while not (pow(disc, (p - 1) // 2, p) == p - 1 and is_probable_prime(p)):
         p += m
+    fld = PrimeField(p)
     j = CM_J[disc]
     k = j * pow(1728 - j, -1, p) % p
     a, b = 3 * k % p, 2 * k % p
     # E(F_P) may be Z/2 x Z/((P+1)/2), which (P+1)/2 kills whole, so at
     # ell = 2, R is (x, 0) for the least root x of x^3 + ax + b
-    r = (roots(UniPoly(PrimeField(p), [b, a, 0, 1]))[0], 0) \
-        if ell == 2 else None
+    r = (roots(UniPoly(fld, [b, a, 0, 1]))[0], 0) if ell == 2 else None
     x = -1
     while r is None:
         x += 1
@@ -99,13 +100,8 @@ def cm_vector(disc: int, ell: int) -> CMVector:
     d, d_star = 4 * a ** 3 + 27 * b * b, 4 * a_star ** 3 + 27 * b_star ** 2
     j_star = 1728 * 4 * a_star ** 3 * pow(d_star, -1, p) % p
     f12 = d * d_star * pow(108 * 1728 * 27 * 6912, -1, p) % p
-    return CMVector(p, a, b, sigma % p, a_star, b_star, j_star, f12)
-
-
-@lru_cache(maxsize=None)
-def _curve(p: int, a: int, b: int) -> CurveParams:
-    # one per vector, shared by every polynomial read there
-    return CurveParams(PrimeField(p), a, b)
+    return CMVector(CurveParams(fld, a, b), sigma % p, a_star, b_star,
+                    j_star, f12)
 
 
 def check_at_cm_vectors(poly, discs=(-7, -8)):
@@ -114,9 +110,8 @@ def check_at_cm_vectors(poly, discs=(-7, -8)):
     name, power = KINDS[poly.kind].root
     for disc in discs:
         vec = cm_vector(disc, poly.ell)
-        curve = _curve(*vec[:3])
-        at = specialize(poly, curve)
-        root = UniPoly(curve.field,
+        at = specialize(poly, vec.curve)
+        root = UniPoly(vec.curve.field,
                        [-getattr(vec, name)] + [0] * (power - 1) + [1])
         if not at.gcd(root).degree:
             raise BuildError(f"{poly.kind}_{poly.ell}: no root at the "
