@@ -378,12 +378,11 @@ def build(kind: str, ell: int):
     U, V, W and Ua take the power sums p_k of the ell + 1 roots, match
     each, and run Newton on the matched forms.  p_k is a level-1 form of
     weight 2wk (w the X-weight), and Sturm's bound fixes it by
-    floor(wk/6) + 1 coefficients.  The window is that of k = ell+1, the
-    widest, and has no row to spare: the coefficients are exact, so a
-    matching failure is a fault, not a precision shortfall, and is not
-    retried, and no surplus row re-checks the match.  The result is
-    certified at the CM vectors instead (check_at_cm_vectors), where a
-    wrong polynomial is a BuildError."""
+    floor(wk/6) + 1 coefficients; the window is that of k = ell+1 and no
+    wider.  The coefficients are exact, so a matching failure is a fault,
+    not a precision shortfall, and is not retried.  No surplus row
+    re-checks the match: the result is certified at the CM vectors
+    (check_at_cm_vectors), where a wrong polynomial is a BuildError."""
     w_x = check_kind(kind, ell).x_weight
     if not w_x:
         # a weight-0 root is a value of j: its e_k are polynomials in j

@@ -40,13 +40,6 @@ def test_j_star_is_the_isogenous_curves(disc, ell):
     assert vec.curve.j_invariant() == certify.CM_J[disc] % field.p
 
 
-@pytest.mark.parametrize("name", ["u5", "v7", "w11", "u13", "ua11", "ua23",
-                                  "phi2", "phi3", "phi5", "phi13"])
-def test_built_polynomials_pass(request, name):
-    poly = request.getfixturevalue(name)
-    assert check_at_cm_vectors(poly) is poly
-
-
 # the levels where a corrupted top trace ended in a matching failure
 # while the build window had rows past Sturm's bound
 CORRUPTED_TOP_TRACE = [("U", 13), ("V", 13), ("W", 13), ("U", 17),
