@@ -15,10 +15,12 @@ the same rational coefficients therefore have the same ``nums`` and
 the integers; Fractions appear only at the edges: the constructor,
 ``coefficient()`` and the ``coeffs`` view.  A product whose numerators
 are narrow, their largest bit lengths summing to at most twice the
-window length, is one integer product of the two lists packed into
-signed slots (Kronecker substitution); in any other product each
-coefficient is one dot product of numerator lists (half of one for
-``s * s``).
+window length, is two half-size integer products (Harvey's KS2
+Kronecker substitution, evaluated at +2**h and -2**h): each list's
+even- and odd-indexed numerators are packed into signed slots of k
+bytes, h = 4k bits, wide enough that every slot of the product has
+|c_n| < 2**(8k-1); in any other product each coefficient is one dot
+product of numerator lists (half of one for ``s * s``).
 ``product_trace`` takes only the coefficients at the exponents a given
 ell divides, each a dot product.  A quotient ``a / b``, and the inverse
 as 1 / b, is one forward substitution in the integers, each coefficient
@@ -78,29 +80,48 @@ def _convolve(a, b, size, slots):
 
 def _kronecker(a, b, size, bits):
     """Slots 0 .. size-1 of the product of the numerator lists a and b,
-    whose largest bit lengths sum to ``bits``, from one integer product
-    (Kronecker substitution), a square when a is b.  Each list, cut to
-    ``size``, is packed into one int whose slot t, k bytes wide, holds
-    the signed a[t].  Slot n of the product, sum(a[t] * b[n-t] for
+    whose largest bit lengths sum to ``bits``, from two half-size integer
+    products (Harvey's KS2: Kronecker substitution at +2**h and -2**h),
+    squares when a is b.  Slot n of the product, sum(a[t] * b[n-t] for
     t <= n), is below 2**(bits + bit_length(size)) in size, so k bytes
-    hold it with a sign bit and no slot spills into the next."""
+    hold it with a sign bit: |c_n| < 2**(8k-1).  Each list, cut to
+    ``size``, packs its even-indexed and its odd-indexed numerators into
+    two ints E and O of signed k-byte slots, and is read at x = +-2**h,
+    h = 4k, as E +- 2**h O.  With X = 2**(8k) = x**2 and c(x) = Ce(X)
+    + x Co(X) the product, c(2**h) and c(-2**h) give Ce, the even slots,
+    as their half sum and Co, the odd ones, as their difference over
+    2**(h+1), both exact; neither spills a slot into the next."""
     k = (bits + size.bit_length() + 8) // 8
-    signs = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
+    h, n_even = 4 * k, (size + 1) // 2
+    signs = int.from_bytes((bytes(k - 1) + b"\x80") * n_even, "little")
 
     def pack(nums):
         t = int.from_bytes(b"".join([v.to_bytes(k, "little", signed=True)
-                                     for v in nums[:size]]), "little")
+                                     for v in nums]), "little")
         # a negative slot reads 2**(8k) too high: borrow it from the next
         return t - ((t & signs) << 1)
 
-    c = pack(a)
-    c *= c if a is b else pack(b)
+    ea, oa = pack(a[:size:2]), pack(a[1:size:2]) << h
+    if a is b:
+        plus, minus = ea + oa, ea - oa
+        plus *= plus
+        minus *= minus
+    else:
+        eb, ob = pack(b[:size:2]), pack(b[1:size:2]) << h
+        plus, minus = (ea + oa) * (eb + ob), (ea - oa) * (eb - ob)
     # adding the sign bits carries every slot's borrow at once, and the
-    # xor then leaves each slot in two's complement
-    buf = (((c + signs) & ((1 << 8 * k * size) - 1)) ^ signs).to_bytes(
-        k * size, "little")
-    return [int.from_bytes(buf[i:i + k], "little", signed=True)
-            for i in range(0, k * size, k)]
+    # xor then leaves each slot in two's complement; the odd slots go
+    # above the even ones, and are read back in one pass
+    width = 8 * k * n_even
+    mask = (1 << width) - 1
+    even, odd = ((((c + signs) & mask) ^ signs) for c in (
+        (plus + minus) >> 1, (plus - minus) >> (h + 1)))
+    buf = (even | odd << width).to_bytes(2 * k * n_even, "little")
+    slots = [int.from_bytes(buf[i:i + k], "little", signed=True)
+             for i in range(0, 2 * k * n_even, k)]
+    out = [0] * size
+    out[::2], out[1::2] = slots[:n_even], slots[n_even:n_even + size // 2]
+    return out
 
 
 class PowerSeries:
@@ -210,8 +231,10 @@ class PowerSeries:
         size = self._product_window(other)
         a, b = self.nums, other.nums
         # narrow products, whose widest numerators sum to at most two
-        # bits a slot, take one packed product; wider ones lose to the dot
-        # products, whose cost follows the mostly small leading numerators.
+        # bits a slot, take the packed products; wider ones lose to the
+        # dot products, whose cost follows the mostly small leading
+        # numerators.  A gate at three bits a slot timed even with this
+        # one over whole builds at levels 5 to 47.
         # The top numerators' widths bound the widest from below, and
         # settle almost every wide product without a pass over the lists
         bits = a[size - 1].bit_length() + b[size - 1].bit_length()
@@ -371,7 +394,7 @@ def eisenstein_series(weight, precision):
     sums = _divisor_power_sums(r, precision)
     coeffs = [mult * s for s in sums]
     coeffs[0] = 1
-    return PowerSeries(coeffs)
+    return _series(coeffs, 1, 0)
 
 
 def delta_series(precision):

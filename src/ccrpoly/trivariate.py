@@ -274,6 +274,12 @@ _HEADER = re.compile(r"CCR kind=(\S+) ell=(0|[1-9][0-9]{0,8}) basis=(\S+)")
 _TERM = re.compile(r"([0-9]+ ){3}-?[0-9]+(/[0-9]+)?")
 
 
+def _fraction(text: str) -> Fraction:
+    """The coefficient a term line writes as n or n/d, from two ints."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
+
+
 def poly_from_text(text: str):
     """Parse store text in its kind's cached basis, exactly as
     poly_to_text writes it: a header or term line in any other form (a
@@ -291,7 +297,7 @@ def poly_from_text(text: str):
     if lines[-1]:
         raise StoreError(f"malformed store line {lines[-1]!r}")
     width = KINDS[kind].width
-    parse = int if basis == "j" else Fraction
+    parse = int if basis == "j" else _fraction
     terms, last = {}, None
     for ln in lines[1:-1]:
         try:

@@ -34,6 +34,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 BUILDER = "src/ccrpoly/builder.py"
 CLI = "src/ccrpoly/cli.py"
+QSERIES = "src/ccrpoly/qseries.py"
 
 # name: (file, snippet, replacement, target node IDs that must fail)
 MUTANTS = {
@@ -99,6 +100,13 @@ MUTANTS = {
         CLI, "return check_at_cm_vectors(found.validate(), (-7,))",
         "return found.validate()",
         ["tests/test_cli.py::TestDeletedTermLine::test_each_line_of_u13"]),
+    # KS2's odd slots over 2**h instead of 2**(h+1): the difference of
+    # the products at +2**h and -2**h is 2**(h+1) times them
+    "ks2_odd_half_over_2h": (
+        QSERIES, "(plus - minus) >> (h + 1)", "(plus - minus) >> h",
+        ["tests/test_qseries.py::TestBothProductPaths::"
+         "test_every_sign_at_short_windows",
+         "tests/test_qseries.py::TestBothProductPaths::test_borrow_chains"]),
 }
 
 # name: (what the mutant does, the ROADMAP item that is to kill it)

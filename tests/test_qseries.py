@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -534,6 +535,10 @@ class TestBothProductPaths:
         ([2 ** 28 - 1] * 127, [-(2 ** 28 - 1)] * 127),
         ([-(2 ** 28)] * 127, [-(2 ** 26)] * 127),
         ([-(2 ** 28)] * 127, [2 ** 26] * 127),
+        # the same at an even window, whose top slot is odd: KS2 reads it
+        # from the difference of its two products
+        ([-(2 ** 28 - 1)] * 126, [2 ** 28 - 1] * 126),
+        ([2 ** 28 - 1] * 126, [2 ** 28 - 1] * 126),
         # unequal lengths: the window is the shorter one
         ([-1, 2 ** 15, -(2 ** 15)] * 20, [5, -7] * 11),
     ])
@@ -550,6 +555,34 @@ class TestBothProductPaths:
         assert qseries._kronecker(a, a, len(a), bits) == \
             schoolbook(a, a, len(a))
         assert_product(sa * sa, sa, sa)
+
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_every_sign_at_short_windows(self, size):
+        # windows of 1-3 slots, where the odd half holds no slot or one,
+        # each list one longer than the window; the largest values fill
+        # the slot to its sign bit
+        values = (-(2 ** 9), -(2 ** 9 - 1), -1, 0, 2 ** 9 - 1)
+        for a in map(list, product(values, repeat=size + 1)):
+            assert qseries._kronecker(a, a, size, 20) == \
+                schoolbook(a, a, size)
+            for b in map(list, product(values, repeat=size)):
+                assert qseries._kronecker(a, b, size, 20) == \
+                    schoolbook(a, b, size)
+
+    @pytest.mark.parametrize("size", [5, 7, 9, 31, 33, 63, 65])
+    def test_square_matches_an_equal_copy(self, size):
+        # odd and even windows around a byte's worth of slots: the square
+        # (a is b) and the general product of a and an equal copy both
+        # give the schoolbook product
+        rng = random.Random(size)
+        for width in (1, 7, 8, 9, 40):
+            a = [rng.choice((-1, 1)) * rng.getrandbits(width)
+                 for _ in range(size)]
+            bits = 2 * max(map(int.bit_length, a))
+            expected = schoolbook(a, a, size)
+            assert qseries._kronecker(a, a, size, bits) == expected
+            assert qseries._kronecker(a, list(a), size, bits) == expected
 
 
 @settings(max_examples=300, deadline=None)
