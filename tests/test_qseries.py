@@ -497,9 +497,10 @@ class TestIntegerCore:
 
 
 class TestBothProductPaths:
-    """A product with narrow numerators is one packed integer product
-    (_kronecker), any other a list of dot products (_convolve); both
-    must give the schoolbook product on every window and width."""
+    """A product with narrow numerators is two half-size packed integer
+    products (_kronecker, KS2), any other a list of dot products
+    (_convolve); both must give the schoolbook product on every window
+    and width."""
 
     @settings(max_examples=200, deadline=None)
     @given(series_pairs(120, 300), series_pairs(120, 300))
@@ -541,6 +542,15 @@ class TestBothProductPaths:
         ([2 ** 28 - 1] * 126, [2 ** 28 - 1] * 126),
         # unequal lengths: the window is the shorter one
         ([-1, 2 ** 15, -(2 ** 15)] * 20, [5, -7] * 11),
+        # odd and even windows around a byte's worth of slots, where the
+        # odd half is one slot shorter than the even one or as long
+        ([-3, 1, -2, 3, -1], [2, -3, 1, 0, -2]),
+        ([(-1) ** (i // 2) * (2 ** 7 - 1) for i in range(33)],
+         [(-1) ** (i // 3) * (2 ** 9 - 1) for i in range(33)]),
+        ([(-1) ** i * (2 ** 20 - 1) for i in range(64)],
+         [(-1) ** (i // 5) * (2 ** 20 - 3) for i in range(64)]),
+        ([-(2 ** 31 - 1)] * 65, [(-1) ** i * (2 ** 31 - 1)
+                                 for i in range(65)]),
     ])
     def test_borrow_chains(self, a, b):
         size = min(len(a), len(b))
@@ -556,7 +566,6 @@ class TestBothProductPaths:
             schoolbook(a, a, len(a))
         assert_product(sa * sa, sa, sa)
 
-
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_every_sign_at_short_windows(self, size):
         # windows of 1-3 slots, where the odd half holds no slot or one,
@@ -569,20 +578,6 @@ class TestBothProductPaths:
             for b in map(list, product(values, repeat=size)):
                 assert qseries._kronecker(a, b, size, 20) == \
                     schoolbook(a, b, size)
-
-    @pytest.mark.parametrize("size", [5, 7, 9, 31, 33, 63, 65])
-    def test_square_matches_an_equal_copy(self, size):
-        # odd and even windows around a byte's worth of slots: the square
-        # (a is b) and the general product of a and an equal copy both
-        # give the schoolbook product
-        rng = random.Random(size)
-        for width in (1, 7, 8, 9, 40):
-            a = [rng.choice((-1, 1)) * rng.getrandbits(width)
-                 for _ in range(size)]
-            bits = 2 * max(map(int.bit_length, a))
-            expected = schoolbook(a, a, size)
-            assert qseries._kronecker(a, a, size, bits) == expected
-            assert qseries._kronecker(a, list(a), size, bits) == expected
 
 
 @settings(max_examples=300, deadline=None)

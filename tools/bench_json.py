@@ -1,15 +1,15 @@
 """Write a BENCH_<n>.json file: the benchmark's end-to-end metrics over
 several runs of every workload, as medians with quartiles.
 
-    python3 tools/bench_json.py --out BENCH_37.json [--runs 3] \\
-        [--seconds 15] [--workloads build,step256,batch,cli]
+    python3 tools/bench_json.py --out BENCH_37.json [--runs 3]
 
 Run from anywhere; the output path is taken from the current directory.
 Run r (r = 1..runs) takes seed r on every workload, and the workloads
 alternate within each run, so slow drift in the host's speed falls on
 all of them alike.  Each run is one ``perfbench/run.py --workload W
---seed r --seconds S`` subprocess, read from the JSON result on its last
-line and the ``# perfbench`` record before it.
+--seed r`` subprocess at perfbench's own default run length, read from
+the JSON result on its last line and the ``# perfbench`` record before
+it.
 
 For each workload the file gives the five end-to-end metrics as
 median, q1, q3 and iqr (quartiles by the inclusive method) with the
@@ -17,7 +17,7 @@ values of every run, and the attempted and failed operation counts
 summed over the runs.  The file also records the Python version,
 ``nproc`` and ``src_lines`` from perfbench's record, the commit (with
 ``dirty`` when the tree differs from it), the run count and the run
-length.  perfbench itself is only run, never changed.
+length that perfbench's record reports.  perfbench itself is only run, never changed.
 """
 
 import argparse
@@ -33,11 +33,11 @@ WORKLOADS = ("build", "step256", "batch", "cli")
 METRICS = ("setup_s", "op_p50_ms", "op_tail_ms", "ops_per_s", "peak_rss_mb")
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple:
+def run_once(workload: str, seed: int) -> tuple:
     """(record, result) of one perfbench run."""
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds)],
+         str(seed)],
         cwd=ROOT, capture_output=True, encoding="utf-8", check=True)
     lines = proc.stdout.splitlines()
     record = next(ln for ln in reversed(lines)
@@ -65,19 +65,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench_json")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
-    names = args.workloads.split(",")
-    if args.runs < 1 or not set(names) <= set(WORKLOADS):
-        parser.error(f"--runs must be positive and --workloads a subset "
-                     f"of {','.join(WORKLOADS)}")
+    if args.runs < 1:
+        parser.error("--runs must be positive")
     seen = {name: {"values": {m: [] for m in METRICS}, "attempted": 0,
-                   "failed": 0} for name in names}
+                   "failed": 0} for name in WORKLOADS}
     record = None
     for seed in range(1, args.runs + 1):
-        for name in names:
-            record, result = run_once(name, seed, args.seconds)
+        for name in WORKLOADS:
+            record, result = run_once(name, seed)
             got = seen[name]
             got["attempted"] += result["attempted"]
             got["failed"] += result["failed"]
@@ -93,7 +89,7 @@ def main(argv=None) -> int:
         "nproc": record["nproc"],
         "src_lines": record["src_lines"],
         "runs": args.runs,
-        "seconds": args.seconds,
+        "seconds": record["seconds"],
         "workloads": {
             name: {"seeds": list(range(1, args.runs + 1)),
                    "attempted": got["attempted"], "failed": got["failed"],
