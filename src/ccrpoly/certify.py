@@ -1,15 +1,15 @@
 """A check of every polynomial at supersingular CM vectors, independent of
 the builder: point arithmetic, Velu's sums and one read of the polynomial.
 
-For disc in {-7, -8}, j = -3375 or 8000 is the j-invariant of the order
-of discriminant disc.  Over the first prime P > 2^30 with
-P = -1 (mod 4 ell) and (disc/P) = -1, disc is inert, so
-E: y^2 = x^3 + 3kx + 2k with k = j/(1728 - j) is supersingular,
-#E = P + 1, and as P = 3 (mod 4) a square root is a (P+1)/4 power.  Then
-R = ((P+1)/ell) Q, for the first point Q by abscissa where that is not
-infinity, has order ell (at ell = 2, R is (x, 0) for a root x of the
-cubic), and Velu's sums over R, 2R, ..., (ell//2) R give the kernel's
-sigma and the isogenous curve's A* and B*.
+For disc in {-7, -11}, j = -3375 or -32768 is the j-invariant of the
+order of discriminant disc.  Over the first prime P > 2^30 with P = -1
+(mod 4 ell) and (disc/P) = -1, disc is inert, so E: y^2 = x^3 + 3kx + 2k,
+k = j/(1728 - j), is supersingular with #E = P + 1, and square roots are
+(P+1)/4 powers.  The cubic's discriminant -108 k^2 (k + 1) is disc times
+a square, so E(F_P) has one point of order 2 and is cyclic (at -8 it can
+hold all of E[2]), and R = ((P+1)/ell) Q for the first Q by abscissa
+where that is not infinity has order ell: Velu's sums over R, ...,
+(ell//2) R give the kernel's sigma and the isogenous curve's A* and B*.
 
 Each kind's polynomial has a root there, the value its KINDS row names:
 U at sigma, V at A*, W at B*, Phi at j* = j(A*, B*) once read at E's j,
@@ -24,11 +24,11 @@ from functools import lru_cache
 
 from .errors import BuildError
 from .ffield import CurveParams, PrimeField, UniPoly, is_probable_prime, \
-    roots, specialize
+    specialize
 from .trivariate import KINDS
 
-# j-invariants of the orders of discriminant -7 and -8
-CM_J = {-7: -3375, -8: 8000}
+# j-invariants of the orders of discriminant -7 and -11
+CM_J = {-7: -3375, -11: -32768}
 
 # the curve E over F_P, and the values each kind's root takes there
 CMVector = namedtuple("CMVector", "curve sigma a_star b_star j_star f12")
@@ -71,14 +71,10 @@ def cm_vector(disc: int, ell: int) -> CMVector:
     p = (2 ** 30 // m + 1) * m - 1
     while not (pow(disc, (p - 1) // 2, p) == p - 1 and is_probable_prime(p)):
         p += m
-    fld = PrimeField(p)
     j = CM_J[disc]
     k = j * pow(1728 - j, -1, p) % p
     a, b = 3 * k % p, 2 * k % p
-    # E(F_P) may be Z/2 x Z/((P+1)/2), which (P+1)/2 kills whole, so at
-    # ell = 2, R is (x, 0) for the least root x of x^3 + ax + b
-    r = (roots(UniPoly(fld, [b, a, 0, 1]))[0], 0) if ell == 2 else None
-    x = -1
+    r, x = None, -1
     while r is None:
         x += 1
         rhs = (x ** 3 + a * x + b) % p
@@ -100,11 +96,11 @@ def cm_vector(disc: int, ell: int) -> CMVector:
     d, d_star = 4 * a ** 3 + 27 * b * b, 4 * a_star ** 3 + 27 * b_star ** 2
     j_star = 1728 * 4 * a_star ** 3 * pow(d_star, -1, p) % p
     f12 = d * d_star * pow(108 * 1728 * 27 * 6912, -1, p) % p
-    return CMVector(CurveParams(fld, a, b), sigma % p, a_star, b_star,
-                    j_star, f12)
+    return CMVector(CurveParams(PrimeField(p), a, b), sigma % p, a_star,
+                    b_star, j_star, f12)
 
 
-def check_at_cm_vectors(poly, discs=(-7, -8)):
+def check_at_cm_vectors(poly, discs=tuple(CM_J)):
     """poly, once it has its kind's root at the CM vector of each disc;
     BuildError naming the first vector where it has none."""
     name, power = KINDS[poly.kind].root

@@ -34,7 +34,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 BUILDER = "src/ccrpoly/builder.py"
 CLI = "src/ccrpoly/cli.py"
+FFIELD = "src/ccrpoly/ffield.py"
+FORMULAS = "src/ccrpoly/formulas.py"
+ISOGENY = "src/ccrpoly/isogeny.py"
 QSERIES = "src/ccrpoly/qseries.py"
+TRIVARIATE = "src/ccrpoly/trivariate.py"
 
 # name: (file, snippet, replacement, target node IDs that must fail)
 MUTANTS = {
@@ -107,6 +111,41 @@ MUTANTS = {
         ["tests/test_qseries.py::TestBothProductPaths::"
          "test_every_sign_at_short_windows",
          "tests/test_qseries.py::TestBothProductPaths::test_borrow_chains"]),
+    # KS2's packed ints without the borrow: a negative slot reads 2**(8k)
+    # too high, so the slot above it comes back one too large
+    "ks2_pack_without_borrow": (
+        QSERIES, "return t - ((t & signs) << 1)", "return t",
+        ["tests/test_qseries.py::TestBothProductPaths::test_borrow_chains"]),
+    # the quotient's t-loop without its u0 power: y_k is held as
+    # u0^(k+1) y_k only if each a_k is scaled by u0^k
+    "division_t_loop_without_u0_power": (
+        QSERIES, "reversed(t))))\n            p *= u0\n",
+        "reversed(t))))\n",
+        ["tests/test_qseries.py::test_division_matches_fraction_long_division"]),
+    # store terms in any key order: the reader no longer holds each key
+    # below the one before it, so a repeated key overwrites
+    "store_keys_not_descending": (
+        TRIVARIATE, "if not c or last and key >= last or ",
+        "if not c or ",
+        ["tests/test_trivariate.py::TestStoreFormat::"
+         "test_malformed_store_text_is_a_store_error"]),
+    # du_44 from the first slope table, which is du_4 again
+    "bundle_du44_from_first_slopes": (
+        FFIELD, "(ddys, zs)", "(dys, zs)",
+        ["tests/test_ffield.py::TestDerivativeBundle::"
+         "test_every_entry_at_the_worked_roots",
+         "tests/test_ffield.py::TestDerivativeBundle::"
+         "test_every_entry_at_seeded_roots"]),
+    # the ell^0 coefficient of E6-tilde's numerator, -8 ds^3 sigma^3, read
+    # as -7
+    "e6_tilde_7_for_8": (
+        FORMULAS, "- 8 * ds ** 3 * sigma ** 3", "- 7 * ds ** 3 * sigma ** 3",
+        ["tests/test_acceptance.py::test_criterion_2_elkies_worked_example",
+         "tests/test_isogeny.py::test_elkies_step_matches_velu_at_cm_vectors"]),
+    # s2 of the kernel's power sums without the -10 a s0 term
+    "kernel_s2_without_10_a_s0": (
+        ISOGENY, "a - a_star - 10 * a * s0", "a - a_star",
+        ["tests/test_isogeny.py::TestElkiesPowerSums"]),
 }
 
 # name: (what the mutant does, the ROADMAP item that is to kill it)

@@ -3,8 +3,8 @@
 Each works from the public fields of the objects (``terms``, ``vars``,
 ``coeffs``/``lead``), so it shares no code path with the
 compiled F_p tables, the integer series core or the symbolic ring it
-checks; cm_vector has its own point arithmetic, prime search and root
-of the cubic at ell = 2, the reference for certify.cm_vector, and
+checks; cm_vector has its own point arithmetic and prime search, the
+reference for certify.cm_vector, and
 vanishes_at_cm_vector reads a polynomial at its vector from the terms,
 with only Ua's gcd from the library.
 long_division divides series by the schoolbook recurrence in Fractions.
@@ -186,8 +186,13 @@ def frobenius_trace(p: int, a: int, b: int) -> int:
     return -sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
 
 
-# j-invariants of the orders of discriminant -7 and -8
-_CM_J = {-7: -3375, -8: 8000}
+# j-invariants of the orders of discriminant -7, -8 and -11
+_CM_J = {-7: -3375, -8: 8000, -11: -32768}
+# abscissas tried for the kernel's generator: where the ell-part of E(F_P)
+# is cyclic, each one gives a point that (P+1)/ell does not kill with
+# chance about (1 - 1/ell)/2 >= 1/4, so all 120 fail with chance under
+# 2^-49
+_ABSCISSAS = 120
 # curves with j = 0 and j = 1728, where k = j/(1728 - j) is singular
 _CM_AB = {-3: (0, 1), -4: (1, 0)}
 
@@ -221,79 +226,6 @@ def _ec_mul(n: int, pt, a: int, p: int):
     return out
 
 
-def _mod_gcd(u: list, v: list, p: int) -> list:
-    """The monic gcd of two polynomials over F_p, coefficient lists from
-    the constant term up, with no zero top coefficient."""
-    while v:
-        u, inv = u[:], pow(v[-1], -1, p)
-        while len(u) >= len(v):
-            c, shift = u[-1] * inv % p, len(u) - len(v)
-            for i, vi in enumerate(v):
-                u[shift + i] = (u[shift + i] - c * vi) % p
-            while u and not u[-1]:
-                u.pop()
-        u, v = v, u
-    inv = pow(u[-1], -1, p)
-    return [c * inv % p for c in u]
-
-
-def _cubic_roots(a: int, b: int, p: int) -> list:
-    """The roots of x^3 + ax + b in F_p, ascending, for a prime
-    p = 3 (mod 4) and a cubic with distinct roots.  X^p is worked out
-    modulo the cubic, and gcd(X^p - X, cubic) is 1 when there is no
-    root, X - x0 for a lone root x0, or the cubic itself.  In that last
-    case gcd((X + d)^((p-1)/2) - 1, cubic), for d = 0, 1, ..., parts the
-    roots; once a root r is known, the other two, summing to -r with
-    product r^2 + a, solve a quadratic whose square root is a (p+1)/4
-    power."""
-    cubic = [b % p, a % p, 0, 1]
-
-    def mulmod(u, v):
-        c = [0] * 5
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                c[i + j] += ui * vj
-        # X^4 = -a X^2 - b X and X^3 = -a X - b
-        c[2] -= a * c[4]
-        c[1] -= b * c[4] + a * c[3]
-        c[0] -= b * c[3]
-        return [v % p for v in c[:3]]
-
-    def powmod(u, n):
-        out = [1, 0, 0]
-        while n:
-            if n & 1:
-                out = mulmod(out, u)
-            u = mulmod(u, u)
-            n >>= 1
-        return out
-
-    def trimmed(u):
-        while u and not u[-1]:
-            u.pop()
-        return u
-
-    def quadratic(c1, c0):
-        disc = (c1 * c1 - 4 * c0) % p
-        s = pow(disc, (p + 1) // 4, p)
-        half = (p + 1) // 2
-        return [(s - c1) * half % p, (-s - c1) * half % p]
-
-    xp = powmod([0, 1, 0], p)
-    g = _mod_gcd(cubic, trimmed([xp[0], xp[1] - 1, xp[2]]), p)
-    if len(g) < 4:
-        return [-g[0] % p] if len(g) == 2 else []
-    d = 0
-    while True:
-        h = powmod([d, 1, 0], (p - 1) // 2)
-        h = _mod_gcd(cubic, trimmed([h[0] - 1] + h[1:]), p)
-        if len(h) in (2, 3):
-            break
-        d += 1
-    r = -h[0] % p if len(h) == 2 else quadratic(h[1], h[0])[0]
-    return sorted({r, *quadratic(r, r * r + a)})
-
-
 @lru_cache(maxsize=None)
 def cm_vector(disc: int, ell: int) -> tuple:
     """(P, A, B, sigma, A*, B*): a curve E: y^2 = x^3 + Ax + B over F_P
@@ -307,12 +239,13 @@ def cm_vector(disc: int, ell: int) -> tuple:
     (y^2 = x^3 + 1, j = 0) and -4 (y^2 = x^3 + x, j = 1728), P is the
     first prime above 2^30 with P = -1 (mod 12 ell), which makes both
     inert.  R = ((P+1)/ell) Q for the first point Q, by abscissa, where
-    that is not infinity.  Over R, 2R, ..., dR with d = (ell-1)/2, sigma
-    is the sum of the x_Q, and A* = A - 5v, B* = B - 7w with v the sum
-    of 6x_Q^2 + 2A and w the sum of 4y_Q^2 + x_Q(6x_Q^2 + 2A).  At
-    ell = 2 the kernel is (x0, 0) for the least root x0 of the cubic,
-    found by _cubic_roots, and the one point of order 2 gives sigma = x0,
-    v = 3x0^2 + A and w = x0 v.
+    that is not infinity; ValueError when none of the first _ABSCISSAS
+    abscissas gives one, as at disc -8 and ell = 2, where E(F_P) holds
+    all of E[2] and (P+1)/2 kills every point.  Over R, 2R, ..., dR with
+    d = ell // 2, sigma is the sum of the x_Q, and A* = A - 5v,
+    B* = B - 7w with v the sum of 6x_Q^2 + 2A and w the sum of
+    4y_Q^2 + x_Q(6x_Q^2 + 2A); at ell = 2 the one point (x0, 0) has
+    order 2 and gives sigma = x0, v = 3x0^2 + A and w = x0 v.
     """
     m = (12 if disc in _CM_AB else 4) * ell
     p = (2 ** 30 // m + 1) * m - 1
@@ -325,12 +258,7 @@ def cm_vector(disc: int, ell: int) -> tuple:
         j = _CM_J[disc]
         k = j * pow(1728 - j, -1, p) % p
         a, b = 3 * k % p, 2 * k % p
-    if ell == 2:
-        # E(F_P) may be Z/2 x Z/((P+1)/2), which (P+1)/2 kills whole
-        x0 = _cubic_roots(a, b, p)[0]
-        v = 3 * x0 * x0 + a
-        return p, a, b, x0, (a - 5 * v) % p, (b - 7 * x0 * v) % p
-    for x in range(p):
+    for x in range(_ABSCISSAS):
         rhs = (x ** 3 + a * x + b) % p
         y = pow(rhs, (p + 1) // 4, p)
         if y * y % p != rhs:
@@ -338,12 +266,15 @@ def cm_vector(disc: int, ell: int) -> tuple:
         r = _ec_mul((p + 1) // ell, (x, y), a, p)
         if r is not None:
             break
+    else:
+        raise ValueError(f"(P+1)/{ell} kills the first {_ABSCISSAS} "
+                         f"abscissas at disc {disc}")
     assert _ec_mul(ell, r, a, p) is None
     sigma = v = w = 0
     q = r
-    for _ in range((ell - 1) // 2):
+    for _ in range(ell // 2):
         xq, yq = q
-        vq = 6 * xq * xq + 2 * a
+        vq = 6 * xq * xq + 2 * a if yq else 3 * xq * xq + a
         sigma, v, w = sigma + xq, v + vq, w + 4 * yq * yq + xq * vq
         q = _ec_add(q, r, a, p)
     return p, a, b, sigma % p, (a - 5 * v) % p, (b - 7 * w) % p

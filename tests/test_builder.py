@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ccrpoly import builder
+from ccrpoly import builder, certify
 from ccrpoly.builder import (_build_at, build, build_classical_phi,
                              conjugate_series, match_to_form_basis,
                              power_sums)
@@ -666,14 +666,14 @@ SEA_STORES = json.loads((Path(__file__).resolve().parent / "data"
                     reason="set CCR_SEA_STORES=1 to rebuild the SEA-level "
                            "stores")
 def test_sea_level_stores_match_recorded_and_cm_vectors():
-    # each digest, and each polynomial at the D = -7 and -8 supersingular
-    # CM vectors, a check that shares no step with the builder
+    # each digest, and each polynomial at certify's supersingular CM
+    # vectors, a check that shares no step with the builder
     failed = []
     for name, digest in SEA_STORES.items():
         kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
         poly = build(kind, int(ell))
         if hashlib.sha256(poly_to_text(poly).encode()).hexdigest() != digest:
             failed.append(f"{name} digest")
-        failed += [f"{name} at D = {disc}" for disc in (-7, -8)
+        failed += [f"{name} at D = {disc}" for disc in certify.CM_J
                    if not vanishes_at_cm_vector(poly, disc)]
     assert not failed

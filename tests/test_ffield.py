@@ -605,6 +605,30 @@ class TestDerivativeBundle:
         bundle = derivative_bundle(u5, curve13, 664)
         assert bundle.u == 0 and bundle.du_s != 0
 
+    @pytest.mark.parametrize("name, root", [("u5", 584), ("ua11", 65)])
+    def test_every_entry_at_the_worked_roots(self, request, curve13, name,
+                                             root):
+        # all ten entries, the diagonal second partials included, against
+        # TrivariatePoly.partial read exactly and reduced mod p
+        poly = request.getfixturevalue(name)
+        assert derivative_bundle(poly, curve13, root) == \
+            _oracle_bundle(poly, curve13, root)
+
+    @pytest.mark.parametrize("name", ["u7", "ua23"])
+    def test_every_entry_at_seeded_roots(self, request, fld, name):
+        poly = request.getfixturevalue(name)
+        rng = random.Random(38)
+        checked = 0
+        while checked < 3:
+            a, b = rng.randrange(P), rng.randrange(P)
+            if (4 * a ** 3 + 27 * b * b) % P == 0:
+                continue
+            curve = CurveParams(fld, a, b)
+            for root in roots(specialize(poly, curve))[:3 - checked]:
+                assert derivative_bundle(poly, curve, root) == \
+                    _oracle_bundle(poly, curve, root), (a, b, root)
+                checked += 1
+
     def test_phi_rejected(self, curve13, phi5):
         # 845 is a root of Phi5(X, j), but Phi has no E4, E6 partials
         assert 845 in roots(specialize(phi5, curve13))

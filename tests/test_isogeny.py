@@ -435,13 +435,34 @@ def test_elkies_step_matches_velu_at_cm_vectors(counted_polys, velu_vw,
     assert sink == _cm_diagnostics(disc, ell)
 
 
+# level 47 without V and W, which take 0.2-0.75 s to build, and Ua47 also
+# at D = -11, the build-end check's second vector
+@pytest.fixture(scope="module")
+def polys47():
+    return build("U", 47), build("Ua", 47)
+
+
 @pytest.mark.parametrize("disc", (-3, -4, -7, -8))
-@pytest.mark.parametrize("ell", (11, 23))
-def test_atkin_step_matches_velu_at_cm_vectors(counted_polys, ell, disc):
-    p, a, b, *velu = cm_vector(disc, ell)
+def test_elkies_step_matches_velu_at_level_47(polys47, disc):
+    p, a, b, *velu = cm_vector(disc, 47)
     sink = []
-    out = atkin_step(CurveParams(PrimeField(p), a, b), ell,
-                     counted_polys[1][ell], diagnostics=sink)
+    out = elkies_step(CurveParams(PrimeField(p), a, b), 47, polys47[0],
+                      diagnostics=sink)
+    assert len(out) == 2
+    assert [[r.sigma, r.a_star, r.b_star] for r in out].count(velu) == 1
+    assert sink == []
+
+
+@pytest.mark.parametrize("ell, disc", [
+    *((ell, disc) for ell in (11, 23) for disc in (-3, -4, -7, -8)),
+    *((47, disc) for disc in (-7, -8, -11))])
+def test_atkin_step_matches_velu_at_cm_vectors(counted_polys, polys47, ell,
+                                                disc):
+    p, a, b, *velu = cm_vector(disc, ell)
+    ua = polys47[1] if ell == 47 else counted_polys[1][ell]
+    sink = []
+    out = atkin_step(CurveParams(PrimeField(p), a, b), ell, ua,
+                     diagnostics=sink)
     assert len(out) == 2
     assert velu in [[r.sigma, r.a_star, r.b_star] for r in out]
     assert sink == []

@@ -34,11 +34,17 @@ METRICS = ("setup_s", "op_p50_ms", "op_tail_ms", "ops_per_s", "peak_rss_mb")
 
 
 def run_once(workload: str, seed: int) -> tuple:
-    """(record, result) of one perfbench run."""
+    """(record, result) of one perfbench run.  A failed run prints its
+    workload, seed, exit code and the tail of its stderr, and exits 1
+    before any file is written."""
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed",
          str(seed)],
-        cwd=ROOT, capture_output=True, encoding="utf-8", check=True)
+        cwd=ROOT, capture_output=True, encoding="utf-8")
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        sys.exit(f"perfbench failed: workload {workload}, seed {seed}, "
+                 f"exit {proc.returncode}\n{tail}")
     lines = proc.stdout.splitlines()
     record = next(ln for ln in reversed(lines)
                   if ln.startswith("# perfbench "))
