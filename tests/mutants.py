@@ -121,7 +121,8 @@ MUTANTS = {
     "division_t_loop_without_u0_power": (
         QSERIES, "reversed(t))))\n            p *= u0\n",
         "reversed(t))))\n",
-        ["tests/test_qseries.py::test_division_matches_fraction_long_division"]),
+        ["tests/test_qseries.py::"
+         "test_division_matches_fraction_long_division"]),
     # store terms in any key order: the reader no longer holds each key
     # below the one before it, so a repeated key overwrites
     "store_keys_not_descending": (
@@ -141,7 +142,8 @@ MUTANTS = {
     "e6_tilde_7_for_8": (
         FORMULAS, "- 8 * ds ** 3 * sigma ** 3", "- 7 * ds ** 3 * sigma ** 3",
         ["tests/test_acceptance.py::test_criterion_2_elkies_worked_example",
-         "tests/test_isogeny.py::test_elkies_step_matches_velu_at_cm_vectors"]),
+         "tests/test_isogeny.py::"
+         "test_elkies_step_matches_velu_at_cm_vectors"]),
     # s2 of the kernel's power sums without the -10 a s0 term
     "kernel_s2_without_10_a_s0": (
         ISOGENY, "a - a_star - 10 * a * s0", "a - a_star",

@@ -74,6 +74,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be positive")
+    # the tree as measured, before any edit made while the runs go on
+    commit = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     seen = {name: {"values": {m: [] for m in METRICS}, "attempted": 0,
                    "failed": 0} for name in WORKLOADS}
     record = None
@@ -89,8 +92,8 @@ def main(argv=None) -> int:
                   f"{result['metrics']['op_p50_ms']['value']:.4g}, "
                   f"failed {result['failed']}", flush=True)
     out = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "commit": commit,
+        "dirty": dirty,
         "python": record["python"],
         "nproc": record["nproc"],
         "src_lines": record["src_lines"],
