@@ -27,8 +27,8 @@ from .trivariate import PHI_ELLS, check_kind, poly_from_text, poly_to_text
 CACHE_ENV = "CCR_CACHE_DIR"
 # The largest level the command line builds and the longest series it
 # expands; library callers are not bounded.  Raw single runs on a 2-vCPU
-# host: W71, the slowest kind at 71, built in 7.5-12.2 s and W101 in
-# 70-82 s; j, the slowest series, took 3.7-5.1 s at 5000 terms and 122 s
+# host: W71, the slowest kind at 71, built in 4.9-5.2 s and W101 in
+# 37-40 s; j, the slowest series, took 2.1-2.2 s at 5000 terms and 51 s
 # at 20000.
 MAX_ELL = 71
 MAX_PREC = 5000

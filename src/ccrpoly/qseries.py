@@ -25,7 +25,9 @@ product of numerator lists (half of one for ``s * s``).
 ell divides, each a dot product.  A quotient ``a / b``, and the inverse
 as 1 / b, is one forward substitution in the integers, each coefficient
 a dot product against the ones before it and the u0 powers kept until
-one denominator at the end (u0 b's first nonzero numerator).
+one denominator at the end (u0 b's first nonzero numerator).  A scalar
+c plus a series s is the series sum s + constant(c, s.end), so s's
+window must reach x^0.
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -186,8 +188,10 @@ class PowerSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(_as_fraction(other))
-        if not isinstance(other, PowerSeries):
+            if self.end <= 0:
+                raise PrecisionError("constant term lies outside the window")
+            other = PowerSeries.constant(other, self.end)
+        elif not isinstance(other, PowerSeries):
             return NotImplemented
         lead = min(self.lead, other.lead)
         end = min(self.end, other.end)
@@ -199,15 +203,6 @@ class PowerSeries:
                   + _scaled(s.nums[:max(end - s.lead, 0)], den // s.den)
                   for s in (self, other))
         return _series([u + v for u, v in zip(pa, pb)], den, lead)
-
-    def _add_scalar(self, c):
-        if self.end <= 0:
-            raise PrecisionError("constant term lies outside the window")
-        lead = min(self.lead, 0)
-        den = lcm(self.den, c.denominator)
-        nums = [0] * (self.lead - lead) + _scaled(self.nums, den // self.den)
-        nums[-lead] += c.numerator * (den // c.denominator)
-        return _series(nums, den, lead)
 
     __radd__ = __add__
 

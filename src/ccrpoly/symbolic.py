@@ -25,6 +25,7 @@ from __future__ import annotations
 import inspect
 from collections import namedtuple
 from fractions import Fraction
+from functools import wraps
 from operator import truediv
 
 from .errors import NotDivisibleError, VerificationError
@@ -44,9 +45,27 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _coerced(op):
+    """The binary operator op with its operand in self's ring: an int
+    or Fraction is taken as a constant, a polynomial over other
+    variables is a TypeError, and anything else NotImplemented."""
+    @wraps(op)
+    def coerced(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
+        elif other.vars != self.vars:
+            raise TypeError("mixed variable sets")
+        return op(self, other)
+    return coerced
+
+
 class MultiPoly:
     """Sparse Laurent polynomial over Q: exponent tuples (one slot per
-    variable, negative allowed) mapped to nonzero Fraction coefficients."""
+    variable, negative allowed) mapped to nonzero Fraction coefficients.
+    The constructor drops zero coefficients, and no operation drops them
+    again; every binary operator takes its operand through _coerced."""
 
     __slots__ = ("vars", "terms")
 
@@ -56,8 +75,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: tuple, value) -> "MultiPoly":
-        value = Fraction(value)
-        return cls(vars, {(0,) * len(vars): value} if value else {})
+        return cls(vars, {(0,) * len(vars): Fraction(value)})
 
     @classmethod
     def gen(cls, vars: tuple, name: str, power: int = 1) -> "MultiPoly":
@@ -66,30 +84,13 @@ class MultiPoly:
         e[i] = power
         return cls(vars, {tuple(e): _ONE})
 
-    # -- coercion ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
-                raise TypeError("mixed variable sets")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.vars, other)
-        return None
-
     # -- ring operations --------------------------------------------------
 
+    @_coerced
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        for e, c in other.terms.items():
+            out[e] = out.get(e, _ZERO) + c
         return MultiPoly(self.vars, out)
 
     __radd__ = __add__
@@ -97,31 +98,17 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
+    @_coerced
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
+    @_coerced
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            if not k:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars,
-                             {e: c * k for e, c in self.terms.items()})
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         out: dict = {}
         for ea, ca in self.terms.items():
-            for eb, cb in o.terms.items():
+            for eb, cb in other.terms.items():
                 k = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(k, _ZERO) + ca * cb
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, _ZERO) + ca * cb
         return MultiPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -138,27 +125,23 @@ class MultiPoly:
             n >>= 1
         return result
 
+    @_coerced
     def __truediv__(self, other):
         """Exact division by a single term t: subtract t's exponents from
         each term's and divide by t's coefficient.  A divisor of two or
         more terms raises NotDivisibleError."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.terms:
+        if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        if len(o.terms) > 1:
+        if len(other.terms) > 1:
             raise NotDivisibleError("divisor has more than one term")
-        (eb, cb), = o.terms.items()
+        (eb, cb), = other.terms.items()
         return MultiPoly(self.vars,
                          {tuple(x - y for x, y in zip(e, eb)): c / cb
                           for e, c in self.terms.items()})
 
+    @_coerced
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        return self.terms == other.terms
 
     # -- structure --------------------------------------------------------
 
@@ -205,13 +188,12 @@ class MultiPoly:
         exact multiple the leading term of every partial remainder is
         divisible by the divisor's leading term, so the loop terminates with
         remainder zero exactly when other | self."""
-        o = self._coerce(other)
-        if o is None or o.is_zero:
+        if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
             return MultiPoly(self.vars, {})
-        eb = max(o.terms)
-        cb = o.terms[eb]
+        eb = max(other.terms)
+        cb = other.terms[eb]
         rem = dict(self.terms)
         quo: dict = {}
         while rem:
@@ -221,7 +203,7 @@ class MultiPoly:
                 raise NotDivisibleError("leading term not divisible")
             qc = rem[er] / cb
             quo[qe] = quo.get(qe, _ZERO) + qc
-            for e, c in o.terms.items():
+            for e, c in other.terms.items():
                 k = tuple(x + y for x, y in zip(qe, e))
                 s = rem.get(k, _ZERO) - qc * c
                 if s:

@@ -38,6 +38,7 @@ FFIELD = "src/ccrpoly/ffield.py"
 FORMULAS = "src/ccrpoly/formulas.py"
 ISOGENY = "src/ccrpoly/isogeny.py"
 QSERIES = "src/ccrpoly/qseries.py"
+SYMBOLIC = "src/ccrpoly/symbolic.py"
 TRIVARIATE = "src/ccrpoly/trivariate.py"
 
 # name: (file, snippet, replacement, target node IDs that must fail)
@@ -97,6 +98,13 @@ MUTANTS = {
         "traces[-1].nums[-1] += traces[-1].den "
         "* __import__('math').factorial(ell) * 6 ** 60 * 1728 ** 20",
         ["tests/test_certify.py::test_phi_builds_pass_the_build_end_check"]),
+    # a Phi e_k that ends below q^0 read as a degenerate computation
+    # (exit 4), not as the build fault it is (exit 3)
+    "phi_peel_short_window_not_a_build_fault": (
+        BUILDER, 'raise BuildError(f"Phi_{ell}: e_{k} ends below q^0")',
+        'raise PrecisionError(f"Phi_{ell}: e_{k} ends below q^0")',
+        ["tests/test_builder.py::TestClassicalPhi::"
+         "test_peel_refuses_an_e_k_that_ends_below_q0"]),
     # the store read without its check at the CM vector: a U13 store with
     # one term line deleted passes validate(), and the step then reports
     # a false Atkin prime on some curves
@@ -123,6 +131,13 @@ MUTANTS = {
         "reversed(t))))\n",
         ["tests/test_qseries.py::"
          "test_division_matches_fraction_long_division"]),
+    # a store term line read without re-rendering it: text the writer
+    # never prints, such as a leading zero or a tab, reads as a
+    # polynomial
+    "reader_skips_rerender": (
+        TRIVARIATE, " or _term_line(key, c) != ln", "",
+        ["tests/test_trivariate.py::TestStoreFormat::"
+         "test_reader_accepts_only_the_writers_image"]),
     # store terms in any key order: the reader no longer holds each key
     # below the one before it, so a repeated key overwrites
     "store_keys_not_descending": (
@@ -137,6 +152,17 @@ MUTANTS = {
          "test_every_entry_at_the_worked_roots",
          "tests/test_ffield.py::TestDerivativeBundle::"
          "test_every_entry_at_seeded_roots"]),
+    # E4-tilde's d4 parameter renamed: the numeric step, which passes
+    # it by position, is unchanged, but verify-symbolic binds the
+    # formula by name and finds no ring symbol dx
+    "e4_tilde_d4_renamed_dx": (
+        FORMULAS, "def e4_tilde_parts(ell, sigma, e4, e6, ds, d4, d6):\n"
+        '    """Numerator and denominator of E4(q^ell) in the sigma-root '
+        'chart."""\n    num = -(4 * ell * (3 * e4 ** 2 * d6 + 2 * e6 * d4)',
+        "def e4_tilde_parts(ell, sigma, e4, e6, ds, dx, d6):\n"
+        '    """Numerator and denominator of E4(q^ell) in the sigma-root '
+        'chart."""\n    num = -(4 * ell * (3 * e4 ** 2 * d6 + 2 * e6 * dx)',
+        ["tests/test_symbolic.py::test_derive_e4t_matches_numeric_point"]),
     # the ell^0 coefficient of E6-tilde's numerator, -8 ds^3 sigma^3, read
     # as -7
     "e6_tilde_7_for_8": (
@@ -144,6 +170,21 @@ MUTANTS = {
         ["tests/test_acceptance.py::test_criterion_2_elkies_worked_example",
          "tests/test_isogeny.py::"
          "test_elkies_step_matches_velu_at_cm_vectors"]),
+    # a scalar added to a series whose window ends at or below x^0: the
+    # constant series on that window is cut to x^0 alone, and the sum
+    # drops c where it must raise
+    "scalar_add_past_window": (
+        QSERIES, "            if self.end <= 0:\n"
+        '                raise PrecisionError("constant term lies outside '
+        'the window")\n', "",
+        ["tests/test_qseries.py::TestIntegerCore::test_scalar_ops"]),
+    # the constructor keeps zero coefficients: no operator drops them
+    # either, so a cancelled term stays and prints as 0
+    "multipoly_keeps_zero_terms": (
+        SYMBOLIC, "{e: c for e, c in terms.items() if c}", "dict(terms)",
+        ["tests/test_symbolic.py::TestMultiPoly::test_add_cancels_to_zero",
+         "tests/test_cli.py::TestVerifySymbolic::"
+         "test_output_matches_recorded"]),
     # s2 of the kernel's power sums without the -10 a s0 term
     "kernel_s2_without_10_a_s0": (
         ISOGENY, "a - a_star - 10 * a * s0", "a - a_star",

@@ -9,22 +9,26 @@ import os
 import re
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ccrpoly import builder, certify
+from ccrpoly import builder, certify, cli
 from ccrpoly.builder import (_build_at, build, build_classical_phi,
                              conjugate_series, match_to_form_basis,
                              power_sums)
 from ccrpoly.errors import BasisMatchError, BuildError, PrecisionError
+from ccrpoly.ffield import CurveParams, PrimeField
+from ccrpoly.isogeny import atkin_step, elkies_step
 from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
-from oracles import (annihilates_at_cusp, evaluate, form_basis_exponents,
-                     vanishes_at_cm_vector, zero_through)
+from oracles import (annihilates_at_cusp, cm_vector, evaluate,
+                     form_basis_exponents, vanishes_at_cm_vector,
+                     zero_through)
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
          (1, 1, 1): -128, (0, 0, 2): -80}
@@ -561,6 +565,22 @@ class TestClassicalPhi:
         with pytest.raises(ValueError):
             builder._peel_j_powers(e, jpow, 2, 1)
 
+    def test_peel_refuses_an_e_k_that_ends_below_q0(self, monkeypatch,
+                                                    tmp_path, capsys):
+        # the rows q^-n..q^0 fix e_k: a shorter window is a build fault,
+        # which the CLI reports as a builder failure (exit 3), as it does
+        # the peel's other checks
+        e = j_series(14).truncate(0)            # on [-1, 0)
+        with pytest.raises(BuildError, match=r"^Phi_2: e_1 ends below q\^0$"):
+            builder._peel_j_powers(e, [], 2, 1)
+        real = builder._peel_j_powers
+        monkeypatch.setattr(builder, "_peel_j_powers",
+                            lambda e, *args: real(e.truncate(0), *args))
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+        assert cli.main(["build", "--kind", "Phi", "--ell", "5"]) == 3
+        assert capsys.readouterr().out == \
+            "builder failure: Phi_5: e_1 ends below q^0\n"
+
     def test_rejects_unsupported_level(self):
         with pytest.raises(ValueError):
             build_classical_phi(4)
@@ -656,24 +676,85 @@ def test_display_text_matches_recorded(name):
 
 # SEA-size levels, recorded from the builder of the re-centred power sums
 # before anything else changed how they are built; U101 and U131 are past
-# the CLI's levels.  Rebuilding all ten takes about half a minute, so
-# they run only when CCR_SEA_STORES is set
+# the CLI's levels.  Rebuilding them, and the sweep of every prime level
+# below, takes about half a minute, so they run only when CCR_SEA_STORES
+# is set
 SEA_STORES = json.loads((Path(__file__).resolve().parent / "data"
                          / "sea_store_sha256.json").read_text())
+SWEEP_ELLS = [ell for ell in range(5, 132)
+              if all(ell % d for d in range(2, math.isqrt(ell) + 1))]
+needs_sea_stores = pytest.mark.skipif(
+    not os.environ.get("CCR_SEA_STORES"),
+    reason="set CCR_SEA_STORES=1 to rebuild the SEA-level stores")
 
 
-@pytest.mark.skipif(not os.environ.get("CCR_SEA_STORES"),
-                    reason="set CCR_SEA_STORES=1 to rebuild the SEA-level "
-                           "stores")
-def test_sea_level_stores_match_recorded_and_cm_vectors():
+@pytest.fixture(scope="module")
+def sea_build():
+    """(build(kind, ell), its seconds), each built once: the SEA-level
+    stores and the sweep share U59, U71, U101, U131, Ua59 and Ua71."""
+    built = {}
+
+    def get(kind, ell):
+        if (kind, ell) not in built:
+            start = perf_counter()
+            poly = build(kind, ell)
+            built[kind, ell] = poly, perf_counter() - start
+        return built[kind, ell]
+    return get
+
+
+@needs_sea_stores
+def test_sea_level_stores_match_recorded_and_cm_vectors(sea_build):
     # each digest, and each polynomial at certify's supersingular CM
     # vectors, a check that shares no step with the builder
     failed = []
     for name, digest in SEA_STORES.items():
         kind, ell = re.fullmatch(r"([A-Za-z]+)(\d+)", name).groups()
-        poly = build(kind, int(ell))
+        poly, _ = sea_build(kind, int(ell))
         if hashlib.sha256(poly_to_text(poly).encode()).hexdigest() != digest:
             failed.append(f"{name} digest")
         failed += [f"{name} at D = {disc}" for disc in certify.CM_J
                    if not vanishes_at_cm_vector(poly, disc)]
+    assert not failed
+
+
+@needs_sea_stores
+def test_every_prime_level_through_131_at_cm_vectors(sea_build, capsys):
+    # U at every prime level, and Ua at each ell = 11 (mod 12), stepped at
+    # the D = -7 and -8 vectors: the Elkies step on U alone finds Velu's
+    # isogeny once among its two results, and the Atkin step finds it
+    # too, with every Atkin result an Elkies one.  One line per level
+    # gives its build seconds, store size and widest coefficient
+    failed, rows = [], []
+    for ell in SWEEP_ELLS:
+        built = {kind: sea_build(kind, ell)
+                 for kind in ("U", "Ua")[:1 + (ell % 12 == 11)]}
+        row = []
+        for kind, (poly, seconds) in built.items():
+            bits = max(abs(c.numerator).bit_length()
+                       for c in poly.terms.values())
+            row.append(f"{kind} {seconds:.2f} s, "
+                       f"{len(poly_to_text(poly)) / 1024:.1f} KB, {bits} bits")
+        rows.append(f"ell {ell}: " + "; ".join(row))
+        polys = {kind: poly for kind, (poly, _) in built.items()}
+        for disc in (-7, -8):
+            p, a, b, *velu = cm_vector(disc, ell)
+            curve = CurveParams(PrimeField(p), a, b)
+            sink = []
+            elkies = [[r.sigma, r.a_star, r.b_star] for r in
+                      elkies_step(curve, ell, polys["U"], diagnostics=sink)]
+            if len(elkies) != 2 or elkies.count(velu) != 1 or sink:
+                failed.append(f"U{ell} at D = {disc}")
+            if "Ua" not in polys:
+                continue
+            sink = []
+            atkin = [[r.sigma, r.a_star, r.b_star] for r in
+                     atkin_step(curve, ell, polys["Ua"], diagnostics=sink)]
+            if len(atkin) != 2 or velu not in atkin or sink:
+                failed.append(f"Ua{ell} at D = {disc}")
+            if any(r not in elkies for r in atkin):
+                failed.append(f"Ua{ell} at D = {disc}: an Atkin result "
+                              "that no Elkies one matches")
+    with capsys.disabled():
+        print("", *rows, sep="\n")
     assert not failed
