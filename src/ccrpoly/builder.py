@@ -34,9 +34,10 @@ R's x^0 numerator, and the traces of R^k are binomial sums of T's.
 PowerSeries forms a full product as packed integer products when its
 numerators are narrow, their widest bit lengths summing to at most
 twice the window length, and by dot products otherwise; the convolved
-traces always take dot products.  Every chain of powers (_powers) forms
-its even powers as squares, which PowerSeries multiplies with half the
-work.
+traces always take dot products.  Every chain of powers (R^k, r_inf^k,
+the j powers, and the 1/E4 and tau powers that _form_powers starts and
+the match extends) is qseries._powers: it forms its even powers as
+squares, which PowerSeries multiplies with half the work.
 
 Both windows are a theorem's and no wider: Sturm's bound for U, V, W
 and Ua (_sturm_window), the j-degree bound ell + 1 for Phi.  No row past
@@ -58,8 +59,8 @@ from operator import mul
 
 from .certify import check_at_cm_vectors
 from .errors import BasisMatchError, BuildError, PrecisionError
-from .qseries import PowerSeries, delta_series, eisenstein_series, \
-    eta_squared_product, fn_series, j_series, sigma1_series
+from .qseries import PowerSeries, _powers, delta_series, \
+    eisenstein_series, eta_squared_product, fn_series, j_series, sigma1_series
 from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
     check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -97,15 +98,6 @@ def conjugate_series(kind: str, ell: int, n_q: int):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return r_inf, r_x
-
-
-def _powers(pw: list, top: int) -> list:
-    """Grow pw = [x^0 or None, x, x^2, ...] in place through x^top and
-    return it; every even power is formed as a square."""
-    while len(pw) <= top:
-        k = len(pw)
-        pw.append(pw[k // 2] * pw[k // 2] if k % 2 == 0 else pw[-1] * pw[1])
-    return pw
 
 
 def _chain_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:
@@ -206,15 +198,15 @@ def _sturm_window(w: int) -> int:
 
 
 def _form_powers(end: int) -> tuple:
-    """([1, 1/E4], 1/E6, [1, tau]) on the q-window [0, end), with
-    tau = Delta/E4^3 = 1/j = q - 744q^2 + ...: all three have integer
-    coefficients.  match_to_form_basis appends higher powers of 1/E4 and
-    tau to the lists as the weights it is asked for grow, so one triple
-    serves every match of a build."""
+    """([1, 1/E4, 1/E4^2, 1/E4^3], 1/E6, [1, tau]) on the q-window
+    [0, end), with tau = Delta/E4^3 = 1/j = q - 744q^2 + ...: all three
+    have integer coefficients.  match_to_form_basis appends higher powers
+    of 1/E4 and tau to the lists as the weights it is asked for grow, so
+    one triple serves every match of a build."""
     one = PowerSeries.constant(1, end)
-    e4inv = eisenstein_series(4, end).inverse()
-    return ([one, e4inv], eisenstein_series(6, end).inverse(),
-            [one, delta_series(end) * e4inv ** 3])
+    p4inv = _powers([one, eisenstein_series(4, end).inverse()], 3)
+    return (p4inv, eisenstein_series(6, end).inverse(),
+            [one, delta_series(end) * p4inv[3]])
 
 
 def match_to_form_basis(s: PowerSeries, w: int, powers=None) -> "_Form":

@@ -194,12 +194,6 @@ class PrimeField:
         self.mul_count += n
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 

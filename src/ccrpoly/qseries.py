@@ -27,7 +27,9 @@ as 1 / b, is one forward substitution in the integers, each coefficient
 a dot product against the ones before it and the u0 powers kept until
 one denominator at the end (u0 b's first nonzero numerator).  A scalar
 c plus a series s is the series sum s + constant(c, s.end), so s's
-window must reach x^0.
+window must reach x^0.  ``s ** k`` for k >= 0, the builder's chains of
+powers and MultiPoly's ``**`` all come from _powers, which forms each
+even power as a square and each odd one as the power below it times x.
 
 Instances are treated as immutable; every operation returns a fresh
 series whose window is the largest one justified by its operands, so
@@ -61,6 +63,15 @@ def _series(nums, den, lead):
     out = PowerSeries.__new__(PowerSeries)
     out.lead, out.nums, out.den = lead, nums, den
     return out
+
+
+def _powers(pw: list, top: int) -> list:
+    """Grow pw = [x^0 or None, x, x^2, ...] in place through x^top and
+    return it; every even power is formed as a square."""
+    while len(pw) <= top:
+        k = len(pw)
+        pw.append(pw[k // 2] * pw[k // 2] if k % 2 == 0 else pw[-1] * pw[1])
+    return pw
 
 
 def _scaled(nums, f):
@@ -311,17 +322,7 @@ class PowerSeries:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            return PowerSeries.constant(1, len(self.nums))
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _powers([PowerSeries.constant(1, len(self.nums)), self], k)[k]
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):

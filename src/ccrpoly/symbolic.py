@@ -29,6 +29,7 @@ from functools import wraps
 from operator import truediv
 
 from .errors import NotDivisibleError, VerificationError
+from .qseries import _powers
 from . import formulas
 
 # Verifier ring: the three slot derivatives of the modular polynomial are
@@ -116,14 +117,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _powers([MultiPoly.const(self.vars, 1), self], n)[n]
 
     @_coerced
     def __truediv__(self, other):

@@ -68,12 +68,12 @@ MUTANTS = {
     "trace_of_t0_is_zero": (
         BUILDER, "rows[0][-base] = ell", "rows[0][-base] = 0",
         ["tests/test_builder.py::TestPowerTraces::"
-         "test_shared_factor_off_the_constant_term"]),
+         "test_recentring_edge_cases[coeffs5-0]"]),
     # den^k Tr(R^k) is the binomial sum, so Tr(R^k) is over den^k
     "trace_den_power_is_one": (
         BUILDER, "big_r.den ** k,", "1,",
         ["tests/test_builder.py::TestPowerTraces::"
-         "test_shared_factor_off_the_constant_term"]),
+         "test_recentring_edge_cases[coeffs5-0]"]),
     # the x-window one slot short of x^(ell*(n_q - 1))
     "x_window_one_slot_short": (
         BUILDER, "n_x = ell * (n_q - 1) + 1", "n_x = ell * (n_q - 1)",
@@ -124,6 +124,13 @@ MUTANTS = {
     "ks2_pack_without_borrow": (
         QSERIES, "return t - ((t & signs) << 1)", "return t",
         ["tests/test_qseries.py::TestBothProductPaths::test_borrow_chains"]),
+    # the chain's odd power x^k formed as x^(k-1) squared, not as
+    # x^(k-1) times x: x^3 comes out as x^4
+    "power_chain_odd_from_top_twice": (
+        QSERIES, "pw[-1] * pw[1])", "pw[-1] * pw[-1])",
+        ["tests/test_qseries.py::test_pow_matches_repeated_multiplication",
+         "tests/test_symbolic.py::TestMultiPoly::"
+         "test_pow_matches_repeated_mul"]),
     # the quotient's t-loop without its u0 power: y_k is held as
     # u0^(k+1) y_k only if each a_k is scaled by u0^k
     "division_t_loop_without_u0_power": (

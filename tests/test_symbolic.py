@@ -38,10 +38,14 @@ class TestMultiPoly:
         a, b, d = g("x") + 2 * g("y"), g("y") - 3, g("z") ** 2 + g("x")
         assert a * (b + d) == a * b + a * d
 
-    def test_pow_matches_repeated_mul(self):
+    # k = 0..8 takes every odd and every even step of the chain of powers
+    @pytest.mark.parametrize("k", range(9))
+    def test_pow_matches_repeated_mul(self, k):
         p = g("x") + g("y") + 1
-        assert p ** 3 == p * p * p
-        assert p ** 0 == c(1)
+        power = c(1)
+        for _ in range(k):
+            power = power * p
+        assert p ** k == power
 
     def test_scalar_division(self):
         p = (6 * g("x") + 9 * g("y")) / 3
