@@ -352,9 +352,5 @@ def main(argv=None) -> int:
         return code
 
 
-def run():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

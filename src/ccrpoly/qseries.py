@@ -11,11 +11,13 @@ only the builder reads a series in x = q**(1/ell), and traces it to q.
 Every series is kept in canonical form: den > 0 and
 gcd(den, *nums) == 1, so the zero series has den == 1.  Two series with
 the same rational coefficients therefore have the same ``nums`` and
-``den``, which keeps ``==`` and ``hash`` exact.  All arithmetic runs on
-the integers; Fractions appear only at the edges: the constructor,
-``coefficient()`` and the ``coeffs`` view.  A product whose numerators
-are narrow, their largest bit lengths summing to at most twice the
-window length, is two half-size integer products (Harvey's KS2
+``den``, which keeps ``==`` exact.  A series is made from integer
+numerators (``from_numerators``) or a rational constant (``constant``).
+All arithmetic runs on the integers; Fractions appear only at the
+edges: ``constant``, scalar factors, ``coefficient()`` and the
+``coeffs`` view.  A product whose numerators are narrow, their largest
+bit lengths summing to at most twice the window length, is two
+half-size integer products (Harvey's KS2
 Kronecker substitution, evaluated at +2**h and -2**h): each list's
 even- and odd-indexed numerators are packed into signed slots of k
 bytes, h = 4k bits, wide enough that every slot of the product has
@@ -25,9 +27,9 @@ product of numerator lists (half of one for ``s * s``).
 ell divides, each a dot product.  A quotient ``a / b``, and the inverse
 as 1 / b, is one forward substitution in the integers, each coefficient
 a dot product against the ones before it and the u0 powers kept until
-one denominator at the end (u0 b's first nonzero numerator).  A scalar
-c plus a series s is the series sum s + constant(c, s.end), so s's
-window must reach x^0.  ``s ** k`` for k >= 0, the builder's chains of
+one denominator at the end (u0 b's first nonzero numerator).  Series
+add to and subtract from series only, and a scalar only multiplies or
+divides one.  ``s ** k``, for k >= 0 only, the builder's chains of
 powers and MultiPoly's ``**`` all come from _powers, which forms each
 even power as a square and each odd one as the power below it times x.
 
@@ -142,13 +144,6 @@ class PowerSeries:
 
     __slots__ = ("lead", "nums", "den")
 
-    def __init__(self, coeffs, lead=0):
-        fracs = [_as_fraction(c) for c in coeffs]
-        # the lcm of reduced denominators is already coprime to the nums
-        den = lcm(*(c.denominator for c in fracs))
-        self.lead, self.den = lead, den
-        self.nums = [c.numerator * (den // c.denominator) for c in fracs]
-
     @property
     def end(self):
         return self.lead + len(self.nums)
@@ -198,11 +193,7 @@ class PowerSeries:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if self.end <= 0:
-                raise PrecisionError("constant term lies outside the window")
-            other = PowerSeries.constant(other, self.end)
-        elif not isinstance(other, PowerSeries):
+        if not isinstance(other, PowerSeries):
             return NotImplemented
         lead = min(self.lead, other.lead)
         end = min(self.end, other.end)
@@ -215,17 +206,11 @@ class PowerSeries:
                   for s in (self, other))
         return _series([u + v for u, v in zip(pa, pb)], den, lead)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _series([-v for v in self.nums], self.den, self.lead)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PowerSeries)
-                       else -_as_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,10 +303,8 @@ class PowerSeries:
         return _series(nums, self.den * (p // other.den), self.lead - first)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
         return _powers([PowerSeries.constant(1, len(self.nums)), self], k)[k]
 
     def __eq__(self, other):
@@ -329,9 +312,6 @@ class PowerSeries:
             return NotImplemented
         return (self.lead == other.lead and self.den == other.den
                 and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.lead, self.den, tuple(self.nums)))
 
     def __repr__(self):
         shown = ", ".join(str(Fraction(v, self.den)) for v in self.nums[:6])

@@ -173,14 +173,6 @@ MUTANTS = {
         ["tests/test_acceptance.py::test_criterion_2_elkies_worked_example",
          "tests/test_isogeny.py::"
          "test_elkies_step_matches_velu_at_cm_vectors"]),
-    # a scalar added to a series whose window ends at or below x^0: the
-    # constant series on that window is cut to x^0 alone, and the sum
-    # drops c where it must raise
-    "scalar_add_past_window": (
-        QSERIES, "            if self.end <= 0:\n"
-        '                raise PrecisionError("constant term lies outside '
-        'the window")\n', "",
-        ["tests/test_qseries.py::TestIntegerCore::test_scalar_ops"]),
     # the constructor keeps zero coefficients: no operator drops them
     # either, so a cancelled term stays, and verify-symbolic prints it
     "multipoly_keeps_zero_terms": (

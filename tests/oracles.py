@@ -7,6 +7,7 @@ checks; cm_vector has its own point arithmetic and prime search, the
 reference for certify.cm_vector, and
 vanishes_at_cm_vector reads a polynomial at its vector from the terms,
 with only Ua's gcd from the library.
+series builds a test series from a list of integers and Fractions.
 long_division divides series by the schoolbook recurrence in Fractions.
 expand_delta_display is the reference inverse of the Delta display,
 which the store writes and never reads.  form_basis_exponents lists the
@@ -19,7 +20,7 @@ sums, matching or Newton steps.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import comb, isqrt, lcm, prod
 
 from ccrpoly.ffield import PrimeField, UniPoly
 from ccrpoly.qseries import PowerSeries, eisenstein_series
@@ -38,8 +39,21 @@ def evaluate(poly, *point):
             powers[k, e] = point[k] ** e
         return powers[k, e]
 
-    return sum((prod((power(k, e) for k, e in enumerate(key) if e), start=c)
-                for key, c in poly.terms.items()), 0)
+    # a series takes no scalar summand: a constant term is c times the
+    # 0-th power of the first coordinate, and the sum starts at a term
+    first, *rest = (prod((power(k, e) for k, e in enumerate(key) if e),
+                         start=c) if any(key) else c * power(0, 0)
+                    for key, c in poly.terms.items())
+    return sum(rest, first)
+
+
+def series(coeffs, lead=0) -> PowerSeries:
+    """The series sum(coeffs[k] * x**(lead+k)) from integers and
+    Fractions, as numerators over the lcm of their denominators."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in fracs))
+    return PowerSeries.from_numerators(
+        [c.numerator * (den // c.denominator) for c in fracs], den, lead)
 
 
 def form_basis_exponents(w: int) -> list:
@@ -114,8 +128,8 @@ def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
     f = (eta(tau) eta(ell tau))^2."""
     m = n // ell + 1
 
-    def at_ell(series):
-        return series.substitute_q_power(ell, n)
+    def at_ell(s):
+        return s.substitute_q_power(ell, n)
 
     if kind == "U":
         return (at_ell(eisenstein_series(2, m)) * ell
@@ -124,8 +138,7 @@ def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
         return at_ell(eisenstein_series(4, m)) * (-3 * ell ** 4)
     if kind == "W":
         return at_ell(eisenstein_series(6, m)) * (-2 * ell ** 6)
-    return PowerSeries(eta_squared_loop(ell, n), lead=(ell + 1) // 12) \
-        * (-ell)
+    return series(eta_squared_loop(ell, n), lead=(ell + 1) // 12) * (-ell)
 
 
 def annihilates_at_cusp(poly) -> bool:
@@ -157,10 +170,8 @@ def expand_delta_display(kind: str, ell: int, terms: dict) -> TrivariatePoly:
 
 
 def ref_qdiff(a):
-    """q d/dq: the coefficient of q**n picks up n.  Takes and returns any
-    series type built as cls(coeffs, lead)."""
-    return type(a)([c * (a.lead + k) for k, c in enumerate(a.coeffs)],
-                   a.lead)
+    """q d/dq: the coefficient of q**n picks up n."""
+    return series([c * (a.lead + k) for k, c in enumerate(a.coeffs)], a.lead)
 
 
 def zero_through(s, n: int) -> bool:

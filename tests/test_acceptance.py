@@ -126,7 +126,7 @@ def test_criterion_5_series_identities():
         "12 qdiff(E2) = E2^2 - E4": ref_qdiff(e2) * 12 - (e2 * e2 - e4),
         "1728 Delta = E4^3 - E6^2": delta * 1728 - (e4 * e4 * e4 - e6 * e6),
         "j Delta = E4^3": j * delta - e4 * e4 * e4,
-        "(j - 1728) Delta = E6^2": (j - 1728) * delta - e6 * e6,
+        "(j - 1728) Delta = E6^2": j * delta - delta * 1728 - e6 * e6,
         "qdiff(j) Delta = -E4^2 E6": ref_qdiff(j) * delta + e4 * e4 * e6,
         "qdiff(Delta) = E2 Delta": ref_qdiff(delta) - e2 * delta,
     }

@@ -27,7 +27,7 @@ from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
 from oracles import (annihilates_at_cusp, cm_vector, evaluate,
-                     form_basis_exponents, vanishes_at_cm_vector,
+                     form_basis_exponents, series, vanishes_at_cm_vector,
                      zero_through)
 
 U5_AB = {(6, 0, 0): 1, (4, 1, 0): 20, (3, 0, 1): 160, (2, 2, 0): -80,
@@ -71,7 +71,7 @@ class TestPowerTraces:
                     min_size=1, max_size=14),
            st.integers(-4, 4))
     def test_matches_sequential_powers(self, ell, coeffs, lead):
-        self.assert_matches_sequential(PowerSeries(coeffs, lead=lead), ell)
+        self.assert_matches_sequential(series(coeffs, lead=lead), ell)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(-4, 4),
@@ -88,7 +88,7 @@ class TestPowerTraces:
         if 0 <= -lead <= len(nums):
             nums.insert(-lead, c0)
         self.assert_matches_sequential(
-            PowerSeries(nums, lead=lead) * Fraction(1, den), ell)
+            series(nums, lead=lead) * Fraction(1, den), ell)
 
     @pytest.mark.parametrize("coeffs, lead", [
         # constant R: no numerator off x^0, so no factor g to take out
@@ -106,7 +106,7 @@ class TestPowerTraces:
     ])
     def test_recentring_edge_cases(self, coeffs, lead):
         for ell in (2, 3, 5):
-            self.assert_matches_sequential(PowerSeries(coeffs, lead=lead),
+            self.assert_matches_sequential(series(coeffs, lead=lead),
                                            ell)
 
     def test_negative_lead_j_series_of_phi(self):
@@ -171,7 +171,7 @@ class TestPowerSums:
 def test_newton_elementary_gives_the_polynomial(roots):
     # the power sums of integer series r_i give the coefficients of
     # prod (X - r_i): that of X^(n-k) is (-1)^k e_k
-    rs = [PowerSeries(c) for c in roots]
+    rs = [series(c) for c in roots]
     n = len(rs)
     sums = [sum((r ** k for r in rs[1:]), rs[0] ** k) for k in range(1, n + 1)]
     zero = PowerSeries.constant(0, 4)
@@ -285,7 +285,7 @@ def same_on_common_window(a, b):
 
 def drawn_series(max_size):
     return st.builds(
-        lambda nums, lead, den: PowerSeries(nums, lead) * Fraction(1, den),
+        lambda nums, lead, den: series(nums, lead) * Fraction(1, den),
         st.lists(st.integers(-50, 50), min_size=3, max_size=max_size),
         st.integers(-3, 3), st.integers(2, 12))
 
@@ -324,7 +324,7 @@ class TestBasisMatch:
         assert form_dict(match_to_form_basis(s, 6)) == {(3, 0): 1, (0, 2): -1}
 
     def test_zero_series_empty_result(self):
-        z = PowerSeries([0] * 12)
+        z = series([0] * 12)
         assert form_dict(match_to_form_basis(z, 6)) == {}
         # w = 1 has no E4^a E6^b: the zero series is the form with no row
         empty = match_to_form_basis(z, 1)
@@ -332,18 +332,18 @@ class TestBasisMatch:
 
     def test_unmatchable_series_raises(self):
         # q is not a weight-4 Eisenstein multiple
-        s = PowerSeries([0, 1] + [0] * 10)
+        s = series([0, 1] + [0] * 10)
         with pytest.raises(BasisMatchError):
             match_to_form_basis(s, 2)
 
     def test_pole_raises(self):
         # 5/q + E4 is not E4: nothing below q^0 may be dropped
-        s = PowerSeries([5] + eisenstein_series(4, 8).coeffs, lead=-1)
+        s = series([5] + eisenstein_series(4, 8).coeffs, lead=-1)
         with pytest.raises(BasisMatchError):
             match_to_form_basis(s, 2)
 
     def test_zeros_below_q0_are_no_pole(self):
-        s = PowerSeries([0, 0] + eisenstein_series(4, 8).coeffs, lead=-2)
+        s = series([0, 0] + eisenstein_series(4, 8).coeffs, lead=-2)
         assert form_dict(match_to_form_basis(s, 2)) == {(1, 0): 1}
 
     def test_e6_delta_over_e4_is_no_form(self):
@@ -356,7 +356,7 @@ class TestBasisMatch:
             match_to_form_basis(s, 7)
 
     def test_nonzero_series_with_empty_basis_raises(self):
-        s = PowerSeries([1] * 8)
+        s = series([1] * 8)
         with pytest.raises(BasisMatchError):
             match_to_form_basis(s, 1)
 
@@ -367,7 +367,7 @@ class TestBasisMatch:
         sturm = w // 6 + 1
         e4, e6 = eisenstein_series(4, sturm), eisenstein_series(6, sturm)
         exps = form_basis_exponents(w)
-        f = PowerSeries([0] * sturm)
+        f = series([0] * sturm)
         for k, (a, b) in enumerate(exps, 1):
             f = f + (e4 ** a) * (e6 ** b) * k
         assert form_dict(match_to_form_basis(f, w)) == \
@@ -513,7 +513,7 @@ class TestClassicalPhi:
                 ends.append(first.end)
                 coeffs = [0] * len(first.nums)
                 coeffs[row - first.lead] = 1
-                return [first + PowerSeries(coeffs, lead=first.lead)] + rest
+                return [first + series(coeffs, lead=first.lead)] + rest
             return spy
 
         row = 1
@@ -531,7 +531,8 @@ class TestClassicalPhi:
 
         def spy(sums, e0):
             first, *rest = real(sums, e0)
-            return [first + Fraction(1, 2)] + rest
+            return [first + PowerSeries.constant(Fraction(1, 2), first.end),
+                    *rest]
 
         monkeypatch.setattr(builder, "_newton_elementary", spy)
         with pytest.raises(BuildError,
@@ -557,7 +558,7 @@ class TestClassicalPhi:
     def test_peel_refuses_a_short_j_power(self):
         j = j_series(14)                        # on [-1, 12)
         jpow = builder._powers([None, j], 3)
-        e = jpow[2] + 3 * j + 5                 # on [-2, 11)
+        e = jpow[2] + 3 * j + PowerSeries.constant(5, 11)   # on [-2, 11)
         assert builder._peel_j_powers(e, jpow, 2, 1) == {2: 1, 1: 3, 0: 5}
         # j^2 must reach q^10, e's last row: one slot short is an error,
         # not a row left unchecked

@@ -1,8 +1,10 @@
 """Exit codes and report text of the command-line front end."""
 
+import argparse
 import collections
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -816,9 +818,10 @@ class TestOutOfMemory:
         # the expansion is made to spread E2 over ell times the window at
         # once, far more than the limit, so the child fails fast instead
         # of exhausting the host
-        spread = ("import ccrpoly.cli as c, ccrpoly.qseries as q; "
+        spread = ("import sys, ccrpoly.cli as c, ccrpoly.qseries as q; "
                   "q.PowerSeries.substitute_q_power = "
-                  "lambda s, m, end: [0] * (m * len(s.nums)); c.run()")
+                  "lambda s, m, end: [0] * (m * len(s.nums)); "
+                  "sys.exit(c.main())")
         proc = run_limited(["series", "--name", "F", "--ell", "100000000003",
                             "--prec", "10"], tmp_path, launch=("-c", spread))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
@@ -899,3 +902,14 @@ class TestTopLevel:
         assert cli.main(argv + ["--seed", "0"]) == 2
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert not cache.exists()
+
+    def test_reach_tool_calls_every_command(self):
+        # tools/reach.py measures what its calls reach, so a command that
+        # none of them runs would go unmeasured
+        spec = importlib.util.spec_from_file_location(
+            "reach", Path(__file__).resolve().parents[1] / "tools" / "reach.py")
+        reach = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reach)
+        commands, = (a.choices for a in cli._parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert set(commands) <= {argv[0] for argv in reach.CALLS}

@@ -17,16 +17,16 @@ from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              eta_squared_product, expand, fn_series, j_series,
                              sigma1_series)
 from oracles import (eta_squared_loop, form_basis_exponents, long_division,
-                     ref_qdiff, zero_through)
+                     ref_qdiff, series, zero_through)
 
 
 def geometric(precision):
-    return PowerSeries([1] * precision)
+    return series([1] * precision)
 
 
 def test_geometric_inverse():
     # (1 - q) * (1 + q + q^2 + ...) = 1
-    one_minus_q = PowerSeries([1, -1] + [0] * 18)
+    one_minus_q = series([1, -1] + [0] * 18)
     prod = one_minus_q * geometric(20)
     assert prod.coefficient(0) == 1
     assert zero_through(prod, 19) is False  # constant 1 present
@@ -36,15 +36,15 @@ def test_geometric_inverse():
 
 
 def test_difference_of_squares():
-    a = PowerSeries([1, 1, 0, 0, 0])
-    b = PowerSeries([1, -1, 0, 0, 0])
+    a = series([1, 1, 0, 0, 0])
+    b = series([1, -1, 0, 0, 0])
     prod = a * b
     assert [prod.coefficient(n) for n in range(5)] == [1, 0, -1, 0, 0]
 
 
 def test_window_shrinks_with_multiplication():
-    a = PowerSeries([1, 2, 3], lead=0)        # known through x^2
-    b = PowerSeries([5, 7], lead=1)           # known through x^2
+    a = series([1, 2, 3], lead=0)             # known through x^2
+    b = series([5, 7], lead=1)                # known through x^2
     prod = a * b
     assert prod.lead == 1
     assert prod.end == 3                      # min(3+1, 3+0)
@@ -53,15 +53,15 @@ def test_window_shrinks_with_multiplication():
 
 
 def test_coefficients_below_window_are_exact_zero():
-    s = PowerSeries([4, 5], lead=3)
+    s = series([4, 5], lead=3)
     assert s.coefficient(0) == 0
     assert s.coefficient(2) == 0
     assert s.coefficient(3) == 4
 
 
 def test_scalar_ops_and_negative_lead():
-    s = PowerSeries([1, 744, 196884], lead=-1)
-    t = s - 744
+    s = series([1, 744, 196884], lead=-1)
+    t = s - PowerSeries.constant(744, s.end)
     assert t.coefficient(0) == 0
     assert t.coefficient(-1) == 1
     u = s * Fraction(1, 2)
@@ -69,7 +69,7 @@ def test_scalar_ops_and_negative_lead():
 
 
 def test_division_by_zero_series():
-    z = PowerSeries([0, 0, 0])
+    z = series([0, 0, 0])
     with pytest.raises(ZeroDivisionError):
         z.inverse()
 
@@ -79,7 +79,7 @@ def divisions(draw):
     """(a, b, k): a numerator and a divisor series of either lead and of
     windows of their own lengths, signed coefficients, and up to three
     zero numerators in b before its first nonzero one u0, an integer or
-    a Fraction; and a power k for b ** -k."""
+    a Fraction; and a power k for b.inverse() ** k."""
     coeffs = st.one_of(st.integers(-10 ** 6, 10 ** 6),
                        st.fractions(-50, 50, max_denominator=36))
     u0 = draw(st.one_of(st.integers(-40, 40),
@@ -88,17 +88,17 @@ def divisions(draw):
     b = [0] * draw(st.integers(0, 3)) + [u0] + draw(st.lists(coeffs,
                                                              max_size=12))
     a = draw(st.lists(coeffs, min_size=1, max_size=14))
-    return (PowerSeries(a, lead=draw(st.integers(-4, 4))),
-            PowerSeries(b, lead=draw(st.integers(-4, 4))),
+    return (series(a, lead=draw(st.integers(-4, 4))),
+            series(b, lead=draw(st.integers(-4, 4))),
             draw(st.integers(1, 3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(divisions())
-@example((PowerSeries([5, -7, 3], lead=-2),
-          PowerSeries([0, 0, Fraction(3, 2), -1, 4, 2], lead=1), 2))
-@example((PowerSeries([1, 2, 3, 4, 5, 6], lead=3),
-          PowerSeries([-6, 1], lead=-1), 3))
+@example((series([5, -7, 3], lead=-2),
+          series([0, 0, Fraction(3, 2), -1, 4, 2], lead=1), 2))
+@example((series([1, 2, 3, 4, 5, 6], lead=3),
+          series([-6, 1], lead=-1), 3))
 def test_division_matches_fraction_long_division(case):
     a, b, k = case
     quotient = a / b
@@ -110,19 +110,19 @@ def test_division_matches_fraction_long_division(case):
     power = one
     for _ in range(k):
         lead, coeffs = long_division(power, b)
-        power = PowerSeries(coeffs, lead=lead)
-    assert b ** -k == power
+        power = series(coeffs, lead=lead)
+    assert b.inverse() ** k == power
     with pytest.raises(ZeroDivisionError):
-        a / PowerSeries([0] * len(b.nums), lead=b.lead)
+        a / series([0] * len(b.nums), lead=b.lead)
     with pytest.raises(PrecisionError):
-        PowerSeries([], lead=a.lead) / b
+        series([], lead=a.lead) / b
 
 
 # k = 0..8 takes every odd and every even step of the chain of powers
 @pytest.mark.parametrize("k", range(9))
 def test_pow_matches_repeated_multiplication(k):
     rng = random.Random(7)
-    s = PowerSeries([rng.randrange(-9, 10) for _ in range(12)])
+    s = series([rng.randrange(-9, 10) for _ in range(12)])
     power = PowerSeries.constant(1, 12)
     for _ in range(k):
         power = power * s
@@ -131,14 +131,14 @@ def test_pow_matches_repeated_multiplication(k):
 
 def test_qdiff_basics():
     # qdiff(q^n) = n q^n
-    s = PowerSeries([0, 1, 0, 5])
+    s = series([0, 1, 0, 5])
     d = ref_qdiff(s)
     assert d.coefficient(1) == 1
     assert d.coefficient(3) == 15
 
 
 def test_substitute_q_power_and_extract_roundtrip():
-    s = PowerSeries([2, 3, 5, 7])
+    s = series([2, 3, 5, 7])
     sub = s.substitute_q_power(3, 12)
     assert sub.coefficient(0) == 2
     assert sub.coefficient(3) == 3
@@ -149,20 +149,20 @@ def test_substitute_q_power_and_extract_roundtrip():
 
 
 def test_substitute_q_power_costs_its_window():
-    s = PowerSeries([2, 3, 5, 7], lead=-1)
+    s = series([2, 3, 5, 7], lead=-1)
     assert s.substitute_q_power(3, 4).coeffs == [2, 0, 0, 3, 0, 0, 5]
     with pytest.raises(PrecisionError):
         s.substitute_q_power(3, 10)     # past x^(3 * 3)
     with pytest.raises(PrecisionError):
         s.substitute_q_power(3, -3)     # empty
     # at 2^89 - 1 only the constant term falls inside the window
-    far = PowerSeries([2, 3]).substitute_q_power(2 ** 89 - 1, 10)
+    far = series([2, 3]).substitute_q_power(2 ** 89 - 1, 10)
     assert far.coeffs == [2] + [0] * 9
 
 
 def test_extract_progression_drops_other_residues():
     # x^1 + x^2 + x^4 with x = q^(1/2): only x^2 and x^4 survive, times 2
-    s = PowerSeries([0, 1, 1, 0, 1])
+    s = series([0, 1, 1, 0, 1])
     e = s.extract_progression(2)
     assert [e.coefficient(n) for n in range(3)] == [0, 2, 2]
 
@@ -204,9 +204,9 @@ def test_delta_equals_eta_power_24():
             if i >= 2 * m:
                 v += prod[i - 2 * m]
             prod[i] = v
-    eta2 = PowerSeries(prod)
+    eta2 = series(prod)
     d = delta_series(n)
-    diff = d - eta2 ** 12 * PowerSeries([0, 1] + [0] * (n - 2))
+    diff = d - eta2 ** 12 * series([0, 1] + [0] * (n - 2))
     assert zero_through(diff, 25)
 
 
@@ -339,14 +339,6 @@ def ref_add(a, b):
     return Ref([a.at(n) + b.at(n) for n in range(lead, end)], lead)
 
 
-def ref_add_scalar(a, c):
-    if a.end <= 0:
-        raise PrecisionError("constant term outside the window")
-    lead = min(a.lead, 0)
-    return Ref([a.at(n) + (c if n == 0 else 0) for n in range(lead, a.end)],
-               lead)
-
-
 def ref_scale(a, c):
     return Ref([c * v for v in a.coeffs], a.lead)
 
@@ -370,8 +362,6 @@ def ref_inverse(a):
 
 
 def ref_pow(a, k):
-    if k < 0:
-        return ref_pow(ref_inverse(a), -k)
     out = Ref([1] + [0] * (len(a.coeffs) - 1), 0)
     for _ in range(k):
         out = ref_mul(out, a)
@@ -401,8 +391,7 @@ def assert_matches(s, ref):
     assert s.coeffs == ref.coeffs
     assert all(type(v) is int for v in s.nums) and type(s.den) is int
     assert s.den > 0 and gcd(s.den, *s.nums) == 1
-    twin = PowerSeries(ref.coeffs, lead=ref.lead)
-    assert s == twin and hash(s) == hash(twin)
+    assert s == series(ref.coeffs, lead=ref.lead)
 
 
 def agree(run, reference):
@@ -442,7 +431,7 @@ def series_pairs(draw, max_size=9, max_bits=0):
                    * rng.getrandbits(rng.randint(0, bits))
                    for _ in range(size - len(coeffs))]
     lead = draw(st.integers(-4, 4))
-    return PowerSeries(coeffs, lead=lead), Ref(coeffs, lead)
+    return series(coeffs, lead=lead), Ref(coeffs, lead)
 
 
 def schoolbook(a, b, size):
@@ -455,7 +444,7 @@ def assert_product(s, a, b):
     numerators read back through the constructor."""
     size = min(len(a.nums), len(b.nums))
     den = a.den * b.den
-    expected = PowerSeries([Fraction(v, den) for v in
+    expected = series([Fraction(v, den) for v in
                             schoolbook(a.nums, b.nums, size)],
                            lead=a.lead + b.lead)
     assert (s.lead, s.den, s.nums) == \
@@ -475,26 +464,28 @@ class TestIntegerCore:
 
     @settings(max_examples=200, deadline=None)
     @given(series_pairs(), scalars)
-    # a window that ends at x^0 holds no constant term: s + c and c - s
-    # are PrecisionErrors, not s with c dropped
-    @example((PowerSeries([1, 2], lead=-2), Ref([1, 2], -2)), 5)
     def test_scalar_ops(self, x, c):
         a, ra = x
         agree(lambda: a * c, lambda: ref_scale(ra, Fraction(c)))
         agree(lambda: c * a, lambda: ref_scale(ra, Fraction(c)))
-        agree(lambda: a + c, lambda: ref_add_scalar(ra, Fraction(c)))
-        agree(lambda: c - a, lambda: ref_add_scalar(ref_scale(ra, -1),
-                                                    Fraction(c)))
         agree(lambda: a / c, lambda: ref_scale(ra, 1 / Fraction(c)))
         agree(lambda: -a, lambda: ref_scale(ra, -1))
+        # a scalar only scales a series: a sum with one is refused
+        for op in (lambda: a + c, lambda: c + a, lambda: a - c,
+                   lambda: c - a):
+            with pytest.raises(TypeError):
+                op()
 
     @settings(max_examples=200, deadline=None)
-    @given(series_pairs(), st.integers(-3, 4), st.integers(-5, 12),
+    @given(series_pairs(), st.integers(0, 4), st.integers(-5, 12),
            st.integers(1, 3), st.integers(1, 3))
     def test_unary_ops(self, x, k, end, m, ell):
         a, ra = x
         agree(a.inverse, lambda: ref_inverse(ra))
         agree(lambda: a ** k, lambda: ref_pow(ra, k))
+        # a negative power is refused, not read as a power of the inverse
+        with pytest.raises(TypeError):
+            a ** -1
         agree(lambda: a.truncate(end), lambda: ref_truncate(ra, end))
         agree(lambda: a.substitute_q_power(m, end),
               lambda: ref_substitute(ra, m, end))
@@ -564,7 +555,7 @@ class TestBothProductPaths:
         assert bits <= size        # the product takes the packed path
         expected = schoolbook(a, b, size)
         assert qseries._kronecker(a, b, size, bits) == expected
-        sa, sb = PowerSeries(a, lead=-3), PowerSeries(b, lead=1)
+        sa, sb = series(a, lead=-3), series(b, lead=1)
         assert_product(sa * sb, sa, sb)
         # and the square of a, packed once
         bits = 2 * max(map(int.bit_length, a))
@@ -592,7 +583,7 @@ def test_square_is_the_general_product(x, lead, ell):
     # a * a takes the square on either path; an equal copy the general
     # product
     coeffs = x[0].coeffs
-    a, twin = (PowerSeries(coeffs, lead=lead) for _ in range(2))
+    a, twin = (series(coeffs, lead=lead) for _ in range(2))
     assert a.nums is not twin.nums
     square = a * a
     general = a * twin
@@ -612,7 +603,7 @@ def trace_factors(draw):
     coeffs = draw(st.lists(st.one_of(st.just(0), coefficients), max_size=24))
     lead, m = draw(st.integers(-9, 9)), draw(st.integers(1, 3))
     ref = Ref(coeffs, lead).rescale(m)
-    return PowerSeries(ref.coeffs, lead=ref.lead), ref
+    return series(ref.coeffs, lead=ref.lead), ref
 
 
 @settings(max_examples=300, deadline=None)
@@ -723,7 +714,7 @@ def test_match_to_form_basis_matches_fraction_gauss_jordan(form, data):
     e4, e6 = eisenstein_series(4, end), eisenstein_series(6, end)
     exps = list(drawn)
     monomials = [e4 ** a * e6 ** b for a, b in exps]
-    s = PowerSeries([0] * end)
+    s = series([0] * end)
     for c, f in zip(drawn.values(), monomials):
         s = s + f * c
     expected = {ab: c for ab, c in drawn.items() if c}
@@ -737,7 +728,7 @@ def test_match_to_form_basis_matches_fraction_gauss_jordan(form, data):
         bump = [0] * end
         bump[row] = data.draw(scalars.filter(bool))
         with pytest.raises(BasisMatchError):
-            builder.match_to_form_basis(s + PowerSeries(bump), w)
+            builder.match_to_form_basis(s + series(bump), w)
     if w >= 6:
         with pytest.raises(PrecisionError):
             builder.match_to_form_basis(s.truncate(w // 6), w)

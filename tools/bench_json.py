@@ -14,7 +14,11 @@ it.
 For each workload the file gives the five end-to-end metrics as
 median, q1, q3 and iqr (quartiles by the inclusive method) with the
 values of every run, and the attempted and failed operation counts
-summed over the runs.  The file also records the Python version,
+summed over the runs.  After the timed runs, one ``--trace 1`` run per
+workload at seed 1 gives ``counts``: every per-layer metric whose unit
+is ``count``.  The traced runs take fixed rounds, so these repeat
+exactly from run to run, and a change that moves one does more or less
+work.  The file also records the Python version,
 ``nproc`` and ``src_lines`` from perfbench's record, the commit (with
 ``dirty`` when the tree differs from it), the run count and the run
 length that perfbench's record reports.  perfbench itself is only run, never changed.
@@ -33,13 +37,13 @@ WORKLOADS = ("build", "step256", "batch", "cli")
 METRICS = ("setup_s", "op_p50_ms", "op_tail_ms", "ops_per_s", "peak_rss_mb")
 
 
-def run_once(workload: str, seed: int) -> tuple:
-    """(record, result) of one perfbench run.  A failed run prints its
-    workload, seed, exit code and the tail of its stderr, and exits 1
-    before any file is written."""
+def run_once(workload: str, seed: int, *extra: str) -> tuple:
+    """(record, result) of one perfbench run, with the extra arguments.
+    A failed run prints its workload, seed, exit code and the tail of its
+    stderr, and exits 1 before any file is written."""
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed",
-         str(seed)],
+         str(seed), *extra],
         cwd=ROOT, capture_output=True, encoding="utf-8")
     if proc.returncode:
         tail = "\n".join(proc.stderr.splitlines()[-20:])
@@ -91,6 +95,12 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: op_p50_ms "
                   f"{result['metrics']['op_p50_ms']['value']:.4g}, "
                   f"failed {result['failed']}", flush=True)
+    counts = {}
+    for name in WORKLOADS:
+        _, result = run_once(name, 1, "--trace", "1")
+        counts[name] = {k: m["value"] for k, m in result["metrics"].items()
+                        if m["unit"] == "count"}
+        print(f"{name} traced: {len(counts[name])} counts", flush=True)
     out = {
         "commit": commit,
         "dirty": dirty,
@@ -103,7 +113,8 @@ def main(argv=None) -> int:
             name: {"seeds": list(range(1, args.runs + 1)),
                    "attempted": got["attempted"], "failed": got["failed"],
                    "metrics": {m: summary(got["values"][m])
-                               for m in METRICS}}
+                               for m in METRICS},
+                   "counts": counts[name]}
             for name, got in seen.items()},
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
