@@ -5,16 +5,18 @@ runs, and count them.
 
 Tracing (stdlib ``trace``) starts before ``ccrpoly`` is imported, so
 module-level statements count.  The traffic is the ``__main__`` guard
-once through ``runpy``; every call in CALLS through ``cli.main``, with
-the store and the build output in a temporary directory, each step
-call once cold and once warm; and the library calls that perfbench's
-workloads make at p = 2^256 - 189: ``elkies_step`` with and without V,
-W and Phi, ``atkin_step``, and the store-text round trip compared with
-``==``.  The output is one ``file:line: statement`` line for each
-statement that never ran, then ``unreached N`` and ``unreached_error
-M``: M counts the statements that are a ``raise`` or sit under an
-``except``, and N every other one.  The tool writes nothing inside the
-repository.
+once through ``runpy``; every call in CALLS through ``cli.main``, each
+step call once cold and once warm, with its store in ``--poly-dir``
+but for one ``--rebuild`` call that takes the default store; and the
+work of perfbench's own workloads (perfbench/workloads.py), each made
+as ``--smoke`` makes it (seed 1, smoke size, the reference, in process)
+and run through its set-up, its set-up checks and one round of
+operations, each checked against the reference or its oracle.  Every
+call runs in a temporary directory.  The output is one ``file:line:
+statement`` line for each statement that never ran, then ``unreached
+N`` and ``unreached_error M``: M counts the statements that are a
+``raise`` or sit under an ``except``, and N every other one.  The tool
+writes nothing inside the repository.
 
 Known remainder, unreached and kept:
 - read or wrapped by perfbench, until ROADMAP item 6 removes them:
@@ -43,13 +45,14 @@ import trace
 from contextlib import redirect_stdout
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parents[1] / "src" / "ccrpoly"
-P256 = 2 ** 256 - 189
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "ccrpoly"
 # small p, p = 1 (mod 4), j = 0, j = 1728, and one curve at 2^256 - 189
 # with Elkies roots at 5 and 7 and Atkin roots at 11
 CURVES = [(1009, 1, 3), (10009, 1, 3), (1009, 0, 3), (1009, 1, 0),
-          (P256, 3, 5)]
-STEPS = [[cmd, "--p", str(p), "--a", str(a), "--b", str(b), "--ell", ell]
+          (2 ** 256 - 189, 3, 5)]
+STEPS = [[cmd, "--p", str(p), "--a", str(a), "--b", str(b), "--ell", ell,
+          "--poly-dir", "cache"]
          for p, a, b in CURVES
          for cmd, ell in (("elkies", "5"), ("elkies", "7"), ("atkin", "11"))]
 CALLS = [["selftest"], ["verify-symbolic"],
@@ -62,7 +65,7 @@ CALLS = [["selftest"], ["verify-symbolic"],
                                     ("Ua", "11", "E4E6 AB Delta"),
                                     ("Phi", "7", "j"))
            for basis in bases.split()),
-         *STEPS, *STEPS, STEPS[0] + ["--rebuild"]]
+         *STEPS, *STEPS, STEPS[0][:-2] + ["--rebuild"]]
 
 
 def traffic():
@@ -71,20 +74,26 @@ def traffic():
         runpy.run_module("ccrpoly.cli", run_name="__main__")
     except SystemExit:
         pass
-    from ccrpoly import cli, ffield, isogeny, trivariate
+    from ccrpoly import cli
+    os.environ.pop(cli.CACHE_ENV, None)  # the default store is ./.ccr-cache
     for argv in CALLS:
         cli.main(argv)
-    polys = {k: cli.load_or_build(k, ell, os.environ[cli.CACHE_ENV])
-             for k, ell in (("U", 5), ("V", 5), ("W", 5), ("Phi", 5),
-                            ("Ua", 11))}
-    curve = ffield.CurveParams(ffield.PrimeField(P256), 3, 5)
-    isogeny.elkies_step(curve, 5, polys["U"])
-    isogeny.elkies_step(curve, 5, polys["U"], v=polys["V"], w=polys["W"],
-                        phi=polys["Phi"])
-    isogeny.atkin_step(curve, 11, polys["Ua"])
-    for poly in polys.values():
-        assert trivariate.poly_from_text(trivariate.poly_to_text(poly)) \
-            == poly
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    workloads.OUT = Path.cwd()  # the cli workload's store
+    reference = workloads.load_reference()
+    for make in workloads.WORKLOADS.values():
+        w = make(1, True, reference, in_process=True)
+        try:
+            for step in w.setup_steps():
+                step()
+            w.check_setup()
+            for op in next(w.rounds()):
+                w.run_op(*op)
+        finally:
+            w.close()
+        if w.failed:
+            raise RuntimeError(f"perfbench {w.name}: {w.problems}")
 
 
 def statements(node, error=False):
@@ -107,7 +116,9 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         os.chdir(tmp)
-        os.environ["CCR_CACHE_DIR"] = os.path.join(tmp, "cache")
+        # the build workload's set-up imports the package in a child
+        # process, whose bytecode goes here too
+        os.environ["PYTHONPYCACHEPREFIX"] = os.path.join(tmp, "pycache")
         try:
             tracer.runfunc(traffic)
         finally:
@@ -121,7 +132,7 @@ def main() -> int:
         for line, err in sorted(set(statements(ast.parse(source)))):
             if (path, line) not in ran:
                 counts[err] += 1
-                print(f"{path.relative_to(PKG.parents[1])}:{line}: "
+                print(f"{path.relative_to(ROOT)}:{line}: "
                       f"{lines[line - 1].strip()}")
     print(f"unreached {counts[0]}\nunreached_error {counts[1]}")
     return 0
