@@ -138,6 +138,15 @@ def _walk(curve: CurveParams, P, found, diagnostics, work) -> list:
     return out
 
 
+def _cross_check(P, kind: str, ell: int, curve: CurveParams):
+    """A cross-check polynomial specialized at the curve; P is the
+    polynomial or a zero-argument function that returns it."""
+    if callable(P):
+        P = P()
+        _check_poly(P, kind, ell)
+    return specialize(P, curve)
+
+
 def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
                 diagnostics=None) -> list:
     """Work every root of the specialized U polynomial into an
@@ -146,21 +155,26 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     An empty list signals an Atkin prime.  Roots where ds vanishes are
     skipped; a (root, message) pair goes to the diagnostics list when
     one is supplied.  v, w, phi are optional cross-check polynomials;
-    their flags stay None when absent, and they are specialized only
-    when U has a root.  p in {5, 7}, where the power sums divide by
-    zero, is refused first.
+    their flags stay None when absent.  Each may be the polynomial or a
+    zero-argument function that returns it: such a function is called,
+    and what it returns checked, only when U has a root, so a caller
+    that loads or builds them on demand pays nothing at an Atkin prime.
+    They are specialized only when U has a root.  p in {5, 7}, where the
+    power sums divide by zero, is refused first.
     """
     field = curve.field
     _check_level(field, ell)
     _check_sums_prime(field.p)
-    for P, kind in ((u, "U"), (v, "V"), (w, "W"), (phi, "Phi")):
-        if P is not None:
+    cross = ((v, "V"), (w, "W"), (phi, "Phi"))
+    for P, kind in ((u, "U"),) + cross:
+        if P is not None and not callable(P):
             _check_poly(P, kind, ell)
     p = field.p
     e4, e6 = curve.e4, curve.e6
     sigmas = roots(specialize(u, curve))
-    v_at, w_at, phi_at = (specialize(P, curve) if sigmas and P is not None
-                          else None for P in (v, w, phi))
+    v_at, w_at, phi_at = (_cross_check(P, kind, ell, curve)
+                          if sigmas and P is not None else None
+                          for P, kind in cross)
 
     def work(sigma, bundle, note):
         e4t = e4_tilde(field, ell, sigma, bundle, e4, e6)

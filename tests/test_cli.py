@@ -23,11 +23,16 @@ from hypothesis import strategies as st
 from ccrpoly import cli, isogeny, symbolic
 from ccrpoly.errors import (BuildError, DegeneratePoint, StoreError,
                             VerificationError)
+from ccrpoly.ffield import roots
 from ccrpoly.qseries import _FORM_NAMES, eisenstein_series
 from ccrpoly.trivariate import poly_to_text
 
 ELKIES_ARGS = ["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell", "5"]
 ATKIN_ARGS = ["atkin", "--p", "1009", "--a", "1", "--b", "3", "--ell", "11"]
+# y^2 = x^3 + x + 2 over F_1009 has no 5-isogeny: U5 has no root there
+ATKIN_PRIME_ARGS = ["elkies", "--p", "1009", "--a", "1", "--b", "2",
+                    "--ell", "5"]
+ATKIN_PRIME_OUT = "p=1009 A=1 B=2 ell=5 j=350\nAtkin prime: no roots\n"
 
 
 def run_cli(argv, cache, cwd):
@@ -129,6 +134,60 @@ class TestElkies:
                        "--ell", "5"])
         assert rc == 1
         assert "Atkin prime" in capsys.readouterr().out
+
+    def test_cold_atkin_prime_writes_only_u(self, cache, tmp_path, capsys):
+        """V, W and Phi only check a root of U, so a cold call at an
+        Atkin prime builds and writes U alone.  An Elkies-prime call at
+        the same level then builds the other three, and prints and
+        writes what a call on an empty store does."""
+        assert cli.main(ATKIN_PRIME_ARGS) == 1
+        assert capsys.readouterr().out == ATKIN_PRIME_OUT
+        assert os.listdir(cache) == ["U_5_E4E6.txt"]
+        assert cli.main(ELKIES_ARGS) == 0
+        out = capsys.readouterr().out
+        cold = tmp_path / "cold"
+        assert cli.main(ELKIES_ARGS + ["--poly-dir", str(cold)]) == 0
+        assert capsys.readouterr().out == out
+        names = ["Phi_5_j.txt", "U_5_E4E6.txt", "V_5_E4E6.txt",
+                 "W_5_E4E6.txt"]
+        assert sorted(os.listdir(cache)) == sorted(os.listdir(cold)) == names
+        for name in names:
+            assert (cache / name).read_bytes() == (cold / name).read_bytes()
+
+    @pytest.mark.parametrize("rebuild", [[], ["--rebuild"]],
+                             ids=["read", "rebuild"])
+    def test_atkin_prime_reads_no_cross_check_store(self, cache, capsys,
+                                                    rebuild):
+        """At an Atkin prime a corrupt V store is neither read nor
+        rebuilt, so nothing reports it: only U is read, or with
+        --rebuild rebuilt and compared."""
+        assert cli.main(ELKIES_ARGS) == 0
+        capsys.readouterr()
+        path = cache / "V_5_E4E6.txt"
+        text = path.read_text().replace(" 1\n", " 2\n", 1)
+        path.write_text(text)
+        assert cli.main(ATKIN_PRIME_ARGS + rebuild) == 1
+        assert capsys.readouterr().out == ATKIN_PRIME_OUT
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("argv", [ELKIES_ARGS, ATKIN_PRIME_ARGS,
+                                      ATKIN_ARGS],
+                             ids=["elkies", "atkin_prime", "atkin"])
+    def test_roots_runs_once_per_step(self, cache, capsys, monkeypatch,
+                                      argv):
+        """The Frobenius power in roots is a step's whole cost at large p:
+        a cold call and a warm one each find the roots once."""
+        calls = []
+
+        def spy(f):
+            calls.append(f.degree)
+            return roots(f)
+
+        monkeypatch.setattr(isogeny, "roots", spy)
+        for _ in ("cold", "warm"):
+            calls.clear()
+            cli.main(argv)
+            assert len(calls) == 1
 
     def test_composite_p_rejected(self, cache, capsys):
         rc = cli.main(["elkies", "--p", "9", "--a", "1", "--b", "3",
@@ -541,7 +600,7 @@ class TestDeletedTermLine:
     and a step on it once answered wrongly: at p = 10007, U13 without one
     line printed "Atkin prime: no roots" (exit 1) on curves where the
     intact store finds roots.  The read check at the D = -7 CM vector
-    refuses every such store, whatever the curve."""
+    refuses every such store that the call reads."""
 
     CURVES = seeded_curves(10007, 40, seed=13)
 
@@ -554,34 +613,38 @@ class TestDeletedTermLine:
             Path(path).write_text(poly_to_text(poly))
         return directory
 
-    def exits(self, store, tmp_path, name, index, command, ell):
-        """{exit code: count} and the last lines of the command on every
-        curve, with line ``index`` of the store file ``name`` deleted."""
+    def calls(self, directory, command, ell):
+        """(exit code, stdout) of the command on every curve, with the
+        store at directory."""
+        out = []
+        for a, b in self.CURVES:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([command, "--p", "10007", "--a", str(a),
+                                 "--b", str(b), "--ell", str(ell),
+                                 "--poly-dir", str(directory)])
+            out.append((code, buf.getvalue()))
+        return out
+
+    def deleted(self, store, tmp_path, name, index):
+        """A copy of the store with line ``index`` of the file ``name``
+        deleted, and that file's path."""
         directory = tmp_path / f"{name}-{index}"
         shutil.copytree(store, directory)
         path = directory / name
         lines = path.read_text().splitlines(keepends=True)
         del lines[index]
         path.write_text("".join(lines))
-        codes, last = collections.Counter(), set()
-        for a, b in self.CURVES:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                codes[cli.main([command, "--p", "10007", "--a", str(a),
-                                "--b", str(b), "--ell", str(ell),
-                                "--poly-dir", str(directory)])] += 1
-            last.add(out.getvalue().splitlines()[-1])
-        return dict(codes), last
+        return directory, path
 
     def test_each_line_of_u13(self, store, tmp_path):
         count = len((store / "U_13_E4E6.txt").read_text().splitlines())
         for index in range(2, count):
-            codes, last = self.exits(store, tmp_path, "U_13_E4E6.txt", index,
-                                     "elkies", 13)
-            assert codes == {3: len(self.CURVES)}, index
-            path = tmp_path / f"U_13_E4E6.txt-{index}" / "U_13_E4E6.txt"
-            assert last == {f"store error: {path}: U_13: no root at the "
-                            f"D = -7 CM vector"}, index
+            directory, path = self.deleted(store, tmp_path, "U_13_E4E6.txt",
+                                           index)
+            assert self.calls(directory, "elkies", 13) == [
+                (3, f"store error: {path}: U_13: no root at the D = -7 "
+                    f"CM vector\n")] * len(self.CURVES), index
 
     # store file, the command that reads it and its level, and which term
     # line to delete: for Phi13 one of X^i j^i, whose loss keeps Phi
@@ -597,14 +660,26 @@ class TestDeletedTermLine:
 
     @pytest.mark.parametrize("which", sorted(ONE_LINE))
     def test_one_line(self, store, tmp_path, which):
+        """Ua11 is the atkin step's own polynomial, so every call reads
+        it and is a store error.  V13, W13 and Phi13 only check a root
+        of U13: a call where U13 has a root reads them and is a store
+        error, and one where it has none (exit 1) reads none of them and
+        prints what it prints on the intact store.  Neither is ever a
+        wrong answer."""
         name, command, ell, pick = self.ONE_LINE[which]
         index = pick((store / name).read_text().splitlines())
-        codes, last = self.exits(store, tmp_path, name, index, command, ell)
-        assert codes == {3: len(self.CURVES)}
+        directory, path = self.deleted(store, tmp_path, name, index)
         kind_ell = name.rsplit("_", 1)[0]
-        path = tmp_path / f"{name}-{index}" / name
-        assert last == {f"store error: {path}: {kind_ell}: no root at the "
-                        f"D = -7 CM vector"}
+        error = (3, f"store error: {path}: {kind_ell}: no root at the "
+                    f"D = -7 CM vector\n")
+        intact = self.calls(store, command, ell)
+        if command == "atkin":
+            want = [error] * len(self.CURVES)
+        else:
+            want = [call if call[0] == 1 else error for call in intact]
+            # the curves hold both cases
+            assert {code for code, _ in want} == {1, 3}
+        assert self.calls(directory, command, ell) == want
 
 
 class TestAtkin:
@@ -614,6 +689,19 @@ class TestAtkin:
         assert "f=65 sigma=75 E4t=532 Bstar=460" in out
         assert "Astar=395" in out and "gcd_degree=1" in out
         assert "f=333 sigma=681 E4t=430 Bstar=584" in out
+
+    def test_step_error_follows_the_header(self, cache, capsys,
+                                           monkeypatch):
+        """An error the step raises, other than a store or build error
+        of a load, comes after the header line."""
+        def inconsistent(*args):
+            raise VerificationError("constraint polynomials share no root")
+
+        monkeypatch.setattr(isogeny, "atkin_b_star", inconsistent)
+        assert cli.main(ATKIN_ARGS) == 3
+        assert capsys.readouterr().out == (
+            "p=1009 A=1 B=3 ell=11 j=269\n"
+            "verification failure: constraint polynomials share no root\n")
 
     @pytest.mark.parametrize("line", [5, 6, 8])
     def test_store_missing_a_term_is_a_store_error(

@@ -252,6 +252,26 @@ class TestElkiesStep:
         res = elkies_step(CurveParams(fld, 1, b), 13, u13, v13, w13, phi13)
         assert (seen, len(res)) == (kinds, found)
 
+    @pytest.mark.parametrize("b, loaded", [(3, []), (6, ["V", "W", "Phi"])])
+    def test_loaders_called_only_when_u_has_a_root(
+            self, fld, u13, v13, w13, phi13, b, loaded):
+        # a cross-check given as a function that returns it is loaded once,
+        # and only on the curve with 13-isogenies; the results are those
+        # of the polynomials themselves
+        seen = []
+
+        def loader(poly):
+            def load():
+                seen.append(poly.kind)
+                return poly
+            return load
+
+        curve = CurveParams(fld, 1, b)
+        res = elkies_step(curve, 13, u13,
+                          *(loader(P) for P in (v13, w13, phi13)))
+        assert seen == loaded
+        assert res == elkies_step(curve, 13, u13, v13, w13, phi13)
+
     def test_level_gates(self, curve13, u5):
         with pytest.raises(ValueError):
             elkies_step(curve13, 4, u5)
@@ -584,6 +604,12 @@ class TestPolynomialChecks:
                  slot: request.getfixturevalue(bad)}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             elkies_step(curve13, 5, **polys)
+
+    def test_elkies_step_checks_what_a_loader_returns(self, curve13, u5,
+                                                       w5):
+        with pytest.raises(ValueError, match="^expected the V_5 polynomial, "
+                                             "got W_5$"):
+            elkies_step(curve13, 5, u5, v=lambda: w5)
 
     def test_atkin_step(self, curve13, u11):
         with pytest.raises(ValueError, match="^expected the Ua_11 "
