@@ -74,10 +74,8 @@ def load_or_build(kind: str, ell: int, directory: str,
                   rebuild: bool = False):
     """Fetch a polynomial in its kind's cached basis from the store,
     building and caching it on a miss.  With rebuild, regenerate and
-    require byte equality with any existing file.  A step calls it for
-    its cross-check kinds only once their polynomial has a root, so at an
-    Atkin prime their files are neither read, written nor rebuilt.  Store
-    files are ASCII
+    require byte equality with any existing file.  A step loads its
+    cross-check kinds only once U has a root.  Store files are ASCII
     with LF line ends, as poly_to_text writes them, whatever the locale's
     encoding or the OS: no CR is read or written as a line end."""
     basis = check_kind(kind, ell).bases[0]
@@ -161,15 +159,14 @@ def cmd_build(args) -> int:
 
 
 def _run_step(args, kind: str, step, others: tuple, root: str) -> tuple:
-    """Parse the curve, load the kind's polynomial, run the step, print
-    the header and the step's diagnostics; return the results and
-    whether any root was skipped.  The others reach the step as
-    functions that load them, which it calls only when the kind's
-    polynomial has a root: at an Atkin prime they are neither read nor
-    built.  A store or build error of a load is the call's one line; any
-    other error of the step comes after the header.  root names the
-    results' root field: a diagnostic on a root with no result reads
-    skipped, a note on an answered root does not."""
+    """Parse the curve, load the kind's polynomial, run the step, then
+    print the header and the step's diagnostics; return the results and
+    whether any root was skipped.  The others reach the step as loaders,
+    which it calls only when the kind's polynomial has a root.  A load's
+    store or build error is the call's one line; any other error of the
+    step follows the header.  root names the results' root field: a
+    diagnostic on a root with no result reads skipped, a note on an
+    answered root does not."""
     curve = _parse_curve(args, kind)
     directory = args.poly_dir or _cache_dir()
 

@@ -155,12 +155,10 @@ def elkies_step(curve: CurveParams, ell: int, u, v=None, w=None, phi=None,
     An empty list signals an Atkin prime.  Roots where ds vanishes are
     skipped; a (root, message) pair goes to the diagnostics list when
     one is supplied.  v, w, phi are optional cross-check polynomials;
-    their flags stay None when absent.  Each may be the polynomial or a
-    zero-argument function that returns it: such a function is called,
-    and what it returns checked, only when U has a root, so a caller
-    that loads or builds them on demand pays nothing at an Atkin prime.
-    They are specialized only when U has a root.  p in {5, 7}, where the
-    power sums divide by zero, is refused first.
+    their flags stay None when absent, and they are specialized only
+    when U has a root.  Each may be a zero-argument function that
+    returns the polynomial, called and checked only then.  p in {5, 7},
+    where the power sums divide by zero, is refused first.
     """
     field = curve.field
     _check_level(field, ell)
