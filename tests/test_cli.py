@@ -1,7 +1,6 @@
 """Exit codes and report text of the command-line front end."""
 
 import argparse
-import collections
 import contextlib
 import hashlib
 import importlib.util
