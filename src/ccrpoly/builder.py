@@ -1,13 +1,13 @@
 """Builders for the trivariate modular polynomials and the classical
 j-polynomial used as an independent validation oracle.
 
-Both chains start alike.  conjugate_series expands the distinguished
-root r_inf(q) and the conjugate generator R(x) with x = q^{1/ell}, for
-U, V, W and Ua just past x^(ell*(n_q - 1)), the last exponent a trace on
-the q-window [.., n_q) reads; power_sums traces R^1, R^2, ... over the
-ell cosets (the trace is arithmetic-progression extraction: root-of-unity
-sums vanish off multiples of ell, so no cyclotomic arithmetic is needed),
-which gives the power sums t_k of the ell conjugates.
+Both chains start alike.  conjugate_series expands the generator R(x),
+x = q^{1/ell}, that the kind's KINDS row names, for U, V, W and Ua just
+past x^(ell*(n_q - 1)), the last exponent a trace on [.., n_q) reads,
+and reads the root r_inf(q) at the cusp off it.  power_sums traces
+R^1, R^2, ... over the ell cosets into the power sums t_k of the ell
+conjugates (the trace is arithmetic-progression extraction: root-of-unity
+sums vanish off multiples of ell, so no cyclotomic arithmetic is needed).
 
 U, V, W and Ua (_build_at) are monic in X with coefficients in
 Q[E4, E6], so the power sum p_k = t_k + r_inf^k of all ell + 1 roots is
@@ -60,7 +60,7 @@ from operator import mul
 from .certify import check_at_cm_vectors
 from .errors import BasisMatchError, BuildError, PrecisionError
 from .qseries import PowerSeries, _powers, delta_series, \
-    eisenstein_series, eta_squared_product, fn_series, j_series, sigma1_series
+    eisenstein_series, expand, j_series
 from .trivariate import KINDS, ClassicalModularPoly, TrivariatePoly, \
     check_kind
 # the denominator gate lives in validate(); perfbench's layer spans wrap
@@ -69,35 +69,23 @@ from .trivariate import _denominator_is_smooth  # noqa: F401
 
 
 def conjugate_series(kind: str, ell: int, n_q: int):
-    """r_inf, a series in q, and the conjugate generator R, a series in
-    x = q^{1/ell}: the one series of the builder that is not in q.  For
-    U, V, W and Ua, R ends just past x^(ell*(n_q - 1)), the last exponent
-    a trace on [.., n_q) reads."""
-    n_x = ell * (n_q - 1) + 1
-    if kind == "U":
-        r_inf = sigma1_series(ell, n_q)
-        r_x = fn_series(ell, n_x) * Fraction(1, 2)
-    elif kind == "V":
-        r_inf = eisenstein_series(4, n_q).substitute_q_power(ell, n_q) \
-            * (-3 * ell ** 4)
-        r_x = eisenstein_series(4, n_x) * (-3)
-    elif kind == "W":
-        r_inf = eisenstein_series(6, n_q).substitute_q_power(ell, n_q) \
-            * (-2 * ell ** 6)
-        r_x = eisenstein_series(6, n_x) * (-2)
-    elif kind == "Phi":
-        # j(x)^k, k <= ell, is known below x^(ell*n_q - k): every trace
-        # ends at q^n_q.  r_inf = j(q^ell) on [-ell, n_q)
-        r_x = j_series(ell * n_q + 2)
-        r_inf = r_x.substitute_q_power(ell, n_q)
-    elif kind == "Ua":
-        # distinguished root -ell*f; each coset contributes the same eta
-        # shape in x (the twist leaves the (1-x^(ell*n)) factors alone)
-        r_inf = eta_squared_product(ell, n_q) * (-ell)
-        r_x = eta_squared_product(ell, n_x)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return r_inf, r_x
+    """(r_inf, R): the root at the cusp infinity, a series in q, and the
+    conjugate generator R, scale times the expansion the kind's KINDS row
+    names, in x = q^{1/ell}, the builder's one series not in q.  R ends
+    just past x^(ell*(n_q - 1)), the last exponent a trace on [.., n_q)
+    reads; Phi's j(x) takes ell*n_q + 2 terms, as j(x)^k, k <= ell, is
+    known below x^(ell*n_q - k).  r_inf is R under diag(ell, 1), with w
+    the X-weight: ell^(2w) R(q^ell) for the level-one E4, E6 and j, and
+    -ell R read in q for U's and Ua's weight-2 Fricke eigenforms of
+    eigenvalue -1 (the eta twist leaves the (1 - x^(ell*n)) factors
+    alone, so every coset has R's shape in x)."""
+    row = check_kind(kind, ell)
+    (name, scale), w = row.series, row.x_weight
+    n_x = ell * (n_q - 1) + 1 if w else ell * n_q + 2
+    r_x = expand(name, n_x, ell) * scale
+    if w == 1:
+        return r_x.truncate(r_x.lead + n_q) * -ell, r_x
+    return r_x.substitute_q_power(ell, n_q) * ell ** (2 * w), r_x
 
 
 def _chain_traces(big_r: PowerSeries, ell: int, k_max: int) -> list:

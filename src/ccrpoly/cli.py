@@ -26,11 +26,14 @@ from .isogeny import _check_sums_prime, atkin_step, elkies_step
 from .trivariate import PHI_ELLS, check_kind, poly_from_text, poly_to_text
 
 CACHE_ENV = "CCR_CACHE_DIR"
-# The largest level the command line builds and the longest series it
-# expands; library callers are not bounded.  Raw single runs on a 2-vCPU
-# host: W71, the slowest kind at 71, built in 4.9-5.2 s and W101 in
-# 37-40 s; j, the slowest series, took 2.1-2.2 s at 5000 terms and 51 s
-# at 20000.
+# The largest level the command line builds or steps at and the longest
+# series it expands; library callers are not bounded.  Raw single runs on
+# a 2-vCPU host: W71, the slowest kind at 71, built in 4.9-5.2 s and W101
+# in 37-40 s; j, the slowest series, took 2.1-2.2 s at 5000 terms and
+# 51 s at 20000.  A step is bounded even when its polynomial is in the
+# store: the read's check at a CM vector takes about 2 us times ell
+# (1.9 s at ell = 999983), so a planted file at a 9-digit level would
+# run for most of an hour.
 MAX_ELL = 71
 MAX_PREC = 5000
 
@@ -63,9 +66,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _build_poly(kind: str, ell: int):
+def _check_ell(ell: int):
     if ell > MAX_ELL:
         raise ValueError(f"--ell {ell} exceeds MAX_ELL={MAX_ELL}")
+
+
+def _build_poly(kind: str, ell: int):
+    _check_ell(ell)
     from .builder import build
     return build(kind, ell)
 
@@ -129,7 +136,7 @@ def _write_atomic(path: str, text: str):
 
 def _parse_curve(args, kind: str) -> CurveParams:
     """CurveParams over PrimeField(p) from --p/--a/--b; ValueError when
-    they make no usable curve, or --ell is not a level of kind or is p."""
+    they make no usable curve, --ell is p, past MAX_ELL or no level of kind."""
     if args.p <= 3 or not is_probable_prime(args.p):
         raise ValueError("p not prime or too small")
     if kind == "U":
@@ -142,6 +149,7 @@ def _parse_curve(args, kind: str) -> CurveParams:
     if curve.field.p == args.ell:
         raise ValueError(f"ell={args.ell} is not an odd prime level distinct "
                          f"from p")
+    _check_ell(args.ell)
     return curve
 
 

@@ -38,14 +38,24 @@ PHI_ELLS = (2, 3, 5, 7, 11, 13)
 #   root      (value, e): the polynomial has a root whose e-th power is
 #             that value of certify.CMVector; Ua's root f is known only
 #             through f^12
-Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells root")
+#   series    (name, scale): the conjugate generator R, whose images
+#             under the ell + 1 cosets are the polynomial's roots, is scale
+#             times qseries.expand(name) in x = q^(1/ell): F_ell/2, -3 E4,
+#             -2 E6, (eta(tau) eta(ell tau))^2 and j;
+#             builder.conjugate_series reads the root at the cusp infinity
+#             off it
+Kind = namedtuple("Kind", "x_weight bases width smooth mod12 ells root series")
 KINDS = {
-    "U": Kind(1, ("E4E6", "AB"), 3, False, None, (), ("sigma", 1)),
-    "V": Kind(2, ("E4E6", "AB"), 3, False, None, (), ("a_star", 1)),
-    "W": Kind(3, ("E4E6", "AB"), 3, False, None, (), ("b_star", 1)),
+    "U": Kind(1, ("E4E6", "AB"), 3, False, None, (), ("sigma", 1),
+              ("F", Fraction(1, 2))),
+    "V": Kind(2, ("E4E6", "AB"), 3, False, None, (), ("a_star", 1),
+              ("E4", -3)),
+    "W": Kind(3, ("E4E6", "AB"), 3, False, None, (), ("b_star", 1),
+              ("E6", -2)),
     # the eta product's coefficients are printed over powers of Delta
-    "Ua": Kind(1, ("E4E6", "AB", "Delta"), 3, True, 11, (), ("f12", 12)),
-    "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS, ("j_star", 1)),
+    "Ua": Kind(1, ("E4E6", "AB", "Delta"), 3, True, 11, (), ("f12", 12),
+               ("f", 1)),
+    "Phi": Kind(0, ("j",), 2, False, None, PHI_ELLS, ("j_star", 1), ("j", 1)),
 }
 
 

@@ -80,6 +80,18 @@ MUTANTS = {
         ["tests/test_builder.py::TestPowerSums::"
          "test_first_sum_vanishes_for_sigma_kind",
          "tests/test_builder.py::TestPowerSums::test_second_sum_is_120_e4"]),
+    # the root at the cusp of a level-one generator scaled by ell^w, not
+    # by ell^(2w): V's r_inf reads ell^2 A*-values too small
+    "cusp_scale_ell_to_w": (
+        BUILDER, "ell ** (2 * w)", "ell ** w",
+        ["tests/test_builder.py::"
+         "test_root_at_the_cusp_matches_its_definition"]),
+    # U's and Ua's root at the cusp read as +ell R, as if their
+    # generators were Fricke eigenforms of eigenvalue +1
+    "fricke_sign_flipped": (
+        BUILDER, "* -ell", "* ell",
+        ["tests/test_builder.py::"
+         "test_root_at_the_cusp_matches_its_definition"]),
     # the top trace's last slot shifted, keeping every coefficient
     # integral: with no row past Sturm's window the match takes it in, and
     # only the build-end check at the CM vectors refuses U13..U31
@@ -112,6 +124,13 @@ MUTANTS = {
         CLI, "return check_at_cm_vectors(found.validate(), (-7,))",
         "return found.validate()",
         ["tests/test_cli.py::TestDeletedTermLine::test_each_line_of_u13"]),
+    # a step above MAX_ELL reads its store: the read's check at a CM
+    # vector costs about 2 us times ell, so a planted file at a 9-digit
+    # level runs for most of an hour
+    "step_level_unbounded": (
+        CLI, "    _check_ell(args.ell)\n", "",
+        ["tests/test_cli.py::TestBounds::"
+         "test_step_past_the_bound_reads_no_store"]),
     # the cross-check polynomials loaded before the step finds U's roots:
     # a cold call at an Atkin prime builds and writes V, W and Phi, which
     # check nothing there

@@ -124,13 +124,21 @@ def eta_squared_loop(ell: int, n: int) -> list:
 def cusp_root(kind: str, ell: int, n: int) -> PowerSeries:
     """r_inf mod q^n, the root of X that P(X, E4, E6) has at the cusp,
     from each kind's definition: sigma1 = (ell/2)(ell E2(q^ell) - E2(q)),
-    A* = -3 ell^4 E4(q^ell), B* = -2 ell^6 E6(q^ell), and -ell f with
-    f = (eta(tau) eta(ell tau))^2."""
+    A* = -3 ell^4 E4(q^ell), B* = -2 ell^6 E6(q^ell), -ell f with
+    f = (eta(tau) eta(ell tau))^2, and j(q^ell) with j = E4^3/Delta,
+    1728 Delta = E4^3 - E6^2, by long division."""
     m = n // ell + 1
 
     def at_ell(s):
         return s.substitute_q_power(ell, n)
 
+    if kind == "Phi":
+        # E4^3 over E4^3 - E6^2 = 1728 q + ..., both on m + 2 terms, is
+        # known below q^m, which at_ell reads
+        e4_cubed = eisenstein_series(4, m + 2) ** 3
+        lead, j = long_division(e4_cubed,
+                                e4_cubed - eisenstein_series(6, m + 2) ** 2)
+        return at_ell(series(j, lead)) * 1728
     if kind == "U":
         return (at_ell(eisenstein_series(2, m)) * ell
                 - eisenstein_series(2, n)) * Fraction(ell, 2)

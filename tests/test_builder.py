@@ -26,7 +26,7 @@ from ccrpoly.qseries import (PowerSeries, delta_series, eisenstein_series,
                              j_series)
 from ccrpoly.symbolic import MultiPoly
 from ccrpoly.trivariate import PHI_ELLS, poly_to_text
-from oracles import (annihilates_at_cusp, cm_vector, evaluate,
+from oracles import (annihilates_at_cusp, cm_vector, cusp_root, evaluate,
                      form_basis_exponents, series, vanishes_at_cm_vector,
                      zero_through)
 
@@ -142,6 +142,20 @@ class TestConjugateSeries:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             conjugate_series("Z", 5, 8)
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 5, 29])
+@pytest.mark.parametrize("kind, ell", [
+    *((kind, ell) for kind in ("U", "V", "W") for ell in (5, 7, 13, 47)),
+    ("U", 71), *(("Ua", ell) for ell in (11, 23, 47, 71)),
+    *(("Phi", ell) for ell in (5, 7, 11, 13))])
+def test_root_at_the_cusp_matches_its_definition(kind, ell, n_q):
+    # conjugate_series reads r_inf off R under diag(ell, 1); the oracle
+    # builds it from the kind's definition
+    r_inf, _ = conjugate_series(kind, ell, n_q)
+    want = cusp_root(kind, ell, n_q)
+    assert (r_inf.lead, r_inf.end, r_inf.den, r_inf.nums) == \
+        (want.lead, want.end, want.den, want.nums)
 
 
 def full_power_sums(kind, ell, n_q):

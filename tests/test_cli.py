@@ -957,6 +957,25 @@ class TestBounds:
                f"{getattr(cli, bound)}\n", "")
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("command, kind, ell", [
+        ("elkies", "U", 99999989), ("atkin", "Ua", 99999971)])
+    def test_step_past_the_bound_reads_no_store(self, tmp_path, command,
+                                                kind, ell):
+        # the planted file passes validate(), and its read's check at a CM
+        # vector would take most of an hour at this level; the 1 s CPU
+        # limit kills a step that starts it
+        store = tmp_path / "cache" / f"{kind}_{ell}_E4E6.txt"
+        store.parent.mkdir()
+        text = f"CCR kind={kind} ell={ell} basis=E4E6\n{ell + 1} 0 0 1\n"
+        store.write_text(text)
+        proc = run_limited([command, "--p", "1009", "--a", "1", "--b", "3",
+                            "--ell", str(ell)], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, f"usage error: --ell {ell} exceeds MAX_ELL={cli.MAX_ELL}\n",
+            "")
+        assert store.read_text() == text
+        assert os.listdir(store.parent) == [store.name]
+
     def test_prec_at_the_bound_runs(self, capsys):
         assert cli.main(["series", "--name", "E4", "--prec",
                          str(cli.MAX_PREC)]) == 0

@@ -65,7 +65,10 @@ CALLS = [["selftest"], ["verify-symbolic"],
                                     ("Ua", "11", "E4E6 AB Delta"),
                                     ("Phi", "7", "j"))
            for basis in bases.split()),
-         *STEPS, *STEPS, STEPS[0][:-2] + ["--rebuild"]]
+         *STEPS, *STEPS, STEPS[0][:-2] + ["--rebuild"],
+         # past MAX_ELL: one usage line each
+         ["build", "--kind", "U", "--ell", "73"],
+         ["elkies", "--p", "1009", "--a", "1", "--b", "3", "--ell", "73"]]
 
 
 def traffic():
